@@ -29,7 +29,7 @@ from goldenrule import (
     cross_term_integral,
     discretize,
     generalized_decay,
-    integrate,
+    propagate_train,
 )
 
 MODEL = ConstantElement(1.0)
@@ -65,8 +65,9 @@ def two_pulse_defect():
     for sep in (4.0, 5.0, 6.0):
         train = PulseTrain([Pulse(0.0, GaussianPulse(tau), V0),
                             Pulse(sep, GaussianPulse(tau), V0)])
-        rep = additivity_defect(train, cont, MODEL, tol=1e-9,
-                                t_margin=2.0 * tau)
+        traj = propagate_train(train, cont, MODEL, tol=1e-9,
+                               t_margin=2.0 * tau)
+        rep = additivity_defect(train, traj, MODEL)
         print(f"gap {sep:g} tau: defect {rep.defect:.2e}, kicks "
               + ", ".join(f"{q:.3e}" for q in rep.kick_strengths))
     print()
@@ -83,16 +84,14 @@ def decay_law():
     train = PulseTrain([Pulse(k * sep, GaussianPulse(tau), V0)
                         for k in range(n_p)])
 
-    rep = additivity_defect(train, cont, MODEL, tol=1e-9)
+    # one coupled run feeds both the kick booking and the decay law
+    traj = propagate_train(train, cont, MODEL, tol=1e-9, n_samples=13)
+    rep = additivity_defect(train, traj, MODEL)
     print(f"booked survival {rep.survival_kicks:.6f} vs coupled "
           f"{rep.survival_full:.6f} (defect {rep.defect:.2e})")
 
-    left, right = train.support_radius()
-    t = np.linspace(train.t_ref - left, train.t_ref + right, 13)
+    t = traj.times
     curve = generalized_decay(train, 1.0, t, model=MODEL, dos=dos, E_i=0.0)
-    traj = integrate(cont, train, 1.0, MODEL,
-                     float(t[0]), float(t[-1]), tol=1e-9, mode="coupled",
-                     seed="zeros", sample_times=t, keep_profiles="none")
     p_num = np.abs(traj.c_i) ** 2
     print(f"{'t':>7} {'coupled p_i':>12} {'mean-rate law':>13} {'ratio':>7}")
     for tk, pn, pl in list(zip(t, p_num, curve.survival))[::3]:

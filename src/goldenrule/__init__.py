@@ -77,6 +77,7 @@ from .pulsetrain import (
     cross_term_closed_form,
     cross_term_integral,
     generalized_decay,
+    propagate_train,
     pulse_kick,
 )
 from .wignerweisskopf import (

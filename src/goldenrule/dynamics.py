@@ -126,18 +126,19 @@ class AmplitudeTrajectory:
     tol: float
     norm_drift: float | None
 
+    def _stored_time(self, keys, t):
+        """The key within 1e-9 of t, relative to the run's span, or None."""
+        span = self.times[-1] - self.times[0]
+        for key in keys:
+            if abs(key - t) <= 1e-9 * max(span, abs(t)):
+                return key
+        return None
+
     def profile_at(self, t):
-        for key, val in self.profiles.items():
-            if abs(key - t) <= 1e-9 * max(1.0, abs(t)):
-                return val
-        raise KeyError(f"no stored profile at t = {t}")
-
-
-def _match_time(keys, t, span):
-    for key in keys:
-        if abs(key - t) <= 1e-9 * max(span, abs(t)):
-            return key
-    return None
+        key = self._stored_time(self.profiles, t)
+        if key is None:
+            raise KeyError(f"no stored profile at t = {t}")
+        return self.profiles[key]
 
 
 def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
@@ -165,8 +166,8 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
         rate_times: times where transition_rate() will be queried; each
             registers a centered stencil pair.
         rate_stencil: stencil width override; default 2 pi / (20 max|omega|).
-        keep_profiles: "last", "none", or iterable of times at which the
-            full c_f vector is retained.
+        keep_profiles: "last", "none", or a sequence of times in [t0, t1] at
+            which the full c_f vector is retained.
 
     Returns:
         AmplitudeTrajectory.
@@ -219,8 +220,19 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
                 a, b, one_sided = t - 0.5 * h, t, True
             rate_entries.append((float(t), a, b, one_sided))
 
+    if isinstance(keep_profiles, str):
+        if keep_profiles not in ("last", "none"):
+            raise DomainError(f"unknown keep_profiles {keep_profiles!r}")
+        prof_times = [samples[-1]] if keep_profiles == "last" else []
+    else:
+        prof_times = np.atleast_1d(np.asarray(keep_profiles, dtype=float))
+        if not np.all((prof_times >= t0) & (prof_times <= t1)):
+            raise DomainError(f"keep_profiles times must lie within "
+                              f"[{t0}, {t1}]")
+
+    # samples, stencil ends and profile times are exact members of t_eval
     t_eval = np.unique(np.concatenate(
-        [samples, [t0, t1]]
+        [samples, [t0, t1], prof_times]
         + [[a, b] for _, a, b, _ in rate_entries]))
 
     if isinstance(seed, str) and seed == "auto":
@@ -283,28 +295,13 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
                 f"norm drifted by {norm_drift:.3g}, beyond 10 * tol",
                 achieved=norm_drift)
 
-    span = t1 - t0
-    idx_of = {}
-    for k, t in enumerate(t_eval):
-        idx_of[float(t)] = k
-
-    def lookup(t):
-        key = _match_time(idx_of.keys(), t, span)
-        return idx_of[key]
-
-    sample_idx = np.array([lookup(t) for t in samples])
+    sample_idx = np.searchsorted(t_eval, samples)
     rate_table = {}
     for t, a, b, one_sided in rate_entries:
-        Sa, Sb = S_all[lookup(a)], S_all[lookup(b)]
-        rate_table[t] = (b - a, Sa, Sb, one_sided)
-
-    if keep_profiles == "none":
-        prof_times = []
-    elif keep_profiles == "last":
-        prof_times = [samples[-1]]
-    else:
-        prof_times = list(keep_profiles)
-    profiles = {float(t): cf_all[:, lookup(t)].copy() for t in prof_times}
+        ia, ib = np.searchsorted(t_eval, [a, b])
+        rate_table[t] = (b - a, S_all[ia], S_all[ib], one_sided)
+    profiles = {t: cf_all[:, np.searchsorted(t_eval, t)].copy()
+                for t in map(float, prof_times)}
 
     return AmplitudeTrajectory(
         times=samples, c_i=ci_all[sample_idx], occupied=S_all[sample_idx],
@@ -319,8 +316,7 @@ def transition_rate(traj, t, stencil=None):
     the trajectory was integrated; pass the same value (or None) here.
     Warns when only a one-sided stencil fit inside the time window.
     """
-    span = traj.times[-1] - traj.times[0]
-    key = _match_time(traj.rate_table.keys(), t, span)
+    key = traj._stored_time(traj.rate_table, t)
     if key is None:
         raise PreconditionError(
             f"t = {t} was not registered via rate_times when integrating")

@@ -448,15 +448,3 @@ def box_quantized_rate(kappa, F, m, *, E_b=None, xi_wall=185.0, window=None):
                          wall=float(wall), level_index=n_idx,
                          normalization=float(C))
 
-
-def export_wavefunction_csv(path, x, psi, meta=None):
-    """Two-column dump ``x, psi`` with optional comment metadata."""
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        for key, val in (meta or {}).items():
-            fh.write(f"# {key}={val}\n")
-        writer = _csv.writer(fh)
-        writer.writerow(["x", "psi"])
-        for xx, pp in zip(np.atleast_1d(x), np.atleast_1d(psi)):
-            writer.writerow([f"{xx:.17g}", f"{pp:.17g}"])

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 
 from .errors import (DegenerateSpectrumError, DomainError,
                      UnsupportedShapeError)
+from .tables import read_table
 
 _LN_FLOOR = np.log(1e6)  # support radius measured at 1e-6 relative amplitude
 
@@ -344,40 +345,17 @@ class ChannelledElement:
     @classmethod
     def from_csv(cls, path):
         """Load channels from CSV columns sigma,E,V,D (grouped by sigma)."""
-        import csv as _csv
-
-        with open(path, newline="") as fh:
-            rows = list(_csv.reader(fh))
-        if not rows or [c.strip() for c in rows[0]] != ["sigma", "E", "V", "D"]:
-            raise DomainError(f"{path}: expected header 'sigma,E,V,D'")
         groups = {}
-        for row in rows[1:]:
-            if not row:
-                continue
-            sigma, E, V, D = row[0].strip(), *map(float, row[1:4])
+        for sigma, E, V, D in read_table(
+                path, {"sigma": str, "E": float, "V": float, "D": float}):
             groups.setdefault(sigma, []).append((E, V, D))
         channels = []
         for sigma, pts in groups.items():
-            pts.sort()
-            E = np.array([p[0] for p in pts])
-            V = np.array([p[1] for p in pts])
-            D = np.array([p[2] for p in pts])
-            channels.append(Channel(
-                label=sigma,
-                element=TabulatedElement(E, V).element,
-                dos=TabulatedDOSInterp(E, D)))
+            E, V, D = (np.array(col) for col in zip(*sorted(pts)))
+            channels.append(Channel(label=sigma,
+                                    element=TabulatedElement(E, V).element,
+                                    dos=TabulatedElement(E, D).element))
         return cls(channels=tuple(channels))
-
-
-class TabulatedDOSInterp:
-    """Positive linear interpolant used for per-channel DOS columns."""
-
-    def __init__(self, energies, densities):
-        self.energies = np.asarray(energies, dtype=float)
-        self.densities = np.asarray(densities, dtype=float)
-
-    def __call__(self, E):
-        return float(np.interp(E, self.energies, self.densities))
 
 
 @dataclass(frozen=True)
@@ -402,24 +380,28 @@ def averaged_sq_matrix_element(model, E):
     """DOS-weighted channel average of |V_m|^2 at total energy E.
 
     Returns the pair (avg_sq, total_dos) so that the one-line golden rule
-    r = 2 pi * avg_sq * total_dos reproduces the per-channel sum.
+    r = 2 pi * avg_sq * total_dos reproduces the per-channel sum. For a
+    ChannelledElement, E may be an array and both results are arrays.
 
     Raises:
         DegenerateSpectrumError: if the total DOS at E vanishes.
     """
     if isinstance(model, ChannelledElement):
-        num = 0.0
-        den = 0.0
+        E = np.asarray(E, dtype=float)
+        num = np.zeros(E.shape)
+        den = np.zeros(E.shape)
         for ch in model.channels:
-            v = float(_as_fn(ch.element)(E))
-            d = float(_as_fn(ch.dos)(E))
-            if d < 0.0:
+            v = np.asarray(_as_fn(ch.element)(E), dtype=float)
+            d = np.asarray(_as_fn(ch.dos)(E), dtype=float)
+            if np.any(d < 0.0):
                 raise DomainError(f"channel {ch.label!r} has negative DOS")
-            num += v * v * d
-            den += d
-        if den == 0.0:
+            num = num + v * v * d
+            den = den + d
+        if np.any(den == 0.0):
             raise DegenerateSpectrumError(f"total DOS vanishes at E = {E}")
-        return num / den, den
+        if num.ndim:
+            return num / den, den
+        return float(num / den), float(den)
     if isinstance(model, ContinuousChannelElement):
         lo, hi = model.s_range
         num, _ = quad(lambda s: model.element(E, s) ** 2 * model.dos(E, s),
@@ -434,12 +416,14 @@ def averaged_sq_matrix_element(model, E):
 
 
 def element_at(model, E):
-    """Scalar matrix element the propagator should use at energy E.
+    """Real matrix element the propagator should use at energy E.
 
     For channelled models this is the root-mean-square element, which pairs
-    with the total DOS in rate formulas.
+    with the total DOS in rate formulas. A finite channel set accepts an
+    array of energies; a continuous one takes a scalar E.
     """
     if isinstance(model, (ChannelledElement, ContinuousChannelElement)):
         avg_sq, _ = averaged_sq_matrix_element(model, E)
-        return float(np.sqrt(avg_sq))
+        out = np.sqrt(avg_sq)
+        return out if np.ndim(out) else float(out)
     return model.element(E)

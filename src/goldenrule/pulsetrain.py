@@ -5,23 +5,23 @@ level detuned by omega_fi is -i Vt(omega_fi) c_i with Vt the Fourier
 transform of the full coupling. Summing |kick|^2 over the band with the
 survival probability tracked between pulses reproduces the coupled
 integration up to interference terms that average out over the band;
-additivity_defect measures the residual.
+additivity_defect measures the residual against one propagate_train run.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import (DomainError, ToleranceFailureError,
+from .errors import (DomainError, PreconditionError, ToleranceFailureError,
                      UnsupportedShapeError)
 from .perturbation import (ConstantElement, GaussianPulse, RectangularPulse,
                            TwoSidedExp, element_at, evaluate,
                            spectral_amplitude, spectral_shape_sq)
 from .dynamics import integrate
+from .tables import format_table
 
 
 @dataclass(frozen=True)
@@ -134,27 +134,39 @@ class AdditivityReport:
     kick_strengths: tuple    # q_n per pulse
 
 
-def additivity_defect(train, continuum, model=None, *, tol=1e-9,
-                      t_margin=None):
-    """Quantify how well per-pulse kicks reproduce the full propagation.
+def propagate_train(train, continuum, model=None, *, tol, atol=None,
+                    n_samples=101, t_margin=0.0):
+    """Coupled propagation of the whole train from an empty band.
 
-    Route (a) integrates the coupled equations across the whole train;
-    route (b) assigns each pulse its band-integrated kick strength q_n
-    and books survival self-consistently at mid-pulse, p_mid = p (1 -
-    q_n / 2), so the comparison degrades only at O(q^3) per pulse. The
-    defect is |a - b| relative to route (a).
+    Integrates with V0 = 1 (the train carries every member's V0) from a
+    zero seed across the train's support widened by t_margin on each
+    side, on n_samples uniform samples. No profile is kept.
     """
-    if model is None:
-        model = ConstantElement(1.0)
     left, right = train.support_radius()
-    if t_margin is None:
-        t_margin = 0.0
     t0 = train.t_ref - left - t_margin
     t1 = train.t_ref + right + t_margin
-
-    traj = integrate(continuum, train, 1.0, model, t0, t1, tol=tol,
+    return integrate(continuum, train, 1.0, model, t0, t1, tol=tol, atol=atol,
                      mode="coupled", seed="zeros",
-                     sample_times=np.linspace(t0, t1, 101))
+                     sample_times=np.linspace(t0, t1, n_samples),
+                     keep_profiles="none")
+
+
+def additivity_defect(train, traj, model=None):
+    """Quantify how well per-pulse kicks reproduce the full propagation.
+
+    Route (a) is traj, a coupled propagation across the whole train (see
+    propagate_train); route (b) assigns each pulse its band-integrated
+    kick strength q_n and books survival self-consistently at mid-pulse,
+    p_mid = p (1 - q_n / 2), so the comparison degrades only at O(q^3)
+    per pulse. The defect is |a - b| relative to route (a). model must be
+    the one traj was propagated with.
+    """
+    if traj.mode != "coupled":
+        raise PreconditionError(
+            "additivity needs a coupled trajectory; a first-order run never "
+            "depletes the initial level")
+    if model is None:
+        model = ConstantElement(1.0)
     transferred_full = float(traj.occupied[-1])
     survival_full = float(np.abs(traj.c_i[-1]) ** 2)
 
@@ -162,7 +174,7 @@ def additivity_defect(train, continuum, model=None, *, tol=1e-9,
     total = 0.0
     strengths = []
     for pulse in train.pulses:
-        q = _kick_strength(pulse, continuum, model)
+        q = _kick_strength(pulse, traj.continuum, model)
         strengths.append(q)
         p_mid = p * (1.0 - 0.5 * q)
         total += q * p_mid
@@ -286,13 +298,10 @@ class DecayCurve:
     rates: np.ndarray
 
     def export_csv(self, path, meta=None):
-        with open(path, "w", newline="") as fh:
-            for key, val in (meta or {}).items():
-                fh.write(f"# {key}={val}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t", "p_i", "rbar"])
-            for t, p, r in zip(self.times, self.survival, self.rates):
-                writer.writerow([f"{t:.17g}", f"{p:.17g}", f"{r:.17g}"])
+        with open(path, "w") as fh:
+            fh.write(format_table(
+                ["t", "p_i", "rbar"],
+                zip(self.times, self.survival, self.rates), meta))
 
 
 def generalized_decay(rbar, p0, t_grid, *, model=None, dos=None, E_i=None,
@@ -322,11 +331,9 @@ def generalized_decay(rbar, p0, t_grid, *, model=None, dos=None, E_i=None,
     if not p0 >= 0.0:
         raise DomainError(f"p0 must be non-negative, got {p0}")
 
-    checked = set()
-
     def rate(t):
         val = float(rate_fn(t))
-        if val < 0.0 and t not in checked:
+        if val < 0.0:
             raise DomainError(f"mean rate is negative at t = {t}: {val}")
         return val
 

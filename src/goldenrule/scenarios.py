@@ -6,8 +6,9 @@ violation in the file is reported at once, unknown keys included, and all
 physical preconditions are exercised at load time by actually building
 the module objects. Runners execute the experiment, compare against the
 closed-form predictions, and emit CSV artifacts plus a machine-readable
-summary.json. All numeric output carries 17 significant digits and every
-file records the sha256 of the config that produced it.
+summary.json. CSV files (see tables.py) keep 17 significant digits;
+summary.json writes each float as its shortest repr that round-trips.
+Every file records the sha256 of the config that produced it.
 """
 
 from __future__ import annotations
@@ -65,8 +66,10 @@ from .pulsetrain import (
     cross_term_closed_form,
     cross_term_integral,
     generalized_decay,
+    propagate_train,
 )
 from .spectrum import ConstantDOS, PowerLawDOS, TabulatedDOS, discretize
+from .tables import fmt, format_table
 from .wignerweisskopf import CouplingFunction, nonperturbative_validate
 
 SCENARIO_KINDS = (
@@ -74,39 +77,6 @@ SCENARIO_KINDS = (
     "pulse_train", "decay_law", "ww", "airy_check", "ionization",
     "validity_sweep",
 )
-
-
-def fmt(x):
-    """17-significant-digit text form used in every artifact."""
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, numbers.Integral):
-        return str(int(x))
-    return f"{float(x):.17g}"
-
-
-def _json_dump(obj, indent=0):
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{pad}  "{k}": {_json_dump(v, indent + 1)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {_json_dump(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, numbers.Integral):
-        return str(int(obj))
-    if isinstance(obj, numbers.Real):
-        return fmt(obj)
-    return json.dumps(str(obj))
 
 
 def atomic_write_text(path, text):
@@ -212,15 +182,10 @@ class RunContext:
                                           float(tolerance), mode)
 
     def write_csv(self, filename, columns, rows, extra=None):
-        lines = [f"# scenario={self.name}", f"# config_sha256={self.sha}"]
-        for key, val in (extra or {}).items():
-            lines.append(f"# {key}={val}")
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(
-                v if isinstance(v, str) else fmt(v) for v in row))
-        path = os.path.join(self.out_dir, filename)
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        meta = {"scenario": self.name, "config_sha256": self.sha,
+                **(extra or {})}
+        atomic_write_text(os.path.join(self.out_dir, filename),
+                          format_table(columns, rows, meta))
         self.artifacts.append(filename)
 
 
@@ -1039,19 +1004,13 @@ def _run_decay_law(cfg, ctx):
     train = PulseTrain(tuple(Pulse(c, GaussianPulse(tau), V0)
                              for c in centers))
 
-    rep = additivity_defect(train, cont, model, tol=ctx.tol)
+    traj = propagate_train(train, cont, model, tol=ctx.tol, atol=ctx.atol,
+                           n_samples=ctx.samples or 481)
+    rep = additivity_defect(train, traj, model)
     ctx.metric("additivity_defect", rep.defect, 0.0, checks["defect_tol"])
 
-    left, right = train.support_radius()
-    t0 = train.t_ref - left
-    t1 = train.t_ref + right
-    n_samp = ctx.samples or 481
-    samples = np.linspace(t0, t1, n_samp)
-    traj = integrate(cont, train, 1.0, model, t0, t1, tol=ctx.tol,
-                     atol=ctx.atol, mode="coupled", seed="zeros",
-                     sample_times=samples, keep_profiles="none")
     p_num = np.abs(traj.c_i) ** 2
-    curve = generalized_decay(train, 1.0, samples, model=model, dos=dos,
+    curve = generalized_decay(train, 1.0, traj.times, model=model, dos=dos,
                               E_i=0.0)
     ratio = p_num / curve.survival
     ctx.metric("decay_law_match", float(np.max(np.abs(ratio - 1.0))), 0.0,
@@ -1068,7 +1027,8 @@ def _run_decay_law(cfg, ctx):
     ctx.write_csv("decay.csv",
                   ["t", "p_coupled", "p_decay_law", "ratio", "rbar"],
                   [(t, pn, ps, rt, rb) for t, pn, ps, rt, rb in
-                   zip(samples, p_num, curve.survival, ratio, curve.rates)])
+                   zip(traj.times, p_num, curve.survival, ratio,
+                       curve.rates)])
     ctx.write_csv("kicks.csv", ["pulse", "center", "q"],
                   [(i, c, qq) for i, (c, qq) in
                    enumerate(zip(centers, rep.kick_strengths))])
@@ -1283,7 +1243,7 @@ def run_scenario(source, out_dir=None):
                          wall_time_s=wall, config_sha256=sha,
                          artifacts=ctx.artifacts, out_dir=where)
     atomic_write_text(os.path.join(where, "summary.json"),
-                      _json_dump(summary.to_dict()) + "\n")
+                      json.dumps(summary.to_dict(), indent=2) + "\n")
     return summary
 
 
@@ -1362,18 +1322,16 @@ def run_sweep(source, axis, values, out_dir=None, workers=1):
     for m in metric_names:
         columns += [f"{m}_value", f"{m}_pass"]
     columns.append("error")
-    lines = [f"# axis={axis}", f"# config_sha256={config_sha256(raw)}",
-             ",".join(columns)]
+    table = []
     for row in rows:
-        cells = [fmt(row["value"]), row["status"]]
+        cells = [row["value"], row["status"]]
         for m in metric_names:
             got = row["metrics"].get(m)
-            cells += ([fmt(got["value"]), "1" if got["pass"] else "0"]
-                      if got else ["", ""])
+            cells += [got["value"], got["pass"]] if got else ["", ""]
         cells.append(row["error"].replace(",", ";").replace("\n", " "))
-        lines.append(",".join(cells))
-    atomic_write_text(os.path.join(where, "sweep.csv"),
-                      "\n".join(lines) + "\n")
+        table.append(cells)
+    atomic_write_text(os.path.join(where, "sweep.csv"), format_table(
+        columns, table, {"axis": axis, "config_sha256": config_sha256(raw)}))
 
     all_passed = all(r["status"] == "ok" and r.get("passed") for r in rows)
     return rows, all_passed

@@ -8,13 +8,13 @@ into integrals over the band.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+from .tables import read_table
 
 
 class DegenerateEdgeWarning(UserWarning):
@@ -136,14 +136,8 @@ class TabulatedDOS:
     @classmethod
     def from_csv(cls, path):
         """Load from a two-column CSV with header ``E,D``, ascending in E."""
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or [c.strip() for c in rows[0]] != ["E", "D"]:
-            raise DomainError(f"{path}: expected header 'E,D'")
-        data = np.array([[float(c) for c in row] for row in rows[1:] if row])
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise DomainError(f"{path}: expected two numeric columns")
-        return cls(data[:, 0], data[:, 1])
+        E, D = zip(*read_table(path, {"E": float, "D": float}))
+        return cls(E, D)
 
     @property
     def support(self):

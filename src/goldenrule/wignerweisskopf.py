@@ -15,7 +15,6 @@ decay and phase drift of c_i directly.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ from .errors import (DiscretizationTooCoarseError, DomainError, EdgeError,
                      PreconditionError, ToleranceFailureError)
 from .perturbation import PiecewiseConstantPulse, TabulatedElement
 from .spectrum import DiscretizedContinuum
+from .tables import format_table, read_table
 from .dynamics import integrate
 
 
@@ -89,29 +89,15 @@ class CouplingFunction:
 
     @classmethod
     def from_csv(cls, path, omega_i):
-        """Two columns with header ``omega,f``, ascending frequency.
-
-        Leading ``#`` lines (as written by export_csv meta) are skipped.
-        """
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh)
-                    if r and not r[0].lstrip().startswith("#")]
-        if not rows or [c.strip() for c in rows[0]] != ["omega", "f"]:
-            raise DomainError(f"{path}: expected header 'omega,f'")
-        data = np.array([[float(c) for c in row] for row in rows[1:] if row])
-        return cls.from_table(data[:, 0], data[:, 1], omega_i)
+        """Two columns with header ``omega,f``, ascending frequency."""
+        omega, values = zip(*read_table(path, {"omega": float, "f": float}))
+        return cls.from_table(omega, values, omega_i)
 
     def export_csv(self, path, n=1001, meta=None):
         lo, hi = self.support
         grid = self.knots if self.knots is not None else np.linspace(lo, hi, n)
-        vals = self(grid)
-        with open(path, "w", newline="") as fh:
-            for key, val in (meta or {}).items():
-                fh.write(f"# {key}={val}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["omega", "f"])
-            for w, f in zip(grid, np.atleast_1d(vals)):
-                writer.writerow([f"{w:.17g}", f"{f:.17g}"])
+        with open(path, "w") as fh:
+            fh.write(format_table(["omega", "f"], zip(grid, self(grid)), meta))
 
 
 def ww_rate(f):

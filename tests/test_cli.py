@@ -104,6 +104,19 @@ def test_invalid_config_lists_violations(tmp_path, capsys):
     assert "mass" in err
 
 
+def test_missing_dos_table_is_a_config_violation(tmp_path, capsys):
+    missing = tmp_path / "no_such_dos.csv"
+    path = write_variant(
+        tmp_path, "golden_rule_basic",
+        lambda c: c["parameters"]["dynamics"].__setitem__(
+            "dos", {"type": "tabulated", "file": str(missing)}))
+    for verb in (["validate", path], ["run", path, "--out", str(tmp_path)]):
+        assert main(verb) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert f"  - parameters: {missing}: cannot read table" in err
+
+
 def test_sweep_green_axis(tmp_path, capsys):
     code = main(["sweep", "isotropic_scattering",
                  "--axis", "parameters.scattering.c1",

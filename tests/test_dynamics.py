@@ -199,6 +199,20 @@ def test_profiles_kept_only_on_request():
     with pytest.raises(KeyError):
         traj.profile_at(0.0)
 
+    # a profile time off the sample grid is integrated to, not looked up
+    off = integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
+                    sample_times=np.linspace(-3.0, 0.0, 9),
+                    keep_profiles=[-1.2345])
+    assert list(off.profiles) == [-1.2345]
+    on = integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
+                   sample_times=[-3.0, -1.2345, 0.0], keep_profiles="none")
+    want = np.abs(off.profile_at(-1.2345)) ** 2 @ cont.weights
+    assert want == pytest.approx(on.occupied[1], rel=1e-12)
+    for bad in ([0.5], [-3.5], [np.nan], "first"):
+        with pytest.raises(DomainError):
+            integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
+                      keep_profiles=bad)
+
 
 # ---------------------------------------------------------------------------
 # rates from trajectories

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from goldenrule import (
     Channel,
     ChannelledElement,
+    ConstantDOS,
     ConstantElement,
     ContinuousChannelElement,
     DegenerateSpectrumError,
@@ -20,8 +21,10 @@ from goldenrule import (
     TwoSidedExp,
     UnsupportedShapeError,
     averaged_sq_matrix_element,
+    discretize,
     element_at,
     evaluate,
+    integrate,
     spectral_amplitude,
     spectral_shape_sq,
 )
@@ -282,3 +285,21 @@ def test_channelled_element_csv_round_trip(tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         ChannelledElement.from_csv(bad)
+
+
+def test_channelled_model_from_csv_drives_integrate(tmp_path):
+    # flat channels up (V=1, D=2) and down (V=0.5, D=1): the rms element
+    # is sqrt((1 * 2 + 0.25 * 1) / 3) = sqrt(0.75) at every energy
+    path = tmp_path / "channels.csv"
+    path.write_text("sigma,E,V,D\nup,-5,1,2\nup,5,1,2\n"
+                    "down,-5,0.5,1\ndown,5,0.5,1\n")
+    model = ChannelledElement.from_csv(path)
+    cont = discretize(ConstantDOS(1.0), 0.0, 4.0, 41)
+    got = integrate(cont, RisingExp(1.0), 0.01, model, -5.0, 0.0)
+    want = integrate(cont, RisingExp(1.0), 0.01,
+                     ConstantElement(np.sqrt(0.75)), -5.0, 0.0)
+    assert np.array_equal(got.occupied, want.occupied)
+    assert np.array_equal(got.profile_at(0.0), want.profile_at(0.0))
+    avg_sq, total = averaged_sq_matrix_element(model, cont.energies)
+    assert np.array_equal(avg_sq, np.full(41, 0.75))
+    assert np.array_equal(total, np.full(41, 3.0))

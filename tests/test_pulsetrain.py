@@ -9,6 +9,7 @@ from goldenrule import (
     ConstantElement,
     DomainError,
     GaussianPulse,
+    PreconditionError,
     Pulse,
     PulseTrain,
     RectangularPulse,
@@ -22,6 +23,8 @@ from goldenrule import (
     cross_term_integral,
     discretize,
     generalized_decay,
+    integrate,
+    propagate_train,
     pulse_kick,
     spectral_amplitude,
 )
@@ -116,7 +119,8 @@ def test_single_pulse_kick_matches_full_integration():
     V0 = np.sqrt(1e-6 * tau / np.sqrt(2.0 * np.pi))   # kick q ~ 1e-6
     cont = discretize(FLAT, 10.0, 30.0, 1201)
     train = PulseTrain([Pulse(0.0, GaussianPulse(tau), V0)])
-    rep = additivity_defect(train, cont, UNIT, tol=tol, t_margin=2.0 * tau)
+    traj = propagate_train(train, cont, UNIT, tol=tol, t_margin=2.0 * tau)
+    rep = additivity_defect(train, traj, UNIT)
     assert isinstance(rep, AdditivityReport)
     assert rep.defect < 10.0 * tol
     assert rep.kick_strengths[0] == pytest.approx(1e-6, rel=1e-3)
@@ -128,7 +132,8 @@ def test_two_gaussians_six_tau_apart_add():
     cont = discretize(FLAT, 10.0, 30.0, 1201)
     train = PulseTrain([Pulse(0.0, GaussianPulse(tau), V0),
                         Pulse(6.0 * tau, GaussianPulse(tau), V0)])
-    rep = additivity_defect(train, cont, UNIT, tol=1e-9, t_margin=2.0 * tau)
+    traj = propagate_train(train, cont, UNIT, tol=1e-9, t_margin=2.0 * tau)
+    rep = additivity_defect(train, traj, UNIT)
     assert rep.defect < 1e-3
     assert len(rep.kick_strengths) == 2
     assert rep.survival_full == pytest.approx(rep.survival_kicks, abs=1e-6)
@@ -142,7 +147,8 @@ def test_contiguous_rectangles_defect_stays_moderate():
     train = PulseTrain([Pulse(0.0, RectangularPulse(w), V),
                         Pulse(w, RectangularPulse(w), V),
                         Pulse(2.0 * w, RectangularPulse(w), V)])
-    rep = additivity_defect(train, cont, UNIT, tol=1e-9)
+    traj = propagate_train(train, cont, UNIT, tol=1e-9)
+    rep = additivity_defect(train, traj, UNIT)
     assert rep.defect < 0.05
 
 
@@ -154,10 +160,23 @@ def test_defect_decreases_with_separation():
     for sep in (4.0, 5.0, 6.0):
         train = PulseTrain([Pulse(0.0, GaussianPulse(tau), V0),
                             Pulse(sep * tau, GaussianPulse(tau), V0)])
-        rep = additivity_defect(train, cont, UNIT, tol=1e-9,
-                                t_margin=2.0 * tau)
-        defects.append(rep.defect)
+        traj = propagate_train(train, cont, UNIT, tol=1e-9,
+                               t_margin=2.0 * tau)
+        defects.append(additivity_defect(train, traj, UNIT).defect)
     assert defects[0] > defects[1] > defects[2]
+
+
+def test_additivity_needs_a_coupled_trajectory():
+    cont = discretize(FLAT, 10.0, 30.0, 201)
+    train = gaussian_train(2, 6.0)
+    traj = propagate_train(train, cont, tol=1e-6, n_samples=17)
+    assert traj.mode == "coupled"
+    assert traj.times.size == 17
+    assert traj.times[0] == train.t_ref - train.support_radius()[0]
+    first = integrate(cont, train, 1.0, UNIT, traj.times[0], traj.times[-1],
+                      tol=1e-6, seed="zeros")
+    with pytest.raises(PreconditionError):
+        additivity_defect(train, first, UNIT)
 
 
 # ---------------------------------------------------------------------------

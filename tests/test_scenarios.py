@@ -4,7 +4,10 @@ import os
 import shutil
 
 import pytest
+import yaml
 
+import goldenrule.pulsetrain
+import goldenrule.scenarios
 from goldenrule import ConfigError
 from goldenrule.scenarios import (
     MetricResult,
@@ -174,6 +177,9 @@ def test_run_produces_summary_and_artifacts(scattering_runs):
     assert blob["scenario"] == "isotropic_scattering"
     assert blob["passed"] is True
     assert blob["config_sha256"] == summary.config_sha256
+    assert set(blob["metrics"]) == set(summary.metrics)
+    for key, m in summary.metrics.items():
+        assert blob["metrics"][key]["value"] == m.value
     for art in summary.artifacts:
         assert os.path.isfile(os.path.join(summary.out_dir, art))
 
@@ -240,3 +246,24 @@ def test_sweep_all_green(tmp_path):
         [0.0, 0.2, 0.35], out_dir=str(tmp_path))
     assert all_passed
     assert all(r["status"] == "ok" for r in rows)
+
+
+def test_decay_law_propagates_the_train_once(tmp_path, monkeypatch):
+    modes = []
+
+    def counting(integrate):
+        def wrapper(*args, **kwargs):
+            modes.append(kwargs.get("mode", "first_order"))
+            return integrate(*args, **kwargs)
+        return wrapper
+
+    for module in (goldenrule.pulsetrain, goldenrule.scenarios):
+        monkeypatch.setattr(module, "integrate", counting(module.integrate))
+    cfg, _ = load_config("gaussian_train_decay")
+    cfg["integrator"]["tol"] = 1e-6
+    cfg["parameters"].update(n_pulses=2, dos_halfwidth=20.0, n_levels=201)
+    path = tmp_path / "small.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    summary = run_scenario(str(path), out_dir=str(tmp_path))
+    assert modes == ["coupled"]
+    assert set(summary.metrics) == {"additivity_defect", "decay_law_match"}
