@@ -12,11 +12,21 @@ instantaneous coupling factorizes as V_fi(t) = evaluate(env, V0, t) *
 element(E_f): the envelope carries the time dependence, the model the
 energy profile, and scenarios set one of the two scales to unity.
 
+Each mode has one propagation path. In first order c_i stays 1, the
+right-hand side does not depend on the state, and
+
+    c_f(t) = c_f(t0) - i m_f integral_{t0}^{t} V(s) e^{+i omega_f s} ds
+
+is summed by cumulative Gauss-Legendre panel quadrature; tol bounds the
+panel acceptance test (see integrate). The coupled equations are stepped
+with RK45 at rtol = tol / 20, and tol also bounds the norm drift. Both
+paths read the envelope only through evaluate(env, V0, t).
+
 Rates are extracted from the occupied sum S(t) = sum_f w_f |c_f|^2 by
 centered finite differences, deliberately independent of every analytic
 rate formula they are compared against. Differencing stencils must be
-registered when integrating (rate_times), since the solver's dense state
-is not retained.
+registered when integrating (rate_times), since only the sample grid is
+retained.
 """
 
 from __future__ import annotations
@@ -36,6 +46,11 @@ from .perturbation import (ConstantElement, ExpSuperposition,
 from .spectrum import INFINITE_SCALE, dos_log_derivative_scale
 
 _RTOL_SAFETY = 20.0  # solver runs tighter than the user tolerance contract
+_PANEL_PHASE = 4.0   # most max|omega| phase, in rad, one quadrature panel spans
+_SHORT_PANEL = 0.5   # panels spanning at most this phase take 4 nodes, not 8
+_MAX_BISECTIONS = 60
+_MAX_PANELS = 1 << 16  # panels one test round may hold beyond the first
+_BLOCK_BYTES = 4 << 20  # budget of one block of node phases e^{i omega s}
 
 
 def analytic_cf_rising_exp(V_fi, omega_fi, gamma, t):
@@ -114,6 +129,9 @@ class AmplitudeTrajectory:
     profiles: dict t -> full c_f vector, kept only at requested times.
     rate_table: registered finite-difference stencils for transition_rate.
     norm_drift: max |(|c_i|^2 + S) - 1| over samples (coupled mode only).
+    method: "quadrature" (first_order mode) or "rk45" (coupled mode).
+    evaluations: envelope values the quadrature used, acceptance tests
+        included, or right-hand-side evaluations of the RK45 stepper.
     """
 
     times: np.ndarray
@@ -125,6 +143,8 @@ class AmplitudeTrajectory:
     mode: str
     tol: float
     norm_drift: float | None
+    method: str
+    evaluations: int
 
     def _stored_time(self, keys, t):
         """The key within 1e-9 of t, relative to the run's span, or None."""
@@ -141,6 +161,126 @@ class AmplitudeTrajectory:
         return self.profiles[key]
 
 
+def _gauss_and_lobatto(n):
+    """n-point Gauss and (n+1)-point Gauss-Lobatto rules on [-1, 1].
+
+    Returned as one node array with the Lobatto weights negated, so a
+    weighted sum over all 2n + 1 nodes is the difference of the two rules
+    (both exact to degree 2n - 1), and the first n entries are the Gauss
+    rule.
+    """
+    legendre = np.polynomial.legendre
+    x, w = legendre.leggauss(n)
+    p_n = np.eye(n + 1)[n]
+    xl = np.concatenate([[-1.0], legendre.legroots(legendre.legder(p_n)),
+                         [1.0]])
+    wl = 2.0 / (n * (n + 1) * legendre.legval(xl, p_n) ** 2)
+    return np.concatenate([x, xl]), np.concatenate([w, -wl])
+
+
+_RULES = {n: _gauss_and_lobatto(n) for n in (4, 8)}
+
+
+def _panel_rule(env, V0, t_eval, max_omega, tol):
+    """Accepted quadrature nodes for integral V(s) e^{i omega s} ds.
+
+    Each interval [t_k, t_k+1] of t_eval is cut into equal panels spanning
+    at most _PANEL_PHASE rad of max|omega| phase, each with an 8-point
+    Gauss rule (4 points where a panel spans at most _SHORT_PANEL rad). A
+    panel is accepted when its Gauss rule and the Gauss-Lobatto rule of the
+    same degree agree on integral V(s) e^{i w s} ds, w in {0, max|omega|},
+    to (tol / 20) * integral |V|; otherwise both halves are tested in the
+    next round. Lobatto nodes sit on the panel ends and between the Gauss
+    nodes, so a jump anywhere in a panel shows in the difference, which
+    is at least 1/1.5 of the Gauss rule's error there. V is real, so
+    w = -max|omega| gives the conjugate of w = +max|omega|.
+
+    Returns:
+        (s, wv, interval, evaluations): Gauss nodes in increasing order,
+        their weights times V, the k of the interval holding each node,
+        and the number of envelope values used.
+
+    Raises:
+        ToleranceFailureError: if panels still fail after _MAX_BISECTIONS
+            rounds, or a round would test more than max(initial panels,
+            _MAX_PANELS) of them (an envelope no panel width resolves).
+    """
+    widths = np.diff(t_eval)
+    m = np.maximum(1, np.ceil(max_omega * widths / _PANEL_PHASE)).astype(int)
+    k = np.repeat(np.arange(widths.size), m)
+    j = np.arange(k.size) - np.repeat(np.cumsum(m) - m, m)
+    lo = t_eval[k] + widths[k] * j / m[k]
+    hi = t_eval[k] + widths[k] * (j + 1) / m[k]
+    kept, evaluations, limit, rounds = [], 0, None, 0
+    budget = max(lo.size, _MAX_PANELS)
+    while lo.size:
+        if rounds == _MAX_BISECTIONS or lo.size > budget:
+            raise ToleranceFailureError(
+                f"panel quadrature did not converge near t = {lo[0]:.6g}: "
+                f"{lo.size} panels still fail after {rounds} rounds")
+        rounds += 1
+        short = max_omega * (hi - lo) <= _SHORT_PANEL
+        tests = []
+        for n, i in ((4, np.flatnonzero(short)), (8, np.flatnonzero(~short))):
+            if not i.size:
+                continue
+            x, w = _RULES[n]
+            mid, half = 0.5 * (hi[i] + lo[i]), 0.5 * (hi[i] - lo[i])
+            s = mid[:, None] + half[:, None] * x
+            a = np.asarray(evaluate(env, V0, s.ravel()), dtype=float)
+            evaluations += s.size
+            wv = half[:, None] * w * a.reshape(s.shape)
+            defect = np.maximum(
+                np.abs(wv.sum(axis=1)),
+                np.abs((wv * np.exp(1j * max_omega * s)).sum(axis=1)))
+            tests.append((n, i, s[:, :n], wv[:, :n], defect))
+        if limit is None:
+            mass = sum(float(np.abs(wv).sum()) for _, _, _, wv, _ in tests)
+            limit = tol / _RTOL_SAFETY * mass
+        split = []
+        for n, i, s, wv, defect in tests:
+            ok = ~(defect > limit)  # NaN passes: a NaN envelope shows in c_f
+            kept.append((s[ok].ravel(), wv[ok].ravel(),
+                         np.repeat(k[i[ok]], n)))
+            split.append(i[~ok])
+        split = np.concatenate(split)
+        mid = 0.5 * (lo[split] + hi[split])
+        lo, hi, k = (np.concatenate([lo[split], mid]),
+                     np.concatenate([mid, hi[split]]),
+                     np.concatenate([k[split], k[split]]))
+    s, wv, interval = (np.concatenate(col) for col in zip(*kept))
+    order = np.argsort(s, kind="stable")
+    return s[order], wv[order], interval[order], evaluations
+
+
+def _first_order_amplitudes(omegas, v, cf0, t_eval, s, wv, interval):
+    """c_f at every t_eval point from accepted nodes, as an N x n_eval view.
+
+    Node phases are built in blocks of at most _BLOCK_BYTES and summed per
+    interval with reduceat (no BLAS product, so no helper threads spin);
+    the increments are scaled by -i m_f and accumulated in place.
+    """
+    n_levels = omegas.size
+    out = np.zeros((t_eval.size, n_levels), dtype=complex)
+    rows = max(1, _BLOCK_BYTES // (16 * n_levels))
+    phase = np.empty((rows, n_levels))
+    block = np.empty((rows, n_levels), dtype=complex)
+    for b0 in range(0, s.size, rows):
+        part = slice(b0, b0 + rows)
+        k = interval[part]
+        ph, blk = phase[:k.size], block[:k.size]
+        np.multiply.outer(s[part], omegas, out=ph)
+        np.cos(ph, out=blk.real)
+        np.sin(ph, out=blk.imag)
+        blk *= wv[part, None]
+        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+        out[k[starts] + 1] += np.add.reduceat(blk, starts, axis=0)
+    out[1:] *= -1j * v
+    out[0] = cf0
+    np.cumsum(out, axis=0, out=out)
+    return out.T
+
+
 def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
               tol=1e-9, atol=None, mode="first_order", seed="auto",
               sample_times=None, rate_times=None, rate_stencil=None,
@@ -155,11 +295,16 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
         t0: start time; None picks the turn-on instant where the envelope
             has decayed to 1e-6 of its t_ref amplitude.
         t1: end time.
-        tol: user-facing accuracy contract; the embedded 4(5) pair runs at
-            rtol = tol / 20 so norm conservation stays within 10 * tol.
-        atol: absolute floor (default tol * 1e-6, needed when amplitudes
-            start from exactly zero).
-        mode: "first_order" (c_i frozen at 1) or "coupled".
+        tol: user-facing accuracy contract. In first_order mode a
+            quadrature panel is accepted when its Gauss and Gauss-Lobatto
+            sums differ by at most (tol / 20) * integral |V| dt. In coupled
+            mode the embedded 4(5) pair runs at rtol = tol / 20, and norm
+            conservation must stay within 10 * tol.
+        atol: absolute floor of the coupled stepper (default tol * 1e-6,
+            needed when amplitudes start from exactly zero); first_order
+            mode does not use it.
+        mode: "first_order" (c_i frozen at 1; panel quadrature, no time
+            stepping) or "coupled" (RK45).
         seed: "auto" (analytic turn-on values at t0), "zeros", or an
             explicit complex array.
         sample_times: report grid (default 201 uniform points).
@@ -171,11 +316,19 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
 
     Returns:
         AmplitudeTrajectory.
+
+    Raises:
+        StiffnessError: the coupled stepper stalled (never in first_order
+            mode, which takes no steps).
+        ToleranceFailureError: coupled norm drift beyond 10 * tol, or a
+            first-order panel that failed its test after every bisection.
     """
     if model is None:
         model = ConstantElement(1.0)
     if mode not in ("first_order", "coupled"):
         raise DomainError(f"unknown mode {mode!r}")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
     if t0 is None:
         left, _ = env.support_radius()
         if not np.isfinite(left):
@@ -247,15 +400,16 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
         if cf0.shape != omegas.shape:
             raise DomainError("seed shape must match the level count")
 
-    amp = lambda t: float(evaluate(env, V0, t))
-    wv = weights * v
-
     if mode == "first_order":
-        y0 = cf0
-
-        def rhs(t, y):
-            return (-1j * amp(t)) * v * np.exp(1j * omegas * t)
+        s, wv, interval, evaluations = _panel_rule(env, V0, t_eval,
+                                                   max_omega, tol)
+        cf_all = _first_order_amplitudes(omegas, v, cf0, t_eval, s, wv,
+                                         interval)
+        ci_all = np.ones(t_eval.size, dtype=complex)
+        method = "quadrature"
     else:
+        amp = lambda t: float(evaluate(env, V0, t))
+        wv = weights * v
         ci0 = np.sqrt(max(0.0, 1.0 - float(np.sum(weights * np.abs(cf0) ** 2))))
         y0 = np.concatenate([[ci0 + 0j], cf0])
 
@@ -266,25 +420,21 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
             dci = (-1j * a) * np.sum(wv * np.conj(ph) * y[1:])
             return np.concatenate([[dci], dcf])
 
-    rtol = max(tol / _RTOL_SAFETY, 3e-14)
-    if atol is None:
-        atol = tol * 1e-6
-    sol = solve_ivp(rhs, (t0, t1), y0, method="RK45", rtol=rtol,
-                    atol=atol / _RTOL_SAFETY, t_eval=t_eval)
-    if not sol.success:
-        step = float(np.min(np.diff(sol.t))) if sol.t.size > 1 else np.nan
-        raise StiffnessError(
-            f"integrator stalled: {sol.message}; largest phase advance per "
-            f"step reached {max_omega * step:.3g} rad",
-            max_phase_per_step=max_omega * step)
-
-    ys = sol.y
-    if mode == "first_order":
-        cf_all = ys
-        ci_all = np.ones(t_eval.size, dtype=complex)
-    else:
-        ci_all = ys[0]
-        cf_all = ys[1:]
+        rtol = max(tol / _RTOL_SAFETY, 3e-14)
+        if atol is None:
+            atol = tol * 1e-6
+        sol = solve_ivp(rhs, (t0, t1), y0, method="RK45", rtol=rtol,
+                        atol=atol / _RTOL_SAFETY, t_eval=t_eval)
+        if not sol.success:
+            step = float(np.min(np.diff(sol.t))) if sol.t.size > 1 else np.nan
+            raise StiffnessError(
+                f"integrator stalled: {sol.message}; largest phase advance "
+                f"per step reached {max_omega * step:.3g} rad",
+                max_phase_per_step=max_omega * step)
+        ci_all = sol.y[0]
+        cf_all = sol.y[1:]
+        evaluations = int(sol.nfev)
+        method = "rk45"
     S_all = np.einsum("f,ft->t", weights, np.abs(cf_all) ** 2)
 
     norm_drift = None
@@ -306,7 +456,8 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
     return AmplitudeTrajectory(
         times=samples, c_i=ci_all[sample_idx], occupied=S_all[sample_idx],
         profiles=profiles, rate_table=rate_table, continuum=continuum,
-        mode=mode, tol=tol, norm_drift=norm_drift)
+        mode=mode, tol=tol, norm_drift=norm_drift, method=method,
+        evaluations=evaluations)
 
 
 def transition_rate(traj, t, stencil=None):

@@ -380,8 +380,9 @@ def averaged_sq_matrix_element(model, E):
     """DOS-weighted channel average of |V_m|^2 at total energy E.
 
     Returns the pair (avg_sq, total_dos) so that the one-line golden rule
-    r = 2 pi * avg_sq * total_dos reproduces the per-channel sum. For a
-    ChannelledElement, E may be an array and both results are arrays.
+    r = 2 pi * avg_sq * total_dos reproduces the per-channel sum. E may be
+    an array, and both results are then arrays of its shape; a continuous
+    channel set runs its two quadratures once per energy.
 
     Raises:
         DegenerateSpectrumError: if the total DOS at E vanishes.
@@ -403,6 +404,10 @@ def averaged_sq_matrix_element(model, E):
             return num / den, den
         return float(num / den), float(den)
     if isinstance(model, ContinuousChannelElement):
+        if np.ndim(E):
+            E = np.asarray(E, dtype=float)
+            pairs = [averaged_sq_matrix_element(model, e) for e in E.flat]
+            return tuple(np.reshape(col, E.shape) for col in zip(*pairs))
         lo, hi = model.s_range
         num, _ = quad(lambda s: model.element(E, s) ** 2 * model.dos(E, s),
                       lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
@@ -419,8 +424,8 @@ def element_at(model, E):
     """Real matrix element the propagator should use at energy E.
 
     For channelled models this is the root-mean-square element, which pairs
-    with the total DOS in rate formulas. A finite channel set accepts an
-    array of energies; a continuous one takes a scalar E.
+    with the total DOS in rate formulas. Both channel kinds accept an array
+    of energies.
     """
     if isinstance(model, (ChannelledElement, ContinuousChannelElement)):
         avg_sq, _ = averaged_sq_matrix_element(model, E)

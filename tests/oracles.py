@@ -2,14 +2,15 @@
 
 Each oracle recomputes a library quantity from its defining integral with
 scipy.integrate.quad, on a contour or window chosen for numerical health,
-so the closed forms under test are checked against something they do not
-share code with.
+or from its defining equation with scipy.integrate.solve_ivp, so the
+routes under test are checked against something they do not share code
+with.
 """
 
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 
 def airy_oracle(xi, upper=14.0):
@@ -91,3 +92,23 @@ def ode_residual(fn, xi, h=0.01):
     vals = np.array([fn(xi + k * h) for k in range(-3, 4)])
     d2 = coef.dot(vals) / (180.0 * h * h)
     return abs(d2 - xi * fn(xi))
+
+
+def first_order_rk_oracle(env, V0, omegas, elements, cf0, t_eval, tol):
+    """First-order amplitudes stepped by RK45 on their defining equation.
+
+    dc_f/dt = -i V0 s(t) m_f e^{i omega_f t} from cf0 at t_eval[0], at
+    rtol = tol / 20 and atol = tol * 1e-6 / 20; returns c_f at every
+    t_eval point as an (N, len(t_eval)) array.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    elements = np.asarray(elements, dtype=float)
+
+    def rhs(t, y):
+        return (-1j * V0 * env.shape(t)) * elements * np.exp(1j * omegas * t)
+
+    sol = solve_ivp(rhs, (t_eval[0], t_eval[-1]),
+                    np.asarray(cf0, dtype=complex), method="RK45",
+                    rtol=tol / 20.0, atol=tol * 1e-6 / 20.0, t_eval=t_eval)
+    assert sol.success, sol.message
+    return sol.y

@@ -13,8 +13,10 @@ from goldenrule import (
     PiecewiseConstantPulse,
     PowerLawDOS,
     PreconditionError,
+    RectangularPulse,
     RisingExp,
     TabulatedDOS,
+    ToleranceFailureError,
     TwoSidedExp,
     analytic_cf_rising_exp,
     depletion,
@@ -28,6 +30,7 @@ from goldenrule import (
     transition_rate,
     validity_report,
 )
+from oracles import first_order_rk_oracle
 
 FLAT = ConstantDOS(1.0)
 UNIT = ConstantElement(1.0)
@@ -189,6 +192,11 @@ def test_integrate_argument_validation():
                   seed=np.zeros(3, dtype=complex))
     with pytest.raises(DomainError):
         integrate(cont, GaussianPulse(1.0, t_ref=np.inf), 1.0, UNIT, t1=0.0)
+    for mode in ("first_order", "coupled"):
+        for tol in (0.0, -1e-9, np.nan):
+            with pytest.raises(DomainError, match="tol"):
+                integrate(cont, env, 1.0, UNIT, t0=-1.0, t1=0.0, tol=tol,
+                          mode=mode)
 
 
 def test_profiles_kept_only_on_request():
@@ -243,6 +251,115 @@ def test_rate_at_window_edge_warns():
     traj = _rising_run(rate_times=[0.4])
     with pytest.warns(UserWarning, match="one-sided"):
         transition_rate(traj, 0.4)
+
+
+# ---------------------------------------------------------------------------
+# first-order quadrature against the RK45 reference route
+
+_T_REF = 0.3137  # off every sample and stencil time below
+FIRST_ORDER_CASES = {
+    "rising_exp": (RisingExp(0.5), 1e-3, -np.log(1e6) / 0.5, 0.3),
+    "exp_superposition": (ExpSuperposition(((0.5, 1.5), (1.0, -0.5))), 1e-3,
+                          -np.log(1e6) / 0.5, 0.3),
+    "harmonic_rising_exp": (HarmonicRisingExp(0.5, 3.0), 1e-3,
+                            -np.log(1e6) / 0.5, 0.3),
+    "gaussian_pulse": (GaussianPulse(1.0, t_ref=_T_REF), 0.05,
+                       _T_REF - np.sqrt(np.log(1e6)), 3.0),
+    "two_sided_exp": (TwoSidedExp(0.5, 1.0, v_minus=1.0, v_plus=0.6,
+                                  t_ref=_T_REF), 1e-3,
+                      -np.log(1e6) / 0.5, 4.0),
+    "rectangular_pulse": (RectangularPulse(2.0, t_ref=_T_REF), 0.05,
+                          -1.5, 3.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_ORDER_CASES))
+def test_first_order_quadrature_matches_rk45_oracle(case):
+    """Profile, occupied sum and rates agree with RK45 at the same tol.
+
+    Amplitudes may differ by 10 tol max|c_f|; S and the rates get the
+    bound that amplitude error implies, |dS| <= sum_f w_f (2 |c_f| e + e^2)
+    and |dr| <= (|dS_a| + |dS_b|) / h.
+    """
+    env, V0, t0, t1 = FIRST_ORDER_CASES[case]
+    tol = 1e-9
+    cont = discretize(FLAT, 0.0, 12.0, 401)
+    samples = np.linspace(t0, t1, 41)
+    rate_times = t0 + (t1 - t0) * np.array([0.37, 0.55, 0.71, 0.93])
+    traj = integrate(cont, env, V0, UNIT, t0, t1, tol=tol,
+                     mode="first_order", sample_times=samples,
+                     rate_times=rate_times)
+
+    h = 2.0 * np.pi / (20.0 * np.max(np.abs(cont.omegas)))
+    t_eval = np.unique(np.concatenate(
+        [samples, rate_times - 0.5 * h, rate_times + 0.5 * h]))
+    edges = [_T_REF - 1.0, _T_REF, _T_REF + 1.0]
+    assert not np.any(np.isin(edges, t_eval))
+    cf0 = seed_amplitudes(cont, env, V0, UNIT, t0)
+    ref = first_order_rk_oracle(env, V0, cont.omegas, np.ones(cont.omegas.size),
+                                cf0, t_eval, tol)
+    err = 10.0 * tol * np.max(np.abs(ref))
+    S_ref = cont.weights @ np.abs(ref) ** 2
+    S_err = cont.weights @ (2.0 * np.abs(ref) * err + err * err)
+    at = lambda t: np.searchsorted(t_eval, t)
+
+    assert np.max(np.abs(traj.profile_at(t1) - ref[:, -1])) <= err
+    idx = at(samples)
+    assert np.all(np.abs(traj.occupied - S_ref[idx]) <= S_err[idx])
+    assert sorted(traj.rate_table) == sorted(rate_times)
+    for t in rate_times:
+        ia, ib = at(t - 0.5 * h), at(t + 0.5 * h)
+        width = t_eval[ib] - t_eval[ia]
+        r_ref = (S_ref[ib] - S_ref[ia]) / width
+        assert abs(transition_rate(traj, t) - r_ref) <= (
+            S_err[ia] + S_err[ib]) / width
+
+
+def test_first_order_never_calls_the_stepper(monkeypatch):
+    import goldenrule.dynamics as dynamics
+
+    class Stepped(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Stepped
+
+    monkeypatch.setattr(dynamics, "solve_ivp", refuse)
+    cont = discretize(FLAT, 0.0, 2.0, 21)
+    traj = integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
+                     mode="first_order")
+    assert traj.occupied[-1] > 0.0
+    with pytest.raises(Stepped):
+        integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
+                  mode="coupled")
+
+
+def test_unresolvable_envelope_is_a_tolerance_failure(monkeypatch):
+    import goldenrule.dynamics as dynamics
+
+    class Noise:
+        """Fresh random values on every call: no panel ever passes."""
+
+        t_ref = 0.0
+        rng = np.random.default_rng(7)
+
+        def shape(self, t):
+            return self.rng.random(np.shape(t))
+
+    monkeypatch.setattr(dynamics, "_MAX_PANELS", 256)
+    cont = discretize(FLAT, 0.0, 2.0, 21)
+    with pytest.raises(ToleranceFailureError, match="did not converge"):
+        integrate(cont, Noise(), 1.0, UNIT, t0=-1.0, t1=1.0, seed="zeros",
+                  sample_times=np.linspace(-1.0, 1.0, 5))
+
+
+def test_trajectory_names_its_method():
+    cont = discretize(FLAT, 0.0, 2.0, 21)
+    for mode, method in (("first_order", "quadrature"), ("coupled", "rk45")):
+        traj = integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
+                         mode=mode)
+        assert traj.method == method
+        assert isinstance(traj.evaluations, int) and traj.evaluations > 0
 
 
 # ---------------------------------------------------------------------------

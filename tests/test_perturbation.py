@@ -260,6 +260,21 @@ def test_continuous_channels_uniform_phase():
     assert total == pytest.approx(1.0, rel=1e-10)
 
 
+def test_continuous_channels_accept_an_energy_array():
+    model = ContinuousChannelElement(
+        element=lambda E, s: 1.0 + 0.1 * E * s,
+        dos=lambda E, s: 1.0 + 0.5 * s * s,
+        s_range=(0.0, 2.0))
+    cont = discretize(ConstantDOS(1.0), 0.0, 2.0, 41)
+    avg_sq, total = averaged_sq_matrix_element(model, cont.energies)
+    pairs = [averaged_sq_matrix_element(model, E) for E in cont.energies]
+    assert np.array_equal(avg_sq, [a for a, _ in pairs])
+    assert np.array_equal(total, [d for _, d in pairs])
+    assert np.array_equal(element_at(model, cont.energies), np.sqrt(avg_sq))
+    traj = integrate(cont, RisingExp(1.0), 0.01, model, -5.0, 0.0)
+    assert np.all(np.isfinite(traj.occupied)) and traj.occupied[-1] > 0.0
+
+
 def test_degenerate_channels_raise():
     model = ChannelledElement((Channel("a", 1.0, 0.0),))
     with pytest.raises(DegenerateSpectrumError):
