@@ -37,7 +37,7 @@ def follow_once(V0, gamma, halfwidth, n_levels, label):
     t0, t1 = -2.0 / gamma, 0.25 / gamma
     probe = np.linspace(-1.0 / gamma, 0.2 / gamma, 7)
     traj = integrate(cont, env, V0, MODEL, t0, t1, tol=1e-9,
-                     mode="coupled", rate_times=probe, keep_profiles="none")
+                     mode="coupled", rate_times=probe)
 
     print(f"\n--- {label}: V0 = {V0:g}, gamma = {gamma:g}")
     rep = validity_report(V0 * V0, dos, E_I, gamma)

@@ -126,7 +126,8 @@ class AmplitudeTrajectory:
     c_i: initial-level amplitude at each sample (identically 1 in
         first_order mode).
     occupied: S(t) = sum_f w_f |c_f|^2 at each sample.
-    profiles: dict t -> full c_f vector, kept only at requested times.
+    profiles: dict t -> full c_f vector, kept at the last sample and at
+        requested times.
     rate_table: registered finite-difference stencils for transition_rate.
     norm_drift: max |(|c_i|^2 + S) - 1| over samples (coupled mode only).
     method: "quadrature" (first_order mode) or "rk45" (coupled mode).
@@ -282,9 +283,8 @@ def _first_order_amplitudes(omegas, v, cf0, t_eval, s, wv, interval):
 
 
 def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
-              tol=1e-9, atol=None, mode="first_order", seed="auto",
-              sample_times=None, rate_times=None, rate_stencil=None,
-              keep_profiles="last"):
+              tol=1e-9, mode="first_order", sample_times=None,
+              rate_times=None, keep_profiles=()):
     """Propagate the amplitude equations across [t0, t1].
 
     Args:
@@ -298,21 +298,22 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
         tol: user-facing accuracy contract. In first_order mode a
             quadrature panel is accepted when its Gauss and Gauss-Lobatto
             sums differ by at most (tol / 20) * integral |V| dt. In coupled
-            mode the embedded 4(5) pair runs at rtol = tol / 20, and norm
-            conservation must stay within 10 * tol.
-        atol: absolute floor of the coupled stepper (default tol * 1e-6,
-            needed when amplitudes start from exactly zero); first_order
-            mode does not use it.
+            mode the embedded 4(5) pair runs at rtol = tol / 20 and
+            atol = tol * 1e-6 / 20 (the floor that amplitudes starting from
+            exactly zero need), and norm conservation must stay within
+            10 * tol.
         mode: "first_order" (c_i frozen at 1; panel quadrature, no time
             stepping) or "coupled" (RK45).
-        seed: "auto" (analytic turn-on values at t0), "zeros", or an
-            explicit complex array.
         sample_times: report grid (default 201 uniform points).
         rate_times: times where transition_rate() will be queried; each
-            registers a centered stencil pair.
-        rate_stencil: stencil width override; default 2 pi / (20 max|omega|).
-        keep_profiles: "last", "none", or a sequence of times in [t0, t1] at
-            which the full c_f vector is retained.
+            registers a centered stencil pair of width
+            2 pi / (20 max|omega|).
+        keep_profiles: times in [t0, t1] at which the full c_f vector is
+            retained, in addition to the last sample, which always is.
+
+    The final levels start from seed_amplitudes(continuum, env, V0, model,
+    t0): the analytic amplitudes of a turn-on that has been rising since
+    t = -inf, or an empty band for pulses and pulse trains.
 
     Returns:
         AmplitudeTrajectory.
@@ -352,11 +353,7 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
 
     # Register finite-difference stencils now; the dense solver state is
     # not kept, so rate queries must be known up front.
-    if rate_stencil is not None:
-        h = float(rate_stencil)
-        if not h > 0.0:
-            raise DomainError("rate_stencil must be positive")
-    elif max_omega > 0.0:
+    if max_omega > 0.0:
         h = 2.0 * np.pi / (20.0 * max_omega)
     else:
         h = (t1 - t0) / 1000.0
@@ -373,32 +370,23 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
                 a, b, one_sided = t - 0.5 * h, t, True
             rate_entries.append((float(t), a, b, one_sided))
 
-    if isinstance(keep_profiles, str):
-        if keep_profiles not in ("last", "none"):
-            raise DomainError(f"unknown keep_profiles {keep_profiles!r}")
-        prof_times = [samples[-1]] if keep_profiles == "last" else []
-    else:
-        prof_times = np.atleast_1d(np.asarray(keep_profiles, dtype=float))
-        if not np.all((prof_times >= t0) & (prof_times <= t1)):
-            raise DomainError(f"keep_profiles times must lie within "
-                              f"[{t0}, {t1}]")
+    try:
+        extra = np.atleast_1d(np.asarray(keep_profiles, dtype=float))
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"keep_profiles must be a sequence of times, got "
+            f"{keep_profiles!r}") from None
+    if not np.all((extra >= t0) & (extra <= t1)):
+        raise DomainError(f"keep_profiles times must lie within "
+                          f"[{t0}, {t1}]")
+    prof_times = np.unique(np.concatenate([extra, samples[-1:]]))
 
     # samples, stencil ends and profile times are exact members of t_eval
     t_eval = np.unique(np.concatenate(
         [samples, [t0, t1], prof_times]
         + [[a, b] for _, a, b, _ in rate_entries]))
 
-    if isinstance(seed, str) and seed == "auto":
-        cf0 = seed_amplitudes(continuum, env, V0, model, t0)
-    elif isinstance(seed, str) and seed == "zeros":
-        cf0 = np.zeros(omegas.size, dtype=complex)
-    elif isinstance(seed, str):
-        raise DomainError(f"unknown seed {seed!r}; use 'auto', 'zeros' or "
-                          "an explicit amplitude array")
-    else:
-        cf0 = np.asarray(seed, dtype=complex)
-        if cf0.shape != omegas.shape:
-            raise DomainError("seed shape must match the level count")
+    cf0 = seed_amplitudes(continuum, env, V0, model, t0)
 
     if mode == "first_order":
         s, wv, interval, evaluations = _panel_rule(env, V0, t_eval,
@@ -421,10 +409,8 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
             return np.concatenate([[dci], dcf])
 
         rtol = max(tol / _RTOL_SAFETY, 3e-14)
-        if atol is None:
-            atol = tol * 1e-6
         sol = solve_ivp(rhs, (t0, t1), y0, method="RK45", rtol=rtol,
-                        atol=atol / _RTOL_SAFETY, t_eval=t_eval)
+                        atol=tol * 1e-6 / _RTOL_SAFETY, t_eval=t_eval)
         if not sol.success:
             step = float(np.min(np.diff(sol.t))) if sol.t.size > 1 else np.nan
             raise StiffnessError(
@@ -460,21 +446,18 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
         evaluations=evaluations)
 
 
-def transition_rate(traj, t, stencil=None):
+def transition_rate(traj, t):
     """dS/dt at a registered rate time, by centered finite differences.
 
-    The stencil defaults to 2 pi / (20 max|omega_fi|) and was fixed when
-    the trajectory was integrated; pass the same value (or None) here.
-    Warns when only a one-sided stencil fit inside the time window.
+    The stencil, 2 pi / (20 max|omega_fi|), was fixed when the trajectory
+    was integrated. Warns when only a one-sided stencil fit inside the
+    time window.
     """
     key = traj._stored_time(traj.rate_table, t)
     if key is None:
         raise PreconditionError(
             f"t = {t} was not registered via rate_times when integrating")
     h, Sa, Sb, one_sided = traj.rate_table[key]
-    if stencil is not None and abs(stencil - h) > 1e-9 * h:
-        raise PreconditionError(
-            f"registered stencil is {h:.6g}, cannot honor {stencil:.6g}")
     if one_sided:
         warnings.warn(f"one-sided rate stencil at window edge t = {t}",
                       stacklevel=2)

@@ -134,21 +134,22 @@ class AdditivityReport:
     kick_strengths: tuple    # q_n per pulse
 
 
-def propagate_train(train, continuum, model=None, *, tol, atol=None,
-                    n_samples=101, t_margin=0.0):
+def propagate_train(train, continuum, model=None, *, tol, n_samples=101,
+                    t_margin=0.0):
     """Coupled propagation of the whole train from an empty band.
 
-    Integrates with V0 = 1 (the train carries every member's V0) from a
-    zero seed across the train's support widened by t_margin on each
-    side, on n_samples uniform samples. No profile is kept.
+    Integrates with V0 = 1 (the train carries every member's V0) across
+    the train's support widened by t_margin on each side, on n_samples
+    uniform samples. A train starts before its first pulse, so
+    integrate seeds it with an empty band; the stepper runs at
+    rtol = tol / 20 and the constant atol = tol * 1e-6 / 20.
     """
     left, right = train.support_radius()
     t0 = train.t_ref - left - t_margin
     t1 = train.t_ref + right + t_margin
-    return integrate(continuum, train, 1.0, model, t0, t1, tol=tol, atol=atol,
-                     mode="coupled", seed="zeros",
-                     sample_times=np.linspace(t0, t1, n_samples),
-                     keep_profiles="none")
+    return integrate(continuum, train, 1.0, model, t0, t1, tol=tol,
+                     mode="coupled",
+                     sample_times=np.linspace(t0, t1, n_samples))
 
 
 def additivity_defect(train, traj, model=None):

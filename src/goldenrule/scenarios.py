@@ -169,8 +169,6 @@ class RunContext:
     sha: str
     name: str
     tol: float
-    atol: float | None
-    samples: int | None
     metrics: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
     artifacts: list = field(default_factory=list)
@@ -221,8 +219,13 @@ def _type_ok(value, types):
 
 
 def _validate_block(data, schema, path, violations):
+    """Record every violation in data against schema; fill defaults.
+
+    An absent optional sub-block none of whose keys is required is filled
+    in as an empty mapping and then given its own defaults.
+    """
     if not isinstance(data, dict):
-        violations.append(f"{path or '<root>'}: expected a mapping")
+        violations.append(f"{path[:-1] or '<root>'}: expected a mapping")
         return
     for key in data:
         if key not in schema:
@@ -234,6 +237,10 @@ def _validate_block(data, schema, path, violations):
                 violations.append(f"{where}: missing required key")
             elif spec.default is not None:
                 data[key] = spec.default
+            elif spec.sub is not None and not any(
+                    s.required for s in spec.sub.values()):
+                data[key] = {}
+                _validate_block(data[key], spec.sub, where + ".", violations)
             continue
         value = data[key]
         if spec.sub is not None:
@@ -243,6 +250,7 @@ def _validate_block(data, schema, path, violations):
             if not isinstance(value, list) or not value:
                 violations.append(f"{where}: expected a non-empty list")
                 continue
+            before = len(violations)
             for i, item in enumerate(value):
                 item_where = f"{where}[{i}]"
                 it = spec.list_item
@@ -253,7 +261,9 @@ def _validate_block(data, schema, path, violations):
                     violations.append(f"{item_where}: wrong type")
                 elif it.check is not None and not it.check(item):
                     violations.append(f"{item_where}: {it.msg}")
-            if spec.check is not None and not spec.check(value):
+            # a list-level check may compare items, so only sound ones
+            if (spec.check is not None and len(violations) == before
+                    and not spec.check(value)):
                 violations.append(f"{where}: {spec.msg}")
             continue
         if not _type_ok(value, spec.types):
@@ -305,7 +315,6 @@ _INTEGRATOR_SCHEMA = {
     "tol": Field(required=False, default=1e-9,
                  check=lambda v: 0 < v <= 1e-2,
                  msg="must be in (0, 1e-2]"),
-    "atol": Field(required=False, **_POS),
 }
 
 _TOP_SCHEMA_COMMON = {
@@ -315,8 +324,6 @@ _TOP_SCHEMA_COMMON = {
     "description": Field(types=(str,), required=False),
     "output_dir": Field(types=(str,), required=False),
     "integrator": Field(required=False, sub=_INTEGRATOR_SCHEMA),
-    "samples": Field(types=(int,), required=False,
-                     check=lambda v: v >= 16, msg="must be >= 16"),
     "parameters": Field(types=(dict,)),   # per-kind schema swapped in
     "checks": Field(types=(dict,), required=False),
 }
@@ -557,6 +564,10 @@ def _cross_validate(cfg, violations):
                                     p["e_i"] + p["window_halfwidth"])
         elif kind == "validity_sweep":
             build_dos(params["dos"])
+            bounds = cfg["checks"].get("bounds")
+            if bounds is not None and len(bounds) != len(params["margins"]):
+                violations.append(
+                    "checks.bounds: must match margins in length")
         elif kind == "two_sided_pulse":
             p = params
             TwoSidedExp(p["gamma_minus"], p["gamma_plus"])
@@ -633,15 +644,6 @@ def validate_config(cfg):
         schema["parameters"] = Field(sub=PARAM_SCHEMAS[kind])
         schema["checks"] = Field(required=False, sub=CHECK_SCHEMAS[kind])
     _validate_block(cfg, schema, "", violations)
-    cfg.setdefault("integrator", {})
-    for key, spec in _INTEGRATOR_SCHEMA.items():
-        if spec.default is not None:
-            cfg["integrator"].setdefault(key, spec.default)
-    cfg.setdefault("checks", {})
-    if isinstance(kind, str) and kind in CHECK_SCHEMAS:
-        for key, spec in CHECK_SCHEMAS[kind].items():
-            if spec.default is not None:
-                cfg["checks"].setdefault(key, spec.default)
     if not violations:
         _cross_validate(cfg, violations)
     if violations:
@@ -689,11 +691,8 @@ def _run_golden_rule(cfg, ctx):
     t1 = t_hi + 0.1 / gamma
 
     cont = discretize(dos, E_i, p["window_halfwidth"], p["n_levels"])
-    n_samp = ctx.samples or 201
     traj = integrate(cont, env, V0, model, t0, t1, tol=ctx.tol,
-                     atol=ctx.atol, mode=p["mode"],
-                     sample_times=np.linspace(t0, t1, n_samp),
-                     rate_times=rate_times)
+                     mode=p["mode"], rate_times=rate_times)
 
     rows = []
     worst = 1.0
@@ -776,8 +775,6 @@ def _run_validity_sweep(cfg, ctx):
         bounds = [{"mode": "below", "limit": 0.02} if m <= 0.02 else
                   {"mode": "below", "limit": 0.10} if m <= 0.1 else
                   {"mode": "above", "limit": 0.10} for m in margins]
-    if len(bounds) != len(margins):
-        raise ConfigError(["checks.bounds: must match margins in length"])
     dos = build_dos(p["dos"])
     E_i = p["e_i"]
     D = float(dos.density(E_i))
@@ -794,8 +791,7 @@ def _run_validity_sweep(cfg, ctx):
         t0 = -2.0 / gamma
         t1 = 0.2 / gamma
         traj = integrate(cont, env, V0, model, t0, t1, tol=ctx.tol,
-                         atol=ctx.atol, mode="coupled", rate_times=[0.0],
-                         keep_profiles="none")
+                         mode="coupled", rate_times=[0.0])
         r_num = transition_rate(traj, 0.0)
         err = abs(r_num / r - 1.0)
         name = f"following_error_margin_{m:g}"
@@ -830,8 +826,7 @@ def _run_two_sided(cfg, ctx):
         t0 = -0.2 / gp
         t1 = hi_g / gp + 0.2 / gp
         traj = integrate(cont, env, p["v0"], model, t0, t1, tol=ctx.tol,
-                         atol=ctx.atol, mode="first_order",
-                         rate_times=rate_times, keep_profiles="none")
+                         mode="first_order", rate_times=rate_times)
         results[label] = {t: transition_rate(traj, t) for t in rate_times}
 
     diffs = [abs(results["base"][t] / results["fast_edge"][t] - 1.0)
@@ -874,8 +869,7 @@ def _run_harmonic(cfg, ctx):
     samples = np.linspace(-half_period, half_period, p["cycle_samples"])
     t0 = -2.5 / gamma
     traj = integrate(cont, env, V0, model, t0, half_period, tol=ctx.tol,
-                     atol=ctx.atol, mode="first_order",
-                     sample_times=samples, keep_profiles="none")
+                     mode="first_order", sample_times=samples)
 
     # least-squares amplitude of S(t) = C exp(2 gamma t) over one cycle
     w = np.exp(2.0 * gamma * traj.times)
@@ -911,8 +905,7 @@ def _run_superposition(cfg, ctx):
     t0 = p["t_lo"] - 0.5 / slow
     t1 = p["t_hi"] + 0.02 / slow
     traj = integrate(cont, env, V0, model, t0, t1, tol=ctx.tol,
-                     atol=ctx.atol, mode="first_order",
-                     rate_times=rate_times)
+                     mode="first_order", rate_times=rate_times)
 
     rows = []
     worst = 0.0
@@ -1004,8 +997,7 @@ def _run_decay_law(cfg, ctx):
     train = PulseTrain(tuple(Pulse(c, GaussianPulse(tau), V0)
                              for c in centers))
 
-    traj = propagate_train(train, cont, model, tol=ctx.tol, atol=ctx.atol,
-                           n_samples=ctx.samples or 481)
+    traj = propagate_train(train, cont, model, tol=ctx.tol, n_samples=481)
     rep = additivity_defect(train, traj, model)
     ctx.metric("additivity_defect", rep.defect, 0.0, checks["defect_tol"])
 
@@ -1227,9 +1219,7 @@ def run_scenario(source, out_dir=None):
     os.makedirs(where, exist_ok=True)
 
     ctx = RunContext(out_dir=where, sha=sha, name=cfg["name"],
-                     tol=cfg["integrator"]["tol"],
-                     atol=cfg["integrator"].get("atol"),
-                     samples=cfg.get("samples"))
+                     tol=cfg["integrator"]["tol"])
     start = time.perf_counter()
     try:
         RUNNERS[cfg["kind"]](cfg, ctx)

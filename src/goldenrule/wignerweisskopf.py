@@ -289,8 +289,7 @@ def nonperturbative_validate(f, n_levels, span, *, tol=1e-9,
     env = PiecewiseConstantPulse(((t_end * 1.02, 1.0),), t_ref=0.0)
     samples = np.linspace(0.0, t_end, n_samples)
     traj = integrate(continuum, env, 1.0, model, 0.0, t_end, tol=tol,
-                     mode="coupled", seed="zeros", sample_times=samples,
-                     keep_profiles="none")
+                     mode="coupled", sample_times=samples)
 
     mag = np.abs(traj.c_i)
     t_lo, t_hi = fit_window_rates[0] / r, fit_window_rates[1] / r

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goldenrule
 from goldenrule.cli import (
@@ -115,6 +117,103 @@ def test_missing_dos_table_is_a_config_violation(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert f"  - parameters: {missing}: cannot read table" in err
+
+
+def test_commented_out_checks_block_is_a_config_violation(tmp_path, capsys):
+    _, raw = load_config("two_sided_edges")
+    text = raw.decode()
+    for key in ("edge_independence_tol", "trailing_decay_tol"):
+        text = text.replace(f"  {key}", f"#  {key}")
+    path = tmp_path / "empty_checks.yaml"
+    path.write_text(text)
+    assert yaml.safe_load(text)["checks"] is None
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "  - checks: expected a mapping" in err
+
+
+def _set_path(*keys_and_value):
+    *keys, value = keys_and_value
+
+    def mutate(cfg):
+        node = cfg
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("name, mutate, violation", [
+    ("two_sided_edges", _set_path("checks", None), "checks: expected"),
+    ("two_sided_edges", _set_path("checks", 5), "checks: expected"),
+    ("two_sided_edges", _set_path("checks", []), "checks: expected"),
+    ("two_sided_edges", _set_path("integrator", None), "integrator: expected"),
+    ("two_sided_edges",
+     _set_path("parameters", "trail_window_gammas", [3.0, "x"]),
+     "parameters.trail_window_gammas[1]: wrong type"),
+    ("ww_flat_decay",
+     _set_path("parameters", "coupling", "support", ["a", 11.0]),
+     "parameters.coupling.support[0]: wrong type"),
+    ("ww_flat_decay", _set_path("parameters", "fit_window_rates", [None, 6.0]),
+     "parameters.fit_window_rates[0]: wrong type"),
+    ("ww_flat_decay",
+     _set_path("parameters", "decay_window_rates", [2.0, {}]),
+     "parameters.decay_window_rates[1]: wrong type"),
+    ("ww_flat_decay", _set_path("samples", 64), "samples: unknown key"),
+    ("golden_rule_basic", _set_path("integrator", "atol", 1e-3),
+     "integrator.atol: unknown key"),
+])
+def test_malformed_block_is_a_config_violation(tmp_path, capsys, name,
+                                               mutate, violation):
+    path = write_variant(tmp_path, name, mutate)
+    assert main(["validate", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert f"  - {violation}" in err
+
+
+def test_mismatched_bounds_fail_validation(tmp_path, capsys):
+    path = write_variant(
+        tmp_path, "validity_margins",
+        lambda c: c["checks"].__setitem__("bounds", c["checks"]["bounds"][:2]))
+    for verb in (["validate", path], ["run", path, "--dry-run"]):
+        assert main(verb) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "  - checks.bounds: must match margins in length" in err
+
+
+def _mutation_sites():
+    """(bundled config, key path) for every leaf and sub-block."""
+    def walk(node, prefix):
+        if isinstance(node, dict):
+            items = node.items()
+        elif isinstance(node, list):
+            items = enumerate(node)
+        else:
+            return
+        for key, value in items:
+            yield prefix + (key,)
+            yield from walk(value, prefix + (key,))
+    return [(entry["path"], keys) for entry in bundled_scenarios()
+            for keys in walk(load_config(entry["path"])[0], ())]
+
+
+MUTATION_SITES = _mutation_sites()
+BAD_VALUES = [None, "x", "", -1, 0, 1.5, 1e300, -1e300, float("nan"),
+              float("inf"), [], {}, True, [2.0, 1.0], ["a", "b"]]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(site=st.sampled_from(MUTATION_SITES), bad=st.sampled_from(BAD_VALUES))
+def test_any_bad_value_is_valid_or_a_config_violation(tmp_path_factory,
+                                                      site, bad):
+    source, keys = site
+    cfg, _ = load_config(source)
+    _set_path(*keys, bad)(cfg)
+    path = tmp_path_factory.mktemp("mutant") / "config.yaml"
+    with open(path, "w") as fh:
+        yaml.safe_dump(cfg, fh)
+    assert main(["validate", str(path)]) in (EXIT_OK, EXIT_CONFIG)
 
 
 def test_sweep_green_axis(tmp_path, capsys):

@@ -137,7 +137,7 @@ def test_seed_pulses_start_from_nothing():
 def test_integrate_zero_coupling_is_inert():
     cont = discretize(FLAT, 0.0, 2.0, 21)
     traj = integrate(cont, RisingExp(1.0), 0.0, UNIT, t0=-5.0, t1=0.0,
-                     mode="coupled", seed="zeros")
+                     mode="coupled")
     assert np.allclose(np.abs(traj.c_i) ** 2, 1.0, atol=1e-12)
     assert np.allclose(traj.occupied, 0.0, atol=1e-15)
     assert traj.norm_drift < 1e-12
@@ -152,7 +152,7 @@ def test_integrate_reproduces_rabi_oscillation():
     V, t_end = 0.3, 4.0
     traj = integrate(cont, PiecewiseConstantPulse(((t_end, 1.0),)), V, UNIT,
                      t0=0.0, t1=t_end, tol=1e-10, mode="coupled",
-                     seed="zeros", sample_times=np.linspace(0.0, t_end, 9))
+                     sample_times=np.linspace(0.0, t_end, 9))
     assert np.allclose(np.abs(traj.c_i) ** 2, np.cos(V * traj.times) ** 2,
                        atol=1e-9)
 
@@ -162,7 +162,7 @@ def test_first_order_run_matches_analytic_profile():
     cont = discretize(FLAT, 0.0, 12.0, 801)
     traj = integrate(cont, RisingExp(gamma), V0, UNIT,
                      t0=-np.log(1e6) / gamma, t1=t1, tol=tol,
-                     mode="first_order", seed="auto", keep_profiles="last")
+                     mode="first_order")
     want = analytic_cf_rising_exp(V0, cont.omegas, gamma, t1)
     err = np.max(np.abs(traj.profile_at(t1) - want))
     assert err < 10.0 * tol * float(np.max(np.abs(want)))
@@ -188,9 +188,6 @@ def test_integrate_argument_validation():
     with pytest.raises(DomainError):
         integrate(cont, env, 1.0, UNIT, t0=-1.0, t1=0.0, rate_times=[1.0])
     with pytest.raises(DomainError):
-        integrate(cont, env, 1.0, UNIT, t0=-1.0, t1=0.0,
-                  seed=np.zeros(3, dtype=complex))
-    with pytest.raises(DomainError):
         integrate(cont, GaussianPulse(1.0, t_ref=np.inf), 1.0, UNIT, t1=0.0)
     for mode in ("first_order", "coupled"):
         for tol in (0.0, -1e-9, np.nan):
@@ -201,19 +198,18 @@ def test_integrate_argument_validation():
 
 def test_profiles_kept_only_on_request():
     cont = discretize(FLAT, 0.0, 2.0, 21)
-    traj = integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
-                     keep_profiles="none")
-    assert traj.profiles == {}
+    traj = integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0)
+    assert list(traj.profiles) == [0.0]
     with pytest.raises(KeyError):
-        traj.profile_at(0.0)
+        traj.profile_at(-1.5)
 
     # a profile time off the sample grid is integrated to, not looked up
     off = integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
                     sample_times=np.linspace(-3.0, 0.0, 9),
                     keep_profiles=[-1.2345])
-    assert list(off.profiles) == [-1.2345]
+    assert list(off.profiles) == [-1.2345, 0.0]
     on = integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
-                   sample_times=[-3.0, -1.2345, 0.0], keep_profiles="none")
+                   sample_times=[-3.0, -1.2345, 0.0])
     want = np.abs(off.profile_at(-1.2345)) ** 2 @ cont.weights
     assert want == pytest.approx(on.occupied[1], rel=1e-12)
     for bad in ([0.5], [-3.5], [np.nan], "first"):
@@ -229,7 +225,7 @@ def _rising_run(rate_times, t1=0.4):
     cont = discretize(FLAT, 0.0, 24.0, 2401)
     return integrate(cont, RisingExp(0.5), 1e-3, UNIT,
                      t0=-np.log(1e6) / 0.5, t1=t1, tol=1e-9,
-                     mode="first_order", seed="auto", rate_times=rate_times)
+                     mode="first_order", rate_times=rate_times)
 
 
 def test_numeric_rate_follows_golden_rule():
@@ -243,8 +239,6 @@ def test_rate_requires_registration():
     traj = _rising_run(rate_times=[0.0])
     with pytest.raises(PreconditionError):
         transition_rate(traj, 0.2)
-    with pytest.raises(PreconditionError):
-        transition_rate(traj, 0.0, stencil=1.0)
 
 
 def test_rate_at_window_edge_warns():
@@ -346,10 +340,13 @@ def test_unresolvable_envelope_is_a_tolerance_failure(monkeypatch):
         def shape(self, t):
             return self.rng.random(np.shape(t))
 
+        def support_radius(self):
+            return 1.0, 1.0
+
     monkeypatch.setattr(dynamics, "_MAX_PANELS", 256)
     cont = discretize(FLAT, 0.0, 2.0, 21)
     with pytest.raises(ToleranceFailureError, match="did not converge"):
-        integrate(cont, Noise(), 1.0, UNIT, t0=-1.0, t1=1.0, seed="zeros",
+        integrate(cont, Noise(), 1.0, UNIT, t0=-1.0, t1=1.0,
                   sample_times=np.linspace(-1.0, 1.0, 5))
 
 

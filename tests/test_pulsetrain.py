@@ -174,7 +174,7 @@ def test_additivity_needs_a_coupled_trajectory():
     assert traj.times.size == 17
     assert traj.times[0] == train.t_ref - train.support_radius()[0]
     first = integrate(cont, train, 1.0, UNIT, traj.times[0], traj.times[-1],
-                      tol=1e-6, seed="zeros")
+                      tol=1e-6)
     with pytest.raises(PreconditionError):
         additivity_defect(train, first, UNIT)
 
