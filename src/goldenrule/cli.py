@@ -14,7 +14,6 @@ all checks passed, 1 a metric failed, 2 usage or configuration problem,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .errors import ConfigError, GoldenRuleError
@@ -52,18 +51,6 @@ def _parse_values(text):
     return values
 
 
-def _default_workers():
-    raw = os.environ.get("GOLDENRULE_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(
-            [f"GOLDENRULE_WORKERS: {raw!r} is not an integer"]) from None
-    if n < 1:
-        raise ConfigError(["GOLDENRULE_WORKERS: must be >= 1"])
-    return n
-
-
 def _cmd_validate(args):
     cfg, _ = load_config(args.config)
     validate_config(cfg)
@@ -72,8 +59,6 @@ def _cmd_validate(args):
 
 
 def _cmd_run(args):
-    if args.dry_run:
-        return _cmd_validate(args)
     summary = run_scenario(args.config, out_dir=args.out)
     for name, m in summary.metrics.items():
         status = "PASS" if m.passed else "FAIL"
@@ -88,9 +73,8 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     values = _parse_values(args.values)
-    workers = args.workers if args.workers else _default_workers()
     rows, all_passed = run_sweep(args.config, args.axis, values,
-                                 out_dir=args.out, workers=workers)
+                                 out_dir=args.out, workers=args.workers)
     for row in rows:
         if row["status"] != "ok":
             print(f"  FAIL {args.axis}={fmt(row['value'])}: "
@@ -127,8 +111,6 @@ def build_parser():
     p_run = sub.add_parser("run", help="execute one scenario")
     p_run.add_argument("config", help="config path or bundled name")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--dry-run", action="store_true",
-                       help="validate the config and exit")
     p_run.set_defaults(fn=_cmd_run)
 
     p_sweep = sub.add_parser("sweep",
@@ -140,8 +122,8 @@ def build_parser():
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated numbers")
     p_sweep.add_argument("--out", default=None, help="output directory")
-    p_sweep.add_argument("--workers", type=int, default=None,
-                         help="parallel runs (default GOLDENRULE_WORKERS)")
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="parallel runs (default 1)")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="check a config without running")
@@ -157,7 +139,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is not None and args.workers < 1:
+    if getattr(args, "workers", 1) < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -22,11 +22,17 @@ panel acceptance test (see integrate). The coupled equations are stepped
 with RK45 at rtol = tol / 20, and tol also bounds the norm drift. Both
 paths read the envelope only through evaluate(env, V0, t).
 
-Rates are extracted from the occupied sum S(t) = sum_f w_f |c_f|^2 by
-centered finite differences, deliberately independent of every analytic
-rate formula they are compared against. Differencing stencils must be
-registered when integrating (rate_times), since only the sample grid is
-retained.
+Rates are the probability current into the band,
+
+    dS/dt = 2 a(t) Im(c_i(t) sum_f w_f v_f e^{+i omega_f t} conj(c_f(t))),
+
+the time derivative of the occupied sum S(t) = sum_f w_f |c_f|^2 under
+the equations above, with a(t) = evaluate(env, V0, t) and v_f = element(E_f).
+It is built from the integrated amplitudes and the equation of motion
+alone, so it stays independent of every analytic rate formula it is
+compared against: no golden-rule density, matrix-element average or
+envelope closed form enters it. The current needs c_f at the rate time
+itself, so rate times must be registered when integrating (rate_times).
 """
 
 from __future__ import annotations
@@ -128,7 +134,8 @@ class AmplitudeTrajectory:
     occupied: S(t) = sum_f w_f |c_f|^2 at each sample.
     profiles: dict t -> full c_f vector, kept at the last sample and at
         requested times.
-    rate_table: registered finite-difference stencils for transition_rate.
+    rate_table: dict t -> dS/dt, the probability current at each
+        registered rate time, read by transition_rate.
     norm_drift: max |(|c_i|^2 + S) - 1| over samples (coupled mode only).
     method: "quadrature" (first_order mode) or "rk45" (coupled mode).
     evaluations: envelope values the quadrature used, acceptance tests
@@ -304,10 +311,10 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
             10 * tol.
         mode: "first_order" (c_i frozen at 1; panel quadrature, no time
             stepping) or "coupled" (RK45).
-        sample_times: report grid (default 201 uniform points).
-        rate_times: times where transition_rate() will be queried; each
-            registers a centered stencil pair of width
-            2 pi / (20 max|omega|).
+        sample_times: report grid in [t0, t1] (default 201 uniform
+            points).
+        rate_times: times in [t0, t1] where transition_rate() will be
+            queried; the probability current is stored at each.
         keep_profiles: times in [t0, t1] at which the full c_f vector is
             retained, in addition to the last sample, which always is.
 
@@ -319,6 +326,8 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
         AmplitudeTrajectory.
 
     Raises:
+        DomainError: a bad mode or tol, t1 <= t0, or a sample, rate or
+            profile time that is not a number in [t0, t1] (NaN included).
         StiffnessError: the coupled stepper stalled (never in first_order
             mode, which takes no steps).
         ToleranceFailureError: coupled norm drift beyond 10 * tol, or a
@@ -344,31 +353,17 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
     v = np.asarray(element_at(model, continuum.energies), dtype=float)
     max_omega = float(np.max(np.abs(omegas)))
 
+    def times_within(times, what):
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        if times.ndim != 1 or not np.all((times >= t0) & (times <= t1)):
+            raise DomainError(f"{what} must lie within [{t0}, {t1}]")
+        return times
+
     if sample_times is None:
         sample_times = np.linspace(t0, t1, 201)
-    samples = np.asarray(sample_times, dtype=float)
-    if samples.ndim != 1 or np.any(samples < t0) or np.any(samples > t1):
-        raise DomainError("sample_times must lie within [t0, t1]")
-    samples = np.unique(samples)
-
-    # Register finite-difference stencils now; the dense solver state is
-    # not kept, so rate queries must be known up front.
-    if max_omega > 0.0:
-        h = 2.0 * np.pi / (20.0 * max_omega)
-    else:
-        h = (t1 - t0) / 1000.0
-    rate_entries = []
-    if rate_times is not None:
-        for t in np.atleast_1d(np.asarray(rate_times, dtype=float)):
-            if t < t0 or t > t1:
-                raise DomainError(f"rate time {t} outside [{t0}, {t1}]")
-            a, b = t - 0.5 * h, t + 0.5 * h
-            one_sided = False
-            if a < t0:
-                a, b, one_sided = t, t + 0.5 * h, True
-            elif b > t1:
-                a, b, one_sided = t - 0.5 * h, t, True
-            rate_entries.append((float(t), a, b, one_sided))
+    samples = np.unique(times_within(sample_times, "sample_times"))
+    rates = times_within([] if rate_times is None else rate_times,
+                         "rate_times")
 
     try:
         extra = np.atleast_1d(np.asarray(keep_profiles, dtype=float))
@@ -376,15 +371,12 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
         raise DomainError(
             f"keep_profiles must be a sequence of times, got "
             f"{keep_profiles!r}") from None
-    if not np.all((extra >= t0) & (extra <= t1)):
-        raise DomainError(f"keep_profiles times must lie within "
-                          f"[{t0}, {t1}]")
-    prof_times = np.unique(np.concatenate([extra, samples[-1:]]))
+    prof_times = np.unique(np.concatenate(
+        [times_within(extra, "keep_profiles times"), samples[-1:]]))
 
-    # samples, stencil ends and profile times are exact members of t_eval
-    t_eval = np.unique(np.concatenate(
-        [samples, [t0, t1], prof_times]
-        + [[a, b] for _, a, b, _ in rate_entries]))
+    # samples, rate times and profile times are exact members of t_eval
+    t_eval = np.unique(np.concatenate([samples, [t0, t1], prof_times,
+                                       rates]))
 
     cf0 = seed_amplitudes(continuum, env, V0, model, t0)
 
@@ -433,9 +425,11 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
 
     sample_idx = np.searchsorted(t_eval, samples)
     rate_table = {}
-    for t, a, b, one_sided in rate_entries:
-        ia, ib = np.searchsorted(t_eval, [a, b])
-        rate_table[t] = (b - a, S_all[ia], S_all[ib], one_sided)
+    for t, j in zip(map(float, rates), np.searchsorted(t_eval, rates)):
+        mix = np.sum(weights * v * np.exp(1j * omegas * t)
+                     * np.conj(cf_all[:, j]))
+        rate_table[t] = 2.0 * float(evaluate(env, V0, t)) * float(
+            np.imag(ci_all[j] * mix))
     profiles = {t: cf_all[:, np.searchsorted(t_eval, t)].copy()
                 for t in map(float, prof_times)}
 
@@ -447,21 +441,14 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
 
 
 def transition_rate(traj, t):
-    """dS/dt at a registered rate time, by centered finite differences.
-
-    The stencil, 2 pi / (20 max|omega_fi|), was fixed when the trajectory
-    was integrated. Warns when only a one-sided stencil fit inside the
-    time window.
+    """dS/dt at a registered rate time: the probability current integrate
+    stored there (see the module docstring).
     """
     key = traj._stored_time(traj.rate_table, t)
     if key is None:
         raise PreconditionError(
             f"t = {t} was not registered via rate_times when integrating")
-    h, Sa, Sb, one_sided = traj.rate_table[key]
-    if one_sided:
-        warnings.warn(f"one-sided rate stencil at window edge t = {t}",
-                      stacklevel=2)
-    return (Sb - Sa) / h
+    return traj.rate_table[key]
 
 
 def golden_rule_rate(Vm_sq, D):

@@ -346,6 +346,17 @@ def _default_window(kappa, x_t):
     return (-40.0 / kappa, x_t + 40.0 / kappa)
 
 
+def _bound_energy(kappa, F, m, E_b):
+    """E_b, or -kappa^2 / 2m when None; finite and negative, else DomainError."""
+    if not (kappa > 0.0 and F > 0.0 and m > 0.0):
+        raise DomainError("need kappa > 0, F > 0, m > 0")
+    E_bound = float(E_b) if E_b is not None else -kappa * kappa / (2.0 * m)
+    if not -np.inf < E_bound < 0.0:
+        raise DomainError(
+            f"bound-state energy must be finite and negative, got {E_bound}")
+    return E_bound
+
+
 def toy_ionization_rate(kappa, F, m, *, E_b=None, window=None):
     """Rate out of the delta-well bound state under the potential -F x.
 
@@ -356,11 +367,7 @@ def toy_ionization_rate(kappa, F, m, *, E_b=None, window=None):
     regime F / kappa << |E_b|; outside it a warning is raised and the
     flag cleared, but the number is still returned.
     """
-    if not (kappa > 0.0 and F > 0.0 and m > 0.0):
-        raise DomainError("need kappa > 0, F > 0, m > 0")
-    E_bound = float(E_b) if E_b is not None else -kappa * kappa / (2.0 * m)
-    if not E_bound < 0.0:
-        raise DomainError("bound-state energy must be negative")
+    E_bound = _bound_energy(kappa, F, m, E_b)
     weak_ok = F / kappa <= 0.1 * abs(E_bound)
     if not weak_ok:
         warnings.warn("field is not weak against the binding energy; the "
@@ -411,11 +418,9 @@ def box_quantized_rate(kappa, F, m, *, E_b=None, xi_wall=185.0, window=None):
     read off neighboring levels, and the closed-form normalization 1 /
     (sqrt(a) |Ai'(a_n)|) from the square-integral identity at a zero.
     """
-    if not (kappa > 0.0 and F > 0.0 and m > 0.0):
-        raise DomainError("need kappa > 0, F > 0, m > 0")
+    E_bound = _bound_energy(kappa, F, m, E_b)
     if not 10.0 <= xi_wall <= _GUARD - 10.0:
         raise DomainError("xi_wall must sit well inside the Airy guard")
-    E_bound = float(E_b) if E_b is not None else -kappa * kappa / (2.0 * m)
     state = FieldState(F=F, m=m, E=E_bound)
     a = state.a
     x_t = state.turning_point()

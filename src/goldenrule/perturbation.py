@@ -157,10 +157,10 @@ class ExpSuperposition:
         terms = tuple((float(g), float(w)) for g, w in self.terms)
         if not terms:
             raise DomainError("need at least one term")
-        if any(g <= 0.0 for g, _ in terms):
+        if not all(g > 0.0 for g, _ in terms):
             raise DomainError("rate constants must be positive")
         total = sum(w for _, w in terms)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise DomainError(f"superposition weights must sum to 1, got {total}")
         object.__setattr__(self, "terms", terms)
 
@@ -264,8 +264,13 @@ def spectral_shape_sq(env, omega):
                 "closed form needs equal branch amplitudes v_minus == v_plus")
         gm, gp = env.gamma_minus, env.gamma_plus
         w2 = omega * omega
-        out = (env.v_plus ** 2 * (gm + gp) ** 2
-               / ((w2 + gm * gm) * (w2 + gp * gp)))
+        try:
+            peak = env.v_plus ** 2 * (gm + gp) ** 2
+        except OverflowError:
+            raise DomainError(
+                f"(gamma_minus + gamma_plus)^2 overflows a float at rates "
+                f"{gm:g}, {gp:g}") from None
+        out = peak / ((w2 + gm * gm) * (w2 + gp * gp))
     elif isinstance(env, GaussianPulse):
         out = np.exp(-0.5 * (omega * env.tau) ** 2)
     elif isinstance(env, RectangularPulse):

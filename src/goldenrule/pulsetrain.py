@@ -234,10 +234,11 @@ def cross_term_integral(env, dos, omega_i, T, *, rtol=1e-6, atol=1e-12):
                           epsabs=eab, epsrel=erl, limit=800)
             total += re + 1j * im
             err += e1 + e2
-    if err > max(rtol * abs(total), atol, 1e-15):
+    size = np.hypot(total.real, total.imag)  # abs() raises on overflow
+    if not (np.isfinite(size) and err <= max(rtol * size, atol, 1e-15)):
         raise ToleranceFailureError(
-            f"cross-term quadrature only certified to {err:.3g}",
-            achieved=err)
+            f"cross-term quadrature only certified to {err:.3g} for an "
+            f"estimate of size {size:.3g}", achieved=err)
     return total
 
 

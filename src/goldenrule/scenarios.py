@@ -695,14 +695,13 @@ def _run_golden_rule(cfg, ctx):
                      mode=p["mode"], rate_times=rate_times)
 
     rows = []
-    worst = 1.0
     for t in rate_times:
         r_num = transition_rate(traj, t)
         r_pred = golden_rule_following(env, V0, model, dos, E_i, t)
-        ratio = r_num / r_pred
-        if abs(ratio - 1.0) > abs(worst - 1.0):
-            worst = ratio
-        rows.append((t, r_num, r_pred, ratio))
+        rows.append((t, r_num, r_pred, r_num / r_pred))
+    ratios = np.array([row[3] for row in rows])
+    # argmax lands on the first NaN, so a NaN ratio fails the check
+    worst = ratios[np.argmax(np.abs(ratios - 1.0))]
     ctx.metric("following_ratio", worst, 1.0, checks["following_rel_tol"])
     ctx.metric("validity_pass", 1.0 if rep.passed else 0.0, 1.0, 0.0)
 
@@ -831,13 +830,13 @@ def _run_two_sided(cfg, ctx):
 
     diffs = [abs(results["base"][t] / results["fast_edge"][t] - 1.0)
              for t in trail]
-    ctx.metric("edge_independence", max(diffs), 0.0,
+    ctx.metric("edge_independence", np.max(diffs), 0.0,
                checks["edge_independence_tol"])
 
     r_ref = results["base"][t_ref]
-    decay_err = max(
+    decay_err = np.max([
         abs(results["base"][t] * np.exp(2.0 * gp * (t - t_ref)) / r_ref - 1.0)
-        for t in trail)
+        for t in trail])
     ctx.metric("trailing_decay", decay_err, 0.0,
                checks["trailing_decay_tol"])
     ctx.details.update({
@@ -908,12 +907,11 @@ def _run_superposition(cfg, ctx):
                      mode="first_order", rate_times=rate_times)
 
     rows = []
-    worst = 0.0
     for t in rate_times:
         r_num = transition_rate(traj, t)
         r_pred = golden_rule_following(env, V0, model, dos, E_i, t)
-        worst = max(worst, abs(r_num / r_pred - 1.0))
         rows.append((t, r_num, r_pred, r_num / r_pred))
+    worst = np.max([abs(row[3] - 1.0) for row in rows])
     ctx.metric("superposition_following", worst, 0.0,
                checks["following_rel_tol"])
 
@@ -947,17 +945,16 @@ def _run_pulse_train(cfg, ctx):
         if label == "rect":
             rect_env = env
             rect_scale = scale
-        worst = 0.0
+        errs = []
         for T in seps:
             closed = cross_term_closed_form(env, d0, T)
             # certify the quadrature well below the band-scale tolerance
             quad_val = cross_term_integral(env, dos, 0.0, T,
                                            atol=1e-6 * scale)
-            err = abs(closed - quad_val) / scale
-            worst = max(worst, err)
+            errs.append(abs(closed - quad_val) / scale)
             rows.append((label, T, closed.real, closed.imag,
-                         quad_val.real, quad_val.imag, err))
-        ctx.metric(f"cross_term_{label}", worst, 0.0,
+                         quad_val.real, quad_val.imag, errs[-1]))
+        ctx.metric(f"cross_term_{label}", np.max(errs), 0.0,
                    checks["agreement_tol"])
 
     if rect_env is not None:
@@ -1073,20 +1070,18 @@ def _run_airy_check(cfg, ctx):
 
     # square-integral identity int_xi^inf Ai^2 = Ai'^2 - xi Ai^2
     rows = []
-    worst = 0.0
     for xi in p["identity_points"]:
         lhs = quad(lambda u: airy(u) ** 2, xi, 30.0,
                    epsabs=1e-15, epsrel=1e-12, limit=800)[0]
         rhs = airy_prime(xi) ** 2 - xi * airy(xi) ** 2
-        err = abs(lhs - rhs) / abs(rhs)
-        worst = max(worst, err)
-        rows.append((xi, lhs, rhs, err))
+        rows.append((xi, lhs, rhs, abs(lhs - rhs) / abs(rhs)))
+    worst = np.max([row[3] for row in rows], initial=0.0)
     ctx.metric("sq_integral_identity", worst, 0.0, checks["identity_tol"])
     ctx.write_csv("identity.csv", ["xi", "quadrature", "closed_form",
                                    "rel_error"], rows)
 
-    worst_zero = max(abs(airy(airy_zero(n))) for n in
-                     range(1, p["n_zeros"] + 1))
+    worst_zero = np.max([abs(airy(airy_zero(n))) for n in
+                         range(1, p["n_zeros"] + 1)])
     ctx.metric("zero_residual", worst_zero, 0.0, checks["identity_tol"])
 
     # smear closed form against direct kernel quadrature at a probe point

@@ -112,3 +112,17 @@ def first_order_rk_oracle(env, V0, omegas, elements, cf0, t_eval, tol):
                     rtol=tol / 20.0, atol=tol * 1e-6 / 20.0, t_eval=t_eval)
     assert sol.success, sol.message
     return sol.y
+
+
+def fd_rate_oracle(occupied, t, h):
+    """dS/dt at t by centered differences of S at stencils h and h / 2.
+
+    occupied(times) returns S at the given increasing times. Returns the
+    h / 2 estimate and |r_h - r_{h/2}| as its error estimate: while the
+    O(h^2) truncation term dominates, the h / 2 error is a third of that
+    difference.
+    """
+    S = occupied(t + h * np.array([-0.5, -0.25, 0.25, 0.5]))
+    r_h = (S[3] - S[0]) / h
+    r_half = (S[2] - S[1]) / (0.5 * h)
+    return r_half, abs(r_h - r_half)

@@ -41,13 +41,6 @@ def test_validate_bundled_config(capsys):
     assert "configuration valid" in capsys.readouterr().out
 
 
-def test_run_dry_run_only_validates(capsys):
-    assert main(["run", "isotropic_scattering", "--dry-run"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "configuration valid" in out
-    assert "PASS" not in out
-
-
 def test_run_reports_metrics_and_verdict(tmp_path, capsys):
     code = main(["run", "isotropic_scattering", "--out", str(tmp_path)])
     assert code == EXIT_OK
@@ -162,6 +155,9 @@ def _set_path(*keys_and_value):
     ("ww_flat_decay", _set_path("samples", 64), "samples: unknown key"),
     ("golden_rule_basic", _set_path("integrator", "atol", 1e-3),
      "integrator.atol: unknown key"),
+    ("superposed_turnons",
+     _set_path("parameters", "terms", 0, "weight", float("nan")),
+     "parameters: superposition weights must sum to 1"),
 ])
 def test_malformed_block_is_a_config_violation(tmp_path, capsys, name,
                                                mutate, violation):
@@ -172,14 +168,30 @@ def test_malformed_block_is_a_config_violation(tmp_path, capsys, name,
     assert f"  - {violation}" in err
 
 
+@pytest.mark.parametrize("name, mutate, message", [
+    ("pulse_cross_terms",
+     _set_path("parameters", "shapes", 0, "gamma_minus", 1e300),
+     "overflows a float"),
+    ("pulse_cross_terms", _set_path("parameters", "dos_halfwidth", 1e300),
+     "cross-term quadrature"),
+    ("linear_field_ionization", _set_path("parameters", "kappa", 1e300),
+     "bound-state energy"),
+])
+def test_huge_values_end_in_a_typed_failure(tmp_path, capsys, name, mutate,
+                                             message):
+    path = write_variant(tmp_path, name, mutate)
+    code = main(["run", path, "--out", str(tmp_path / "out")])
+    assert code in (EXIT_CONFIG, EXIT_NUMERICAL)
+    assert message in capsys.readouterr().err
+
+
 def test_mismatched_bounds_fail_validation(tmp_path, capsys):
     path = write_variant(
         tmp_path, "validity_margins",
         lambda c: c["checks"].__setitem__("bounds", c["checks"]["bounds"][:2]))
-    for verb in (["validate", path], ["run", path, "--dry-run"]):
-        assert main(verb) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "  - checks.bounds: must match margins in length" in err
+    assert main(["validate", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "  - checks.bounds: must match margins in length" in err
 
 
 def _mutation_sites():
@@ -271,16 +283,6 @@ def test_workers_flag_must_be_positive(capsys):
                  "--values", "0.1", "--workers", "0"])
     assert code == EXIT_CONFIG
     assert "--workers must be >= 1" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["zzz", "0", "-2"])
-def test_workers_env_variable_is_validated(monkeypatch, capsys, value):
-    monkeypatch.setenv("GOLDENRULE_WORKERS", value)
-    code = main(["sweep", "isotropic_scattering",
-                 "--axis", "parameters.scattering.c1",
-                 "--values", "0.1"])
-    assert code == EXIT_CONFIG
-    assert "GOLDENRULE_WORKERS" in capsys.readouterr().err
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

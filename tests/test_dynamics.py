@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from goldenrule import (
     transition_rate,
     validity_report,
 )
-from oracles import first_order_rk_oracle
+from oracles import fd_rate_oracle, first_order_rk_oracle
 
 FLAT = ConstantDOS(1.0)
 UNIT = ConstantElement(1.0)
@@ -187,6 +189,11 @@ def test_integrate_argument_validation():
                   sample_times=[-2.0, 0.0])
     with pytest.raises(DomainError):
         integrate(cont, env, 1.0, UNIT, t0=-1.0, t1=0.0, rate_times=[1.0])
+    with pytest.raises(DomainError, match="rate_times"):
+        integrate(cont, env, 1.0, UNIT, t0=-1.0, t1=0.0, rate_times=[np.nan])
+    with pytest.raises(DomainError, match="sample_times"):
+        integrate(cont, env, 1.0, UNIT, t0=-3.0, t1=0.0,
+                  sample_times=[-3.0, np.nan, 0.0])
     with pytest.raises(DomainError):
         integrate(cont, GaussianPulse(1.0, t_ref=np.inf), 1.0, UNIT, t1=0.0)
     for mode in ("first_order", "coupled"):
@@ -241,16 +248,68 @@ def test_rate_requires_registration():
         transition_rate(traj, 0.2)
 
 
-def test_rate_at_window_edge_warns():
-    traj = _rising_run(rate_times=[0.4])
-    with pytest.warns(UserWarning, match="one-sided"):
-        transition_rate(traj, 0.4)
+def test_rate_at_window_edge_matches_a_longer_run():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edge = transition_rate(_rising_run(rate_times=[0.4]), 0.4)
+    inside = transition_rate(_rising_run(rate_times=[0.4], t1=0.8), 0.4)
+    assert abs(edge / inside - 1.0) <= 10.0 * 1e-9
+
+
+# first order: the bundled two_sided_edges pulse on a smaller band through
+# its trailing window, a carrier and a Gaussian pulse; coupled: a turn-on
+# that depletes c_i by a few percent
+RATE_CASES = {
+    "two_sided_exp": (TwoSidedExp(0.25, 1.0), 0.01, -0.2, 5.2, 1001, 25.0,
+                      "first_order", [0.05, 1.0, 3.0, 4.0, 5.0]),
+    "harmonic_rising_exp": (HarmonicRisingExp(0.5, 3.0), 1e-3,
+                            -np.log(1e6) / 0.5, 0.4, 1001, 24.0,
+                            "first_order", [-1.0, 0.0]),
+    "gaussian_pulse": (GaussianPulse(1.0), 0.05, -4.0, 3.0, 1001, 24.0,
+                       "first_order", [-1.0, 0.0, 1.0]),
+    "coupled_rising_exp": (RisingExp(0.5), 0.08, -8.0, 0.5, 201, 12.0,
+                           "coupled", [0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RATE_CASES))
+def test_rate_current_agrees_with_finite_differences(case):
+    env, V0, t0, t1, n, half, mode, rate_times = RATE_CASES[case]
+    cont = discretize(FLAT, 0.0, half, n)
+    traj = integrate(cont, env, V0, UNIT, t0, t1, tol=1e-9, mode=mode,
+                     rate_times=rate_times)
+    h = 2.0 * np.pi / (20.0 * np.max(np.abs(cont.omegas)))
+
+    def occupied(times):
+        return integrate(cont, env, V0, UNIT, t0, t1, tol=1e-12, mode=mode,
+                         sample_times=times).occupied
+
+    for t in rate_times:
+        r_fd, fd_err = fd_rate_oracle(occupied, t, h)
+        assert abs(transition_rate(traj, t) - r_fd) <= fd_err
+
+
+@pytest.mark.parametrize("case", ["two_sided_exp", "coupled_rising_exp"])
+def test_rates_settle_with_tol(case):
+    """Rates at tol and tol / 100 agree to 10 tol relative.
+
+    The coupled case runs at 1e-7, where RK45 at tol / 100 stays cheap.
+    """
+    env, V0, t0, t1, n, half, mode, rate_times = RATE_CASES[case]
+    tol = 1e-10 if mode == "first_order" else 1e-7
+    cont = discretize(FLAT, 0.0, half, n)
+    rates = []
+    for run_tol in (tol, tol / 100.0):
+        traj = integrate(cont, env, V0, UNIT, t0, t1, tol=run_tol, mode=mode,
+                         rate_times=rate_times)
+        rates.append(np.array([transition_rate(traj, t) for t in rate_times]))
+    assert np.all(np.abs(rates[1] / rates[0] - 1.0) <= 10.0 * tol)
 
 
 # ---------------------------------------------------------------------------
 # first-order quadrature against the RK45 reference route
 
-_T_REF = 0.3137  # off every sample and stencil time below
+_T_REF = 0.3137  # off every sample and rate time below
 FIRST_ORDER_CASES = {
     "rising_exp": (RisingExp(0.5), 1e-3, -np.log(1e6) / 0.5, 0.3),
     "exp_superposition": (ExpSuperposition(((0.5, 1.5), (1.0, -0.5))), 1e-3,
@@ -271,9 +330,10 @@ FIRST_ORDER_CASES = {
 def test_first_order_quadrature_matches_rk45_oracle(case):
     """Profile, occupied sum and rates agree with RK45 at the same tol.
 
-    Amplitudes may differ by 10 tol max|c_f|; S and the rates get the
+    Amplitudes may differ by e = 10 tol max|c_f|; S and the rates get the
     bound that amplitude error implies, |dS| <= sum_f w_f (2 |c_f| e + e^2)
-    and |dr| <= (|dS_a| + |dS_b|) / h.
+    and |dr| <= 2 |a(t)| sum_f w_f |v_f| e for the current
+    r = 2 a(t) Im(sum_f w_f v_f e^{i omega_f t} conj(c_f)).
     """
     env, V0, t0, t1 = FIRST_ORDER_CASES[case]
     tol = 1e-9
@@ -284,9 +344,7 @@ def test_first_order_quadrature_matches_rk45_oracle(case):
                      mode="first_order", sample_times=samples,
                      rate_times=rate_times)
 
-    h = 2.0 * np.pi / (20.0 * np.max(np.abs(cont.omegas)))
-    t_eval = np.unique(np.concatenate(
-        [samples, rate_times - 0.5 * h, rate_times + 0.5 * h]))
+    t_eval = np.unique(np.concatenate([samples, rate_times]))
     edges = [_T_REF - 1.0, _T_REF, _T_REF + 1.0]
     assert not np.any(np.isin(edges, t_eval))
     cf0 = seed_amplitudes(cont, env, V0, UNIT, t0)
@@ -302,11 +360,12 @@ def test_first_order_quadrature_matches_rk45_oracle(case):
     assert np.all(np.abs(traj.occupied - S_ref[idx]) <= S_err[idx])
     assert sorted(traj.rate_table) == sorted(rate_times)
     for t in rate_times:
-        ia, ib = at(t - 0.5 * h), at(t + 0.5 * h)
-        width = t_eval[ib] - t_eval[ia]
-        r_ref = (S_ref[ib] - S_ref[ia]) / width
+        a = V0 * env.shape(t)
+        mix = cont.weights @ (np.exp(1j * cont.omegas * t)
+                              * np.conj(ref[:, at(t)]))
+        r_ref = 2.0 * a * mix.imag
         assert abs(transition_rate(traj, t) - r_ref) <= (
-            S_err[ia] + S_err[ib]) / width
+            2.0 * abs(a) * np.sum(cont.weights) * err)
 
 
 def test_first_order_never_calls_the_stepper(monkeypatch):

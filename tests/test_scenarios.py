@@ -267,3 +267,22 @@ def test_decay_law_propagates_the_train_once(tmp_path, monkeypatch):
     summary = run_scenario(str(path), out_dir=str(tmp_path))
     assert modes == ["coupled"]
     assert set(summary.metrics) == {"additivity_defect", "decay_law_match"}
+
+
+@pytest.mark.parametrize("name", ["golden_rule_basic", "superposed_turnons",
+                                  "two_sided_edges"])
+def test_a_nan_rate_fails_the_run(tmp_path, monkeypatch, name):
+    rate = goldenrule.scenarios.transition_rate
+    spoiled = []
+
+    def nan_once(traj, t):
+        # the latest registered time is inside every checked window
+        if not spoiled and t == max(traj.rate_table):
+            spoiled.append(t)
+            return float("nan")
+        return rate(traj, t)
+
+    monkeypatch.setattr(goldenrule.scenarios, "transition_rate", nan_once)
+    summary = run_scenario(name, out_dir=str(tmp_path))
+    assert spoiled
+    assert not summary.passed
