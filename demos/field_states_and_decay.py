@@ -2,11 +2,13 @@
 """Continuum states in a uniform field, and what a level coupled to a
 band does over long times.
 
-First half: the in-house Airy evaluator against its own defining
-equation, the delta-normalization of the field eigenfunctions checked by
-Gaussian energy smearing, and the toy ionization rate of a short-range
-bound state computed twice (energy-normalized continuum vs a box
-quantization oracle with an explicit level density).
+First half: the package's Airy evaluation (scipy.special.airy above
+xi = -8, the oscillatory asymptotic expansion below) against its own
+defining equation across that seam, the delta-normalization of the
+field eigenfunctions checked by Gaussian energy smearing, and the toy
+ionization rate of a short-range bound state computed twice
+(energy-normalized continuum vs a box quantization oracle with an
+explicit level density).
 
 Second half: a level coupled abruptly to a flat band. The integrated
 amplitude decays exponentially at 2 pi f and, when the band sits

@@ -308,7 +308,11 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
             mode the embedded 4(5) pair runs at rtol = tol / 20 and
             atol = tol * 1e-6 / 20 (the floor that amplitudes starting from
             exactly zero need), and norm conservation must stay within
-            10 * tol.
+            10 * tol. Either way the bound is absolute on the amplitudes,
+            so a rate from the probability current is good to about tol
+            relative to the current's peak, not to the local rate: far
+            down a trailing edge, where the rate is 1e-5..1e-7 of its
+            peak, it can be off by tens of tol relative.
         mode: "first_order" (c_i frozen at 1; panel quadrature, no time
             stepping) or "coupled" (RK45).
         sample_times: report grid in [t0, t1] (default 201 uniform

@@ -3,10 +3,7 @@
 A particle of mass m in potential -F x has one continuum state per
 energy, Psi(x, E) = Ai(xi) / (a sqrt(F)) with xi = -(x + E/F)/a and a =
 (2 m F)^(-1/3); the prefactor makes the set delta-normalized in energy,
-<Psi_E|Psi_E'> = delta(E - E'). The Airy function is evaluated in-house
-(guarded branch switch between Maclaurin series, a non-oscillatory
-saddle-contour quadrature, and asymptotic expansions) so that rate
-calculations never leave the package.
+<Psi_E|Psi_E'> = delta(E - E').
 
 hbar = 1 throughout.
 """
@@ -15,58 +12,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import airy as _scipy_airy
 
 from .errors import DomainError, RangeError, WindowError
 
 _GUARD = 200.0
-# branch boundaries: series on [-8, 4], saddle quadrature on (4, 25),
-# asymptotic expansions outside
-_SERIES_LO, _SERIES_HI = -8.0, 4.0
-_ASYMP_POS = 25.0
-
-# Ai(0) and Ai'(0) to more digits than double, for the extended-precision
-# series accumulation
-_AI0 = np.longdouble("0.35502805388781723926006318600418317639798")
-_AIP0 = np.longdouble("-0.25881940379280679840518356018920396347909")
-
-
-def _series_ai_aip(x):
-    """Maclaurin evaluation of Ai and Ai' with 80-bit accumulation.
-
-    The alternating lobes cancel to ~1e5 of the result near the branch
-    edges, which double precision alone cannot absorb at the 1e-10
-    accuracy contract.
-    """
-    x = x.astype(np.longdouble)
-    x3 = x * x * x
-    f = np.ones_like(x)
-    g = x.copy()
-    fp = np.zeros_like(x)
-    gp = np.ones_like(x)
-    tf = np.ones_like(x)
-    tg = x.copy()
-    tfp = 0.5 * x * x
-    tgp = np.ones_like(x)
-    fp += tfp
-    for k in range(1, 130):
-        tf = tf * x3 / ((3 * k - 1) * (3 * k))
-        tg = tg * x3 / ((3 * k) * (3 * k + 1))
-        f += tf
-        g += tg
-        # d/dx term recurrences, seeded at x^2/2 and 1
-        tfp = tfp * x3 * (k + 1) / (k * (3 * k + 2) * (3 * k + 3))
-        tgp = tgp * x3 / ((3 * k - 2) * (3 * k))
-        fp += tfp
-        gp += tgp
-        if np.max(np.abs(tf)) < 1e-26 and np.max(np.abs(tg)) < 1e-26:
-            break
-    ai = _AI0 * f + _AIP0 * g
-    aip = _AI0 * fp + _AIP0 * gp
-    return ai.astype(float), aip.astype(float)
+# below this the oscillatory expansion is as accurate as scipy's AMOS
+# route and about ten times faster
+_ASYMP_NEG = -8.0
 
 
 def _asymp_u_v(n_terms):
@@ -80,22 +36,6 @@ def _asymp_u_v(n_terms):
 
 
 _U_COEF, _V_COEF = _asymp_u_v(16)
-
-
-def _asymp_pos(x):
-    """Exponentially decaying branch, x >= 25."""
-    z = (2.0 / 3.0) * x ** 1.5
-    zk = np.ones_like(x)
-    sa = np.zeros_like(x)
-    sv = np.zeros_like(x)
-    for k in range(12):
-        sa += (-1) ** k * _U_COEF[k] * zk
-        sv += (-1) ** k * _V_COEF[k] * zk
-        zk = zk / z
-    pre = np.exp(-z) / (2.0 * np.sqrt(np.pi))
-    ai = pre * sa / x ** 0.25
-    aip = -pre * sv * x ** 0.25
-    return ai, aip
 
 
 def _asymp_neg(xi):
@@ -123,35 +63,6 @@ def _asymp_neg(xi):
     return ai, aip
 
 
-@lru_cache(maxsize=1)
-def _saddle_nodes():
-    # integral after the saddle shift: int_0^inf e^{-v^2} cos(v^3 /
-    # (3 x^{3/4})) dv, cut at v = 6.5 (e^{-42})
-    nodes, wts = np.polynomial.legendre.leggauss(96)
-    v = 3.25 * (nodes + 1.0)
-    return v, 3.25 * wts
-
-
-def _saddle_mid(x):
-    """Non-oscillatory contour through the saddle, 4 < x < 25.
-
-    Ai(x) = e^{-z}/(pi x^{1/4}) * J0 with the Gaussian-damped integrand;
-    both the series (cancellation) and the asymptotic series (truncation
-    floor ~e^{-2z}) miss the relative-accuracy contract on this band.
-    """
-    v, w = _saddle_nodes()
-    z = (2.0 / 3.0) * x ** 1.5
-    arg = v[None, :] ** 3 / (3.0 * x[:, None] ** 0.75)
-    damp = np.exp(-v * v)[None, :] * w[None, :]
-    c = np.cos(arg)
-    J0 = np.sum(damp * c, axis=1)
-    J2 = np.sum(damp * v[None, :] ** 2 * c, axis=1)
-    pre = np.exp(-z) / np.pi
-    ai = pre * J0 / x ** 0.25
-    aip = -pre * (x ** 0.25 * J0 + J2 / (2.0 * x ** 1.25))
-    return ai, aip
-
-
 def _airy_both(xi):
     xi = np.asarray(xi, dtype=float)
     scalar = xi.ndim == 0
@@ -162,28 +73,23 @@ def _airy_both(xi):
             f"{float(np.max(np.abs(x))):g}")
     ai = np.empty_like(x)
     aip = np.empty_like(x)
-    m_ser = (x >= _SERIES_LO) & (x <= _SERIES_HI)
-    m_sad = (x > _SERIES_HI) & (x < _ASYMP_POS)
-    m_pos = x >= _ASYMP_POS
-    m_neg = x < _SERIES_LO
-    if np.any(m_ser):
-        ai[m_ser], aip[m_ser] = _series_ai_aip(x[m_ser])
-    if np.any(m_sad):
-        ai[m_sad], aip[m_sad] = _saddle_mid(x[m_sad])
-    if np.any(m_pos):
-        ai[m_pos], aip[m_pos] = _asymp_pos(x[m_pos])
-    if np.any(m_neg):
-        ai[m_neg], aip[m_neg] = _asymp_neg(x[m_neg])
+    neg = x < _ASYMP_NEG
+    if np.any(neg):
+        ai[neg], aip[neg] = _asymp_neg(x[neg])
+    if not np.all(neg):
+        ai[~neg], aip[~neg], _, _ = _scipy_airy(x[~neg])
     if scalar:
         return float(ai[0]), float(aip[0])
     return ai, aip
 
 
 def airy(xi):
-    """Airy function Ai(xi) for |xi| <= 200.
+    """Airy function Ai(xi) for |xi| <= 200; RangeError outside.
 
-    Accuracy: 1e-10 absolute on [-20, 5] and 1e-10 relative on [5, 200].
-    Branches and crossovers are documented on the internal helpers.
+    Two branches: scipy.special.airy for xi >= -8, and the oscillatory
+    asymptotic expansion (16 terms) below -8. Accuracy: 1e-10 absolute
+    on [-200, 5] and 1e-10 relative on [5, 103]. Above xi ~ 103.1, where
+    |Ai| and |Ai'| fall below 1e-303, both underflow to 0.
     """
     return _airy_both(xi)[0]
 
@@ -273,9 +179,16 @@ class OverlapReport:
     n_points: int
 
 
-def smeared_overlap(E1, sigma_E, F, m, *, x_window=None, drift_tol=0.005,
-                    points_per_wavelength=24, kernel_sigmas=8.0,
-                    kernel_nodes=80):
+# smeared_overlap: largest accepted change of the ratio when the window
+# shrinks by 15%; trapezoid points per local Airy wavelength; half-width
+# of the energy kernel in sigmas and its Gauss-Legendre node count
+_DRIFT_TOL = 0.005
+_POINTS_PER_WAVELENGTH = 24
+_KERNEL_SIGMAS = 8.0
+_KERNEL_NODES = 80
+
+
+def smeared_overlap(E1, sigma_E, F, m, *, x_window=None):
     """Overlap of Psi(x, E1) with a Gaussian energy bundle, over g_sigma(0).
 
     Exactly delta-normalized states give ratio 1 for any kernel width;
@@ -299,20 +212,20 @@ def smeared_overlap(E1, sigma_E, F, m, *, x_window=None, drift_tol=0.005,
         u_max = 8.0
 
     lam = 2.0 * np.pi / np.sqrt(max(1.0, abs(u_min)))
-    step = lam / points_per_wavelength
+    step = lam / _POINTS_PER_WAVELENGTH
     n = int(np.ceil((u_max - u_min) / step)) + 1
     u = np.linspace(u_min, u_max, n)
     wu = np.full(n, u[1] - u[0])
     wu[0] *= 0.5
     wu[-1] *= 0.5
 
-    nodes, wts = np.polynomial.legendre.leggauss(kernel_nodes)
-    e = kernel_sigmas * sig * nodes
-    we = kernel_sigmas * sig * wts
+    nodes, wts = np.polynomial.legendre.leggauss(_KERNEL_NODES)
+    e = _KERNEL_SIGMAS * sig * nodes
+    we = _KERNEL_SIGMAS * sig * wts
     gk = np.exp(-0.5 * (e / sig) ** 2) / (sig * np.sqrt(2.0 * np.pi))
 
     ai_u = airy(u)
-    shifted = airy(u[:, None] - e[None, :])        # (n, kernel_nodes)
+    shifted = airy(u[:, None] - e[None, :])        # (n, _KERNEL_NODES)
     inner_full = (wu * ai_u) @ shifted             # A(e_j) on full window
     mask = u >= u_min + 0.15 * (u_max - u_min)
     inner_trim = (wu[mask] * ai_u[mask]) @ shifted[mask]
@@ -321,7 +234,7 @@ def smeared_overlap(E1, sigma_E, F, m, *, x_window=None, drift_tol=0.005,
     ratio = float(norm * np.sum(we * gk * inner_full))
     ratio_trim = float(norm * np.sum(we * gk * inner_trim))
     drift = abs(ratio - ratio_trim)
-    if drift > drift_tol:
+    if drift > _DRIFT_TOL:
         raise WindowError(
             f"overlap window too small: ratio drifts by {drift:.3g} when "
             "the window shrinks by 15%", drift=drift)

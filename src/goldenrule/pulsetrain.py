@@ -196,7 +196,8 @@ def cross_term_integral(env, dos, omega_i, T, *, rtol=1e-6, atol=1e-12):
     apart, before any stationary-phase argument kills it. Integration
     runs over the DOS support (which must be compact); the oscillatory
     factor is handled by weighted Clenshaw-Curtis panels split at zero
-    detuning.
+    detuning; at T = 0 the unweighted panels also break at decades of
+    the envelope's spectral scale, so any band width resolves the peak.
 
     Raises:
         ToleranceFailureError: if the quadrature error estimate exceeds
@@ -218,13 +219,18 @@ def cross_term_integral(env, dos, omega_i, T, *, rtol=1e-6, atol=1e-12):
     # the quadrature for rather more than the certified tolerance
     eab, erl = atol / 8.0, rtol / 8.0
     pieces = [(a, 0.0), (0.0, b)] if a < 0.0 < b else [(a, b)]
+    # an unweighted rule on a wide band can straddle the whole peak at
+    # zero detuning without a node in it; break it at decades of the
+    # narrowest spectral scale, 1 / (longest support radius)
+    scale = 1.0 / max(env.support_radius())
     total = 0.0 + 0.0j
     err = 0.0
     for x0, x1 in pieces:
         if x1 <= x0:
             continue
         if T == 0.0:
-            re, e1 = quad(g, x0, x1, epsabs=eab, epsrel=erl, limit=800)
+            re, e1 = quad(g, x0, x1, points=_decade_points(scale, x0, x1),
+                          epsabs=eab, epsrel=erl, limit=800)
             total += re
             err += e1
         else:
@@ -240,6 +246,14 @@ def cross_term_integral(env, dos, omega_i, T, *, rtol=1e-6, atol=1e-12):
             f"cross-term quadrature only certified to {err:.3g} for an "
             f"estimate of size {size:.3g}", achieved=err)
     return total
+
+
+def _decade_points(scale, x0, x1):
+    """The points +-scale * 10^k strictly inside (x0, x1), or None."""
+    span = max(-x0, x1)
+    n = int(np.log10(span) - np.log10(scale)) + 1 if 0.0 < scale < span else 0
+    marks = scale * 10.0 ** np.arange(n)
+    return [p for p in np.concatenate([-marks, marks]) if x0 < p < x1] or None
 
 
 _DEGENERATE_REL = 1e-6

@@ -559,11 +559,11 @@ def _cross_validate(cfg, violations):
                     "parameters: give exactly one of dynamics / scattering")
             elif has_dyn:
                 p = params["dynamics"]
-                dos = build_dos(p["dos"])
-                dos.validate_window(p["e_i"] - p["window_halfwidth"],
-                                    p["e_i"] + p["window_halfwidth"])
+                _check_windows(p, [p["window_halfwidth"]])
         elif kind == "validity_sweep":
-            build_dos(params["dos"])
+            p = params
+            _check_windows(p, [p["window_halfwidth_over_gamma"]
+                               * (0.5 * p["rate"] / m) for m in p["margins"]])
             bounds = cfg["checks"].get("bounds")
             if bounds is not None and len(bounds) != len(params["margins"]):
                 violations.append(
@@ -571,15 +571,11 @@ def _cross_validate(cfg, violations):
         elif kind == "two_sided_pulse":
             p = params
             TwoSidedExp(p["gamma_minus"], p["gamma_plus"])
-            dos = build_dos(p["dos"])
-            dos.validate_window(p["e_i"] - p["window_halfwidth"],
-                                p["e_i"] + p["window_halfwidth"])
+            _check_windows(p, [p["window_halfwidth"]])
         elif kind == "harmonic":
             p = params
             HarmonicRisingExp(p["gamma"], p["omega_carrier"])
-            dos = build_dos(p["dos"])
-            dos.validate_window(p["e_i"] - p["window_halfwidth"],
-                                p["e_i"] + p["window_halfwidth"])
+            _check_windows(p, [p["window_halfwidth"]])
             if p["omega_carrier"] + p["gamma"] * 5 > p["window_halfwidth"]:
                 violations.append(
                     "parameters.window_halfwidth: must cover the carrier "
@@ -588,6 +584,7 @@ def _cross_validate(cfg, violations):
             p = params
             terms = tuple((t["gamma"], t["weight"]) for t in p["terms"])
             ExpSuperposition(terms)
+            _check_windows(p, [p["window_halfwidth"]])
             if not p["t_hi"] > p["t_lo"]:
                 violations.append("parameters.t_hi: must exceed t_lo")
         elif kind == "pulse_train":
@@ -599,10 +596,19 @@ def _cross_validate(cfg, violations):
             p = params
             if p.get("e_b") is not None and not p["e_b"] < 0:
                 violations.append("parameters.e_b: must be negative")
+    except ConfigError as exc:
+        violations.extend(exc.violations)
     except GoldenRuleError as exc:
         violations.append(f"parameters: {exc}")
     except (KeyError, TypeError):
         pass    # structural violations already recorded
+
+
+def _check_windows(p, halfwidths):
+    """The runner's DOS and every window e_i +- halfwidth it will use."""
+    dos = build_dos(p["dos"])
+    for half in halfwidths:
+        dos.validate_window(p["e_i"] - half, p["e_i"] + half)
 
 
 def _build_pulse_shape(blk):

@@ -158,6 +158,26 @@ def _set_path(*keys_and_value):
     ("superposed_turnons",
      _set_path("parameters", "terms", 0, "weight", float("nan")),
      "parameters: superposition weights must sum to 1"),
+    # DOS blocks the runners would reject: validate builds the same DOS
+    # and checks the same windows
+    ("superposed_turnons",
+     _set_path("parameters", "dos", {"type": "power_law", "d0": 1, "e0": 1,
+                                     "exponent": 1}),
+     "parameters: window [-200.0, 200.0] extends outside power-law"),
+    ("superposed_turnons",
+     _set_path("parameters", "dos", {"type": "tabulated"}),
+     "dos.file: required for tabulated"),
+    ("superposed_turnons",
+     _set_path("parameters", "dos", {"type": "flat_band", "d0": 1}),
+     "dos.halfwidth: required for flat_band"),
+    ("validity_margins",
+     _set_path("parameters", "dos", {"type": "power_law", "d0": 1, "e0": 1,
+                                     "exponent": 1}),
+     "parameters: window [-250.0, 250.0] extends outside power-law"),
+    ("validity_margins",
+     _set_path("parameters", "dos", {"type": "flat_band", "d0": 1,
+                                     "halfwidth": 1}),
+     "parameters: window [-250.0, 250.0] extends outside tabulated"),
 ])
 def test_malformed_block_is_a_config_violation(tmp_path, capsys, name,
                                                mutate, violation):
@@ -183,6 +203,16 @@ def test_huge_values_end_in_a_typed_failure(tmp_path, capsys, name, mutate,
     code = main(["run", path, "--out", str(tmp_path / "out")])
     assert code in (EXIT_CONFIG, EXIT_NUMERICAL)
     assert message in capsys.readouterr().err
+
+
+def test_nested_config_error_reports_its_own_violations(tmp_path, capsys):
+    path = write_variant(
+        tmp_path, "pulse_cross_terms",
+        _set_path("parameters", "shapes", 1, {"shape": "gaussian"}))
+    assert main(["validate", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["configuration error:",
+                                "  - shapes: gaussian needs tau"]
 
 
 def test_mismatched_bounds_fail_validation(tmp_path, capsys):

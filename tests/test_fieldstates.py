@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
 from goldenrule import (
     DomainError,
@@ -44,6 +45,15 @@ def test_airy_prime_matches_contour_oracle():
     got = airy_prime(xi)
     want = np.array([airy_prime_oracle(x) for x in xi])
     assert np.max(np.abs(got - want)) < 1e-8
+
+
+def test_airy_oscillatory_branch_matches_scipy():
+    # below -8 the package sums its own asymptotic expansion; scipy gets
+    # there by AMOS, an independent algorithm
+    xi = np.linspace(-200.0, -8.0, 4001)
+    ai, aip, _, _ = scipy.special.airy(xi)
+    assert np.max(np.abs(airy(xi) - ai)) < 1e-12
+    assert np.max(np.abs(airy_prime(xi) - aip)) < 1e-11
 
 
 def test_airy_decays_monotonically_for_positive_argument():

@@ -269,6 +269,16 @@ def test_cross_term_quadrature_matches_rectangle(T):
     assert abs(got - want) / scale < 1e-2
 
 
+@pytest.mark.parametrize("halfwidth", [1e4, 1e6])
+@pytest.mark.parametrize("env", [GaussianPulse(1.0), TwoSidedExp(1.0, 2.5)])
+def test_cross_term_zero_delay_on_a_wide_band(env, halfwidth):
+    # the unweighted T = 0 rule must still find the peak at zero detuning
+    # when it is a tiny fraction of the band
+    got = cross_term_integral(env, flat_band(0.0, halfwidth), 0.0, 0.0)
+    want = cross_term_closed_form(env, 1.0, 0.0)
+    assert abs(got - want) < 1e-6 * want
+
+
 def test_cross_term_integral_guards():
     env = GaussianPulse(1.0)
     with pytest.raises(DomainError):
