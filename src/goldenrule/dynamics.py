@@ -189,29 +189,31 @@ def _gauss_and_lobatto(n):
 _RULES = {n: _gauss_and_lobatto(n) for n in (4, 8)}
 
 
-def _panel_rule(env, V0, t_eval, max_omega, tol):
-    """Accepted quadrature nodes for integral V(s) e^{i omega s} ds.
+def _panel_rule(f, t_eval, max_omega, tol):
+    """Accepted quadrature nodes for integral f(s) e^{i omega s} ds.
 
-    Each interval [t_k, t_k+1] of t_eval is cut into equal panels spanning
-    at most _PANEL_PHASE rad of max|omega| phase, each with an 8-point
-    Gauss rule (4 points where a panel spans at most _SHORT_PANEL rad). A
-    panel is accepted when its Gauss rule and the Gauss-Lobatto rule of the
-    same degree agree on integral V(s) e^{i w s} ds, w in {0, max|omega|},
-    to (tol / 20) * integral |V|; otherwise both halves are tested in the
-    next round. Lobatto nodes sit on the panel ends and between the Gauss
-    nodes, so a jump anywhere in a panel shows in the difference, which
-    is at least 1/1.5 of the Gauss rule's error there. V is real, so
-    w = -max|omega| gives the conjugate of w = +max|omega|.
+    f is real and takes arrays of times (the envelope, or at max_omega = 0
+    the decay law's rate). Each interval [t_k, t_k+1] of t_eval is cut
+    into equal panels spanning at most _PANEL_PHASE rad of max|omega|
+    phase, each with an 8-point Gauss rule (4 points where a panel spans
+    at most _SHORT_PANEL rad). A panel is accepted when its Gauss rule and
+    the Gauss-Lobatto rule of the same degree agree on integral f(s)
+    e^{i w s} ds, w in {0, max|omega|}, to (tol / 20) * integral |f|;
+    otherwise both halves are tested in the next round. Lobatto nodes sit
+    on the panel ends and between the Gauss nodes, so a jump anywhere in
+    a panel shows in the difference, which is at least 1/1.5 of the Gauss
+    rule's error there. f is real, so w = -max|omega| gives the conjugate
+    of w = +max|omega|.
 
     Returns:
         (s, wv, interval, evaluations): Gauss nodes in increasing order,
-        their weights times V, the k of the interval holding each node,
-        and the number of envelope values used.
+        their weights times f, the k of the interval holding each node,
+        and the number of integrand values used.
 
     Raises:
         ToleranceFailureError: if panels still fail after _MAX_BISECTIONS
             rounds, or a round would test more than max(initial panels,
-            _MAX_PANELS) of them (an envelope no panel width resolves).
+            _MAX_PANELS) of them (an integrand no panel width resolves).
     """
     widths = np.diff(t_eval)
     m = np.maximum(1, np.ceil(max_omega * widths / _PANEL_PHASE)).astype(int)
@@ -235,7 +237,7 @@ def _panel_rule(env, V0, t_eval, max_omega, tol):
             x, w = _RULES[n]
             mid, half = 0.5 * (hi[i] + lo[i]), 0.5 * (hi[i] - lo[i])
             s = mid[:, None] + half[:, None] * x
-            a = np.asarray(evaluate(env, V0, s.ravel()), dtype=float)
+            a = np.asarray(f(s.ravel()), dtype=float)
             evaluations += s.size
             wv = half[:, None] * w * a.reshape(s.shape)
             defect = np.maximum(
@@ -247,7 +249,7 @@ def _panel_rule(env, V0, t_eval, max_omega, tol):
             limit = tol / _RTOL_SAFETY * mass
         split = []
         for n, i, s, wv, defect in tests:
-            ok = ~(defect > limit)  # NaN passes: a NaN envelope shows in c_f
+            ok = ~(defect > limit)  # NaN passes: a NaN integrand shows
             kept.append((s[ok].ravel(), wv[ok].ravel(),
                          np.repeat(k[i[ok]], n)))
             split.append(i[~ok])
@@ -385,8 +387,8 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
     cf0 = seed_amplitudes(continuum, env, V0, model, t0)
 
     if mode == "first_order":
-        s, wv, interval, evaluations = _panel_rule(env, V0, t_eval,
-                                                   max_omega, tol)
+        s, wv, interval, evaluations = _panel_rule(
+            lambda s: evaluate(env, V0, s), t_eval, max_omega, tol)
         cf_all = _first_order_amplitudes(omegas, v, cf0, t_eval, s, wv,
                                          interval)
         ci_all = np.ones(t_eval.size, dtype=complex)

@@ -1,4 +1,4 @@
-"""Pulse trains, sudden-kick algebra, and generalized decay laws.
+"""Pulse trains, sudden-kick algebra, cross terms and the decay law.
 
 A well-separated pulse transfers amplitude in one shot: the kick on a
 level detuned by omega_fi is -i Vt(omega_fi) c_i with Vt the Fourier
@@ -6,6 +6,12 @@ transform of the full coupling. Summing |kick|^2 over the band with the
 survival probability tracked between pulses reproduces the coupled
 integration up to interference terms that average out over the band;
 additivity_defect measures the residual against one propagate_train run.
+
+One quadrature per axis. The interference terms (cross_term_integral)
+take weighted QUADPACK rules on a band split at decades around zero
+detuning, one route at every delay. The decay law (generalized_decay)
+integrates its rate, called on arrays of times, by the panel quadrature
+of dynamics.integrate at zero frequency.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .errors import (DomainError, PreconditionError, ToleranceFailureError,
 from .perturbation import (ConstantElement, GaussianPulse, RectangularPulse,
                            TwoSidedExp, element_at, evaluate,
                            spectral_amplitude, spectral_shape_sq)
-from .dynamics import integrate
+from .dynamics import _panel_rule, integrate
 from .tables import format_table
 
 
@@ -194,14 +200,18 @@ def cross_term_integral(env, dos, omega_i, T, *, rtol=1e-6, atol=1e-12):
 
     This is the interference term between two identical pulses a time T
     apart, before any stationary-phase argument kills it. Integration
-    runs over the DOS support (which must be compact); the oscillatory
-    factor is handled by weighted Clenshaw-Curtis panels split at zero
-    detuning; at T = 0 the unweighted panels also break at decades of
-    the envelope's spectral scale, so any band width resolves the peak.
+    runs over the DOS support (which must be compact), split at zero
+    detuning and at decades +-s 10^k of the narrowest spectral scale
+    s = 1 / (longest support radius), so any band width resolves the
+    peak. Every sub-interval takes QUADPACK's cos-weighted rule at
+    frequency T (plain Gauss-Kronrod at T = 0) and, for T > 0, the
+    sin-weighted one; each estimate is asked for atol and rtol over the
+    number of estimates. A RectangularPulse's sinc^2 spectrum is not
+    resolved on bands wider than about 1e3 / width: that raises.
 
     Raises:
-        ToleranceFailureError: if the quadrature error estimate exceeds
-            max(rtol * |I|, atol).
+        ToleranceFailureError: if a sub-interval estimate is not finite,
+            or the summed error estimate exceeds max(rtol * |I|, atol).
     """
     if T < 0.0:
         raise DomainError("delay T must be non-negative")
@@ -215,31 +225,21 @@ def cross_term_integral(env, dos, omega_i, T, *, rtol=1e-6, atol=1e-12):
     def g(x):
         return float(dos.density(omega_i + x)) * float(spectral_shape_sq(env, x))
 
-    # up to four panel estimates are summed before certification, so ask
-    # the quadrature for rather more than the certified tolerance
-    eab, erl = atol / 8.0, rtol / 8.0
-    pieces = [(a, 0.0), (0.0, b)] if a < 0.0 < b else [(a, b)]
-    # an unweighted rule on a wide band can straddle the whole peak at
-    # zero detuning without a node in it; break it at decades of the
-    # narrowest spectral scale, 1 / (longest support radius)
-    scale = 1.0 / max(env.support_radius())
+    edges = _decade_edges(1.0 / max(env.support_radius()), a, b)
+    weights = ("cos", "sin") if T > 0.0 else ("cos",)
+    n_est = (edges.size - 1) * len(weights)
     total = 0.0 + 0.0j
     err = 0.0
-    for x0, x1 in pieces:
-        if x1 <= x0:
-            continue
-        if T == 0.0:
-            re, e1 = quad(g, x0, x1, points=_decade_points(scale, x0, x1),
-                          epsabs=eab, epsrel=erl, limit=800)
-            total += re
-            err += e1
-        else:
-            re, e1 = quad(g, x0, x1, weight="cos", wvar=T,
-                          epsabs=eab, epsrel=erl, limit=800)
-            im, e2 = quad(g, x0, x1, weight="sin", wvar=T,
-                          epsabs=eab, epsrel=erl, limit=800)
-            total += re + 1j * im
-            err += e1 + e2
+    for x0, x1 in zip(edges[:-1], edges[1:]):
+        for unit, weight in zip((1.0, 1j), weights):
+            val, e = quad(g, x0, x1, weight=weight, wvar=T,
+                          epsabs=atol / n_est, epsrel=rtol / n_est, limit=800)
+            if not (np.isfinite(val) and np.isfinite(e)):
+                raise ToleranceFailureError(
+                    f"cross-term quadrature returned {val:.3g} +- {e:.3g} "
+                    f"on [{x0:.6g}, {x1:.6g}]", achieved=e)
+            total += unit * val
+            err += e
     size = np.hypot(total.real, total.imag)  # abs() raises on overflow
     if not (np.isfinite(size) and err <= max(rtol * size, atol, 1e-15)):
         raise ToleranceFailureError(
@@ -248,15 +248,17 @@ def cross_term_integral(env, dos, omega_i, T, *, rtol=1e-6, atol=1e-12):
     return total
 
 
-def _decade_points(scale, x0, x1):
-    """The points +-scale * 10^k strictly inside (x0, x1), or None."""
-    span = max(-x0, x1)
+def _decade_edges(scale, a, b):
+    """[a, b] cut at 0 and at every +-scale * 10^k inside it, sorted."""
+    span = max(-a, b)
     n = int(np.log10(span) - np.log10(scale)) + 1 if 0.0 < scale < span else 0
     marks = scale * 10.0 ** np.arange(n)
-    return [p for p in np.concatenate([-marks, marks]) if x0 < p < x1] or None
+    edges = np.unique(np.concatenate([[a, 0.0, b], -marks, marks]))
+    return edges[(edges >= a) & (edges <= b)]
 
 
 _DEGENERATE_REL = 1e-6
+_DECAY_TOL = 1e-10  # panel acceptance for the decay law's rate integral
 
 
 def cross_term_closed_form(env, D, T):
@@ -292,19 +294,6 @@ def cross_term_closed_form(env, D, T):
         "TwoSidedExp, GaussianPulse, RectangularPulse")
 
 
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_adaptive_simpson(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-            + _adaptive_simpson(f, m, b, fm, frm, fb, right, 0.5 * tol,
-                                depth - 1))
-
-
 @dataclass(frozen=True, eq=False)
 class DecayCurve:
     """Survival p_i(t) = p0 exp(-int rbar dt') on a time grid."""
@@ -320,15 +309,17 @@ class DecayCurve:
                 zip(self.times, self.survival, self.rates), meta))
 
 
-def generalized_decay(rbar, p0, t_grid, *, model=None, dos=None, E_i=None,
-                      tol=1e-10):
+def generalized_decay(rbar, p0, t_grid, *, model=None, dos=None, E_i=None):
     """Exponential-of-integral decay for a time-dependent mean rate.
 
-    rbar may be a callable r(t) >= 0 or a PulseTrain, in which case the
-    instantaneous rate is the golden rule driven by the train's combined
-    envelope, 2 pi |V(t) m(E_i)|^2 D(E_i) (dos and E_i then required).
-    The rate history is accumulated by adaptive Simpson refinement to tol
-    on every grid interval.
+    rbar may be a callable r(t) >= 0, which is called on arrays of times
+    (a scalar result is broadcast, so lambda t: 0.3 works), or a
+    PulseTrain, in which case the instantaneous rate is the golden rule
+    driven by the train's combined envelope, 2 pi |V(t) m(E_i)|^2 D(E_i)
+    (dos and E_i then required). The rate history is accumulated by the
+    panel quadrature integrate uses, at zero frequency: every grid
+    interval is summed from the Gauss nodes accepted at _DECAY_TOL (see
+    dynamics._panel_rule), and the sums are chained with cumsum.
     """
     if isinstance(rbar, PulseTrain):
         if dos is None or E_i is None:
@@ -336,8 +327,7 @@ def generalized_decay(rbar, p0, t_grid, *, model=None, dos=None, E_i=None,
         m = element_at(model if model is not None else ConstantElement(1.0),
                        E_i)
         D = float(dos.density(E_i))
-        train = rbar
-        rate_fn = lambda t: 2.0 * np.pi * (evaluate(train, 1.0, t) * m) ** 2 * D
+        rate_fn = lambda t: 2.0 * np.pi * (evaluate(rbar, 1.0, t) * m) ** 2 * D
     else:
         rate_fn = rbar
 
@@ -348,19 +338,16 @@ def generalized_decay(rbar, p0, t_grid, *, model=None, dos=None, E_i=None,
         raise DomainError(f"p0 must be non-negative, got {p0}")
 
     def rate(t):
-        val = float(rate_fn(t))
-        if val < 0.0:
-            raise DomainError(f"mean rate is negative at t = {t}: {val}")
+        val = np.broadcast_to(np.asarray(rate_fn(t), dtype=float), t.shape)
+        neg = np.flatnonzero(val < 0.0)
+        if neg.size:
+            raise DomainError(f"mean rate is negative at t = {t[neg[0]]}: "
+                              f"{val[neg[0]]}")
         return val
 
-    rates = np.array([rate(t) for t in times])
-    accum = np.empty_like(times)
-    accum[0] = 0.0
-    for k in range(times.size - 1):
-        a, b = times[k], times[k + 1]
-        fm = rate(0.5 * (a + b))
-        whole = (b - a) / 6.0 * (rates[k] + 4.0 * fm + rates[k + 1])
-        accum[k + 1] = accum[k] + _adaptive_simpson(
-            rate, a, b, rates[k], fm, rates[k + 1], whole, tol, 48)
+    rates = rate(times).copy()
+    _, wv, interval, _ = _panel_rule(rate, times, 0.0, _DECAY_TOL)
+    accum = np.concatenate([[0.0], np.cumsum(
+        np.bincount(interval, weights=wv, minlength=times.size - 1))])
     survival = p0 * np.exp(-accum)
     return DecayCurve(times=times, survival=survival, rates=rates)

@@ -547,33 +547,32 @@ CHECK_SCHEMAS = {
 def _cross_validate(cfg, violations):
     """Kind-specific structure checks plus physical fail-fast probes."""
     kind = cfg.get("kind")
-    params = cfg.get("parameters")
-    if kind not in PARAM_SCHEMAS or not isinstance(params, dict):
+    p = cfg.get("parameters")
+    if kind not in PARAM_SCHEMAS or not isinstance(p, dict):
         return
     try:
         if kind == "golden_rule":
-            has_dyn = "dynamics" in params
-            has_scat = "scattering" in params
+            has_dyn = "dynamics" in p
+            has_scat = "scattering" in p
             if has_dyn == has_scat:
                 violations.append(
                     "parameters: give exactly one of dynamics / scattering")
             elif has_dyn:
-                p = params["dynamics"]
+                p = p["dynamics"]
                 _check_windows(p, [p["window_halfwidth"]])
         elif kind == "validity_sweep":
-            p = params
             _check_windows(p, [p["window_halfwidth_over_gamma"]
                                * (0.5 * p["rate"] / m) for m in p["margins"]])
             bounds = cfg["checks"].get("bounds")
-            if bounds is not None and len(bounds) != len(params["margins"]):
+            if bounds is not None and len(bounds) != len(p["margins"]):
                 violations.append(
                     "checks.bounds: must match margins in length")
+            _check_distinct(violations, "parameters.margins", "metric name",
+                            [_margin_metric(m) for m in p["margins"]])
         elif kind == "two_sided_pulse":
-            p = params
             TwoSidedExp(p["gamma_minus"], p["gamma_plus"])
             _check_windows(p, [p["window_halfwidth"]])
         elif kind == "harmonic":
-            p = params
             HarmonicRisingExp(p["gamma"], p["omega_carrier"])
             _check_windows(p, [p["window_halfwidth"]])
             if p["omega_carrier"] + p["gamma"] * 5 > p["window_halfwidth"]:
@@ -581,19 +580,22 @@ def _cross_validate(cfg, violations):
                     "parameters.window_halfwidth: must cover the carrier "
                     "sidebands with room, > omega_carrier + 5 gamma")
         elif kind == "superposition":
-            p = params
             terms = tuple((t["gamma"], t["weight"]) for t in p["terms"])
             ExpSuperposition(terms)
             _check_windows(p, [p["window_halfwidth"]])
             if not p["t_hi"] > p["t_lo"]:
                 violations.append("parameters.t_hi: must exceed t_lo")
         elif kind == "pulse_train":
-            for i, blk in enumerate(params["shapes"]):
+            _check_distinct(violations, "parameters.shapes", "shape",
+                            [blk["shape"] for blk in p["shapes"]])
+            for blk in p["shapes"]:
                 _build_pulse_shape(blk)
         elif kind == "ww":
-            _build_coupling(params["coupling"], params["omega_i"])
+            _build_coupling(p["coupling"], p["omega_i"])
+            if not any(k in cfg["checks"] for k in CHECK_SCHEMAS["ww"]):
+                violations.append("checks: a ww run needs at least one of "
+                                  + ", ".join(CHECK_SCHEMAS["ww"]))
         elif kind == "ionization":
-            p = params
             if p.get("e_b") is not None and not p["e_b"] < 0:
                 violations.append("parameters.e_b: must be negative")
     except ConfigError as exc:
@@ -602,6 +604,16 @@ def _cross_validate(cfg, violations):
         violations.append(f"parameters: {exc}")
     except (KeyError, TypeError):
         pass    # structural violations already recorded
+
+
+def _check_distinct(violations, path, what, names):
+    """One violation per name that repeats: each names its own metric."""
+    for name in sorted({n for n in names if names.count(n) > 1}):
+        violations.append(f"{path}: {what} {name} given more than once")
+
+
+def _margin_metric(m):
+    return f"following_error_margin_{m:g}"
 
 
 def _check_windows(p, halfwidths):
@@ -799,8 +811,8 @@ def _run_validity_sweep(cfg, ctx):
                          mode="coupled", rate_times=[0.0])
         r_num = transition_rate(traj, 0.0)
         err = abs(r_num / r - 1.0)
-        name = f"following_error_margin_{m:g}"
-        ctx.metric(name, err, 0.0, bound["limit"], mode=bound["mode"])
+        ctx.metric(_margin_metric(m), err, 0.0, bound["limit"],
+                   mode=bound["mode"])
         rows.append((m, gamma, r_num, err, bound["mode"], bound["limit"]))
     ctx.details.update({"rate": r, "V0": float(V0)})
     ctx.write_csv("sweep.csv",
@@ -943,25 +955,24 @@ def _run_pulse_train(cfg, ctx):
 
     rows = []
     rect_env = None
-    rect_scale = 1.0
     for blk in p["shapes"]:
         env = _build_pulse_shape(blk)
         label = blk["shape"]
         scale = abs(cross_term_closed_form(env, d0, 0.0))
-        if label == "rect":
-            rect_env = env
-            rect_scale = scale
         errs = []
+        quad_vals = {}
         for T in seps:
             closed = cross_term_closed_form(env, d0, T)
             # certify the quadrature well below the band-scale tolerance
-            quad_val = cross_term_integral(env, dos, 0.0, T,
-                                           atol=1e-6 * scale)
+            quad_val = quad_vals[T] = cross_term_integral(
+                env, dos, 0.0, T, atol=1e-6 * scale)
             errs.append(abs(closed - quad_val) / scale)
             rows.append((label, T, closed.real, closed.imag,
                          quad_val.real, quad_val.imag, errs[-1]))
         ctx.metric(f"cross_term_{label}", np.max(errs), 0.0,
                    checks["agreement_tol"])
+        if label == "rect":
+            rect_env, rect_vals = env, quad_vals
 
     if rect_env is not None:
         width = rect_env.width
@@ -970,9 +981,7 @@ def _run_pulse_train(cfg, ctx):
                and T * 2.0 * half >= checks["min_separation_bandwidth"]]
         if far:
             T_s = max(far)
-            val = abs(cross_term_integral(rect_env, dos, 0.0, T_s,
-                                          atol=1e-6 * rect_scale))
-            rel = val / (2.0 * np.pi * T_s * d0)
+            rel = abs(rect_vals[T_s]) / (2.0 * np.pi * T_s * d0)
             ctx.metric("rect_suppression", rel, 0.0,
                        checks["suppression_tol"])
             ctx.details["rect_suppression_at"] = {

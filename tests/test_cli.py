@@ -178,6 +178,15 @@ def _set_path(*keys_and_value):
      _set_path("parameters", "dos", {"type": "flat_band", "d0": 1,
                                      "halfwidth": 1}),
      "parameters: window [-250.0, 250.0] extends outside tabulated"),
+    # configs whose runs would declare one metric twice, or none
+    ("pulse_cross_terms",
+     _set_path("parameters", "shapes", 2, {"shape": "gaussian", "tau": 2.0}),
+     "parameters.shapes: shape gaussian given more than once"),
+    ("validity_margins", _set_path("parameters", "margins", [0.5, 0.5, 0.1]),
+     "parameters.margins: metric name following_error_margin_0.5 given "
+     "more than once"),
+    ("ww_flat_decay", lambda cfg: cfg.pop("checks"),
+     "checks: a ww run needs at least one of rate_rel_tol"),
 ])
 def test_malformed_block_is_a_config_violation(tmp_path, capsys, name,
                                                mutate, violation):

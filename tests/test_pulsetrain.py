@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from goldenrule import (
     AdditivityReport,
@@ -16,6 +17,7 @@ from goldenrule import (
     RisingExp,
     TabulatedDOS,
     TabulatedElement,
+    ToleranceFailureError,
     TwoSidedExp,
     UnsupportedShapeError,
     additivity_defect,
@@ -279,6 +281,32 @@ def test_cross_term_zero_delay_on_a_wide_band(env, halfwidth):
     assert abs(got - want) < 1e-6 * want
 
 
+@pytest.mark.parametrize("T", [0.8, 2.0, 3.5, 5.0])
+@pytest.mark.parametrize("env", [GaussianPulse(1.0), TwoSidedExp(1.0, 2.5)])
+def test_cross_term_delay_on_a_very_wide_band(env, T):
+    # the weighted T > 0 rule must find the peak at zero detuning too
+    scale = cross_term_closed_form(env, 1.0, 0.0)
+    got = cross_term_integral(env, flat_band(0.0, 1e12), 0.0, T,
+                              atol=1e-6 * scale)
+    want = cross_term_closed_form(env, 1.0, T)
+    assert abs(got - want) < 1e-6 * scale
+
+
+def test_cross_term_rectangle_beyond_its_band_limit_is_not_certified():
+    # the sinc^2 spectrum is not resolved out to 1e12: raise, never
+    # certify a wrong value
+    env = RectangularPulse(2.0)
+    scale = cross_term_closed_form(env, 1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            got = cross_term_integral(env, flat_band(0.0, 1e12), 0.0, 0.8,
+                                      atol=1e-6 * scale)
+        except ToleranceFailureError:
+            return
+    assert abs(got - cross_term_closed_form(env, 1.0, 0.8)) < 1e-2 * scale
+
+
 def test_cross_term_integral_guards():
     env = GaussianPulse(1.0)
     with pytest.raises(DomainError):
@@ -321,6 +349,20 @@ def test_decay_semigroup_composition():
                                 np.array([0.0, 3.0 - t_split]))
     assert restart.survival[-1] == pytest.approx(full.survival[-1],
                                                  rel=1e-9)
+
+
+def test_decay_from_one_gaussian_pulse_matches_erf():
+    # int 2 pi V0^2 D s(t)^2 dt = 2 pi V0^2 D (1 + erf(sqrt2 t / tau))
+    # / (2 tau sqrt(2 pi)) for the unit-area Gaussian s
+    tau, V0, d0 = 0.7, 0.3, 1.3
+    train = PulseTrain([Pulse(0.0, GaussianPulse(tau), V0)])
+    t = np.linspace(-4.0 * tau, 4.0 * tau, 41)
+    curve = generalized_decay(train, 1.0, t, dos=ConstantDOS(d0), E_i=0.0)
+    lost = 2.0 * np.pi * V0 ** 2 * d0 * (
+        1.0 + special.erf(np.sqrt(2.0) * t / tau)) / (
+        2.0 * tau * np.sqrt(2.0 * np.pi))
+    assert np.allclose(curve.survival, np.exp(lost[0] - lost), rtol=1e-10,
+                       atol=0.0)
 
 
 def test_decay_from_train_needs_band_context():
