@@ -17,7 +17,6 @@ from .errors import (
     GoldenRuleError,
     PreconditionError,
     RangeError,
-    StiffnessError,
     ToleranceFailureError,
     UnsupportedShapeError,
     WindowError,

@@ -21,14 +21,6 @@ class PreconditionError(GoldenRuleError, ValueError):
     """A documented precondition of a routine is violated."""
 
 
-class StiffnessError(GoldenRuleError, RuntimeError):
-    """Adaptive integrator failed to advance; problem too stiff as posed."""
-
-    def __init__(self, msg, max_phase_per_step=None):
-        super().__init__(msg)
-        self.max_phase_per_step = max_phase_per_step
-
-
 class ToleranceFailureError(GoldenRuleError, RuntimeError):
     """Requested tolerance could not be certified by the algorithm."""
 

@@ -147,8 +147,8 @@ def propagate_train(train, continuum, model=None, *, tol, n_samples=101,
     Integrates with V0 = 1 (the train carries every member's V0) across
     the train's support widened by t_margin on each side, on n_samples
     uniform samples. A train starts before its first pulse, so
-    integrate seeds it with an empty band; the stepper runs at
-    rtol = tol / 20 and the constant atol = tol * 1e-6 / 20.
+    integrate seeds it with an empty band; its Filon-collocation steps
+    each agree with two half steps to tol / 20 (see integrate).
     """
     left, right = train.support_radius()
     t0 = train.t_ref - left - t_margin

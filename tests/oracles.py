@@ -114,6 +114,32 @@ def first_order_rk_oracle(env, V0, omegas, elements, cf0, t_eval, tol):
     return sol.y
 
 
+def coupled_rk_oracle(env, V0, omegas, weights, elements, cf0, t_eval, tol):
+    """Coupled amplitudes stepped by RK45 on their defining equations.
+
+    dc_f/dt = -i a(t) m_f e^{i omega_f t} c_i and dc_i/dt = -i a(t)
+    sum_f w_f m_f e^{-i omega_f t} c_f, a = V0 s(t), from cf0 and the c_i
+    that makes the norm 1, at t_eval[0]; rtol = tol / 20 and atol =
+    tol * 1e-6 / 20. Returns (c_i, c_f) at every t_eval point, c_f as an
+    (N, len(t_eval)) array.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    wm = np.asarray(weights, dtype=float) * elements
+    ci0 = np.sqrt(1.0 - np.sum(weights * np.abs(cf0) ** 2))
+
+    def rhs(t, y):
+        ph = np.exp(1j * omegas * t)
+        a = V0 * env.shape(t)
+        return np.concatenate([[-1j * a * np.sum(wm * np.conj(ph) * y[1:])],
+                               -1j * a * elements * ph * y[0]])
+
+    sol = solve_ivp(rhs, (t_eval[0], t_eval[-1]),
+                    np.concatenate([[ci0 + 0j], cf0]), method="RK45",
+                    rtol=tol / 20.0, atol=tol * 1e-6 / 20.0, t_eval=t_eval)
+    assert sol.success, sol.message
+    return sol.y[0], sol.y[1:]
+
+
 def fd_rate_oracle(occupied, t, h):
     """dS/dt at t by centered differences of S at stencils h and h / 2.
 

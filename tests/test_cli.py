@@ -80,6 +80,17 @@ def test_run_numerical_failure_exits_three(tmp_path, capsys):
     assert "overlap" in err
 
 
+def test_tol_below_roundoff_exits_three(tmp_path, capsys):
+    path = write_variant(
+        tmp_path, "ww_flat_decay",
+        lambda c: c["integrator"].__setitem__("tol", 1e-18))
+    code = main(["run", path, "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert "double-precision resolution" in err
+
+
 def test_unknown_scenario_exits_two(capsys):
     assert main(["run", "no_such_thing"]) == EXIT_CONFIG
     err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -14,6 +15,8 @@ from goldenrule import (
     INFINITE_SCALE,
     PiecewiseConstantPulse,
     PowerLawDOS,
+    Pulse,
+    PulseTrain,
     PreconditionError,
     RectangularPulse,
     RisingExp,
@@ -32,7 +35,7 @@ from goldenrule import (
     transition_rate,
     validity_report,
 )
-from oracles import fd_rate_oracle, first_order_rk_oracle
+from oracles import coupled_rk_oracle, fd_rate_oracle, first_order_rk_oracle
 
 FLAT = ConstantDOS(1.0)
 UNIT = ConstantElement(1.0)
@@ -293,17 +296,18 @@ def test_rate_current_agrees_with_finite_differences(case):
 def test_rates_settle_with_tol(case):
     """Rates at tol and tol / 100 agree to 10 tol relative.
 
-    The coupled case runs at 1e-7, where RK45 at tol / 100 stays cheap.
+    The coupled case runs at both 1e-7 and 1e-9.
     """
     env, V0, t0, t1, n, half, mode, rate_times = RATE_CASES[case]
-    tol = 1e-10 if mode == "first_order" else 1e-7
     cont = discretize(FLAT, 0.0, half, n)
-    rates = []
-    for run_tol in (tol, tol / 100.0):
-        traj = integrate(cont, env, V0, UNIT, t0, t1, tol=run_tol, mode=mode,
-                         rate_times=rate_times)
-        rates.append(np.array([transition_rate(traj, t) for t in rate_times]))
-    assert np.all(np.abs(rates[1] / rates[0] - 1.0) <= 10.0 * tol)
+    for tol in (1e-10,) if mode == "first_order" else (1e-7, 1e-9):
+        rates = []
+        for run_tol in (tol, tol / 100.0):
+            traj = integrate(cont, env, V0, UNIT, t0, t1, tol=run_tol,
+                             mode=mode, rate_times=rate_times)
+            rates.append(np.array([transition_rate(traj, t)
+                                   for t in rate_times]))
+        assert np.all(np.abs(rates[1] / rates[0] - 1.0) <= 10.0 * tol)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +381,7 @@ def test_first_order_never_calls_the_stepper(monkeypatch):
     def refuse(*args, **kwargs):
         raise Stepped
 
-    monkeypatch.setattr(dynamics, "solve_ivp", refuse)
+    monkeypatch.setattr(dynamics, "_coupled_amplitudes", refuse)
     cont = discretize(FLAT, 0.0, 2.0, 21)
     traj = integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
                      mode="first_order")
@@ -411,11 +415,152 @@ def test_unresolvable_envelope_is_a_tolerance_failure(monkeypatch):
 
 def test_trajectory_names_its_method():
     cont = discretize(FLAT, 0.0, 2.0, 21)
-    for mode, method in (("first_order", "quadrature"), ("coupled", "rk45")):
+    for mode, method in (("first_order", "quadrature"), ("coupled", "filon")):
         traj = integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
                          mode=mode)
         assert traj.method == method
         assert isinstance(traj.evaluations, int) and traj.evaluations > 0
+        assert isinstance(traj.steps, int) and isinstance(traj.rejected, int)
+        if mode == "first_order":
+            assert traj.steps == traj.rejected == 0
+        else:
+            # each attempt reads 8 nodes for the step and 8 per half step
+            assert traj.steps > 0
+            assert traj.evaluations == 24 * (traj.steps + traj.rejected)
+
+
+# ---------------------------------------------------------------------------
+# coupled Filon steps against the RK45 reference route
+
+def _asymmetric_band():
+    grid = np.linspace(-2.0, 6.0, 201)
+    weights = np.full(grid.size, grid[1] - grid[0])
+    weights[[0, -1]] *= 0.5
+    return DiscretizedContinuum.from_grid(grid, weights, 0.0)
+
+
+_ABRUPT = PiecewiseConstantPulse(((20.0, 1.0),), t_ref=0.0)
+COUPLED_CASES = {
+    # c_i depletes by about 6% before t1
+    "rising_exp": (RisingExp(0.5), 0.08, -np.log(1e6) / 0.5, 0.5, None),
+    "gaussian_train": (PulseTrain([Pulse(k * 6.0, GaussianPulse(1.0), 0.25)
+                                   for k in range(2)]),
+                       1.0, -4.0, 10.0, None),
+    "abrupt_flat_band": (_ABRUPT, 0.1, 0.0, 19.0, None),
+    "abrupt_asymmetric_band": (_ABRUPT, 0.1, 0.0, 19.0, _asymmetric_band),
+    "harmonic_rising_exp": (HarmonicRisingExp(0.5, 3.0), 0.05,
+                            -np.log(1e6) / 0.5, 0.3, None),
+    "two_sided_exp": (TwoSidedExp(0.5, 1.0, v_minus=1.0, v_plus=0.6,
+                                  t_ref=_T_REF), 0.08,
+                      -np.log(1e6) / 0.5, 4.0, None),
+    # both edges fall inside sample intervals
+    "rectangular_pulse": (RectangularPulse(2.0, t_ref=_T_REF), 0.2,
+                          -1.5, 3.0, None),
+    # about 45 rad of max|omega| phase per sample interval
+    "rising_exp_wide_band": (RisingExp(0.5), 0.08, -np.log(1e6) / 0.5, 0.5,
+                             lambda: discretize(FLAT, 0.0, 64.0, 201)),
+}
+
+
+def _coupled_against_oracle(cont, env, V0, t0, t1, samples, rate_times,
+                            tol):
+    """Amplitudes, occupied sum and rates agree with RK45 at the same tol.
+
+    Both routes keep each step within tol / 20 on amplitudes of size at
+    most 1, so amplitudes may differ by e = 10 tol; S and the rates get
+    the bound that implies, |dS| <= sum_f w_f (2 |c_f| e + e^2) and, for
+    r = 2 a(t) Im(c_i m) with m = sum_f w_f v_f e^{i omega_f t} conj(c_f),
+    |dr| <= 2 |a(t)| e (|m| + 2 sum_f w_f |v_f|).
+    """
+    traj = integrate(cont, env, V0, UNIT, t0, t1, tol=tol, mode="coupled",
+                     sample_times=samples, rate_times=rate_times)
+    t_eval = np.unique(np.concatenate([samples, rate_times]))
+    cf0 = seed_amplitudes(cont, env, V0, UNIT, t0)
+    ones = np.ones(cont.omegas.size)
+    ci_ref, cf_ref = coupled_rk_oracle(env, V0, cont.omegas, cont.weights,
+                                       ones, cf0, t_eval, tol)
+    err = 10.0 * tol
+    S_ref = cont.weights @ np.abs(cf_ref) ** 2
+    S_err = cont.weights @ (2.0 * np.abs(cf_ref) * err + err * err)
+    at = lambda t: np.searchsorted(t_eval, t)
+
+    idx = at(samples)
+    assert np.all(np.abs(traj.c_i - ci_ref[idx]) <= err)
+    assert np.max(np.abs(traj.profile_at(t1) - cf_ref[:, -1])) <= err
+    assert np.all(np.abs(traj.occupied - S_ref[idx]) <= S_err[idx])
+    for t in rate_times:
+        a = V0 * env.shape(t)
+        mix = cont.weights @ (np.exp(1j * cont.omegas * t)
+                              * np.conj(cf_ref[:, at(t)]))
+        r_ref = 2.0 * a * np.imag(ci_ref[at(t)] * mix)
+        bound = 2.0 * abs(a) * err * (abs(mix) + 2.0 * np.sum(cont.weights))
+        assert abs(transition_rate(traj, t) - r_ref) <= bound
+    return traj
+
+
+@pytest.mark.parametrize("case", sorted(COUPLED_CASES))
+def test_coupled_steps_match_rk45_oracle(case):
+    env, V0, t0, t1, band = COUPLED_CASES[case]
+    cont = band() if band else discretize(FLAT, 0.0, 8.0, 201)
+    samples = np.linspace(t0, t1, 41)
+    rate_times = t0 + (t1 - t0) * np.array([0.37, 0.55, 0.71, 0.93])
+    traj = _coupled_against_oracle(cont, env, V0, t0, t1, samples,
+                                   rate_times, 1e-9)
+    assert 1.0 - abs(traj.c_i[-1]) ** 2 > 0.02
+
+
+def test_coupled_sample_and_rate_time_one_ulp_apart():
+    """A rate time equal to a sample time up to rounding leaves a
+    one-ulp interval in the step grid; the run finishes and agrees."""
+    env, V0, t0, t1, _ = COUPLED_CASES["rising_exp"]
+    cont = discretize(FLAT, 0.0, 8.0, 201)
+    samples = np.linspace(t0, t1, 21)
+    rate_times = np.array([np.nextafter(samples[10], np.inf)])
+    _coupled_against_oracle(cont, env, V0, t0, t1, samples, rate_times,
+                            1e-9)
+
+
+def test_coupled_tol_below_roundoff_is_a_tolerance_failure():
+    cont = discretize(FLAT, 0.0, 8.0, 201)
+    start = time.perf_counter()
+    with pytest.raises(ToleranceFailureError, match="double-precision"):
+        integrate(cont, RisingExp(0.5), 0.08, UNIT, t0=-10.0, t1=0.5,
+                  tol=1e-18, mode="coupled")
+    assert time.perf_counter() - start < 10.0
+
+
+def test_coupled_nan_envelope_is_a_tolerance_failure():
+    class NaNPulse:
+        t_ref = 0.0
+
+        def shape(self, t):
+            return np.where(np.asarray(t) > 0.5, np.nan, 1.0)
+
+        def support_radius(self):
+            return 1.0, 1.0
+
+    cont = discretize(FLAT, 0.0, 2.0, 21)
+    with pytest.raises(ToleranceFailureError, match="non-finite"):
+        integrate(cont, NaNPulse(), 0.1, UNIT, t0=-1.0, t1=1.0,
+                  mode="coupled")
+
+
+@pytest.mark.parametrize("cap, value, message", [
+    ("_MAX_BISECTIONS", 4, r"step at t = -0\.6\d* .* after 4 halvings"),
+    ("_MAX_STEPS", 10, r"stalled near t = -0\.\d* after 50 step attempts"),
+])
+def test_coupled_steps_past_a_cap_name_their_time(monkeypatch, cap, value,
+                                                  message):
+    """The rectangle's edge at t = -0.6863 needs dozens of halvings of its
+    0.1125-wide sample interval and as many rejected attempts."""
+    import goldenrule.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, cap, value)
+    cont = discretize(FLAT, 0.0, 8.0, 201)
+    with pytest.raises(ToleranceFailureError, match=message):
+        integrate(cont, RectangularPulse(2.0, t_ref=_T_REF), 0.2, UNIT,
+                  t0=-1.5, t1=3.0, mode="coupled",
+                  sample_times=np.linspace(-1.5, 3.0, 41))
 
 
 # ---------------------------------------------------------------------------
