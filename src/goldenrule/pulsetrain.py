@@ -9,9 +9,12 @@ additivity_defect measures the residual against one propagate_train run.
 
 One quadrature per axis. The interference terms (cross_term_integral)
 take weighted QUADPACK rules on a band split at decades around zero
-detuning, one route at every delay. The decay law (generalized_decay)
-integrates its rate, called on arrays of times, by the panel quadrature
-of dynamics.integrate at zero frequency.
+detuning, one route at every delay; outside the central decade a
+RectangularPulse's oscillating sinc^2 spectrum goes onto the weights
+too (the split-weight route: a smooth amplitude against cos and sin at
+T and T +- width), so any band width resolves. The decay law
+(generalized_decay) integrates its rate, called on arrays of times, by
+the panel quadrature of dynamics.integrate at zero frequency.
 """
 
 from __future__ import annotations
@@ -206,15 +209,27 @@ def cross_term_integral(env, dos, omega_i, T, *, rtol=1e-6, atol=1e-12):
     peak. Every sub-interval takes QUADPACK's cos-weighted rule at
     frequency T (plain Gauss-Kronrod at T = 0) and, for T > 0, the
     sin-weighted one; each estimate is asked for atol and rtol over the
-    number of estimates. A RectangularPulse's sinc^2 spectrum is not
-    resolved on bands wider than about 1e3 / width: that raises.
+    number of estimates, and the error estimates add up weighted by
+    their coefficients.
+
+    A RectangularPulse of width w takes a split-weight route outside the
+    central decade (|x| >= s): its sinc^2 spectrum oscillates with
+    period 2 pi / w, so there D |s~|^2 e^{iTx} is written as
+    (2 D / x^2) (e^{iTx} - e^{i(T+w)x} / 2 - e^{i(T-w)x} / 2), and the
+    smooth amplitude 2 D / x^2 takes the cos- and sin-weighted rules at
+    |T|, T + w and |T - w|, which resolve any band width.
 
     Raises:
+        DomainError: a T, rtol or atol that is NaN or out of range, or a
+            DOS without compact support.
         ToleranceFailureError: if a sub-interval estimate is not finite,
             or the summed error estimate exceeds max(rtol * |I|, atol).
     """
-    if T < 0.0:
-        raise DomainError("delay T must be non-negative")
+    if not (np.isfinite(T) and T >= 0.0):
+        raise DomainError(f"delay T must be finite and non-negative, got {T}")
+    if not (rtol > 0.0 and atol > 0.0):
+        raise DomainError(
+            f"rtol and atol must be positive, got {rtol} and {atol}")
     lo, hi = dos.support
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise DomainError(
@@ -225,27 +240,56 @@ def cross_term_integral(env, dos, omega_i, T, *, rtol=1e-6, atol=1e-12):
     def g(x):
         return float(dos.density(omega_i + x)) * float(spectral_shape_sq(env, x))
 
-    edges = _decade_edges(1.0 / max(env.support_radius()), a, b)
-    weights = ("cos", "sin") if T > 0.0 else ("cos",)
-    n_est = (edges.size - 1) * len(weights)
+    def amp(x):
+        return 2.0 * float(dos.density(omega_i + x)) / (x * x)
+
+    s = 1.0 / max(env.support_radius())
+    edges = _decade_edges(s, a, b)
+    # (integrand, x0, x1, coefficient, frequency, weight) per estimate
+    jobs = []
+    for x0, x1 in zip(edges[:-1], edges[1:]):
+        if isinstance(env, RectangularPulse) and (x0 >= s or x1 <= -s):
+            terms = _split_weights(((1.0, T), (-0.5, T + env.width),
+                                    (-0.5, T - env.width)))
+            jobs += [(amp, x0, x1, c, f, wt) for c, f, wt in terms]
+        else:
+            jobs.append((g, x0, x1, 1.0, T, "cos"))
+            if T > 0.0:
+                jobs.append((g, x0, x1, 1j, T, "sin"))
+    n_est = len(jobs)
     total = 0.0 + 0.0j
     err = 0.0
-    for x0, x1 in zip(edges[:-1], edges[1:]):
-        for unit, weight in zip((1.0, 1j), weights):
-            val, e = quad(g, x0, x1, weight=weight, wvar=T,
-                          epsabs=atol / n_est, epsrel=rtol / n_est, limit=800)
-            if not (np.isfinite(val) and np.isfinite(e)):
-                raise ToleranceFailureError(
-                    f"cross-term quadrature returned {val:.3g} +- {e:.3g} "
-                    f"on [{x0:.6g}, {x1:.6g}]", achieved=e)
-            total += unit * val
-            err += e
+    for fn, x0, x1, coef, freq, weight in jobs:
+        val, e = quad(fn, x0, x1, weight=weight, wvar=freq,
+                      epsabs=atol / n_est, epsrel=rtol / n_est, limit=800)
+        if not (np.isfinite(val) and np.isfinite(e)):
+            raise ToleranceFailureError(
+                f"cross-term quadrature returned {val:.3g} +- {e:.3g} "
+                f"on [{x0:.6g}, {x1:.6g}]", achieved=e)
+        total += coef * val
+        err += abs(coef) * e
     size = np.hypot(total.real, total.imag)  # abs() raises on overflow
     if not (np.isfinite(size) and err <= max(rtol * size, atol, 1e-15)):
         raise ToleranceFailureError(
             f"cross-term quadrature only certified to {err:.3g} for an "
             f"estimate of size {size:.3g}", achieved=err)
     return total
+
+
+def _split_weights(terms):
+    """sum_k c_k e^{i f_k x} as (coefficient, frequency, weight) estimates.
+
+    e^{ifx} = cos(|f| x) + i sign(f) sin(|f| x): a sine at a negative
+    frequency flips its sign, frequency 0 needs only the cosine, and
+    weights at one frequency merge (at T = 0 the sines cancel).
+    """
+    out = {}
+    for c, f in terms:
+        out[abs(f), "cos"] = out.get((abs(f), "cos"), 0.0) + c
+        if f != 0.0:
+            out[abs(f), "sin"] = (out.get((abs(f), "sin"), 0.0)
+                                  + 1j * np.sign(f) * c)
+    return [(c, f, wt) for (f, wt), c in out.items() if c != 0.0]
 
 
 def _decade_edges(scale, a, b):
@@ -269,8 +313,8 @@ def cross_term_closed_form(env, D, T):
     rates degenerate within 1e-6 relative switches to the confluent limit
     2 pi D e^{-g T} (1 + g T) / g instead of the generic two-pole form.
     """
-    if T < 0.0:
-        raise DomainError("delay T must be non-negative")
+    if not (np.isfinite(T) and T >= 0.0):
+        raise DomainError(f"delay T must be finite and non-negative, got {T}")
     if D < 0.0:
         raise DomainError("DOS must be non-negative")
     if isinstance(env, TwoSidedExp):

@@ -68,6 +68,43 @@ def spectral_amp_oracle(env, omega, t_lo, t_hi):
     return re + 1j * im
 
 
+def cross_term_direct_oracle(width, dos, omega_i, T, epsabs=1e-13,
+                             epsrel=1e-11):
+    """Rectangle cross term with its sinc^2 spectrum resolved lobe by lobe.
+
+    int D(omega_i + x) 4 sin^2(x w / 2) / x^2 e^{iTx} dx over the DOS
+    support, cut at 0, at +-s 10^k (s = 2 / w, the inverse support
+    radius) and at every zero 2 pi k / w of the spectrum, each piece by
+    QUADPACK's cos-weighted rule at frequency T and, for T > 0, the
+    sin-weighted one. Returns the complex value and the summed error
+    estimate.
+    """
+    lo, hi = dos.support
+    a, b = lo - omega_i, hi - omega_i
+    s = 2.0 / width
+    span = max(-a, b)
+    marks = s * 10.0 ** np.arange(int(np.ceil(np.log10(span / s)))
+                                  if span > s else 0)
+    lobe = 2.0 * np.pi / width
+    zeros = lobe * np.arange(1, int(span / lobe) + 1)
+    cuts = np.unique(np.concatenate([[a, b, 0.0], marks, -marks, zeros,
+                                     -zeros]))
+    cuts = cuts[(cuts >= a) & (cuts <= b)]
+
+    def g(x):
+        sq = 4.0 * np.sin(0.5 * width * x) ** 2 / (x * x) if x else width ** 2
+        return float(dos.density(omega_i + x)) * sq
+
+    total, err = 0.0 + 0.0j, 0.0
+    for x0, x1 in zip(cuts[:-1], cuts[1:]):
+        for unit, weight in ((1.0, "cos"), (1j, "sin"))[:2 if T > 0 else 1]:
+            val, e = quad(g, x0, x1, weight=weight, wvar=T, epsabs=epsabs,
+                          epsrel=epsrel, limit=800)
+            total += unit * val
+            err += e
+    return total, err
+
+
 def smeared_airy_oracle(xi, sigma, n_sigmas=8.0):
     """Gaussian-kernel smearing of Ai evaluated by direct quadrature."""
     from goldenrule import airy

@@ -1,8 +1,10 @@
+import time
 import warnings
 
 import numpy as np
 import pytest
 from scipy import special
+from scipy.integrate import IntegrationWarning
 
 from goldenrule import (
     AdditivityReport,
@@ -30,6 +32,7 @@ from goldenrule import (
     pulse_kick,
     spectral_amplitude,
 )
+from oracles import cross_term_direct_oracle
 
 FLAT = ConstantDOS(1.0)
 UNIT = ConstantElement(1.0)
@@ -307,12 +310,66 @@ def test_cross_term_rectangle_beyond_its_band_limit_is_not_certified():
     assert abs(got - cross_term_closed_form(env, 1.0, 0.8)) < 1e-2 * scale
 
 
+RECT_W = 2.0  # the bundled pulse_cross_terms rectangle
+
+
+@pytest.mark.parametrize("dos, omega_i, T", [
+    *[(flat_band(0.0, 250.0), 0.0, T)
+      for T in (0.0, 0.8, RECT_W, 3.5, 5.0, RECT_W * (1.0 + 1e-9))],
+    (flat_band(10.0, 250.0), 37.5, 0.8),
+    (TabulatedDOS([1e-9, 300.0], [1.0, 1.0]), 0.0, 3.5),
+], ids=["T0", "T0.8", "Tw", "T3.5", "T5", "Tw+", "off_centre", "one_sided"])
+def test_cross_term_rectangle_matches_direct_oracle(dos, omega_i, T):
+    # the split-weight route against the sinc^2 integrand resolved lobe by
+    # lobe; T = w makes |T - w| a zero frequency, w (1 + 1e-9) a tiny one
+    env = RectangularPulse(RECT_W)
+    rtol, atol = 1e-8, 1e-8 * cross_term_closed_form(env, 1.0, 0.0)
+    want, oracle_err = cross_term_direct_oracle(RECT_W, dos, omega_i, T)
+    got = cross_term_integral(env, dos, omega_i, T, rtol=rtol, atol=atol)
+    assert abs(got - want) <= max(rtol * abs(want), atol) + oracle_err
+
+
+@pytest.mark.parametrize("T", [0.0, 0.8, 2.0, 3.5, 5.0])
+@pytest.mark.parametrize("halfwidth", [1e4, 1e6, 1e12])
+def test_cross_term_rectangle_on_a_wide_band(halfwidth, T):
+    # the closed form's unbounded band adds the tail 2 int_b^inf 4 / x^2 dx
+    env = RectangularPulse(RECT_W)
+    scale = cross_term_closed_form(env, 1.0, 0.0)
+    start = time.perf_counter()
+    got = cross_term_integral(env, flat_band(0.0, halfwidth), 0.0, T,
+                              atol=1e-6 * scale)
+    assert time.perf_counter() - start < 1.0
+    want = cross_term_closed_form(env, 1.0, T)
+    assert abs(got - want) < 8.0 / halfwidth + 1e-6 * scale
+
+
+@pytest.mark.parametrize("halfwidth", [250.0, 1e6])
+def test_cross_term_rectangle_raises_no_integration_warning(halfwidth):
+    env = RectangularPulse(RECT_W)
+    scale = cross_term_closed_form(env, 1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        for T in (0.0, 0.8, RECT_W, 3.5, 5.0):
+            cross_term_integral(env, flat_band(0.0, halfwidth), 0.0, T,
+                                atol=1e-6 * scale)
+
+
 def test_cross_term_integral_guards():
     env = GaussianPulse(1.0)
     with pytest.raises(DomainError):
         cross_term_integral(env, flat_band(0.0, 10.0), 0.0, -1.0)
     with pytest.raises(DomainError):
         cross_term_integral(env, FLAT, 0.0, 0.0)
+    for T in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            cross_term_integral(env, flat_band(0.0, 10.0), 0.0, T)
+        with pytest.raises(DomainError):
+            cross_term_closed_form(env, 1.0, T)
+    for rtol, atol in ((0.0, 0.0), (-1.0, 1e-12), (1e-6, np.nan),
+                       (np.nan, 1e-12)):
+        with pytest.raises(DomainError):
+            cross_term_integral(env, flat_band(0.0, 10.0), 0.0, 0.5,
+                                rtol=rtol, atol=atol)
 
 
 # ---------------------------------------------------------------------------
