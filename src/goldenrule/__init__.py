@@ -57,7 +57,6 @@ from .dynamics import (
     LorentzFit,
     ValidityReport,
     analytic_cf_rising_exp,
-    depletion,
     fit_lorentzian_profile,
     golden_rule_following,
     golden_rule_rate,

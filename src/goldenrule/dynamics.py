@@ -46,7 +46,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 # unused: the benchmark's absent-binding test deletes this name
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.optimize import least_squares
@@ -226,12 +225,19 @@ def _panel_rule(f, t_eval, max_omega, tol):
         and the number of integrand values used.
 
     Raises:
-        ToleranceFailureError: if panels still fail after _MAX_BISECTIONS
+        ToleranceFailureError: if a first panel is narrower than the float
+            spacing of its times, panels still fail after _MAX_BISECTIONS
             rounds, or a round would test more than max(initial panels,
             _MAX_PANELS) of them (an integrand no panel width resolves).
     """
     widths = np.diff(t_eval)
-    m = np.maximum(1, np.ceil(max_omega * widths / _PANEL_PHASE)).astype(int)
+    m = np.maximum(1.0, np.ceil(max_omega * widths / _PANEL_PHASE))
+    ends = np.maximum(np.abs(t_eval[:-1]), np.abs(t_eval[1:]))
+    if not np.all(widths / m >= np.spacing(ends)):  # a NaN fails too
+        raise ToleranceFailureError(
+            f"max|omega| = {max_omega:.6g} asks for panels narrower than the "
+            "float spacing of their times: their nodes would collapse")
+    m = m.astype(int)
     k = np.repeat(np.arange(widths.size), m)
     j = np.arange(k.size) - np.repeat(np.cumsum(m) - m, m)
     lo = t_eval[k] + widths[k] * j / m[k]
@@ -741,27 +747,6 @@ def harmonic_rate_prediction(Vm_sq, dos, E_i, omega_carrier, gamma=None):
                               dropped=tuple(dropped),
                               both_outside=(len(dropped) == 2),
                               neglected_bound=bound)
-
-
-def depletion(env, V0, Vm_sq, D, Gamma, t, method="closed_form"):
-    """Accumulated loss of |c_i|^2 up to time t during a turn-on.
-
-    closed_form evaluates pi |V_m(t)|^2 D / Gamma with |V_m(t)|^2 =
-    Vm_sq * evaluate(env, V0, t)^2; rate_history integrates the
-    instantaneous golden-rule rate over the past instead. The two agree
-    to the extent the turn-on is the envelope's own rate constant Gamma.
-    """
-    if not Gamma > 0.0:
-        raise DomainError(f"Gamma must be positive, got {Gamma}")
-    if method == "closed_form":
-        V_t_sq = Vm_sq * float(evaluate(env, V0, t)) ** 2
-        return np.pi * V_t_sq * D / Gamma
-    if method == "rate_history":
-        integrand = lambda s: 2.0 * np.pi * Vm_sq * evaluate(env, V0, s) ** 2 * D
-        val, err = quad(integrand, -np.inf, t, epsabs=1e-14, epsrel=1e-11,
-                        limit=400)
-        return val
-    raise DomainError(f"unknown depletion method {method!r}")
 
 
 @dataclass(frozen=True)

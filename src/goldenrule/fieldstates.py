@@ -176,14 +176,13 @@ class OverlapReport:
     sigma_xi: float
     window: tuple           # (xi_min, xi_max) actually integrated
     drift: float            # change of ratio when the window shrinks 15%
-    n_points: int
 
 
 # smeared_overlap: largest accepted change of the ratio when the window
-# shrinks by 15%; trapezoid points per local Airy wavelength; half-width
-# of the energy kernel in sigmas and its Gauss-Legendre node count
+# shrinks by 15%; half-width of the energy kernel in sigmas and its
+# Gauss-Legendre node count, even so that no node sits at e = 0, where
+# the Wronskian quotient is 0 / 0
 _DRIFT_TOL = 0.005
-_POINTS_PER_WAVELENGTH = 24
 _KERNEL_SIGMAS = 8.0
 _KERNEL_NODES = 80
 
@@ -195,6 +194,9 @@ def smeared_overlap(E1, sigma_E, F, m, *, x_window=None):
     the window must hold enough oscillations for the smeared tail to die
     out, otherwise the value still depends on it and a WindowError
     carrying the drift estimate is raised.
+
+    Each overlap comes in closed form from the Airy equation (DLMF 9.11):
+    W(u) = Ai(u) Ai'(u - e) - Ai'(u) Ai(u - e) has W' = -e Ai(u) Ai(u - e).
     """
     if not sigma_E > 0.0:
         raise DomainError("kernel width must be positive")
@@ -202,45 +204,30 @@ def smeared_overlap(E1, sigma_E, F, m, *, x_window=None):
     sig = sigma_E / (state.a * F)
 
     if x_window is not None:
-        xi_lo = float(min(state.xi(x_window[1]), state.xi(x_window[0])))
-        xi_hi = float(max(state.xi(x_window[1]), state.xi(x_window[0])))
-        u_min, u_max = xi_lo, xi_hi
+        u_min, u_max = sorted(float(state.xi(x)) for x in x_window)
     else:
         # smeared product decays like e^{-sig^2 |u| / 2} under the
         # oscillation, capped by the Airy accuracy guard
         u_min = -min(28.0 / (sig * sig) + 60.0, _GUARD - 5.0)
         u_max = 8.0
 
-    lam = 2.0 * np.pi / np.sqrt(max(1.0, abs(u_min)))
-    step = lam / _POINTS_PER_WAVELENGTH
-    n = int(np.ceil((u_max - u_min) / step)) + 1
-    u = np.linspace(u_min, u_max, n)
-    wu = np.full(n, u[1] - u[0])
-    wu[0] *= 0.5
-    wu[-1] *= 0.5
-
+    # kernel nodes e; each weight carries g_sigma(e) / g_sigma(0)
     nodes, wts = np.polynomial.legendre.leggauss(_KERNEL_NODES)
     e = _KERNEL_SIGMAS * sig * nodes
-    we = _KERNEL_SIGMAS * sig * wts
-    gk = np.exp(-0.5 * (e / sig) ** 2) / (sig * np.sqrt(2.0 * np.pi))
+    we = _KERNEL_SIGMAS * sig * wts * np.exp(-0.5 * (e / sig) ** 2)
 
-    ai_u = airy(u)
-    shifted = airy(u[:, None] - e[None, :])        # (n, _KERNEL_NODES)
-    inner_full = (wu * ai_u) @ shifted             # A(e_j) on full window
-    mask = u >= u_min + 0.15 * (u_max - u_min)
-    inner_trim = (wu[mask] * ai_u[mask]) @ shifted[mask]
-
-    norm = sig * np.sqrt(2.0 * np.pi)
-    ratio = float(norm * np.sum(we * gk * inner_full))
-    ratio_trim = float(norm * np.sum(we * gk * inner_trim))
+    # int_lo^max Ai(u) Ai(u - e) du = (W(lo) - W(max)) / e, with lo the
+    # window's end and the end of the 15%-trimmed window
+    u = np.array([u_min, u_min + 0.15 * (u_max - u_min), u_max])[:, None]
+    W = airy(u) * airy_prime(u - e) - airy_prime(u) * airy(u - e)
+    ratio, ratio_trim = (float(x) for x in (W[:2] - W[2]) / e @ we)
     drift = abs(ratio - ratio_trim)
     if drift > _DRIFT_TOL:
         raise WindowError(
             f"overlap window too small: ratio drifts by {drift:.3g} when "
             "the window shrinks by 15%", drift=drift)
     return OverlapReport(ratio=ratio, sigma_xi=sig,
-                         window=(float(u_min), float(u_max)), drift=drift,
-                         n_points=n)
+                         window=(float(u_min), float(u_max)), drift=drift)
 
 
 @dataclass(frozen=True)

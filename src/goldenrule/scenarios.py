@@ -17,6 +17,7 @@ import hashlib
 import json
 import numbers
 import os
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -205,7 +206,14 @@ class Field:
 
 
 def _is_number(v):
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    """A finite float: NaN, +-inf and ints past the float range fail."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _type_violation(value, wrong):
+    nonfinite = isinstance(value, float) and not _is_number(value)
+    return "must be finite" if nonfinite else wrong
 
 
 def _type_ok(value, types):
@@ -258,7 +266,8 @@ def _validate_block(data, schema, path, violations):
                     _validate_block(item, it.sub, item_where + ".",
                                     violations)
                 elif not _type_ok(item, it.types):
-                    violations.append(f"{item_where}: wrong type")
+                    violations.append(f"{item_where}: " + _type_violation(
+                        item, "wrong type"))
                 elif it.check is not None and not it.check(item):
                     violations.append(f"{item_where}: {it.msg}")
             # a list-level check may compare items, so only sound ones
@@ -267,8 +276,9 @@ def _validate_block(data, schema, path, violations):
                 violations.append(f"{where}: {spec.msg}")
             continue
         if not _type_ok(value, spec.types):
-            violations.append(
-                f"{where}: expected {'/'.join(t.__name__ for t in spec.types)}")
+            names = "/".join(t.__name__ for t in spec.types)
+            violations.append(f"{where}: " + _type_violation(
+                value, f"expected {names}"))
             continue
         if spec.choices is not None and value not in spec.choices:
             violations.append(
@@ -544,6 +554,10 @@ CHECK_SCHEMAS = {
 }
 
 
+# validity_sweep integrates each margin over this window, in 1 / gamma
+_SWEEP_WINDOW_GAMMAS = (-2.0, 0.2)
+
+
 def _cross_validate(cfg, violations):
     """Kind-specific structure checks plus physical fail-fast probes."""
     kind = cfg.get("kind")
@@ -563,6 +577,15 @@ def _cross_validate(cfg, violations):
         elif kind == "validity_sweep":
             _check_windows(p, [p["window_halfwidth_over_gamma"]
                                * (0.5 * p["rate"] / m) for m in p["margins"]])
+            # the run window must clear 0.8 of the revival time 2 pi /
+            # spacing, spacing = 2 W gamma / (n_levels - 1); gamma cancels
+            span = np.ptp(_SWEEP_WINDOW_GAMMAS)
+            most = 0.8 * np.pi * (p["n_levels"] - 1) / span
+            if p["window_halfwidth_over_gamma"] > most:
+                violations.append(
+                    f"parameters.window_halfwidth_over_gamma: the run window "
+                    f"{span:g} / gamma runs into the revival of the discrete "
+                    f"band above {most:.6g}")
             bounds = cfg["checks"].get("bounds")
             if bounds is not None and len(bounds) != len(p["margins"]):
                 violations.append(
@@ -592,6 +615,11 @@ def _cross_validate(cfg, violations):
                 _build_pulse_shape(blk)
         elif kind == "ww":
             _build_coupling(p["coupling"], p["omega_i"])
+            horizon = p["horizon_rates"]
+            for key in ("fit_window_rates", "decay_window_rates"):
+                if p[key][1] > horizon:
+                    violations.append(f"parameters.{key}: must end by "
+                                      f"horizon_rates = {horizon:g}")
             if not any(k in cfg["checks"] for k in CHECK_SCHEMAS["ww"]):
                 violations.append("checks: a ww run needs at least one of "
                                   + ", ".join(CHECK_SCHEMAS["ww"]))
@@ -805,8 +833,7 @@ def _run_validity_sweep(cfg, ctx):
         half = p["window_halfwidth_over_gamma"] * gamma
         dos.validate_window(E_i - half, E_i + half)
         cont = discretize(dos, E_i, half, p["n_levels"])
-        t0 = -2.0 / gamma
-        t1 = 0.2 / gamma
+        t0, t1 = (g / gamma for g in _SWEEP_WINDOW_GAMMAS)
         traj = integrate(cont, env, V0, model, t0, t1, tol=ctx.tol,
                          mode="coupled", rate_times=[0.0])
         r_num = transition_rate(traj, 0.0)
@@ -1118,10 +1145,10 @@ def _run_airy_check(cfg, ctx):
         ctx.metric(f"overlap_ratio_{k}", rep.ratio, 1.0,
                    checks["overlap_tol"])
         overlap_rows.append((sig_xi, sigma_E, rep.ratio, rep.drift,
-                             rep.window[0], rep.window[1], rep.n_points))
+                             rep.window[0], rep.window[1]))
     ctx.write_csv("overlap.csv",
                   ["sigma_xi", "sigma_E", "ratio", "window_drift",
-                   "xi_min", "xi_max", "n_points"], overlap_rows)
+                   "xi_min", "xi_max"], overlap_rows)
 
 
 @runner("ionization")
@@ -1259,11 +1286,8 @@ def _leaf_ref(cfg, dotted):
             raise ConfigError([f"axis: no key {part!r} along {dotted!r}"])
     leaf = parts[-1]
     if isinstance(node, list):
-        idx = int(leaf)
-        if not _is_number(node[idx]):
-            raise ConfigError([f"axis: {dotted!r} is not a numeric leaf"])
-        return node, idx
-    if not isinstance(node, dict) or leaf not in node:
+        leaf = int(leaf)
+    elif not isinstance(node, dict) or leaf not in node:
         raise ConfigError([f"axis: no key {leaf!r} along {dotted!r}"])
     if not _is_number(node[leaf]):
         raise ConfigError([f"axis: {dotted!r} is not a numeric leaf"])

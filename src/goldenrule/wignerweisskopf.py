@@ -247,9 +247,9 @@ def nonperturbative_validate(f, n_levels, span, *, tol=1e-9,
     t = 0. ln|c_i| and arg c_i are fitted linearly on the window
     [fit_window_rates] / r.
 
-    Preconditions: span >= 200 r, n_levels >= 4001, spacing <= r / 20;
-    the revival time 2 pi / spacing must clear the horizon. A
-    non-monotone |c_i| before the fit ends means the discrete band has
+    Preconditions: span >= 200 r, n_levels >= 4001, spacing <= r / 20,
+    a fit window inside the horizon, a revival time 2 pi / spacing past it.
+    A non-monotone |c_i| before the fit ends means the discrete band has
     started to feed back and raises DiscretizationTooCoarseError.
     """
     lo, hi = f.support
@@ -263,6 +263,9 @@ def nonperturbative_validate(f, n_levels, span, *, tol=1e-9,
         raise PreconditionError(f"span must be >= 200 r = {200 * r:.6g}")
     if n_levels < 4001:
         raise PreconditionError("need at least 4001 levels")
+    if fit_window_rates[1] > horizon_rates:
+        raise PreconditionError(
+            f"fit window ends past the horizon {horizon_rates:g} / r")
     delta = span / (n_levels - 1)
     if delta > r / 20.0:
         raise PreconditionError(

@@ -2,9 +2,9 @@
 
 Each oracle recomputes a library quantity from its defining integral with
 scipy.integrate.quad, on a contour or window chosen for numerical health,
-or from its defining equation with scipy.integrate.solve_ivp, so the
-routes under test are checked against something they do not share code
-with.
+or on a uniform trapezoid grid, or from its defining equation with
+scipy.integrate.solve_ivp, so the routes under test are checked against
+something they do not share code with.
 """
 
 import warnings
@@ -116,6 +116,46 @@ def smeared_airy_oracle(xi, sigma, n_sigmas=8.0):
     val, _ = quad(integrand, -n_sigmas * sigma, n_sigmas * sigma,
                   epsabs=1e-14, epsrel=1e-12, limit=400)
     return val
+
+
+def smeared_overlap_trapezoid_oracle(E1, sigma_E, F, m,
+                                     points_per_wavelength=24):
+    """Delta-normalization ratio of smeared_overlap on a trapezoid grid.
+
+    The route smeared_overlap took before the Wronskian identity: the
+    same u window and 80-node Gauss-Legendre energy kernel, with every
+    overlap A(e_j) = int Ai(u) Ai(u - e_j) du summed on a uniform grid of
+    points_per_wavelength points per local Airy wavelength at the deep
+    end of the window. Its error falls like h^2. The 15%-trimmed sum is
+    left out: cut at a grid point, its error is first order in h and
+    depends on where the grid falls, so it certifies nothing.
+    """
+    from goldenrule import FieldState, airy
+
+    state = FieldState(F=F, m=m, E=E1)
+    sig = sigma_E / (state.a * F)
+    u_min = -min(28.0 / (sig * sig) + 60.0, 195.0)
+    u_max = 8.0
+
+    lam = 2.0 * np.pi / np.sqrt(max(1.0, abs(u_min)))
+    step = lam / points_per_wavelength
+    n = int(np.ceil((u_max - u_min) / step)) + 1
+    u = np.linspace(u_min, u_max, n)
+    wu = np.full(n, u[1] - u[0])
+    wu[0] *= 0.5
+    wu[-1] *= 0.5
+
+    nodes, wts = np.polynomial.legendre.leggauss(80)
+    e = 8.0 * sig * nodes
+    we = 8.0 * sig * wts
+    gk = np.exp(-0.5 * (e / sig) ** 2) / (sig * np.sqrt(2.0 * np.pi))
+
+    ai_u = airy(u)
+    shifted = airy(u[:, None] - e[None, :])        # (n, 80)
+    inner_full = (wu * ai_u) @ shifted             # A(e_j) on full window
+
+    norm = sig * np.sqrt(2.0 * np.pi)
+    return float(norm * np.sum(we * gk * inner_full))
 
 
 def ode_residual(fn, xi, h=0.01):

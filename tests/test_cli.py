@@ -167,8 +167,18 @@ def _set_path(*keys_and_value):
     ("golden_rule_basic", _set_path("integrator", "atol", 1e-3),
      "integrator.atol: unknown key"),
     ("superposed_turnons",
-     _set_path("parameters", "terms", 0, "weight", float("nan")),
+     _set_path("parameters", "terms", 0, "weight", 0.7),
      "parameters: superposition weights must sum to 1"),
+    # every config number must be finite
+    ("superposed_turnons",
+     _set_path("parameters", "terms", 0, "weight", float("nan")),
+     "parameters.terms[0].weight: must be finite"),
+    ("pulse_cross_terms",
+     _set_path("parameters", "shapes", 2, "width", float("inf")),
+     "parameters.shapes[2].width: must be finite"),
+    ("two_sided_edges",
+     _set_path("parameters", "trail_window_gammas", [3.0, float("inf")]),
+     "parameters.trail_window_gammas[1]: must be finite"),
     # DOS blocks the runners would reject: validate builds the same DOS
     # and checks the same windows
     ("superposed_turnons",
@@ -198,6 +208,16 @@ def _set_path(*keys_and_value):
      "more than once"),
     ("ww_flat_decay", lambda cfg: cfg.pop("checks"),
      "checks: a ww run needs at least one of rate_rel_tol"),
+    # windows the run would find empty or cut short
+    ("ww_flat_decay", _set_path("parameters", "horizon_rates", 1.5),
+     "parameters.fit_window_rates: must end by horizon_rates = 1.5"),
+    ("ww_flat_decay",
+     _set_path("parameters", "decay_window_rates", [7.0, 8.0]),
+     "parameters.decay_window_rates: must end by horizon_rates = 6"),
+    ("validity_margins",
+     _set_path("parameters", "window_halfwidth_over_gamma", 1e12),
+     "parameters.window_halfwidth_over_gamma: the run window 2.2 / gamma "
+     "runs into the revival of the discrete band"),
 ])
 def test_malformed_block_is_a_config_violation(tmp_path, capsys, name,
                                                mutate, violation):
@@ -216,6 +236,9 @@ def test_malformed_block_is_a_config_violation(tmp_path, capsys, name,
      "cross-term quadrature"),
     ("linear_field_ionization", _set_path("parameters", "kappa", 1e300),
      "bound-state energy"),
+    ("golden_rule_basic",
+     _set_path("parameters", "dynamics", "window_halfwidth", 1e300),
+     "narrower than the float spacing"),
 ])
 def test_huge_values_end_in_a_typed_failure(tmp_path, capsys, name, mutate,
                                              message):

@@ -24,7 +24,6 @@ from goldenrule import (
     ToleranceFailureError,
     TwoSidedExp,
     analytic_cf_rising_exp,
-    depletion,
     discretize,
     fit_lorentzian_profile,
     golden_rule_following,
@@ -635,39 +634,6 @@ def test_harmonic_input_guards():
         harmonic_rate_prediction(-1.0, FLAT, 0.0, 1.0)
     with pytest.raises(DomainError):
         harmonic_rate_prediction(1.0, FLAT, 0.0, -1.0)
-
-
-# ---------------------------------------------------------------------------
-# depletion bookkeeping
-
-def test_depletion_halved_rate_constant_doubles():
-    env = RisingExp(0.8)
-    full = depletion(env, 1.0, 1e-4, 1.0, 0.8, 0.0)
-    half = depletion(env, 1.0, 1e-4, 1.0, 0.4, 0.0)
-    assert half == pytest.approx(2.0 * full, rel=1e-12)
-
-
-def test_depletion_routes_agree_for_matched_turn_on():
-    # closed form pi V(t)^2 D / gamma equals the integrated rate history
-    # exactly when the envelope is the e^{gamma t} turn-on itself
-    env = RisingExp(0.8)
-    closed = depletion(env, 1.0, 1e-4, 1.0, 0.8, 0.2, method="closed_form")
-    history = depletion(env, 1.0, 1e-4, 1.0, 0.8, 0.2, method="rate_history")
-    assert history == pytest.approx(closed, rel=1e-2)
-
-
-def test_depletion_gaussian_echoes_envelope_square():
-    env = GaussianPulse(1.0)
-    at_tau = depletion(env, 1.0, 1e-4, 1.0, 0.5, 1.0)
-    at_peak = depletion(env, 1.0, 1e-4, 1.0, 0.5, 0.0)
-    assert at_tau / at_peak == pytest.approx(np.exp(-2.0), rel=1e-12)
-
-
-def test_depletion_guards():
-    with pytest.raises(DomainError):
-        depletion(RisingExp(1.0), 1.0, 1e-4, 1.0, 0.0, 0.0)
-    with pytest.raises(DomainError):
-        depletion(RisingExp(1.0), 1.0, 1e-4, 1.0, 1.0, 0.0, method="magic")
 
 
 # ---------------------------------------------------------------------------

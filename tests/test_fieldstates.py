@@ -19,7 +19,13 @@ from goldenrule import (
     smeared_overlap,
     toy_ionization_rate,
 )
-from oracles import airy_oracle, airy_prime_oracle, ode_residual, smeared_airy_oracle
+from oracles import (
+    airy_oracle,
+    airy_prime_oracle,
+    ode_residual,
+    smeared_airy_oracle,
+    smeared_overlap_trapezoid_oracle,
+)
 
 AI0 = 0.35502805388781723926
 AIP0 = -0.25881940379280679840
@@ -176,6 +182,40 @@ def test_field_states_are_delta_normalized(sigma_E, tol):
     rep = smeared_overlap(0.0, sigma_E, 1.0, 0.5)
     assert rep.ratio == pytest.approx(1.0, abs=tol)
     assert rep.drift < 5e-3
+    # the drift is the ratio's change on the 15%-trimmed window, which
+    # x_window can also ask for: a = 1 and xi = -x at E1 = 0, F = 1, m = 0.5
+    lo, hi = rep.window
+    trimmed = smeared_overlap(0.0, sigma_E, 1.0, 0.5,
+                              x_window=(-hi, -(lo + 0.15 * (hi - lo))))
+    assert abs(rep.ratio - trimmed.ratio) == pytest.approx(rep.drift,
+                                                           abs=1e-14)
+
+
+def _airy_validation_case(sigma_xi):
+    # the bundled airy_validation overlap block: f 0.04, m 1, e1 -0.5
+    a = FieldState(F=0.04, m=1.0, E=-0.5).a
+    return (-0.5, sigma_xi * a * 0.04, 0.04, 1.0)
+
+
+@pytest.mark.parametrize("args", [
+    _airy_validation_case(0.5),
+    _airy_validation_case(0.25),
+    (0.0, 0.25, 1.0, 0.5),
+    (0.0, 0.5, 1.0, 0.5),
+])
+def test_overlap_wronskian_matches_trapezoid_oracle(args):
+    """The closed-form overlaps against the trapezoid grid they replaced.
+
+    The trapezoid error falls like h^2, so at 24 points per wavelength it
+    is 4/3 of the change to 48; the bound doubles that and adds 1e-12,
+    the Airy evaluator's agreement with AMOS that both routes inherit.
+    """
+    rep = smeared_overlap(*args)
+    ratio_24 = smeared_overlap_trapezoid_oracle(*args)
+    ratio_48 = smeared_overlap_trapezoid_oracle(*args,
+                                                points_per_wavelength=48)
+    bound = 2.0 * abs(ratio_24 - ratio_48) + 1e-12
+    assert abs(rep.ratio - ratio_24) <= bound
 
 
 def test_overlap_window_too_small_is_rejected():

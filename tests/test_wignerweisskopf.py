@@ -187,6 +187,8 @@ def test_validate_preconditions():
     narrow = flat_band(rate=0.005)
     with pytest.raises(PreconditionError):
         nonperturbative_validate(narrow, 4001, 2.0)     # spacing > r/20
+    with pytest.raises(PreconditionError):
+        nonperturbative_validate(f, 4001, 2.0, horizon_rates=1.5)  # fit > end
 
 
 def test_validate_refuses_horizons_past_the_revival():
