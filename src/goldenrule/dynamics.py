@@ -27,6 +27,14 @@ the envelope and c_i, not 1 / max|omega|. Step doubling holds each step
 to tol / 20, and tol also bounds the norm drift. Both paths read the
 envelope only through evaluate(env, V0, t).
 
+Every level phase e^{i omega_f t} comes from _level_phases. The levels
+of a DiscretizedContinuum are uniform, omega_f = omega_0 + f delta, so
+with m = ceil(sqrt(N)) and f = b m + a the phase factors into
+e^{i (omega_0 + b m delta) t} e^{i a delta t}: two tables about sqrt(N)
+wide per time. First-order sums contract those tables per interval and
+never form one phase per node and level; the coupled rules, the step
+phases and the rate mix take products or contractions of them too.
+
 Rates are the probability current into the band,
 
     dS/dt = 2 a(t) Im(c_i(t) sum_f w_f v_f e^{+i omega_f t} conj(c_f(t))),
@@ -42,8 +50,10 @@ itself, so rate times must be registered when integrating (rate_times).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 # unused: the benchmark's absent-binding test deletes this name
@@ -61,7 +71,11 @@ _PANEL_PHASE = 4.0   # most max|omega| phase, in rad, one quadrature panel spans
 _SHORT_PANEL = 0.5   # panels spanning at most this phase take 4 nodes, not 8
 _MAX_BISECTIONS = 60
 _MAX_PANELS = 1 << 16  # panels one test round may hold beyond the first
-_BLOCK_BYTES = 4 << 20  # budget of one block of node phases e^{i omega s}
+_BLOCK_BYTES = 4 << 20  # budget of one block of level phases e^{i omega t}
+_ROUND_BYTES = 1 << 30  # budget of the first panels' arrays and node tables
+# bytes one first panel holds: k, j, lo and hi, then per node of the
+# 8-point Gauss and 9-point Lobatto rules s, f(s), its weight and a phase
+_PANEL_BYTES = 4 * 8 + 17 * (3 * 8 + 16)
 _STEP_NODES = 8      # collocation nodes of one coupled step
 _STEP_PHASE = 64.0   # most max|omega| phase, in rad, one coupled step spans
 _RULE_CACHE = 8      # step widths whose rules one coupled run keeps
@@ -168,16 +182,27 @@ class AmplitudeTrajectory:
     steps: int
     rejected: int
 
+    @cached_property
+    def _profile_keys(self):
+        return np.array(sorted(self.profiles), dtype=float)
+
+    @cached_property
+    def _rate_keys(self):
+        return np.array(sorted(self.rate_table), dtype=float)
+
     def _stored_time(self, keys, t):
-        """The key within 1e-9 of t, relative to the run's span, or None."""
+        """The sorted key nearest t if within 1e-9 of t, relative to the
+        run's span, else None; found by bisection."""
         span = self.times[-1] - self.times[0]
-        for key in keys:
-            if abs(key - t) <= 1e-9 * max(span, abs(t)):
-                return key
-        return None
+        i = int(np.searchsorted(keys, t))
+        near = keys[max(i - 1, 0):i + 1]
+        if not near.size:
+            return None
+        key = float(near[np.argmin(np.abs(near - t))])
+        return key if abs(key - t) <= 1e-9 * max(span, abs(t)) else None
 
     def profile_at(self, t):
-        key = self._stored_time(self.profiles, t)
+        key = self._stored_time(self._profile_keys, t)
         if key is None:
             raise KeyError(f"no stored profile at t = {t}")
         return self.profiles[key]
@@ -203,6 +228,17 @@ def _gauss_and_lobatto(n):
 _RULES = {n: _gauss_and_lobatto(n) for n in (4, 8)}
 
 
+def _require_resolvable(t_eval, parts, max_omega, what):
+    """Raise ToleranceFailureError unless each interval of t_eval, cut into
+    parts[k] equal pieces (floats, so no count overflows), gives pieces at
+    least the float spacing of the interval's ends; a NaN fails too."""
+    ends = np.maximum(np.abs(t_eval[:-1]), np.abs(t_eval[1:]))
+    if not np.all(np.diff(t_eval) / parts >= np.spacing(ends)):
+        raise ToleranceFailureError(
+            f"max|omega| = {max_omega:.6g} asks for {what} narrower than the "
+            "float spacing of their times: their nodes would collapse")
+
+
 def _panel_rule(f, t_eval, max_omega, tol):
     """Accepted quadrature nodes for integral f(s) e^{i omega s} ds.
 
@@ -226,17 +262,21 @@ def _panel_rule(f, t_eval, max_omega, tol):
 
     Raises:
         ToleranceFailureError: if a first panel is narrower than the float
-            spacing of its times, panels still fail after _MAX_BISECTIONS
-            rounds, or a round would test more than max(initial panels,
-            _MAX_PANELS) of them (an integrand no panel width resolves).
+            spacing of its times, the first panels' arrays and node tables
+            would pass _ROUND_BYTES, panels still fail after
+            _MAX_BISECTIONS rounds, or a round would test more than
+            max(initial panels, _MAX_PANELS) of them (an integrand no panel
+            width resolves).
     """
     widths = np.diff(t_eval)
     m = np.maximum(1.0, np.ceil(max_omega * widths / _PANEL_PHASE))
-    ends = np.maximum(np.abs(t_eval[:-1]), np.abs(t_eval[1:]))
-    if not np.all(widths / m >= np.spacing(ends)):  # a NaN fails too
+    _require_resolvable(t_eval, m, max_omega, "panels")
+    first = float(np.sum(m))
+    if first * _PANEL_BYTES > _ROUND_BYTES:
         raise ToleranceFailureError(
-            f"max|omega| = {max_omega:.6g} asks for panels narrower than the "
-            "float spacing of their times: their nodes would collapse")
+            f"max|omega| = {max_omega:.6g} asks for {first:.4g} first panels, "
+            f"{first * _PANEL_BYTES / 1e9:.3g} GB of panel arrays and node "
+            f"tables, beyond the {_ROUND_BYTES / 1e9:.3g} GB budget")
     m = m.astype(int)
     k = np.repeat(np.arange(widths.size), m)
     j = np.arange(k.size) - np.repeat(np.cumsum(m) - m, m)
@@ -284,28 +324,62 @@ def _panel_rule(f, t_eval, max_omega, tol):
     return s[order], wv[order], interval[order], evaluations
 
 
+def _level_phases(omegas, times):
+    """Level phases e^{i omega_f t} as two tables about sqrt(N) wide.
+
+    omegas must be uniform, omega_f = omega_0 + f delta, as the detunings
+    of a DiscretizedContinuum are (N = 1 included). With m = ceil(sqrt(N))
+    and f = b m + a,
+
+        e^{i omega_f t} = coarse[..., b] * fine[..., a],
+        coarse = e^{i (omega_0 + b m delta) t},   fine = e^{i a delta t},
+
+    so a T x N phase table costs T (m + ceil(N / m)) exponentials and at
+    most T N complex products, each phase rounded to about eps (1 +
+    max|omega t|). Indices b m + a >= N are padding past the last level.
+
+    Returns:
+        (coarse, fine), of shapes times.shape + (ceil(N / m),) and
+        times.shape + (m,).
+    """
+    n = omegas.size
+    m = math.isqrt(n - 1) + 1
+    delta = (omegas[-1] - omegas[0]) / (n - 1) if n > 1 else 0.0
+    t = np.asarray(times, dtype=float)[..., None]
+    b = np.arange(-(-n // m))
+    coarse = np.exp(1j * (t * (omegas[0] + m * delta * b)))
+    fine = np.exp(1j * (t * (delta * np.arange(m))))
+    return coarse, fine
+
+
 def _first_order_amplitudes(omegas, v, cf0, t_eval, s, wv, interval):
     """c_f at every t_eval point from accepted nodes, as an N x n_eval view.
 
-    Node phases are built in blocks of at most _BLOCK_BYTES and summed per
-    interval with reduceat (no BLAS product, so no helper threads spin);
-    the increments are scaled by -i m_f and accumulated in place.
+    The increment of interval k is sum_{s in k} wv_s e^{i omega_f s}. With
+    the node phases factored by _level_phases, it is the ceil(N/m) x m
+    matrix sum_s (wv_s coarse_s) outer fine_s, read row by row as the N
+    levels. Intervals with equal node counts are contracted together by
+    one einsum in blocks of about _BLOCK_BYTES (no BLAS call, so no helper
+    threads spin), and no node x level phase block is ever formed. The
+    increments are scaled by -i m_f and accumulated in place.
     """
-    n_levels = omegas.size
-    out = np.zeros((t_eval.size, n_levels), dtype=complex)
-    rows = max(1, _BLOCK_BYTES // (16 * n_levels))
-    phase = np.empty((rows, n_levels))
-    block = np.empty((rows, n_levels), dtype=complex)
-    for b0 in range(0, s.size, rows):
-        part = slice(b0, b0 + rows)
-        k = interval[part]
-        ph, blk = phase[:k.size], block[:k.size]
-        np.multiply.outer(s[part], omegas, out=ph)
-        np.cos(ph, out=blk.real)
-        np.sin(ph, out=blk.imag)
-        blk *= wv[part, None]
-        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        out[k[starts] + 1] += np.add.reduceat(blk, starts, axis=0)
+    n = omegas.size
+    starts = np.flatnonzero(np.r_[True, interval[1:] != interval[:-1]])
+    counts = np.diff(np.r_[starts, s.size])
+    out = np.zeros((t_eval.size, n), dtype=complex)
+    width = 2 * math.isqrt(n) + 2  # columns of both tables, at most
+    for c in np.unique(counts):
+        group = starts[counts == c]
+        # bytes per interval: its c x width tables with their build
+        # temporaries, and its increment of N levels
+        rows = max(1, _BLOCK_BYTES // (16 * (3 * c * width + n)))
+        for g0 in range(0, group.size, rows):
+            first = group[g0:g0 + rows]
+            nodes = first[:, None] + np.arange(c)
+            coarse, fine = _level_phases(omegas, s[nodes])
+            coarse *= wv[nodes, None]
+            out[interval[first] + 1] = np.einsum(
+                "isb,isa->iba", coarse, fine).reshape(first.size, -1)[:, :n]
     out[1:] *= -1j * v
     out[0] = cf0
     np.cumsum(out, axis=0, out=out)
@@ -343,8 +417,7 @@ class _FilonStepper:
     = c_i(t) 1 - i h A (a F), and c_i(t + h) = c_i(t) + h sum_k b_k
     dc_i/dt(s_k). D, Q and the node phases depend on h alone; the moments
     are Gauss sums with enough nodes for the step's max|omega| h phase,
-    which _STEP_PHASE caps, built in blocks of levels of at most
-    _BLOCK_BYTES. A step costs one p x p solve and O(N p) work.
+    which _STEP_PHASE caps. A step costs one p x p solve and O(N p) work.
     """
 
     def __init__(self, omegas, weights, v):
@@ -360,8 +433,11 @@ class _FilonStepper:
     def rule(self, h):
         """(-i v_f D_fj, w_f v_f e^{-i omega_f h x_l}, Q, e^{i omega_f h}).
 
-        Widths equal to 12 digits share one entry; the least recently used
-        entry goes once _RULE_CACHE are held.
+        The phases e^{i omega_f tau} at the moment nodes, the collocation
+        nodes and h are products of the _level_phases tables, formed in
+        blocks of whole coarse rows (m levels each) of at most
+        _BLOCK_BYTES. Widths equal to 12 digits share one entry; the least
+        recently used entry goes once _RULE_CACHE are held.
         """
         key = float(f"{h:.12e}")
         if key in self.rules:
@@ -385,14 +461,17 @@ class _FilonStepper:
         shift = np.empty(n, dtype=complex)
         kernel = np.zeros(p * n_q, dtype=complex)
         wv, wv2 = self.weights * self.v, self.weights * self.v ** 2
-        rows = max(1, _BLOCK_BYTES // (16 * times.size))
-        for f0 in range(0, n, rows):
-            part = slice(f0, f0 + rows)
-            e = np.exp(1j * np.multiply.outer(self.omegas[part], times))
-            D[part] = e[:, :n_q] @ basis_d
-            kernel += wv2[part] @ e[:, n_q:-p - 1]
-            phases[part] = e[:, -p - 1:-1]
-            shift[part] = e[:, -1]
+        coarse, fine = _level_phases(self.omegas, times)
+        m = fine.shape[1]
+        rows = max(1, _BLOCK_BYTES // (16 * times.size * m))
+        for b0 in range(0, coarse.shape[1], rows):
+            part = slice(b0 * m, min(n, (b0 + rows) * m))
+            e = (coarse[:, b0:b0 + rows, None] * fine[:, None, :]).reshape(
+                times.size, -1)[:, :part.stop - part.start]
+            D[part] = e[:n_q].T @ basis_d
+            kernel += e[n_q:-p - 1] @ wv2[part]
+            phases[part] = e[-p - 1:-1].T
+            shift[part] = e[-1]
         Q = np.einsum("lq,lqj->lj", kernel.reshape(p, n_q), basis_q)
         D *= -1j * self.v[:, None]
         phases *= wv[:, None]
@@ -433,6 +512,7 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
 
     Raises:
         ToleranceFailureError: tol / 20 below double-precision resolution,
+            first steps narrower than the float spacing of their times,
             a step that still fails after _MAX_BISECTIONS halvings or once
             its width no longer halves in floating point, or a run that
             takes _MAX_STEPS attempts beyond the least its grid allows.
@@ -451,13 +531,17 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
     out[0], ci_all[0] = cf, ci
     steps = rejected = evaluations = 0
     tops = np.ceil(np.log2(np.maximum(
-        stepper.max_omega * np.diff(t_eval) / _STEP_PHASE, 1.0))).astype(int)
+        stepper.max_omega * np.diff(t_eval) / _STEP_PHASE, 1.0)))
+    _require_resolvable(t_eval, 2.0 ** tops, stepper.max_omega,
+                        "coupled steps")
     budget = _MAX_STEPS + int(np.sum(2.0 ** tops))
+    tops = tops.astype(int).tolist()
+    coarse, fine = _level_phases(omegas, t_eval[:-1])
     for k, top in enumerate(tops):
         lo, hi = t_eval[k], t_eval[k + 1]
         width = hi - lo
         depth, j = top, 0
-        rot = np.exp(1j * omegas * lo)
+        rot = np.outer(coarse[k], fine[k]).ravel()[:omegas.size]
 
         def at(i, d):
             return hi if i == 1 << d else lo + width * i / (1 << d)
@@ -624,9 +708,12 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
 
     sample_idx = np.searchsorted(t_eval, samples)
     rate_table = {}
-    for t, j in zip(map(float, rates), np.searchsorted(t_eval, rates)):
-        mix = np.sum(weights * v * np.exp(1j * omegas * t)
-                     * np.conj(cf_all[:, j]))
+    wv = weights * v
+    coarse, fine = _level_phases(omegas, rates)
+    for t, j, b, a in zip(map(float, rates), np.searchsorted(t_eval, rates),
+                          coarse, fine):
+        phase = np.outer(b, a).ravel()[:omegas.size]
+        mix = np.sum(wv * phase * np.conj(cf_all[:, j]))
         rate_table[t] = 2.0 * float(evaluate(env, V0, t)) * float(
             np.imag(ci_all[j] * mix))
     profiles = {t: cf_all[:, np.searchsorted(t_eval, t)].copy()
@@ -643,7 +730,7 @@ def transition_rate(traj, t):
     """dS/dt at a registered rate time: the probability current integrate
     stored there (see the module docstring).
     """
-    key = traj._stored_time(traj.rate_table, t)
+    key = traj._stored_time(traj._rate_keys, t)
     if key is None:
         raise PreconditionError(
             f"t = {t} was not registered via rate_times when integrating")
@@ -724,8 +811,9 @@ def harmonic_rate_prediction(Vm_sq, dos, E_i, omega_carrier, gamma=None):
     given, the reported bound gamma / (2 omega_carrier) estimates the
     dropped oscillating cross terms.
     """
-    if Vm_sq < 0.0:
-        raise DomainError("|V_m|^2 must be non-negative")
+    if not 0.0 <= Vm_sq < np.inf:
+        raise DomainError(f"|V_m|^2 must be finite and non-negative, got "
+                          f"{Vm_sq}")
     if omega_carrier < 0.0:
         raise DomainError("carrier frequency must be non-negative")
     densities = {}
@@ -765,10 +853,19 @@ def fit_lorentzian_profile(continuum, profile_sq, width_init):
 
     Levenberg-Marquardt seeded at the band center with the supplied width
     guess; parameter tolerance 1e-10, at most 200 iterations.
+
+    Raises:
+        DomainError: width_init^2 or the seed amplitude max(profile_sq) *
+            width_init^2 is not a finite float.
     """
     E = continuum.energies
     y = np.asarray(profile_sq, dtype=float)
-    A0 = float(np.max(y)) * width_init ** 2
+    w2 = width_init * width_init
+    A0 = float(np.max(y)) * w2
+    if not (np.isfinite(w2) and np.isfinite(A0)):
+        raise DomainError(
+            f"Lorentzian seed: width {width_init:.6g} squared, or max|c_f|^2 "
+            "times it, is not a finite float")
 
     def resid(p):
         A, c, w = p

@@ -329,8 +329,8 @@ def cross_term_closed_form(env, D, T):
         return (np.pi * D * v2 * (gm + gp) / (gp - gm)
                 * (np.exp(-gm * T) / gm - np.exp(-gp * T) / gp))
     if isinstance(env, GaussianPulse):
-        return D * np.sqrt(2.0 * np.pi) / env.tau * np.exp(
-            -T * T / (2.0 * env.tau ** 2))
+        lag = T / env.tau  # (T / tau)^2, unlike T^2 / tau^2, cannot overflow
+        return D * np.sqrt(2.0 * np.pi) / env.tau * np.exp(-0.5 * lag * lag)
     if isinstance(env, RectangularPulse):
         return 2.0 * np.pi * D * max(0.0, env.width - T)
     raise UnsupportedShapeError(

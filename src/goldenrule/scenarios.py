@@ -769,8 +769,8 @@ def _run_golden_rule(cfg, ctx):
                   [(t, c.real, c.imag, abs(c) ** 2, S)
                    for t, c, S in zip(traj.times, traj.c_i, traj.occupied)])
     ctx.write_csv("profile.csv", ["E", "weight", "prob", "lorentz_fit"],
-                  [(E, w, pr,
-                    fit.amplitude / ((E - fit.center) ** 2 + fit.width ** 2))
+                  [(E, w, pr, fit.amplitude / ((E - fit.center) ** 2
+                                               + fit.width * fit.width))
                    for E, w, pr in zip(cont.energies, cont.weights, prob)],
                   extra={"profile_time": fmt(t1)})
 
@@ -919,7 +919,7 @@ def _run_harmonic(cfg, ctx):
     w = np.exp(2.0 * gamma * traj.times)
     C = float(np.dot(traj.occupied, w) / np.dot(w, w))
     r_num = 2.0 * gamma * C
-    pred = harmonic_rate_prediction(V0 ** 2, dos, E_i, omega_c, gamma=gamma)
+    pred = harmonic_rate_prediction(V0 * V0, dos, E_i, omega_c, gamma=gamma)
     tol_eff = checks["base_rel_tol"] + pred.neglected_bound
     ctx.metric("harmonic_rate", abs(r_num / pred.rate - 1.0), 0.0, tol_eff)
     ctx.details.update({

@@ -196,6 +196,14 @@ def dos_log_derivative_scale(dos, E):
 class DiscretizedContinuum:
     """Uniform level grid with quadrature weights standing in for a continuum.
 
+    Uniform spacing is load-bearing: dynamics builds every level phase
+    e^{i omega_f t} from two tables about sqrt(N) wide that assume omega_f
+    = omega_0 + f delta exactly. So the detunings (omegas) are snapped to
+    (k - k_c) delta, k_c the center level and delta the mean spacing,
+    while energies keep the caller's values, whose spacings may differ
+    from delta by at most 1e-9 delta (a wider jitter is rejected); a
+    tabulated model built on those energies is evaluated on its own grid.
+
     energies: level positions, strictly increasing, uniform spacing.
     weights: quadrature measure per level, all positive; summing
         weights[k] * g(energies[k]) approximates the band integral of D*g.
@@ -260,8 +268,11 @@ class DiscretizedContinuum:
 
     @property
     def omegas(self):
-        """Detunings E_f - E_i of every level from the center."""
-        return self.energies - self.center
+        """Detunings E_f - E_i of every level from the center, on the
+        uniform grid (k - k_c) delta (0 for a single level)."""
+        n = self.energies.size
+        step = self.delta_e if n > 1 else 0.0
+        return (np.arange(n) - self.center_index) * step
 
     @property
     def center_index(self):

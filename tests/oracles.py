@@ -3,8 +3,9 @@
 Each oracle recomputes a library quantity from its defining integral with
 scipy.integrate.quad, on a contour or window chosen for numerical health,
 or on a uniform trapezoid grid, or from its defining equation with
-scipy.integrate.solve_ivp, so the routes under test are checked against
-something they do not share code with.
+scipy.integrate.solve_ivp, or with one cos/sin pair per level and time,
+so the routes under test are checked against something they do not share
+code with.
 """
 
 import warnings
@@ -229,3 +230,32 @@ def fd_rate_oracle(occupied, t, h):
     r_h = (S[3] - S[0]) / h
     r_half = (S[2] - S[1]) / (0.5 * h)
     return r_half, abs(r_h - r_half)
+
+
+def level_phases_direct_oracle(omegas, times):
+    """e^{i omega_f t} with one cos/sin pair per level and time.
+
+    The route the package took before its level phases were factored into
+    two tables: shape times.shape + (N,), each phase rounded once, to
+    about eps (1 + |omega t|).
+    """
+    phase = np.multiply.outer(np.asarray(times, dtype=float),
+                              np.asarray(omegas, dtype=float))
+    return np.cos(phase) + 1j * np.sin(phase)
+
+
+def first_order_direct_oracle(omegas, v, cf0, t_eval, s, wv, interval):
+    """c_f at every t_eval point from the accepted panel nodes, as N x n_eval.
+
+    The sums of dynamics._first_order_amplitudes on the same nodes s,
+    weighted values wv and interval labels, with every node phase from
+    level_phases_direct_oracle and the increments summed per interval by
+    np.add.reduceat.
+    """
+    out = np.zeros((len(t_eval), np.size(omegas)), dtype=complex)
+    starts = np.flatnonzero(np.r_[True, interval[1:] != interval[:-1]])
+    block = level_phases_direct_oracle(omegas, s) * wv[:, None]
+    out[interval[starts] + 1] = np.add.reduceat(block, starts, axis=0)
+    out[1:] *= -1j * np.asarray(v)
+    out[0] = cf0
+    return np.cumsum(out, axis=0).T

@@ -239,6 +239,18 @@ def test_malformed_block_is_a_config_violation(tmp_path, capsys, name,
     ("golden_rule_basic",
      _set_path("parameters", "dynamics", "window_halfwidth", 1e300),
      "narrower than the float spacing"),
+    # about 1.15e9 first panels, 0.8 TB: refused before any is allocated
+    ("golden_rule_basic",
+     _set_path("parameters", "dynamics", "window_halfwidth", 1e9),
+     "first panels"),
+    ("golden_rule_basic", _set_path("parameters", "dynamics", "gamma", 1e300),
+     "Lorentzian seed"),
+    ("harmonic_sidebands", _set_path("parameters", "v0", 1e300),
+     "|V_m|^2 must be finite"),
+    ("gaussian_train_decay", _set_path("parameters", "separation", 1e300),
+     "coupled steps narrower than the float spacing"),
+    ("gaussian_train_decay", _set_path("parameters", "dos_halfwidth", 1e300),
+     "coupled steps narrower than the float spacing"),
 ])
 def test_huge_values_end_in_a_typed_failure(tmp_path, capsys, name, mutate,
                                              message):
@@ -246,6 +258,16 @@ def test_huge_values_end_in_a_typed_failure(tmp_path, capsys, name, mutate,
     code = main(["run", path, "--out", str(tmp_path / "out")])
     assert code in (EXIT_CONFIG, EXIT_NUMERICAL)
     assert message in capsys.readouterr().err
+
+
+def test_huge_gaussian_width_runs_to_a_verdict(tmp_path, capsys):
+    """A Gaussian of width 1e300 has a cross term of about 2.5e-300: its
+    closed form is evaluated without overflow and agrees with the
+    quadrature."""
+    path = write_variant(tmp_path, "pulse_cross_terms",
+                         _set_path("parameters", "shapes", 1, "tau", 1e300))
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert "PASS cross_term_gaussian" in capsys.readouterr().out
 
 
 def test_nested_config_error_reports_its_own_violations(tmp_path, capsys):

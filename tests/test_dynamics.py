@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 
 from goldenrule import (
     ConstantDOS,
@@ -34,7 +35,11 @@ from goldenrule import (
     transition_rate,
     validity_report,
 )
-from oracles import coupled_rk_oracle, fd_rate_oracle, first_order_rk_oracle
+from goldenrule import dynamics
+from goldenrule.scenarios import load_config, run_scenario
+from oracles import (coupled_rk_oracle, fd_rate_oracle,
+                     first_order_direct_oracle, first_order_rk_oracle,
+                     level_phases_direct_oracle)
 
 FLAT = ConstantDOS(1.0)
 UNIT = ConstantElement(1.0)
@@ -225,6 +230,125 @@ def test_profiles_kept_only_on_request():
         with pytest.raises(DomainError):
             integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
                       keep_profiles=bad)
+
+
+def test_stored_times_are_found_within_the_span_tolerance():
+    """Profiles and rates are looked up by bisection on sorted keys: a
+    query within 1e-9 of the span finds the nearest stored time, one
+    further off is not found."""
+    cont = discretize(FLAT, 0.0, 2.0, 21)
+    rates = [-0.5, -2.0, -1.0, -1.0 + 3e-9]
+    traj = integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
+                     rate_times=rates, keep_profiles=[-1.5, -2.5])
+    for t in rates:
+        near = t + 1e-9 * 3.0 * 0.4
+        assert transition_rate(traj, near) == traj.rate_table[t]
+    assert transition_rate(traj, -1.0 + 2e-9) == traj.rate_table[-1.0 + 3e-9]
+    assert np.array_equal(traj.profile_at(-1.5 - 2e-9), traj.profiles[-1.5])
+    for far in (-1.5 + 4e-9, -3.0, 0.5, np.nan):
+        with pytest.raises(KeyError):
+            traj.profile_at(far)
+        with pytest.raises(PreconditionError):
+            transition_rate(traj, far)
+
+
+# ---------------------------------------------------------------------------
+# level phases from two tables against one cos/sin pair per level
+
+def _asymmetric_202(jitter=0.0):
+    """202 levels on [-2, 6] centred on level 50, each moved by up to
+    jitter steps off uniform."""
+    grid = np.linspace(-2.0, 6.0, 202)
+    step = grid[1] - grid[0]
+    shift = np.random.default_rng(5).uniform(-jitter, jitter, grid.size)
+    return DiscretizedContinuum.from_grid(grid + shift * step,
+                                          np.full(grid.size, step), grid[50])
+
+
+PHASE_GRIDS = {
+    "one_level": lambda: DiscretizedContinuum(
+        energies=np.array([5.0]), weights=np.array([1.0]), center=5.0,
+        halfwidth=0.0),
+    "two_levels": lambda: DiscretizedContinuum(
+        energies=np.array([0.0, 1.5]), weights=np.ones(2), center=0.0,
+        halfwidth=0.75),
+    "seven_levels": lambda: discretize(FLAT, 1.0, 3.0, 7),
+    # 33^2 levels far from zero energy
+    "square_1089": lambda: discretize(FLAT, 1000.0 + 1.0 / 64.0, 50.0, 1089),
+    "asymmetric_202": _asymmetric_202,
+    "jittered_202": lambda: _asymmetric_202(jitter=1e-10),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(PHASE_GRIDS))
+def test_level_phases_match_direct_oracle(grid):
+    """Two-table phases equal one cos/sin pair per level and time.
+
+    Each route rounds a phase of size up to max|omega t| = 1e4 rad a few
+    times: the detuning, its product with t and the exponential, and for
+    the tables also the coarse detuning omega_0 + b m delta and the
+    complex product. Each rounding moves the phase by at most about
+    eps (1 + max|omega t|), so 8 of them bound the difference.
+    """
+    cont = PHASE_GRIDS[grid]()
+    omegas = cont.omegas
+    reach = 1e4 / max(float(np.max(np.abs(omegas))), 1.0)
+    times = np.linspace(-reach, reach, 41)
+    coarse, fine = dynamics._level_phases(omegas, times)
+    m = int(np.ceil(np.sqrt(omegas.size)))
+    assert fine.shape == (times.size, m)
+    assert coarse.shape == (times.size, -(-omegas.size // m))
+    got = (coarse[:, :, None] * fine[:, None, :]).reshape(
+        times.size, -1)[:, :omegas.size]
+    want = level_phases_direct_oracle(omegas, times)
+    reached = np.max(np.abs(np.multiply.outer(times, omegas)))
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(got - want)) <= 8.0 * eps * (1.0 + reached)
+
+
+FIRST_ORDER_SCENARIOS = {
+    "golden_rule_basic": ("parameters", "dynamics", "n_levels"),
+    "two_sided_edges": ("parameters", "n_levels"),
+    "harmonic_sidebands": ("parameters", "n_levels"),
+    "superposed_turnons": ("parameters", "n_levels"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_ORDER_SCENARIOS))
+def test_first_order_sums_match_direct_oracle_on_scenarios(name, tmp_path,
+                                                           monkeypatch):
+    """Every first-order integration of a scenario, at 301 levels, agrees
+    with the same accepted nodes summed with one cos/sin pair per node and
+    level.
+
+    The panel test lets the run's sums be off by tol / 20 of sum |wv|
+    (the integrand mass), times max|m_f| on an amplitude; a phase route
+    may not use more than that allowance.
+    """
+    cfg, _ = load_config(name)
+    *path, leaf = FIRST_ORDER_SCENARIOS[name]
+    node = cfg
+    for key in path:
+        node = node[key]
+    node[leaf] = 301
+    tol = cfg["integrator"]["tol"]
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+
+    route = dynamics._first_order_amplitudes
+    gaps = []
+
+    def both(omegas, v, cf0, t_eval, s, wv, interval):
+        got = route(omegas, v, cf0, t_eval, s, wv, interval)
+        want = first_order_direct_oracle(omegas, v, cf0, t_eval, s, wv,
+                                         interval)
+        allowance = tol / 20.0 * np.sum(np.abs(wv)) * np.max(np.abs(v))
+        gaps.append(float(np.max(np.abs(got - want))) / allowance)
+        return got
+
+    monkeypatch.setattr(dynamics, "_first_order_amplitudes", both)
+    run_scenario(str(config), out_dir=str(tmp_path / "out"))
+    assert gaps and max(gaps) <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,31 @@ def test_from_grid_asymmetric_band():
     assert cont.center == 1.0
 
 
+def test_jittered_levels_snap_to_uniform_detunings():
+    """Levels up to 1e-10 step off uniform are accepted with their energies
+    kept, and their detunings snapped to (k - k_c) delta; 1e-8 step off
+    is rejected."""
+    grid = np.linspace(-2.0, 6.0, 202)
+    step = grid[1] - grid[0]
+    jitter = np.random.default_rng(5).uniform(-1.0, 1.0, grid.size) * step
+    cont = DiscretizedContinuum.from_grid(grid + 1e-10 * jitter,
+                                          np.ones(grid.size), grid[50])
+    assert np.array_equal(cont.energies, grid + 1e-10 * jitter)
+    omegas = cont.omegas
+    assert omegas[50] == 0.0
+    assert np.max(np.abs(np.diff(omegas) - cont.delta_e)) <= (
+        4.0 * np.finfo(float).eps * np.max(np.abs(omegas)))
+    assert np.max(np.abs(omegas - (cont.energies - cont.center))) <= (
+        1e-9 * step)
+    with pytest.raises(DomainError, match="uniform"):
+        DiscretizedContinuum.from_grid(grid + 1e-8 * jitter,
+                                       np.ones(grid.size), grid[50])
+    one = DiscretizedContinuum(energies=np.array([5.0]),
+                               weights=np.array([1.0]), center=5.0,
+                               halfwidth=0.0)
+    assert np.array_equal(one.omegas, [0.0])
+
+
 def test_discretize_is_deterministic():
     a = discretize(ConstantDOS(2.0), 1.0, 1.0, 101)
     b = discretize(ConstantDOS(2.0), 1.0, 1.0, 101)
