@@ -79,7 +79,9 @@ _PANEL_BYTES = 4 * 8 + 17 * (3 * 8 + 16)
 _STEP_NODES = 8      # collocation nodes of one coupled step
 _STEP_PHASE = 64.0   # most max|omega| phase, in rad, one coupled step spans
 _RULE_CACHE = 8      # step widths whose rules one coupled run keeps
-_MAX_STEPS = 1 << 16  # step attempts a coupled run may take beyond its least
+# most steps a coupled run's grid may ask for beyond one per sample
+# interval, and most step attempts it may take beyond its least
+_MAX_STEPS = 1 << 16
 
 
 def analytic_cf_rising_exp(V_fi, omega_fi, gamma, t):
@@ -513,9 +515,11 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
     Raises:
         ToleranceFailureError: tol / 20 below double-precision resolution,
             first steps narrower than the float spacing of their times,
-            a step that still fails after _MAX_BISECTIONS halvings or once
-            its width no longer halves in floating point, or a run that
-            takes _MAX_STEPS attempts beyond the least its grid allows.
+            a grid whose least steps pass one per sample interval by more
+            than _MAX_STEPS, a step that still fails after _MAX_BISECTIONS
+            halvings or once its width no longer halves in floating point,
+            or a run that takes _MAX_STEPS attempts beyond the least its
+            grid allows.
     """
     limit = tol / _RTOL_SAFETY
     if limit < np.finfo(float).eps:
@@ -534,7 +538,13 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
         stepper.max_omega * np.diff(t_eval) / _STEP_PHASE, 1.0)))
     _require_resolvable(t_eval, 2.0 ** tops, stepper.max_omega,
                         "coupled steps")
-    budget = _MAX_STEPS + int(np.sum(2.0 ** tops))
+    least = float(np.sum(2.0 ** tops))
+    if least - tops.size > _MAX_STEPS:
+        raise ToleranceFailureError(
+            f"max|omega| = {stepper.max_omega:.6g} asks for at least "
+            f"{least:.0f} coupled steps on {tops.size} sample intervals, "
+            f"more than {_MAX_STEPS} beyond one per interval")
+    budget = _MAX_STEPS + int(least)
     tops = tops.astype(int).tolist()
     coarse, fine = _level_phases(omegas, t_eval[:-1])
     for k, top in enumerate(tops):

@@ -3,7 +3,8 @@
 A particle of mass m in potential -F x has one continuum state per
 energy, Psi(x, E) = Ai(xi) / (a sqrt(F)) with xi = -(x + E/F)/a and a =
 (2 m F)^(-1/3); the prefactor makes the set delta-normalized in energy,
-<Psi_E|Psi_E'> = delta(E - E').
+<Psi_E|Psi_E'> = delta(E - E'). Ai and Ai' come from one evaluator,
+scipy.special.airy, behind an accuracy guard |xi| <= 200.
 
 hbar = 1 throughout.
 """
@@ -20,82 +21,33 @@ from scipy.special import airy as _scipy_airy
 from .errors import DomainError, RangeError, WindowError
 
 _GUARD = 200.0
-# below this the oscillatory expansion is as accurate as scipy's AMOS
-# route and about ten times faster
-_ASYMP_NEG = -8.0
-
-
-def _asymp_u_v(n_terms):
-    u = [1.0]
-    v = [1.0]
-    for k in range(n_terms - 1):
-        u.append(u[-1] * (6 * k + 1) * (6 * k + 5) / (72.0 * (k + 1)))
-    for k in range(1, n_terms):
-        v.append(-u[k] * (6 * k + 1) / (6 * k - 1.0))
-    return np.array(u), np.array(v)
-
-
-_U_COEF, _V_COEF = _asymp_u_v(16)
-
-
-def _asymp_neg(xi):
-    """Oscillatory branch, xi <= -8."""
-    x = -xi
-    z = (2.0 / 3.0) * x ** 1.5
-    th = z - 0.25 * np.pi
-    even_a = np.zeros_like(x)
-    odd_a = np.zeros_like(x)
-    even_v = np.zeros_like(x)
-    odd_v = np.zeros_like(x)
-    z2 = z * z
-    zk = np.ones_like(x)
-    for k in range(8):
-        s = (-1) ** k
-        even_a += s * _U_COEF[2 * k] * zk
-        odd_a += s * _U_COEF[2 * k + 1] * zk / z
-        even_v += s * _V_COEF[2 * k] * zk
-        odd_v += s * _V_COEF[2 * k + 1] * zk / z
-        zk = zk / z2
-    pre = 1.0 / (np.sqrt(np.pi) * x ** 0.25)
-    ai = pre * (np.cos(th) * even_a + np.sin(th) * odd_a)
-    aip = (x ** 0.25 / np.sqrt(np.pi)) * (np.sin(th) * even_v
-                                          - np.cos(th) * odd_v)
-    return ai, aip
 
 
 def _airy_both(xi):
     xi = np.asarray(xi, dtype=float)
-    scalar = xi.ndim == 0
-    x = np.atleast_1d(xi)
-    if np.any(np.abs(x) > _GUARD):
+    if np.any(np.abs(xi) > _GUARD):
         raise RangeError(
             f"|xi| exceeds the accuracy guard {_GUARD:g}; got "
-            f"{float(np.max(np.abs(x))):g}")
-    ai = np.empty_like(x)
-    aip = np.empty_like(x)
-    neg = x < _ASYMP_NEG
-    if np.any(neg):
-        ai[neg], aip[neg] = _asymp_neg(x[neg])
-    if not np.all(neg):
-        ai[~neg], aip[~neg], _, _ = _scipy_airy(x[~neg])
-    if scalar:
-        return float(ai[0]), float(aip[0])
+            f"{float(np.max(np.abs(xi))):g}")
+    ai, aip, _, _ = _scipy_airy(xi)
+    if xi.ndim == 0:
+        return float(ai), float(aip)
     return ai, aip
 
 
 def airy(xi):
     """Airy function Ai(xi) for |xi| <= 200; RangeError outside.
 
-    Two branches: scipy.special.airy for xi >= -8, and the oscillatory
-    asymptotic expansion (16 terms) below -8. Accuracy: 1e-10 absolute
-    on [-200, 5] and 1e-10 relative on [5, 103]. Above xi ~ 103.1, where
-    |Ai| and |Ai'| fall below 1e-303, both underflow to 0.
+    One evaluator, scipy.special.airy (the AMOS route), on the whole
+    guarded range. Accuracy: 1e-10 absolute on [-200, 5] and 1e-10
+    relative on [5, 103]. Above xi ~ 103.1, where |Ai| and |Ai'| fall
+    below 1e-303, both underflow to 0.
     """
     return _airy_both(xi)[0]
 
 
 def airy_prime(xi):
-    """Derivative Ai'(xi), same guard and branch layout as airy()."""
+    """Derivative Ai'(xi), same guard and evaluator as airy()."""
     return _airy_both(xi)[1]
 
 

@@ -82,7 +82,9 @@ class GaussianPulse:
 
     def shape(self, t):
         dt = (np.asarray(t, dtype=float) - self.t_ref) / self.tau
-        out = np.exp(-dt * dt) / (self.tau * np.sqrt(np.pi))
+        with np.errstate(over="ignore"):  # exp(-inf) = 0 is the exact limit
+            bell = np.exp(-dt * dt)
+        out = bell / (self.tau * np.sqrt(np.pi))
         return out if out.ndim else float(out)
 
     def support_radius(self):
@@ -263,16 +265,19 @@ def spectral_shape_sq(env, omega):
             raise DomainError(
                 "closed form needs equal branch amplitudes v_minus == v_plus")
         gm, gp = env.gamma_minus, env.gamma_plus
-        w2 = omega * omega
         try:
             peak = env.v_plus ** 2 * (gm + gp) ** 2
         except OverflowError:
             raise DomainError(
                 f"(gamma_minus + gamma_plus)^2 overflows a float at rates "
                 f"{gm:g}, {gp:g}") from None
-        out = peak / ((w2 + gm * gm) * (w2 + gp * gp))
+        # no omega^2, which overflows past |omega| ~ 1e154; dividing by the
+        # larger rate's factor first, no quotient overflows unless out does
+        hi, lo = (np.hypot(omega, g) for g in (max(gm, gp), min(gm, gp)))
+        out = peak / hi / hi / lo / lo
     elif isinstance(env, GaussianPulse):
-        out = np.exp(-0.5 * (omega * env.tau) ** 2)
+        with np.errstate(over="ignore"):  # exp(-inf) = 0 is the exact limit
+            out = np.exp(-0.5 * (omega * env.tau) ** 2)
     elif isinstance(env, RectangularPulse):
         s = env.width * np.sinc(omega * env.width / (2.0 * np.pi))
         out = s * s

@@ -237,11 +237,15 @@ def cross_term_integral(env, dos, omega_i, T, *, rtol=1e-6, atol=1e-12):
             "tabulate a finite window")
     a, b = lo - omega_i, hi - omega_i
 
+    # a quadrature node at a piece end can round one ulp past the support
+    def density(x):
+        return float(dos.density(min(max(omega_i + x, lo), hi)))
+
     def g(x):
-        return float(dos.density(omega_i + x)) * float(spectral_shape_sq(env, x))
+        return density(x) * float(spectral_shape_sq(env, x))
 
     def amp(x):
-        return 2.0 * float(dos.density(omega_i + x)) / (x * x)
+        return 2.0 * density(x) / (x * x)
 
     s = 1.0 / max(env.support_radius())
     edges = _decade_edges(s, a, b)

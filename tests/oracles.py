@@ -2,7 +2,8 @@
 
 Each oracle recomputes a library quantity from its defining integral with
 scipy.integrate.quad, on a contour or window chosen for numerical health,
-or on a uniform trapezoid grid, or from its defining equation with
+or on a uniform trapezoid grid, or from an asymptotic expansion, or
+from its defining equation with
 scipy.integrate.solve_ivp, or with one cos/sin pair per level and time,
 so the routes under test are checked against something they do not share
 code with.
@@ -49,6 +50,49 @@ def airy_prime_oracle(xi, upper=14.0):
         val, _ = quad(re_part, 0.0, upper, epsabs=1e-15, epsrel=1e-13,
                       limit=600)
     return val / np.pi
+
+
+def _asymp_u_v(n_terms):
+    u = [1.0]
+    v = [1.0]
+    for k in range(n_terms - 1):
+        u.append(u[-1] * (6 * k + 1) * (6 * k + 5) / (72.0 * (k + 1)))
+    for k in range(1, n_terms):
+        v.append(-u[k] * (6 * k + 1) / (6 * k - 1.0))
+    return np.array(u), np.array(v)
+
+
+_U_COEF, _V_COEF = _asymp_u_v(16)
+
+
+def airy_asymptotic_oracle(xi):
+    """(Ai, Ai') for xi <= -8 from the oscillatory expansion, DLMF 9.7(ii).
+
+    Sixteen terms of the u_k / v_k series in zeta = (2/3) |xi|^(3/2); it
+    shares no code with scipy's AMOS route and reaches down to the
+    accuracy guard at -200, below the contour oracle's range.
+    """
+    x = -np.asarray(xi, dtype=float)
+    z = (2.0 / 3.0) * x ** 1.5
+    th = z - 0.25 * np.pi
+    even_a = np.zeros_like(x)
+    odd_a = np.zeros_like(x)
+    even_v = np.zeros_like(x)
+    odd_v = np.zeros_like(x)
+    z2 = z * z
+    zk = np.ones_like(x)
+    for k in range(8):
+        s = (-1) ** k
+        even_a += s * _U_COEF[2 * k] * zk
+        odd_a += s * _U_COEF[2 * k + 1] * zk / z
+        even_v += s * _V_COEF[2 * k] * zk
+        odd_v += s * _V_COEF[2 * k + 1] * zk / z
+        zk = zk / z2
+    pre = 1.0 / (np.sqrt(np.pi) * x ** 0.25)
+    ai = pre * (np.cos(th) * even_a + np.sin(th) * odd_a)
+    aip = (x ** 0.25 / np.sqrt(np.pi)) * (np.sin(th) * even_v
+                                          - np.cos(th) * odd_v)
+    return ai, aip
 
 
 def spectral_sq_oracle(env, omega, t_lo, t_hi):

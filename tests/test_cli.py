@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -208,6 +209,11 @@ def _set_path(*keys_and_value):
      "more than once"),
     ("ww_flat_decay", lambda cfg: cfg.pop("checks"),
      "checks: a ww run needs at least one of rate_rel_tol"),
+    # the coupled mode fails golden_rule's own following check by
+    # construction; validity_sweep owns the coupled following error
+    ("golden_rule_basic",
+     _set_path("parameters", "dynamics", "mode", "coupled"),
+     "parameters.dynamics.mode: unknown key"),
     # windows the run would find empty or cut short
     ("ww_flat_decay", _set_path("parameters", "horizon_rates", 1.5),
      "parameters.fit_window_rates: must end by horizon_rates = 1.5"),
@@ -258,6 +264,22 @@ def test_huge_values_end_in_a_typed_failure(tmp_path, capsys, name, mutate,
     code = main(["run", path, "--out", str(tmp_path / "out")])
     assert code in (EXIT_CONFIG, EXIT_NUMERICAL)
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("halfwidth, least", [(1e6, 983040),
+                                              (1e9, 1006632960)])
+def test_wide_coupled_band_is_refused_before_stepping(tmp_path, capsys,
+                                                       halfwidth, least):
+    """The train's 480 sample intervals would need at least `least` Filon
+    steps: refused up front instead of running without end."""
+    path = write_variant(tmp_path, "gaussian_train_decay",
+                         _set_path("parameters", "dos_halfwidth", halfwidth))
+    start = time.monotonic()
+    code = main(["run", path, "--out", str(tmp_path / "out")])
+    assert time.monotonic() - start < 10.0
+    assert code == EXIT_NUMERICAL
+    assert (f"at least {least} coupled steps on 480 sample intervals"
+            in capsys.readouterr().err)
 
 
 def test_huge_gaussian_width_runs_to_a_verdict(tmp_path, capsys):

@@ -2,7 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.special
 
 from goldenrule import (
     DomainError,
@@ -20,6 +19,7 @@ from goldenrule import (
     toy_ionization_rate,
 )
 from oracles import (
+    airy_asymptotic_oracle,
     airy_oracle,
     airy_prime_oracle,
     ode_residual,
@@ -32,7 +32,7 @@ AIP0 = -0.25881940379280679840
 
 
 # ---------------------------------------------------------------------------
-# the in-house Airy function
+# the Airy function
 
 def test_airy_at_origin():
     assert airy(0.0) == pytest.approx(AI0, abs=1e-14)
@@ -53,11 +53,11 @@ def test_airy_prime_matches_contour_oracle():
     assert np.max(np.abs(got - want)) < 1e-8
 
 
-def test_airy_oscillatory_branch_matches_scipy():
-    # below -8 the package sums its own asymptotic expansion; scipy gets
-    # there by AMOS, an independent algorithm
+def test_airy_matches_asymptotic_oracle():
+    # below the contour oracle's range the oscillatory expansion is an
+    # independent reference for scipy's AMOS route, down to the guard
     xi = np.linspace(-200.0, -8.0, 4001)
-    ai, aip, _, _ = scipy.special.airy(xi)
+    ai, aip = airy_asymptotic_oracle(xi)
     assert np.max(np.abs(airy(xi) - ai)) < 1e-12
     assert np.max(np.abs(airy_prime(xi) - aip)) < 1e-11
 
@@ -76,8 +76,8 @@ def test_airy_satisfies_its_ode():
 
 @pytest.mark.parametrize("seam", [-8.0, 4.0, 25.0])
 def test_airy_branch_seams_are_smooth(seam):
-    # the stencil divides by h^2, so a jump j between evaluation branches
-    # would show up amplified to ~1e4 j; residual < 1e-8 pins the seam
+    # the stencil divides by h^2, so a jump j in the evaluator would show
+    # up amplified to ~1e4 j; residual < 1e-8 rules one out on each grid
     grid = np.linspace(seam - 0.2, seam + 0.2, 41)
     assert np.max(np.abs(ode_residual(airy, grid))) < 1e-8
 
