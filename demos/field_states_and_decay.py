@@ -71,8 +71,7 @@ def band_decay():
     print("=== abrupt coupling to a flat band")
     r = 0.01
     f = CouplingFunction.flat(r / (2.0 * np.pi), 9.0, 11.0, 10.0)
-    val = nonperturbative_validate(f, 4001, 2.0, tol=1e-8,
-                                   horizon_rates=4.0,
+    val = nonperturbative_validate(f, 4001, tol=1e-8, horizon_rates=4.0,
                                    fit_window_rates=(2.0, 4.0))
     print(f"symmetric band: fitted rate {val.rate_fitted:.6f} vs analytic "
           f"{val.rate_analytic:.6f} "
@@ -81,8 +80,7 @@ def band_decay():
           f"{val.times[-1]:.0f}: the discrete band never feeds back")
 
     g = CouplingFunction.flat(r / (2.0 * np.pi), 9.5, 12.0, 10.0)
-    val2 = nonperturbative_validate(g, 5001, 2.5, tol=1e-8,
-                                    horizon_rates=4.0,
+    val2 = nonperturbative_validate(g, 5001, tol=1e-8, horizon_rates=4.0,
                                     fit_window_rates=(2.0, 4.0))
     closed = principal_value_shift(g)
     print(f"asymmetric band: fitted phase slope {val2.shift_fitted:.3e} vs "

@@ -29,7 +29,6 @@ from .spectrum import (
     PowerLawDOS,
     TabulatedDOS,
     discretize,
-    dos_log_derivative_scale,
     lorentzian,
 )
 from .perturbation import (
@@ -80,13 +79,9 @@ from .pulsetrain import (
 )
 from .wignerweisskopf import (
     CouplingFunction,
-    WWResult,
     WWValidation,
     nonperturbative_validate,
     principal_value_shift,
-    pv_shift_smeared,
-    ww_decay_curve,
-    ww_parameters,
     ww_rate,
 )
 from .fieldstates import (

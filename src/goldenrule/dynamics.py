@@ -64,7 +64,7 @@ from .errors import DomainError, PreconditionError, ToleranceFailureError
 from .perturbation import (ConstantElement, ExpSuperposition,
                            HarmonicRisingExp, RisingExp, TwoSidedExp,
                            evaluate, element_at)
-from .spectrum import INFINITE_SCALE, dos_log_derivative_scale
+from .spectrum import INFINITE_SCALE
 
 _RTOL_SAFETY = 20.0  # solver runs tighter than the user tolerance contract
 _PANEL_PHASE = 4.0   # most max|omega| phase, in rad, one quadrature panel spans
@@ -157,8 +157,7 @@ class AmplitudeTrajectory:
     c_i: initial-level amplitude at each sample (identically 1 in
         first_order mode).
     occupied: S(t) = sum_f w_f |c_f|^2 at each sample.
-    profiles: dict t -> full c_f vector, kept at the last sample and at
-        requested times.
+    c_f_end: the full c_f vector at the last sample.
     rate_table: dict t -> dS/dt, the probability current at each
         registered rate time, read by transition_rate.
     norm_drift: max |(|c_i|^2 + S) - 1| over samples (coupled mode only).
@@ -173,7 +172,7 @@ class AmplitudeTrajectory:
     times: np.ndarray
     c_i: np.ndarray
     occupied: np.ndarray
-    profiles: dict
+    c_f_end: np.ndarray
     rate_table: dict
     continuum: object
     mode: str
@@ -183,10 +182,6 @@ class AmplitudeTrajectory:
     evaluations: int
     steps: int
     rejected: int
-
-    @cached_property
-    def _profile_keys(self):
-        return np.array(sorted(self.profiles), dtype=float)
 
     @cached_property
     def _rate_keys(self):
@@ -202,12 +197,6 @@ class AmplitudeTrajectory:
             return None
         key = float(near[np.argmin(np.abs(near - t))])
         return key if abs(key - t) <= 1e-9 * max(span, abs(t)) else None
-
-    def profile_at(self, t):
-        key = self._stored_time(self._profile_keys, t)
-        if key is None:
-            raise KeyError(f"no stored profile at t = {t}")
-        return self.profiles[key]
 
 
 def _gauss_and_lobatto(n):
@@ -599,7 +588,7 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
 
 def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
               tol=1e-9, mode="first_order", sample_times=None,
-              rate_times=None, keep_profiles=()):
+              rate_times=None):
     """Propagate the amplitude equations across [t0, t1].
 
     Args:
@@ -627,19 +616,18 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
             points).
         rate_times: times in [t0, t1] where transition_rate() will be
             queried; the probability current is stored at each.
-        keep_profiles: times in [t0, t1] at which the full c_f vector is
-            retained, in addition to the last sample, which always is.
 
     The final levels start from seed_amplitudes(continuum, env, V0, model,
     t0): the analytic amplitudes of a turn-on that has been rising since
     t = -inf, or an empty band for pulses and pulse trains.
 
     Returns:
-        AmplitudeTrajectory.
+        AmplitudeTrajectory, with the full c_f vector kept at the last
+        sample only (c_f_end).
 
     Raises:
-        DomainError: a bad mode or tol, t1 <= t0, or a sample, rate or
-            profile time that is not a number in [t0, t1] (NaN included).
+        DomainError: a bad mode or tol, t1 <= t0, or a sample or rate
+            time that is not a number in [t0, t1] (NaN included).
         ToleranceFailureError: coupled norm drift beyond 10 * tol, a
             coupled tol / 20 below double-precision resolution, a coupled
             step or first-order panel that failed its test after every
@@ -677,18 +665,8 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
     rates = times_within([] if rate_times is None else rate_times,
                          "rate_times")
 
-    try:
-        extra = np.atleast_1d(np.asarray(keep_profiles, dtype=float))
-    except (TypeError, ValueError):
-        raise DomainError(
-            f"keep_profiles must be a sequence of times, got "
-            f"{keep_profiles!r}") from None
-    prof_times = np.unique(np.concatenate(
-        [times_within(extra, "keep_profiles times"), samples[-1:]]))
-
-    # samples, rate times and profile times are exact members of t_eval
-    t_eval = np.unique(np.concatenate([samples, [t0, t1], prof_times,
-                                       rates]))
+    # samples and rate times are exact members of t_eval
+    t_eval = np.unique(np.concatenate([samples, [t0, t1], rates]))
 
     cf0 = seed_amplitudes(continuum, env, V0, model, t0)
 
@@ -726,14 +704,13 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
         mix = np.sum(wv * phase * np.conj(cf_all[:, j]))
         rate_table[t] = 2.0 * float(evaluate(env, V0, t)) * float(
             np.imag(ci_all[j] * mix))
-    profiles = {t: cf_all[:, np.searchsorted(t_eval, t)].copy()
-                for t in map(float, prof_times)}
 
     return AmplitudeTrajectory(
         times=samples, c_i=ci_all[sample_idx], occupied=S_all[sample_idx],
-        profiles=profiles, rate_table=rate_table, continuum=continuum,
-        mode=mode, tol=tol, norm_drift=norm_drift, method=method,
-        evaluations=evaluations, steps=steps, rejected=rejected)
+        c_f_end=cf_all[:, sample_idx[-1]].copy(), rate_table=rate_table,
+        continuum=continuum, mode=mode, tol=tol, norm_drift=norm_drift,
+        method=method, evaluations=evaluations, steps=steps,
+        rejected=rejected)
 
 
 def transition_rate(traj, t):
@@ -792,7 +769,7 @@ def validity_report(Vm_sq, dos, E_i, gamma, threshold=0.1):
         raise DomainError(f"gamma must be positive, got {gamma}")
     rate = golden_rule_rate(Vm_sq, dos.density(E_i))
     left = 0.5 * rate / gamma
-    scale = dos_log_derivative_scale(dos, E_i)
+    scale = dos.log_derivative_scale(E_i)
     right = 0.0 if scale is INFINITE_SCALE else gamma / scale
     return ValidityReport(rate=rate, gamma=gamma, left_margin=left,
                           right_margin=right, dos_scale=scale,

@@ -183,8 +183,7 @@ class HarmonicRisingExp:
     """Turn-on with a harmonic carrier: e^{gamma dt} * 2 cos(omega_carrier dt).
 
     The factor 2 cos splits into counter-rotating components of unit
-    amplitude each; carrier_free_amplitude() returns that per-component
-    envelope e^{gamma dt}.
+    amplitude each, both under the envelope e^{gamma dt}.
     """
 
     gamma: float
@@ -200,11 +199,6 @@ class HarmonicRisingExp:
     def shape(self, t):
         dt = np.asarray(t, dtype=float) - self.t_ref
         out = np.exp(self.gamma * dt) * 2.0 * np.cos(self.omega_carrier * dt)
-        return out if out.ndim else float(out)
-
-    def carrier_free_amplitude(self, t):
-        dt = np.asarray(t, dtype=float) - self.t_ref
-        out = np.exp(self.gamma * dt)
         return out if out.ndim else float(out)
 
     def support_radius(self):

@@ -30,7 +30,6 @@ from .perturbation import (ConstantElement, GaussianPulse, RectangularPulse,
                            TwoSidedExp, element_at, evaluate,
                            spectral_amplitude, spectral_shape_sq)
 from .dynamics import _panel_rule, integrate
-from .tables import format_table
 
 
 @dataclass(frozen=True)
@@ -350,12 +349,6 @@ class DecayCurve:
     survival: np.ndarray
     rates: np.ndarray
 
-    def export_csv(self, path, meta=None):
-        with open(path, "w") as fh:
-            fh.write(format_table(
-                ["t", "p_i", "rbar"],
-                zip(self.times, self.survival, self.rates), meta))
-
 
 def generalized_decay(rbar, p0, t_grid, *, model=None, dos=None, E_i=None):
     """Exponential-of-integral decay for a time-dependent mean rate.
@@ -364,10 +357,12 @@ def generalized_decay(rbar, p0, t_grid, *, model=None, dos=None, E_i=None):
     (a scalar result is broadcast, so lambda t: 0.3 works), or a
     PulseTrain, in which case the instantaneous rate is the golden rule
     driven by the train's combined envelope, 2 pi |V(t) m(E_i)|^2 D(E_i)
-    (dos and E_i then required). The rate history is accumulated by the
-    panel quadrature integrate uses, at zero frequency: every grid
-    interval is summed from the Gauss nodes accepted at _DECAY_TOL (see
-    dynamics._panel_rule), and the sums are chained with cumsum.
+    (dos and E_i then required; the law of dynamics.golden_rule_following,
+    with the envelope read through this module's evaluate). The rate
+    history is accumulated by the panel quadrature integrate uses, at zero
+    frequency: every grid interval is summed from the Gauss nodes accepted
+    at _DECAY_TOL (see dynamics._panel_rule), and the sums are chained with
+    cumsum. Returns a DecayCurve of the survival and the rate on t_grid.
     """
     if isinstance(rbar, PulseTrain):
         if dos is None or E_i is None:

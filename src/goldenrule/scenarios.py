@@ -27,16 +27,16 @@ import yaml
 from scipy.integrate import quad
 
 from .dynamics import (
-    analytic_cf_rising_exp,
     fit_lorentzian_profile,
     golden_rule_following,
     golden_rule_rate,
     harmonic_rate_prediction,
     integrate,
+    seed_amplitudes,
     transition_rate,
     validity_report,
 )
-from .errors import ConfigError, GoldenRuleError
+from .errors import ConfigError, GoldenRuleError, PreconditionError
 from .fieldstates import (
     FieldState,
     airy,
@@ -99,7 +99,7 @@ def config_sha256(raw_bytes):
 
 
 # ---------------------------------------------------------------------------
-# metrics and summaries
+# metrics and the run record
 
 @dataclass(frozen=True)
 class MetricResult:
@@ -135,17 +135,20 @@ class MetricResult:
 
 
 @dataclass
-class RunSummary:
-    """Everything the acceptance harness needs to judge one run."""
+class RunContext:
+    """One run's record: the runner fills in metrics, details and
+    artifacts, run_scenario the wall time, and to_dict() is summary.json.
+    """
 
     name: str
     kind: str
-    metrics: dict
-    details: dict
-    wall_time_s: float
-    config_sha256: str
-    artifacts: list
     out_dir: str
+    config_sha256: str
+    tol: float
+    metrics: dict = field(default_factory=dict)
+    details: dict = field(default_factory=dict)
+    artifacts: list = field(default_factory=list)
+    wall_time_s: float | None = None
 
     @property
     def passed(self):
@@ -163,17 +166,6 @@ class RunSummary:
             "artifacts": self.artifacts,
         }
 
-
-@dataclass
-class RunContext:
-    out_dir: str
-    sha: str
-    name: str
-    tol: float
-    metrics: dict = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
-    artifacts: list = field(default_factory=list)
-
     def metric(self, name, value, target, tolerance, mode="abs"):
         if name in self.metrics:
             raise GoldenRuleError(f"metric {name} declared twice")
@@ -181,7 +173,7 @@ class RunContext:
                                           float(tolerance), mode)
 
     def write_csv(self, filename, columns, rows, extra=None):
-        meta = {"scenario": self.name, "config_sha256": self.sha,
+        meta = {"scenario": self.name, "config_sha256": self.config_sha256,
                 **(extra or {})}
         atomic_write_text(os.path.join(self.out_dir, filename),
                           format_table(columns, rows, meta))
@@ -748,8 +740,7 @@ def _run_golden_rule(cfg, ctx):
     ctx.metric("following_ratio", worst, 1.0, checks["following_rel_tol"])
     ctx.metric("validity_pass", 1.0 if rep.passed else 0.0, 1.0, 0.0)
 
-    prof = traj.profile_at(t1)
-    prob = np.abs(prof) ** 2
+    prob = np.abs(traj.c_f_end) ** 2
     fit = fit_lorentzian_profile(cont, prob, gamma)
     ctx.details.update({
         "rate": r, "gamma": gamma, "V0": float(V0),
@@ -957,11 +948,9 @@ def _run_superposition(cfg, ctx):
     ctx.metric("superposition_following", worst, 0.0,
                checks["following_rel_tol"])
 
-    prof = traj.profile_at(t1)
-    ana = np.zeros_like(prof)
-    for g, wgt in terms:
-        ana = ana + analytic_cf_rising_exp(V0 * wgt, cont.omegas, g, t1)
-    resid = float(np.max(np.abs(prof - ana)))
+    # the analytic turn-on solution, as integrate seeds it, at the end
+    ana = seed_amplitudes(cont, env, V0, model, t1)
+    resid = float(np.max(np.abs(traj.c_f_end - ana)))
     ctx.details.update({"terms": [list(t) for t in terms],
                         "amplitude_residual_at_end": resid})
     ctx.write_csv("rates.csv", ["t", "r_numeric", "r_following", "ratio"],
@@ -1067,10 +1056,8 @@ def _run_ww(cfg, ctx):
     p = cfg["parameters"]
     checks = cfg["checks"]
     f = _build_coupling(p["coupling"], p["omega_i"])
-    lo, hi = p["coupling"]["support"]
     val = nonperturbative_validate(
-        f, p["n_levels"], hi - lo, tol=ctx.tol,
-        horizon_rates=p["horizon_rates"],
+        f, p["n_levels"], tol=ctx.tol, horizon_rates=p["horizon_rates"],
         fit_window_rates=tuple(p["fit_window_rates"]),
         n_samples=p["n_samples"])
 
@@ -1084,6 +1071,10 @@ def _run_ww(cfg, ctx):
         wlo, whi = p["decay_window_rates"]
         r = val.rate_analytic
         mask = (val.times >= wlo / r) & (val.times <= whi / r)
+        if not mask.any():
+            raise PreconditionError(
+                f"decay window [{wlo:g}, {whi:g}] / r holds none of the "
+                f"{val.times.size} samples")
         prob = np.abs(val.c_i[mask]) ** 2
         modelp = np.exp(-r * val.times[mask])
         worst = float(np.max(np.abs(prob / modelp - 1.0)))
@@ -1242,17 +1233,17 @@ def load_config(source):
 def run_scenario(source, out_dir=None):
     """Validate, execute and summarize one scenario.
 
-    Returns the RunSummary; artifacts and summary.json land in out_dir
-    (CLI flag > config output_dir > runs/<name>).
+    Returns the run's RunContext; artifacts and summary.json land in
+    out_dir (CLI flag > config output_dir > runs/<name>).
     """
     cfg, raw = load_config(source)
     cfg = validate_config(cfg)
-    sha = config_sha256(raw)
     where = out_dir or cfg.get("output_dir") or os.path.join(
         "runs", cfg["name"])
     os.makedirs(where, exist_ok=True)
 
-    ctx = RunContext(out_dir=where, sha=sha, name=cfg["name"],
+    ctx = RunContext(name=cfg["name"], kind=cfg["kind"], out_dir=where,
+                     config_sha256=config_sha256(raw),
                      tol=cfg["integrator"]["tol"])
     start = time.perf_counter()
     try:
@@ -1260,15 +1251,11 @@ def run_scenario(source, out_dir=None):
     except GoldenRuleError as exc:
         exc.args = (f"[scenario {cfg['name']}] {exc}",) + exc.args[1:]
         raise
-    wall = time.perf_counter() - start
+    ctx.wall_time_s = time.perf_counter() - start
 
-    summary = RunSummary(name=cfg["name"], kind=cfg["kind"],
-                         metrics=ctx.metrics, details=ctx.details,
-                         wall_time_s=wall, config_sha256=sha,
-                         artifacts=ctx.artifacts, out_dir=where)
     atomic_write_text(os.path.join(where, "summary.json"),
-                      json.dumps(summary.to_dict(), indent=2) + "\n")
-    return summary
+                      json.dumps(ctx.to_dict(), indent=2) + "\n")
+    return ctx
 
 
 def _leaf_ref(cfg, dotted):

@@ -4,6 +4,12 @@ Energies are in units with hbar = 1, so a density of states D(E) carries
 inverse energy. A quasi-continuum is a uniform grid of levels with trapezoid
 quadrature weights; the weights are the measure that turns sums over levels
 into integrals over the band.
+
+Every DOS model offers density(E), support, validate_window(lo, hi) and
+log_derivative_scale(E), the energy scale |d ln D / dE|^-1 over which D
+varies at E: the INFINITE_SCALE sentinel for a flat spectrum (never a raw
+float infinity), and for tabulated data queried at a support edge a
+DegenerateEdgeWarning with the one-sided estimate.
 """
 
 from __future__ import annotations
@@ -180,16 +186,6 @@ class TabulatedDOS:
         if slope == 0.0:
             return INFINITE_SCALE
         return float(self.density(E)) / abs(float(slope))
-
-
-def dos_log_derivative_scale(dos, E):
-    """Energy scale over which D varies: |d ln D / dE|^-1 at E.
-
-    Returns the INFINITE_SCALE sentinel for a flat spectrum (never a raw
-    float infinity). Tabulated data queried at a support edge emits a
-    DegenerateEdgeWarning and returns the one-sided estimate.
-    """
-    return dos.log_derivative_scale(E)
 
 
 @dataclass(frozen=True, eq=False)

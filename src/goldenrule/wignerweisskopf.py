@@ -15,7 +15,6 @@ decay and phase drift of c_i directly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .errors import (DiscretizationTooCoarseError, DomainError, EdgeError,
                      PreconditionError, ToleranceFailureError)
 from .perturbation import PiecewiseConstantPulse, TabulatedElement
 from .spectrum import DiscretizedContinuum
-from .tables import format_table, read_table
+from .tables import read_table
 from .dynamics import integrate
 
 
@@ -93,12 +92,6 @@ class CouplingFunction:
         omega, values = zip(*read_table(path, {"omega": float, "f": float}))
         return cls.from_table(omega, values, omega_i)
 
-    def export_csv(self, path, n=1001, meta=None):
-        lo, hi = self.support
-        grid = self.knots if self.knots is not None else np.linspace(lo, hi, n)
-        with open(path, "w") as fh:
-            fh.write(format_table(["omega", "f"], zip(grid, self(grid)), meta))
-
 
 def ww_rate(f):
     """Decay rate 2 pi f(omega_i)."""
@@ -158,58 +151,6 @@ def principal_value_shift(f, *, rel_tol=1e-8):
     return -total
 
 
-def pv_shift_smeared(f, eps):
-    """Lorentzian-smeared shift -int f(w) (w-wi) / ((w-wi)^2 + eps^2) dw.
-
-    First-order accurate in eps; Richardson extrapolation of eps and
-    eps/2 reproduces principal_value_shift, which the property tests
-    exercise (including invariance under the sign of eps).
-    """
-    if eps == 0.0:
-        raise DomainError("eps must be nonzero")
-    lo, hi = f.support
-    wi = f.omega_i
-
-    def integrand(w):
-        u = w - wi
-        return float(f(w)) * u / (u * u + eps * eps)
-
-    pts = None
-    if f.knots is not None:
-        inner = f.knots[(f.knots > lo) & (f.knots < hi)]
-        pts = list(inner) + [wi] if inner.size else [wi]
-    else:
-        pts = [wi]
-    val, _ = quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-11,
-                  limit=max(800, len(pts) + 100), points=pts)
-    return -val
-
-
-@dataclass(frozen=True)
-class WWResult:
-    """Perturbative long-time parameters of the decaying level."""
-
-    omega_i: float
-    rate: float
-    shift: float
-    f_at_omega_i: float
-
-
-def ww_parameters(f, *, rel_tol=1e-8):
-    """Rate and shift in one record."""
-    return WWResult(omega_i=f.omega_i, rate=ww_rate(f),
-                    shift=principal_value_shift(f, rel_tol=rel_tol),
-                    f_at_omega_i=float(f(f.omega_i)))
-
-
-def ww_decay_curve(result, t_grid):
-    """Survival and amplitude on a grid: |c_i|^2 = e^{-rt}, c_i carries
-    the extra phase e^{-i shift t}."""
-    t = np.asarray(t_grid, dtype=float)
-    amplitude = np.exp(-(0.5 * result.rate + 1j * result.shift) * t)
-    return np.exp(-result.rate * t), amplitude
-
-
 @dataclass(frozen=True, eq=False)
 class WWValidation:
     """Outcome of the nonperturbative decay check."""
@@ -236,44 +177,46 @@ class WWValidation:
         }
 
 
-def nonperturbative_validate(f, n_levels, span, *, tol=1e-9,
-                             horizon_rates=6.0, fit_window_rates=(2.0, 6.0),
-                             n_samples=481):
+def nonperturbative_validate(f, n_levels, *, tol=1e-9, horizon_rates=6.0,
+                             fit_window_rates=(2.0, 6.0), n_samples=481):
     """Integrate the coupled equations and fit rate and shift from c_i.
 
-    The band support is rebuilt as ~n_levels uniformly spaced levels with
-    the initial frequency exactly on the grid, couplings sqrt(f(omega_k))
-    with trapezoid weights, and the interaction switched on abruptly at
-    t = 0. ln|c_i| and arg c_i are fitted linearly on the window
-    [fit_window_rates] / r.
+    The band support [lo, hi] is rebuilt as uniformly spaced levels,
+    delta = (hi - lo) / (n_levels - 1) apart, with the initial frequency
+    exactly on the grid and every level inside the support (so one fewer
+    than n_levels when omega_i is not a whole number of spacings from the
+    edges), couplings sqrt(f(omega_k)) with trapezoid weights, and the
+    interaction switched on abruptly at t = 0. ln|c_i| and arg c_i are
+    fitted linearly on the window [fit_window_rates] / r.
 
-    Preconditions: span >= 200 r, n_levels >= 4001, spacing <= r / 20,
-    a fit window inside the horizon, a revival time 2 pi / spacing past it.
-    A non-monotone |c_i| before the fit ends means the discrete band has
-    started to feed back and raises DiscretizationTooCoarseError.
+    Preconditions: a support width hi - lo >= 200 r, n_levels >= 4001,
+    spacing <= r / 20, a fit window inside the horizon holding at least
+    two samples, a revival time 2 pi / spacing past it. A non-monotone
+    |c_i| before the fit ends means the discrete band has started to feed
+    back and raises DiscretizationTooCoarseError.
     """
     lo, hi = f.support
-    if abs(span - (hi - lo)) > 1e-9 * (hi - lo):
-        raise PreconditionError(
-            f"span {span} must cover the support width {hi - lo}")
+    width = hi - lo
     r = ww_rate(f)
     if r <= 0.0:
         raise DomainError("coupling vanishes at omega_i; nothing decays")
-    if span < 200.0 * r:
-        raise PreconditionError(f"span must be >= 200 r = {200 * r:.6g}")
+    if width < 200.0 * r:
+        raise PreconditionError(
+            f"support width {width:.6g} must be >= 200 r = {200 * r:.6g}")
     if n_levels < 4001:
         raise PreconditionError("need at least 4001 levels")
     if fit_window_rates[1] > horizon_rates:
         raise PreconditionError(
             f"fit window ends past the horizon {horizon_rates:g} / r")
-    delta = span / (n_levels - 1)
+    delta = width / (n_levels - 1)
     if delta > r / 20.0:
         raise PreconditionError(
             f"spacing {delta:.3g} exceeds r/20 = {r / 20:.3g}")
 
-    # place omega_i exactly on the grid, covering the support
-    k_lo = int(round((f.omega_i - lo) / delta))
-    k_hi = int(round((hi - f.omega_i) / delta))
+    # place omega_i exactly on the grid, inside the support; the guard
+    # keeps whole ratios whole
+    k_lo = int(np.floor((f.omega_i - lo) / delta + 1e-9))
+    k_hi = int(np.floor((hi - f.omega_i) / delta + 1e-9))
     grid = f.omega_i + np.arange(-k_lo, k_hi + 1) * delta
     weights = np.full(grid.size, delta)
     weights[0] *= 0.5
@@ -289,20 +232,26 @@ def nonperturbative_validate(f, n_levels, span, *, tol=1e-9,
 
     couplings = np.sqrt(np.maximum(f(grid), 0.0))
     model = TabulatedElement(grid, couplings)
-    env = PiecewiseConstantPulse(((t_end * 1.02, 1.0),), t_ref=0.0)
+    t_lo, t_hi = fit_window_rates[0] / r, fit_window_rates[1] / r
     samples = np.linspace(0.0, t_end, n_samples)
+    mask = (samples >= t_lo) & (samples <= t_hi)
+    n_fit = int(np.count_nonzero(mask))
+    if n_fit < 2:
+        raise PreconditionError(
+            f"fit window [{t_lo:.6g}, {t_hi:.6g}] holds {n_fit} of the "
+            f"{n_samples} samples; a line fit needs at least 2")
+
+    env = PiecewiseConstantPulse(((t_end * 1.02, 1.0),), t_ref=0.0)
     traj = integrate(continuum, env, 1.0, model, 0.0, t_end, tol=tol,
                      mode="coupled", sample_times=samples)
 
     mag = np.abs(traj.c_i)
-    t_lo, t_hi = fit_window_rates[0] / r, fit_window_rates[1] / r
     guard = mag[traj.times <= min(t_hi, t_end)]
     if np.any(guard[1:] > guard[:-1] * (1.0 + 1e-4)):
         raise DiscretizationTooCoarseError(
             "|c_i| turned around before the fit window closed; the discrete "
             "band is feeding back (revival too early)")
 
-    mask = (traj.times >= t_lo) & (traj.times <= t_hi)
     t_fit = traj.times[mask]
     log_mag = np.log(mag[mask])
     phase = np.unwrap(np.angle(traj.c_i[mask]))

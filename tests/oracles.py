@@ -2,8 +2,8 @@
 
 Each oracle recomputes a library quantity from its defining integral with
 scipy.integrate.quad, on a contour or window chosen for numerical health,
-or on a uniform trapezoid grid, or from an asymptotic expansion, or
-from its defining equation with
+or on a uniform trapezoid grid, or from an asymptotic expansion, or as
+the limit of a smeared integral, or from its defining equation with
 scipy.integrate.solve_ivp, or with one cos/sin pair per level and time,
 so the routes under test are checked against something they do not share
 code with.
@@ -148,6 +148,33 @@ def cross_term_direct_oracle(width, dos, omega_i, T, epsabs=1e-13,
             total += unit * val
             err += e
     return total, err
+
+
+def pv_shift_smeared_oracle(f, eps):
+    """Lorentzian-smeared shift -int f(w) (w-wi) / ((w-wi)^2 + eps^2) dw.
+
+    A second principal-value route for a CouplingFunction f: first-order
+    accurate in eps, so Richardson extrapolation of eps, eps/2 and eps/4
+    reproduces principal_value_shift, which subtracts f(omega_i) on a
+    symmetric window instead.
+    """
+    from goldenrule import DomainError
+
+    if eps == 0.0:
+        raise DomainError("eps must be nonzero")
+    lo, hi = f.support
+    wi = f.omega_i
+
+    def integrand(w):
+        u = w - wi
+        return float(f(w)) * u / (u * u + eps * eps)
+
+    pts = [wi]
+    if f.knots is not None:
+        pts = list(f.knots[(f.knots > lo) & (f.knots < hi)]) + pts
+    val, _ = quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-11,
+                  limit=max(800, len(pts) + 100), points=pts)
+    return -val
 
 
 def smeared_airy_oracle(xi, sigma, n_sigmas=8.0):

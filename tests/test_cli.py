@@ -238,8 +238,12 @@ def test_malformed_block_is_a_config_violation(tmp_path, capsys, name,
     ("pulse_cross_terms",
      _set_path("parameters", "shapes", 0, "gamma_minus", 1e300),
      "overflows a float"),
-    ("pulse_cross_terms", _set_path("parameters", "dos_halfwidth", 1e300),
-     "cross-term quadrature"),
+    # QUADPACK warns on the 1e300 band; cross_term_integral's own
+    # certification gives the verdict
+    pytest.param("pulse_cross_terms",
+                 _set_path("parameters", "dos_halfwidth", 1e300),
+                 "cross-term quadrature", marks=pytest.mark.filterwarnings(
+                     "ignore::scipy.integrate.IntegrationWarning")),
     ("linear_field_ionization", _set_path("parameters", "kappa", 1e300),
      "bound-state energy"),
     ("golden_rule_basic",
@@ -282,6 +286,9 @@ def test_wide_coupled_band_is_refused_before_stepping(tmp_path, capsys,
             in capsys.readouterr().err)
 
 
+# QUADPACK warns on the 1e300 width; cross_term_integral's own
+# certification gives the verdict
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_huge_gaussian_width_runs_to_a_verdict(tmp_path, capsys):
     """A Gaussian of width 1e300 has a cross term of about 2.5e-300: its
     closed form is evaluated without overflow and agrees with the
@@ -290,6 +297,39 @@ def test_huge_gaussian_width_runs_to_a_verdict(tmp_path, capsys):
                          _set_path("parameters", "shapes", 1, "tau", 1e300))
     assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_OK
     assert "PASS cross_term_gaussian" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, omega_i", [("ww_asymmetric_shift", 10.0001),
+                                           ("ww_flat_decay", 10.0003)])
+def test_ww_level_grid_stays_inside_the_support(tmp_path, capsys, name,
+                                                omega_i):
+    """omega_i a fraction of a spacing off the level grid: the end levels
+    stay inside the coupling support instead of up to half a spacing past
+    it."""
+    path = write_variant(tmp_path, name,
+                         _set_path("parameters", "omega_i", omega_i))
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert f"PASS {name}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("window, rates, message", [
+    ("fit_window_rates", [2.001, 2.002], "holds 0 of the 481 samples"),
+    ("fit_window_rates", [2.0, 2.0001], "holds 1 of the 481 samples"),
+    ("decay_window_rates", [2.001, 2.002], "holds none of the 481 samples"),
+])
+def test_ww_windows_short_of_samples_end_typed(tmp_path, capsys, window,
+                                               rates, message):
+    """A line fit needs two samples and the decay check one: a window
+    between samples is a numerical failure, not a traceback."""
+    path = write_variant(tmp_path, "ww_flat_decay",
+                         _set_path("parameters", window, rates))
+    assert main(["validate", path]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["run", path, "--out", str(tmp_path / "out")]) \
+        == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert message in err
 
 
 def test_nested_config_error_reports_its_own_violations(tmp_path, capsys):

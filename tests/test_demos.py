@@ -1,4 +1,4 @@
-"""Every demo must still import against the current API."""
+"""Every demo must import against the current API and run to completion."""
 
 import glob
 import os
@@ -16,6 +16,7 @@ def test_demos_are_found():
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
-def test_demo_loads(path):
+def test_demo_loads(path, capsys):
     namespace = runpy.run_path(path, run_name="demo")
-    assert callable(namespace["main"])
+    namespace["main"]()
+    assert capsys.readouterr().out

@@ -173,7 +173,7 @@ def test_first_order_run_matches_analytic_profile():
                      t0=-np.log(1e6) / gamma, t1=t1, tol=tol,
                      mode="first_order")
     want = analytic_cf_rising_exp(V0, cont.omegas, gamma, t1)
-    err = np.max(np.abs(traj.profile_at(t1) - want))
+    err = np.max(np.abs(traj.c_f_end - want))
     assert err < 10.0 * tol * float(np.max(np.abs(want)))
 
 
@@ -210,44 +210,19 @@ def test_integrate_argument_validation():
                           mode=mode)
 
 
-def test_profiles_kept_only_on_request():
-    cont = discretize(FLAT, 0.0, 2.0, 21)
-    traj = integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0)
-    assert list(traj.profiles) == [0.0]
-    with pytest.raises(KeyError):
-        traj.profile_at(-1.5)
-
-    # a profile time off the sample grid is integrated to, not looked up
-    off = integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
-                    sample_times=np.linspace(-3.0, 0.0, 9),
-                    keep_profiles=[-1.2345])
-    assert list(off.profiles) == [-1.2345, 0.0]
-    on = integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
-                   sample_times=[-3.0, -1.2345, 0.0])
-    want = np.abs(off.profile_at(-1.2345)) ** 2 @ cont.weights
-    assert want == pytest.approx(on.occupied[1], rel=1e-12)
-    for bad in ([0.5], [-3.5], [np.nan], "first"):
-        with pytest.raises(DomainError):
-            integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
-                      keep_profiles=bad)
-
-
 def test_stored_times_are_found_within_the_span_tolerance():
-    """Profiles and rates are looked up by bisection on sorted keys: a
-    query within 1e-9 of the span finds the nearest stored time, one
-    further off is not found."""
+    """Rates are looked up by bisection on sorted keys: a query within
+    1e-9 of the span finds the nearest stored time, one further off is
+    not found."""
     cont = discretize(FLAT, 0.0, 2.0, 21)
     rates = [-0.5, -2.0, -1.0, -1.0 + 3e-9]
     traj = integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
-                     rate_times=rates, keep_profiles=[-1.5, -2.5])
+                     rate_times=rates)
     for t in rates:
         near = t + 1e-9 * 3.0 * 0.4
         assert transition_rate(traj, near) == traj.rate_table[t]
     assert transition_rate(traj, -1.0 + 2e-9) == traj.rate_table[-1.0 + 3e-9]
-    assert np.array_equal(traj.profile_at(-1.5 - 2e-9), traj.profiles[-1.5])
     for far in (-1.5 + 4e-9, -3.0, 0.5, np.nan):
-        with pytest.raises(KeyError):
-            traj.profile_at(far)
         with pytest.raises(PreconditionError):
             transition_rate(traj, far)
 
@@ -482,7 +457,7 @@ def test_first_order_quadrature_matches_rk45_oracle(case):
     S_err = cont.weights @ (2.0 * np.abs(ref) * err + err * err)
     at = lambda t: np.searchsorted(t_eval, t)
 
-    assert np.max(np.abs(traj.profile_at(t1) - ref[:, -1])) <= err
+    assert np.max(np.abs(traj.c_f_end - ref[:, -1])) <= err
     idx = at(samples)
     assert np.all(np.abs(traj.occupied - S_ref[idx]) <= S_err[idx])
     assert sorted(traj.rate_table) == sorted(rate_times)
@@ -609,7 +584,7 @@ def _coupled_against_oracle(cont, env, V0, t0, t1, samples, rate_times,
 
     idx = at(samples)
     assert np.all(np.abs(traj.c_i - ci_ref[idx]) <= err)
-    assert np.max(np.abs(traj.profile_at(t1) - cf_ref[:, -1])) <= err
+    assert np.max(np.abs(traj.c_f_end - cf_ref[:, -1])) <= err
     assert np.all(np.abs(traj.occupied - S_ref[idx]) <= S_err[idx])
     for t in rate_times:
         a = V0 * env.shape(t)

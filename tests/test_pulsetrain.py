@@ -464,14 +464,3 @@ def test_decay_input_validation():
         generalized_decay(lambda s: 0.1, 1.0, np.array([0.0]))
     with pytest.raises(DomainError):
         generalized_decay(lambda s: 0.1, 1.0, np.array([0.0, 0.0, 1.0]))
-
-
-def test_decay_curve_csv_export(tmp_path):
-    t = np.linspace(0.0, 1.0, 5)
-    curve = generalized_decay(lambda s: 0.2, 1.0, t)
-    path = tmp_path / "decay.csv"
-    curve.export_csv(path, meta={"run": "unit"})
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# run=unit"
-    assert lines[1].split(",") == ["t", "p_i", "rbar"]
-    assert len(lines) == 2 + t.size

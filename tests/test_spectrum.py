@@ -12,7 +12,6 @@ from goldenrule import (
     PowerLawDOS,
     TabulatedDOS,
     discretize,
-    dos_log_derivative_scale,
     lorentzian,
 )
 from goldenrule.spectrum import DegenerateEdgeWarning
@@ -75,11 +74,6 @@ def test_flat_spectra_have_no_finite_scale():
 def test_infinite_scale_never_does_arithmetic():
     with pytest.raises(TypeError):
         INFINITE_SCALE * 2.0
-
-
-def test_dispatch_helper_matches_method():
-    dos = PowerLawDOS(1.0, 2.0, 3.0)
-    assert dos_log_derivative_scale(dos, 6.0) == dos.log_derivative_scale(6.0)
 
 
 def test_power_law_positive_energies_only():
