@@ -483,6 +483,26 @@ class _FilonStepper:
         return ci + h * (self.b @ dci), cf + rot * (D @ g), rot * shift
 
 
+def least_coupled_steps(max_omega, t_eval):
+    """(depth per interval of t_eval, least step count) of a coupled run.
+
+    Each interval starts at the least depth d whose 2^d steps span at
+    most _STEP_PHASE rad of max_omega phase. Raises ToleranceFailureError
+    for steps narrower than the float spacing of their times, or a least
+    count past one per interval by more than _MAX_STEPS.
+    """
+    tops = np.ceil(np.log2(np.maximum(
+        max_omega * np.diff(t_eval) / _STEP_PHASE, 1.0)))
+    _require_resolvable(t_eval, 2.0 ** tops, max_omega, "coupled steps")
+    least = float(np.sum(2.0 ** tops))
+    if least - tops.size > _MAX_STEPS:
+        raise ToleranceFailureError(
+            f"max|omega| = {max_omega:.6g} asks for at least "
+            f"{least:.0f} coupled steps on {tops.size} sample intervals, "
+            f"more than {_MAX_STEPS} beyond one per interval")
+    return tops.astype(int).tolist(), int(least)
+
+
 def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
     """c_i and c_f at every t_eval point by step-doubled Filon steps.
 
@@ -523,18 +543,8 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
     ci, cf = complex(ci0), np.array(cf0, dtype=complex)
     out[0], ci_all[0] = cf, ci
     steps = rejected = evaluations = 0
-    tops = np.ceil(np.log2(np.maximum(
-        stepper.max_omega * np.diff(t_eval) / _STEP_PHASE, 1.0)))
-    _require_resolvable(t_eval, 2.0 ** tops, stepper.max_omega,
-                        "coupled steps")
-    least = float(np.sum(2.0 ** tops))
-    if least - tops.size > _MAX_STEPS:
-        raise ToleranceFailureError(
-            f"max|omega| = {stepper.max_omega:.6g} asks for at least "
-            f"{least:.0f} coupled steps on {tops.size} sample intervals, "
-            f"more than {_MAX_STEPS} beyond one per interval")
-    budget = _MAX_STEPS + int(least)
-    tops = tops.astype(int).tolist()
+    tops, least = least_coupled_steps(stepper.max_omega, t_eval)
+    budget = _MAX_STEPS + least
     coarse, fine = _level_phases(omegas, t_eval[:-1])
     for k, top in enumerate(tops):
         lo, hi = t_eval[k], t_eval[k + 1]

@@ -13,6 +13,7 @@ Every file records the sha256 of the config that produced it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import numbers
@@ -32,11 +33,12 @@ from .dynamics import (
     golden_rule_rate,
     harmonic_rate_prediction,
     integrate,
+    least_coupled_steps,
     seed_amplitudes,
     transition_rate,
     validity_report,
 )
-from .errors import ConfigError, GoldenRuleError, PreconditionError
+from .errors import ConfigError, DomainError, GoldenRuleError
 from .fieldstates import (
     FieldState,
     airy,
@@ -68,10 +70,12 @@ from .pulsetrain import (
     cross_term_integral,
     generalized_decay,
     propagate_train,
+    train_sample_times,
 )
 from .spectrum import ConstantDOS, PowerLawDOS, TabulatedDOS, discretize
 from .tables import fmt, format_table
-from .wignerweisskopf import CouplingFunction, nonperturbative_validate
+from .wignerweisskopf import (CouplingFunction, nonperturbative_validate,
+                              window_samples)
 
 SCENARIO_KINDS = (
     "golden_rule", "two_sided_pulse", "harmonic", "superposition",
@@ -602,6 +606,13 @@ def _cross_validate(cfg, violations):
                             [blk["shape"] for blk in p["shapes"]])
             for blk in p["shapes"]:
                 _build_pulse_shape(blk)
+        elif kind == "decay_law":
+            _, cont, pulses = _decay_law_setup(p)
+            # overlapping pulses stay the run's numerical failure
+            with contextlib.suppress(DomainError):
+                times = train_sample_times(PulseTrain(pulses), _TRAIN_SAMPLES)
+                least_coupled_steps(float(np.max(np.abs(cont.omegas))),
+                                    times)
         elif kind == "ww":
             _build_coupling(p["coupling"], p["omega_i"])
             horizon = p["horizon_rates"]
@@ -612,6 +623,7 @@ def _cross_validate(cfg, violations):
             if not any(k in cfg["checks"] for k in CHECK_SCHEMAS["ww"]):
                 violations.append("checks: a ww run needs at least one of "
                                   + ", ".join(CHECK_SCHEMAS["ww"]))
+            _ww_windows(p, cfg["checks"])
         elif kind == "ionization":
             if p.get("e_b") is not None and not p["e_b"] < 0:
                 violations.append("parameters.e_b: must be negative")
@@ -1005,24 +1017,36 @@ def _run_pulse_train(cfg, ctx):
                    "im_quad", "scaled_error"], rows)
 
 
+_TRAIN_SAMPLES = 481  # decay_law's sample grid across the train
+
+
+def _decay_law_setup(p):
+    """decay_law's flat band, its level grid and the n_pulses Gaussians of
+    its train, each of V0 transferring -ln(target_survival) / n_pulses."""
+    tau, n_p = p["tau"], p["n_pulses"]
+    d0, half = p["d0"], p["dos_halfwidth"]
+    dos = TabulatedDOS(np.array([-half, half]), np.array([d0, d0]))
+    cont = discretize(dos, 0.0, half, p["n_levels"])
+    q = -np.log(p["target_survival"]) / n_p
+    s_sq_integral = 1.0 / (tau * np.sqrt(2.0 * np.pi))
+    V0 = float(np.sqrt(q / (2.0 * np.pi * d0 * s_sq_integral)))
+    pulses = tuple(Pulse(c, GaussianPulse(tau), V0)
+                   for c in p["separation"] * np.arange(n_p))
+    return dos, cont, pulses
+
+
 @runner("decay_law")
 def _run_decay_law(cfg, ctx):
     p = cfg["parameters"]
     checks = cfg["checks"]
-    tau, sep, n_p = p["tau"], p["separation"], p["n_pulses"]
-    d0, half = p["d0"], p["dos_halfwidth"]
-    dos = TabulatedDOS(np.array([-half, half]), np.array([d0, d0]))
-    cont = discretize(dos, 0.0, half, p["n_levels"])
+    dos, cont, pulses = _decay_law_setup(p)
+    train = PulseTrain(pulses)
     model = ConstantElement(1.0)
+    V0 = pulses[0].V0
+    centers = [pulse.center for pulse in pulses]
 
-    q = -np.log(p["target_survival"]) / n_p
-    s_sq_integral = 1.0 / (tau * np.sqrt(2.0 * np.pi))
-    V0 = float(np.sqrt(q / (2.0 * np.pi * d0 * s_sq_integral)))
-    centers = sep * np.arange(n_p)
-    train = PulseTrain(tuple(Pulse(c, GaussianPulse(tau), V0)
-                             for c in centers))
-
-    traj = propagate_train(train, cont, model, tol=ctx.tol, n_samples=481)
+    traj = propagate_train(train, cont, model, tol=ctx.tol,
+                           n_samples=_TRAIN_SAMPLES)
     rep = additivity_defect(train, traj, model)
     ctx.metric("additivity_defect", rep.defect, 0.0, checks["defect_tol"])
 
@@ -1056,6 +1080,7 @@ def _run_ww(cfg, ctx):
     p = cfg["parameters"]
     checks = cfg["checks"]
     f = _build_coupling(p["coupling"], p["omega_i"])
+    decay_mask = _ww_windows(p, checks)
     val = nonperturbative_validate(
         f, p["n_levels"], tol=ctx.tol, horizon_rates=p["horizon_rates"],
         fit_window_rates=tuple(p["fit_window_rates"]),
@@ -1068,15 +1093,9 @@ def _run_ww(cfg, ctx):
         ctx.metric("ww_shift", val.shift_fitted, val.shift_analytic,
                    checks["shift_rel_tol"], mode="rel")
     if checks.get("decay_pointwise_tol") is not None:
-        wlo, whi = p["decay_window_rates"]
         r = val.rate_analytic
-        mask = (val.times >= wlo / r) & (val.times <= whi / r)
-        if not mask.any():
-            raise PreconditionError(
-                f"decay window [{wlo:g}, {whi:g}] / r holds none of the "
-                f"{val.times.size} samples")
-        prob = np.abs(val.c_i[mask]) ** 2
-        modelp = np.exp(-r * val.times[mask])
+        prob = np.abs(val.c_i[decay_mask]) ** 2
+        modelp = np.exp(-r * val.times[decay_mask])
         worst = float(np.max(np.abs(prob / modelp - 1.0)))
         ctx.metric("decay_curve", worst, 0.0,
                    checks["decay_pointwise_tol"])
@@ -1091,6 +1110,16 @@ def _run_ww(cfg, ctx):
                   ["t", "p_i", "model_p", "phase", "model_phase"],
                   [(t, m * m, np.exp(-r * t), ph, -s * t)
                    for t, m, ph in zip(val.times, mag, phase)])
+
+
+def _ww_windows(p, checks):
+    """Count the samples in the fit window, and in the decay window when
+    decay_pointwise_tol checks it; returns the decay window's mask."""
+    args = (p["horizon_rates"], p["n_samples"])
+    window_samples("fit", p["fit_window_rates"], *args, least=2)
+    if checks.get("decay_pointwise_tol") is None:
+        return None
+    return window_samples("decay", p["decay_window_rates"], *args, least=1)
 
 
 @runner("airy_check")

@@ -177,6 +177,26 @@ class WWValidation:
         }
 
 
+def window_samples(name, window_rates, horizon_rates, n_samples, *, least):
+    """Mask of the samples linspace(0, horizon_rates, n_samples) / r that
+    lie in window_rates / r.
+
+    Counted in units of 1 / r, where the sample grid does not depend on
+    r, so a config can be checked before r is known. Raises
+    PreconditionError when the window holds fewer than `least` samples.
+    """
+    grid = np.linspace(0.0, horizon_rates, n_samples)
+    lo, hi = window_rates
+    mask = (grid >= lo) & (grid <= hi)
+    held = int(np.count_nonzero(mask))
+    if held < least:
+        raise PreconditionError(
+            f"{name} window [{lo:g}, {hi:g}] / r holds "
+            f"{held if least > 1 else 'none'} of the {n_samples} samples; "
+            f"it needs at least {least}")
+    return mask
+
+
 def nonperturbative_validate(f, n_levels, *, tol=1e-9, horizon_rates=6.0,
                              fit_window_rates=(2.0, 6.0), n_samples=481):
     """Integrate the coupled equations and fit rate and shift from c_i.
@@ -191,9 +211,9 @@ def nonperturbative_validate(f, n_levels, *, tol=1e-9, horizon_rates=6.0,
 
     Preconditions: a support width hi - lo >= 200 r, n_levels >= 4001,
     spacing <= r / 20, a fit window inside the horizon holding at least
-    two samples, a revival time 2 pi / spacing past it. A non-monotone
-    |c_i| before the fit ends means the discrete band has started to feed
-    back and raises DiscretizationTooCoarseError.
+    two samples (see window_samples), a revival time 2 pi / spacing past
+    it. A non-monotone |c_i| before the fit ends means the discrete band
+    has started to feed back and raises DiscretizationTooCoarseError.
     """
     lo, hi = f.support
     width = hi - lo
@@ -232,14 +252,10 @@ def nonperturbative_validate(f, n_levels, *, tol=1e-9, horizon_rates=6.0,
 
     couplings = np.sqrt(np.maximum(f(grid), 0.0))
     model = TabulatedElement(grid, couplings)
-    t_lo, t_hi = fit_window_rates[0] / r, fit_window_rates[1] / r
+    t_hi = fit_window_rates[1] / r
+    mask = window_samples("fit", fit_window_rates, horizon_rates, n_samples,
+                          least=2)
     samples = np.linspace(0.0, t_end, n_samples)
-    mask = (samples >= t_lo) & (samples <= t_hi)
-    n_fit = int(np.count_nonzero(mask))
-    if n_fit < 2:
-        raise PreconditionError(
-            f"fit window [{t_lo:.6g}, {t_hi:.6g}] holds {n_fit} of the "
-            f"{n_samples} samples; a line fit needs at least 2")
 
     env = PiecewiseConstantPulse(((t_end * 1.02, 1.0),), t_ref=0.0)
     traj = integrate(continuum, env, 1.0, model, 0.0, t_end, tol=tol,

@@ -113,32 +113,39 @@ def spectral_amp_oracle(env, omega, t_lo, t_hi):
     return re + 1j * im
 
 
-def cross_term_direct_oracle(width, dos, omega_i, T, epsabs=1e-13,
+def cross_term_direct_oracle(env, dos, omega_i, T, epsabs=1e-13,
                              epsrel=1e-11):
-    """Rectangle cross term with its sinc^2 spectrum resolved lobe by lobe.
+    """Cross term with D read by dos.density at every quadrature node.
 
-    int D(omega_i + x) 4 sin^2(x w / 2) / x^2 e^{iTx} dx over the DOS
-    support, cut at 0, at +-s 10^k (s = 2 / w, the inverse support
-    radius) and at every zero 2 pi k / w of the spectrum, each piece by
-    QUADPACK's cos-weighted rule at frequency T and, for T > 0, the
-    sin-weighted one. Returns the complex value and the summed error
-    estimate.
+    int D(omega_i + x) |s~(x)|^2 e^{iTx} dx over the DOS support, cut at
+    0 and at +-s 10^k (s the inverse support radius) and, for a
+    RectangularPulse of width w, at every zero 2 pi k / w of its sinc^2
+    spectrum, so the rectangle is resolved lobe by lobe instead of on
+    split weights; a tabulated D keeps its kinks inside the pieces. Each
+    piece takes QUADPACK's cos-weighted rule at frequency T and, for
+    T > 0, the sin-weighted one. Returns the complex value and the summed
+    error estimate.
     """
+    from goldenrule import RectangularPulse
+    from goldenrule.perturbation import spectral_shape_sq
+
     lo, hi = dos.support
     a, b = lo - omega_i, hi - omega_i
-    s = 2.0 / width
+    s = 1.0 / max(env.support_radius())
     span = max(-a, b)
     marks = s * 10.0 ** np.arange(int(np.ceil(np.log10(span / s)))
                                   if span > s else 0)
-    lobe = 2.0 * np.pi / width
-    zeros = lobe * np.arange(1, int(span / lobe) + 1)
+    zeros = np.array([])
+    if isinstance(env, RectangularPulse):
+        lobe = 2.0 * np.pi / env.width
+        zeros = lobe * np.arange(1, int(span / lobe) + 1)
     cuts = np.unique(np.concatenate([[a, b, 0.0], marks, -marks, zeros,
                                      -zeros]))
     cuts = cuts[(cuts >= a) & (cuts <= b)]
 
     def g(x):
-        sq = 4.0 * np.sin(0.5 * width * x) ** 2 / (x * x) if x else width ** 2
-        return float(dos.density(omega_i + x)) * sq
+        return (float(dos.density(min(max(omega_i + x, lo), hi)))
+                * float(spectral_shape_sq(env, x)))
 
     total, err = 0.0 + 0.0j, 0.0
     for x0, x1 in zip(cuts[:-1], cuts[1:]):

@@ -238,12 +238,6 @@ def test_malformed_block_is_a_config_violation(tmp_path, capsys, name,
     ("pulse_cross_terms",
      _set_path("parameters", "shapes", 0, "gamma_minus", 1e300),
      "overflows a float"),
-    # QUADPACK warns on the 1e300 band; cross_term_integral's own
-    # certification gives the verdict
-    pytest.param("pulse_cross_terms",
-                 _set_path("parameters", "dos_halfwidth", 1e300),
-                 "cross-term quadrature", marks=pytest.mark.filterwarnings(
-                     "ignore::scipy.integrate.IntegrationWarning")),
     ("linear_field_ionization", _set_path("parameters", "kappa", 1e300),
      "bound-state energy"),
     ("golden_rule_basic",
@@ -270,20 +264,36 @@ def test_huge_values_end_in_a_typed_failure(tmp_path, capsys, name, mutate,
     assert message in capsys.readouterr().err
 
 
+def test_huge_cross_term_band_runs_to_a_pass(tmp_path, capsys):
+    """A flat band of half-width 1e300: the far pieces are bounded instead
+    of integrated, so every check passes."""
+    path = write_variant(tmp_path, "pulse_cross_terms",
+                         _set_path("parameters", "dos_halfwidth", 1e300))
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    out = capsys.readouterr().out
+    for metric in ("cross_term_two_sided", "cross_term_gaussian",
+                   "cross_term_rect", "rect_suppression"):
+        assert f"PASS {metric}:" in out
+    assert "FAIL" not in out
+
+
 @pytest.mark.parametrize("halfwidth, least", [(1e6, 983040),
                                               (1e9, 1006632960)])
 def test_wide_coupled_band_is_refused_before_stepping(tmp_path, capsys,
                                                        halfwidth, least):
     """The train's 480 sample intervals would need at least `least` Filon
-    steps: refused up front instead of running without end."""
+    steps: validate and run both refuse it up front instead of running
+    without end."""
     path = write_variant(tmp_path, "gaussian_train_decay",
                          _set_path("parameters", "dos_halfwidth", halfwidth))
+    message = f"at least {least} coupled steps on 480 sample intervals"
+    assert main(["validate", path]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
     start = time.monotonic()
     code = main(["run", path, "--out", str(tmp_path / "out")])
     assert time.monotonic() - start < 10.0
-    assert code == EXIT_NUMERICAL
-    assert (f"at least {least} coupled steps on 480 sample intervals"
-            in capsys.readouterr().err)
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 # QUADPACK warns on the 1e300 width; cross_term_integral's own
@@ -320,16 +330,16 @@ def test_ww_level_grid_stays_inside_the_support(tmp_path, capsys, name,
 def test_ww_windows_short_of_samples_end_typed(tmp_path, capsys, window,
                                                rates, message):
     """A line fit needs two samples and the decay check one: a window
-    between samples is a numerical failure, not a traceback."""
+    between samples is a config violation, found by validate as by run,
+    not a traceback."""
     path = write_variant(tmp_path, "ww_flat_decay",
                          _set_path("parameters", window, rates))
-    assert main(["validate", path]) == EXIT_OK
-    capsys.readouterr()
-    assert main(["run", path, "--out", str(tmp_path / "out")]) \
-        == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure:")
-    assert message in err
+    for argv in (["validate", path],
+                 ["run", path, "--out", str(tmp_path / "out")]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert f"] / r {message}" in err
 
 
 def test_nested_config_error_reports_its_own_violations(tmp_path, capsys):
