@@ -23,17 +23,15 @@ Filon-collocation steps (see _FilonStepper): each level is integrated
 exactly against a polynomial in the drive a(t) c_i(t) (Filon weights,
 Iserles & Norsett, Proc. R. Soc. A 2005), an exponential integrator in
 the sense of Hochbruck & Ostermann (Acta Numerica 2010), so steps follow
-the envelope and c_i, not 1 / max|omega|. Step doubling holds each step
-to tol / 20, and tol also bounds the norm drift. Both paths read the
-envelope only through evaluate(env, V0, t).
+the envelope and c_i, not 1 / max|omega|. Each step is held to tol / 20
+by a defect estimate from its own nodes; tol also bounds the norm drift.
+Both paths read the envelope only through evaluate(env, V0, t).
 
-Every level phase e^{i omega_f t} comes from _level_phases. The levels
-of a DiscretizedContinuum are uniform, omega_f = omega_0 + f delta, so
-with m = ceil(sqrt(N)) and f = b m + a the phase factors into
-e^{i (omega_0 + b m delta) t} e^{i a delta t}: two tables about sqrt(N)
-wide per time. First-order sums contract those tables per interval and
-never form one phase per node and level; the coupled rules, the step
-phases and the rate mix take products or contractions of them too.
+Every level phase e^{i omega_f t} comes from _level_phases: on the
+uniform levels of a DiscretizedContinuum, two tables about sqrt(N) wide
+per time. First-order sums contract those tables per interval and never
+form one phase per node and level; the coupled rules, the step phases
+and the rate mix take products or contractions of them too.
 
 Rates are the probability current into the band,
 
@@ -164,9 +162,9 @@ class AmplitudeTrajectory:
     method: "quadrature" (first_order mode) or "filon" (coupled mode).
     evaluations: envelope values used, acceptance tests and rejected
         steps included.
-    steps: accepted coupled steps, each checked against two half steps
-        (0 in first_order mode, which takes none).
-    rejected: coupled steps that failed that check and were halved.
+    steps: accepted coupled steps, each held to tol / 20 by its
+        Gauss-Lobatto defect estimate (0 in first_order mode).
+    rejected: coupled steps whose estimate missed that and were halved.
     """
 
     times: np.ndarray
@@ -186,17 +184,6 @@ class AmplitudeTrajectory:
     @cached_property
     def _rate_keys(self):
         return np.array(sorted(self.rate_table), dtype=float)
-
-    def _stored_time(self, keys, t):
-        """The sorted key nearest t if within 1e-9 of t, relative to the
-        run's span, else None; found by bisection."""
-        span = self.times[-1] - self.times[0]
-        i = int(np.searchsorted(keys, t))
-        near = keys[max(i - 1, 0):i + 1]
-        if not near.size:
-            return None
-        key = float(near[np.argmin(np.abs(near - t))])
-        return key if abs(key - t) <= 1e-9 * max(span, abs(t)) else None
 
 
 def _gauss_and_lobatto(n):
@@ -409,16 +396,29 @@ class _FilonStepper:
     dc_i/dt(s_k). D, Q and the node phases depend on h alone; the moments
     are Gauss sums with enough nodes for the step's max|omega| h phase,
     which _STEP_PHASE caps. A step costs one p x p solve and O(N p) work.
+
+    The error estimate is the defect delta_m = a C - P g at the p + 1
+    Gauss-Lobatto nodes z_m of [0, 1]: the drive along the collocation
+    polynomial C = c_i(t) + h A_z dc_i/dt against P g, the interpolant
+    every level integrates. The nodes hold both ends, so an envelope edge
+    anywhere in the step shows. With |delta| = sum_m w_m |delta_m| and
+    |v|^2 = sum_f w_f v_f^2, it is max(h |v|, h^2 max|a| |v|^2) |delta|:
+    the c_f error, and the c_i error through the memory term.
     """
 
     def __init__(self, omegas, weights, v):
-        self.omegas, self.v, self.weights = omegas, v, weights
+        self.omegas, self.v = omegas, v
+        self.wv, self.wv2 = weights * v, weights * v ** 2
         self.max_omega = float(np.max(np.abs(omegas)))
-        x, b = np.polynomial.legendre.leggauss(_STEP_NODES)
-        self.x, self.b = 0.5 * (x + 1.0), 0.5 * b
-        # A_lk: x_l times the Gauss sum of L_k over [0, x_l] (exact)
-        self.A = (self.x[:, None] * np.einsum(
-            "m,lmk->lk", self.b, _lagrange(self.x, np.outer(self.x, self.x))))
+        nodes, w = _RULES[_STEP_NODES]
+        p, self.u = _STEP_NODES, 0.5 * (nodes + 1.0)
+        self.x, self.b, self.wz = self.u[:p], 0.5 * w[:p], -0.5 * w[p:]
+        # A_lk: u_l times the Gauss sum of L_k over [0, u_l] (exact)
+        A = self.u[:, None] * np.einsum(
+            "m,lmk->lk", self.b, _lagrange(self.x, np.outer(self.u, self.x)))
+        self.A, self.A_z = A[:p], A[p:]
+        self.L_z = _lagrange(self.x, self.u[p:])
+        self.v_mass = float(np.sum(self.wv2))
         self.rules = {}
 
     def rule(self, h):
@@ -451,7 +451,6 @@ class _FilonStepper:
         phases = np.empty((n, p), dtype=complex)
         shift = np.empty(n, dtype=complex)
         kernel = np.zeros(p * n_q, dtype=complex)
-        wv, wv2 = self.weights * self.v, self.weights * self.v ** 2
         coarse, fine = _level_phases(self.omegas, times)
         m = fine.shape[1]
         rows = max(1, _BLOCK_BYTES // (16 * times.size * m))
@@ -460,27 +459,33 @@ class _FilonStepper:
             e = (coarse[:, b0:b0 + rows, None] * fine[:, None, :]).reshape(
                 times.size, -1)[:, :part.stop - part.start]
             D[part] = e[:n_q].T @ basis_d
-            kernel += e[n_q:-p - 1] @ wv2[part]
+            kernel += e[n_q:-p - 1] @ self.wv2[part]
             phases[part] = e[-p - 1:-1].T
             shift[part] = e[-1]
         Q = np.einsum("lq,lqj->lj", kernel.reshape(p, n_q), basis_q)
         D *= -1j * self.v[:, None]
-        phases *= wv[:, None]
+        phases *= self.wv[:, None]
         if len(self.rules) == _RULE_CACHE:
             del self.rules[next(iter(self.rules))]
         self.rules[key] = (D, phases, Q, shift)
         return self.rules[key]
 
     def step(self, ci, cf, rot, h, a):
-        """(c_i, c_f, rot) at t + h from (ci, cf, rot) at t, where rot =
-        e^{i omega_f t} and a holds the envelope at the step's nodes."""
+        """(c_i, c_f, rot, err) at t + h from (ci, cf, rot) at t, where rot
+        = e^{i omega_f t} and a holds the envelope at t + h u (Gauss nodes,
+        then Lobatto nodes); err is the step's defect estimate."""
         D, phases, Q, shift = self.rule(h)
+        reach = h * h * float(np.max(np.abs(a))) * self.v_mass
+        a, az = a[:self.x.size], a[self.x.size:]
         F = (np.conj(rot) * cf) @ phases
         M = np.eye(a.size) + h * self.A @ (a[:, None] * Q * a)
         y = np.linalg.solve(M, ci - 1j * h * (self.A @ (a * F)))
         g = a * y
         dci = -1j * a * F - a * (Q @ g)
-        return ci + h * (self.b @ dci), cf + rot * (D @ g), rot * shift
+        defect = self.wz @ np.abs(az * (ci + h * (self.A_z @ dci))
+                                  - self.L_z @ g)
+        return (ci + h * (self.b @ dci), cf + rot * (D @ g), rot * shift,
+                max(h * math.sqrt(self.v_mass), reach) * defect)
 
 
 def least_coupled_steps(max_omega, t_eval):
@@ -504,15 +509,14 @@ def least_coupled_steps(max_omega, t_eval):
 
 
 def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
-    """c_i and c_f at every t_eval point by step-doubled Filon steps.
+    """c_i and c_f at every t_eval point by certified Filon steps.
 
     Each interval [t_k, t_k+1] of width H is walked on the dyadic grid t_k
     + j H / 2^d, whose last point is t_k+1 itself, starting at the least
     depth whose steps span at most _STEP_PHASE rad of max|omega| phase. A
-    step of H / 2^d is accepted when it and two steps of half its width
-    agree to tol / 20 in max(|dc_i|, (sum_f w_f |dc_f|^2)^1/2); the half
-    steps are kept. A rejected step is halved; an accepted one that lands
-    on the coarser grid is tried at twice the width next. The phases
+    step of H / 2^d is accepted when its defect estimate (see _FilonStepper)
+    is at most tol / 20. A rejected step is halved; an accepted one that
+    lands on the coarser grid is tried at twice the width next. The phases
     e^{i omega_f t} are exact at each t_k and advanced by the rules' step
     phases within an interval.
 
@@ -533,11 +537,10 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
     limit = tol / _RTOL_SAFETY
     if limit < np.finfo(float).eps:
         raise ToleranceFailureError(
-            f"tol = {tol:.3g} asks coupled steps to agree to {limit:.3g}, "
+            f"tol = {tol:.3g} asks coupled steps for {limit:.3g}, "
             "below the double-precision resolution of an amplitude of 1",
             achieved=np.finfo(float).eps * _RTOL_SAFETY)
     stepper = _FilonStepper(omegas, weights, v)
-    x, p = stepper.x, stepper.x.size
     out = np.empty((t_eval.size, omegas.size), dtype=complex)
     ci_all = np.empty(t_eval.size, dtype=complex)
     ci, cf = complex(ci0), np.array(cf0, dtype=complex)
@@ -561,21 +564,11 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
                     f"coupled steps stalled near t = {at(j, depth):.6g} "
                     f"after {budget} step attempts")
             ta, tb = at(j, depth), at(j + 1, depth)
-            tm = at(2 * j + 1, depth + 1)
-            h = width / (1 << depth)
-            nodes = np.concatenate([ta + (tb - ta) * x, ta + (tm - ta) * x,
-                                    tm + (tb - tm) * x])
-            a = np.asarray(amp(nodes), dtype=float)
-            evaluations += nodes.size
-            ci_one, cf_one, _ = stepper.step(ci, cf, rot, h, a[:p])
-            half = stepper.step(ci, cf, rot, 0.5 * h, a[p:2 * p])
-            ci_two, cf_two, rot_two = stepper.step(*half, 0.5 * h, a[2 * p:])
-            dcf = cf_one - cf_two
-            err = float(np.maximum(  # NaN-propagating, unlike max()
-                abs(ci_one - ci_two),
-                np.sqrt(weights @ (dcf.real ** 2 + dcf.imag ** 2))))
+            a = np.asarray(amp(ta + (tb - ta) * stepper.u), dtype=float)
+            evaluations += a.size
+            *state, err = stepper.step(ci, cf, rot, width / (1 << depth), a)
             if err <= limit:
-                ci, cf, rot = ci_two, cf_two, rot_two
+                ci, cf, rot = state
                 steps += 1
                 j += 1
                 if j % 2 == 0 and depth > top:
@@ -586,7 +579,8 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
                 raise ToleranceFailureError(
                     f"coupled step at t = {ta:.6g} produced a non-finite "
                     "amplitude")
-            if depth - top == _MAX_BISECTIONS or not ta < tm < tb:
+            if (depth - top == _MAX_BISECTIONS
+                    or not ta < at(2 * j + 1, depth + 1) < tb):
                 raise ToleranceFailureError(
                     f"coupled step at t = {ta:.6g} missed tol / "
                     f"{_RTOL_SAFETY:g} by {err:.3g} after {depth - top} "
@@ -612,14 +606,14 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
         tol: user-facing accuracy contract. In first_order mode a
             quadrature panel is accepted when its Gauss and Gauss-Lobatto
             sums differ by at most (tol / 20) * integral |V| dt. In coupled
-            mode a step is accepted when it and two steps of half its
-            width agree to tol / 20 in max(|dc_i|, (sum_f w_f |dc_f|^2)^1/2),
-            a per-step allowance, and norm conservation must stay within
-            10 * tol. Either way the bound is absolute on the amplitudes,
-            so a rate from the probability current is good to about tol
-            relative to the current's peak, not to the local rate: far
-            down a trailing edge, where the rate is 1e-5..1e-7 of its
-            peak, it can be off by tens of tol relative.
+            mode a step is accepted when its defect estimate (see
+            _FilonStepper) is at most tol / 20, a per-step allowance, and
+            norm conservation must stay within 10 * tol. Either way the
+            bound is absolute on the amplitudes, so a rate from the
+            probability current is good to about tol relative to the
+            current's peak, not to the local rate: far down a trailing
+            edge, where the rate is 1e-5..1e-7 of its peak, it can be off
+            by tens of tol relative.
         mode: "first_order" (c_i frozen at 1; panel quadrature, no time
             stepping) or "coupled" (Filon-collocation steps).
         sample_times: report grid in [t0, t1] (default 201 uniform
@@ -725,10 +719,15 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
 
 def transition_rate(traj, t):
     """dS/dt at a registered rate time: the probability current integrate
-    stored there (see the module docstring).
+    stored there (see the module docstring). The stored time nearest t is
+    found by bisection and must lie within 1e-9 of t, relative to the
+    run's span.
     """
-    key = traj._stored_time(traj._rate_keys, t)
-    if key is None:
+    keys, span = traj._rate_keys, traj.times[-1] - traj.times[0]
+    i = int(np.searchsorted(keys, t))
+    near = keys[max(i - 1, 0):i + 1]
+    key = float(near[np.argmin(np.abs(near - t))]) if near.size else np.nan
+    if not abs(key - t) <= 1e-9 * max(span, abs(t)):
         raise PreconditionError(
             f"t = {t} was not registered via rate_times when integrating")
     return traj.rate_table[key]

@@ -13,7 +13,6 @@ Every file records the sha256 of the config that produced it.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import numbers
@@ -38,7 +37,7 @@ from .dynamics import (
     transition_rate,
     validity_report,
 )
-from .errors import ConfigError, DomainError, GoldenRuleError
+from .errors import ConfigError, GoldenRuleError
 from .fieldstates import (
     FieldState,
     airy,
@@ -608,11 +607,8 @@ def _cross_validate(cfg, violations):
                 _build_pulse_shape(blk)
         elif kind == "decay_law":
             _, cont, pulses = _decay_law_setup(p)
-            # overlapping pulses stay the run's numerical failure
-            with contextlib.suppress(DomainError):
-                times = train_sample_times(PulseTrain(pulses), _TRAIN_SAMPLES)
-                least_coupled_steps(float(np.max(np.abs(cont.omegas))),
-                                    times)
+            times = train_sample_times(PulseTrain(pulses), _TRAIN_SAMPLES)
+            least_coupled_steps(float(np.max(np.abs(cont.omegas))), times)
         elif kind == "ww":
             _build_coupling(p["coupling"], p["omega_i"])
             horizon = p["horizon_rates"]

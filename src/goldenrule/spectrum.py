@@ -301,7 +301,9 @@ def discretize(dos, center, halfwidth, n_levels=2001):
     dos.validate_window(center - halfwidth, center + halfwidth)
     step = 2.0 * halfwidth / (n - 1)
     idx = np.arange(n) - (n - 1) // 2
-    energies = center + idx * step
+    # the end levels may round past the band; the DOS is validated on it
+    energies = np.clip(center + idx * step, center - halfwidth,
+                       center + halfwidth)
     weights = np.asarray(dos.density(energies), dtype=float) * step
     weights[0] *= 0.5
     weights[-1] *= 0.5

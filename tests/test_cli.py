@@ -67,18 +67,44 @@ def test_run_metric_failure_exits_one(tmp_path, capsys):
 
 
 def test_run_numerical_failure_exits_three(tmp_path, capsys):
-    # overlapping pulses pass the schema but the train refuses to build
+    # E_i = 1e300 is a valid config, but the band's level spacing falls
+    # below the float spacing there, so its levels collapse
     path = write_variant(
-        tmp_path, "gaussian_train_decay",
-        lambda c: c["parameters"].__setitem__("separation", 0.5))
+        tmp_path, "validity_margins",
+        lambda c: c["parameters"].__setitem__("e_i", 1e300))
     assert main(["validate", path]) == EXIT_OK
     capsys.readouterr()
     code = main(["run", path, "--out", str(tmp_path / "out")])
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:")
-    assert "[scenario gaussian_train_decay]" in err
-    assert "overlap" in err
+    assert "[scenario validity_margins]" in err
+    assert "strictly increasing" in err
+
+
+def test_overlapping_pulses_are_a_config_violation(tmp_path, capsys):
+    path = write_variant(
+        tmp_path, "gaussian_train_decay",
+        lambda c: c["parameters"].__setitem__("separation", 0.5))
+    for argv in (["validate", path],
+                 ["run", path, "--out", str(tmp_path / "out")]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "  - parameters: pulses 0 and 1 overlap" in err
+
+
+def test_band_at_its_own_halfwidth_runs_to_a_verdict(tmp_path, capsys):
+    """discretize keeps its end levels on the band, so a tabulated band
+    discretized at exactly its own half-width stays inside its support
+    (this half-width rounded the top level past it)."""
+    def mutate(c):
+        c["parameters"].update(dos_halfwidth=912.842821700444, n_levels=401)
+
+    path = write_variant(tmp_path, "gaussian_train_decay", mutate)
+    assert main(["validate", path]) == EXIT_OK
+    code = main(["run", path, "--out", str(tmp_path / "out")])
+    assert code in (EXIT_OK, EXIT_METRIC_FAIL)
 
 
 def test_tol_below_roundoff_exits_three(tmp_path, capsys):
@@ -415,16 +441,16 @@ def test_sweep_parallel_workers(tmp_path):
 
 
 def test_sweep_captures_per_row_numerical_errors(tmp_path, capsys):
-    code = main(["sweep", "gaussian_train_decay",
-                 "--axis", "parameters.separation",
-                 "--values", "0.5,0.4", "--out", str(tmp_path)])
+    code = main(["sweep", "validity_margins",
+                 "--axis", "parameters.e_i",
+                 "--values", "1e300,-1e300", "--out", str(tmp_path)])
     assert code == EXIT_METRIC_FAIL
     out = capsys.readouterr().out
     assert out.count("numerical_error") == 2
-    assert "FAIL sweep over parameters.separation (2 runs)" in out
+    assert "FAIL sweep over parameters.e_i (2 runs)" in out
     body = (tmp_path / "sweep.csv").read_text()
     assert "numerical_error" in body
-    assert "overlap" in body
+    assert "strictly increasing" in body
 
 
 def test_sweep_rejects_bad_values(capsys):

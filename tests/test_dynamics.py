@@ -522,9 +522,10 @@ def test_trajectory_names_its_method():
         if mode == "first_order":
             assert traj.steps == traj.rejected == 0
         else:
-            # each attempt reads 8 nodes for the step and 8 per half step
+            # each attempt reads 8 Gauss nodes for the step and 9
+            # Gauss-Lobatto nodes for its defect estimate
             assert traj.steps > 0
-            assert traj.evaluations == 24 * (traj.steps + traj.rejected)
+            assert traj.evaluations == 17 * (traj.steps + traj.rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +606,19 @@ def test_coupled_steps_match_rk45_oracle(case):
     traj = _coupled_against_oracle(cont, env, V0, t0, t1, samples,
                                    rate_times, 1e-9)
     assert 1.0 - abs(traj.c_i[-1]) ** 2 > 0.02
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-9])
+def test_coupled_steps_that_reject_match_rk45_oracle(tol):
+    """A pulse 0.05 wide, centred on a sample time of a grid with unit
+    intervals: a first step spans a whole flank, so the defect estimate
+    must reject and halve it until the pulse is resolved."""
+    env = GaussianPulse(0.05)
+    cont = discretize(FLAT, 0.0, 8.0, 201)
+    samples = np.linspace(-2.0, 2.0, 5)
+    traj = _coupled_against_oracle(cont, env, 3.0, -2.0, 2.0, samples,
+                                   np.array([0.0]), tol)
+    assert traj.rejected > 0
 
 
 def test_coupled_sample_and_rate_time_one_ulp_apart():

@@ -24,7 +24,7 @@ from oracles import (
     airy_prime_oracle,
     ode_residual,
     smeared_airy_oracle,
-    smeared_overlap_trapezoid_oracle,
+    smeared_overlap_gauss_oracle,
 )
 
 AI0 = 0.35502805388781723926
@@ -204,18 +204,21 @@ def _airy_validation_case(sigma_xi):
     (0.0, 0.5, 1.0, 0.5),
 ])
 def test_overlap_wronskian_matches_trapezoid_oracle(args):
-    """The closed-form overlaps against the trapezoid grid they replaced.
+    """The closed-form overlaps against composite Gauss-Legendre sums of
+    the overlap integrals, an oracle independent of the Wronskian identity
+    (it replaced the h^2-convergent trapezoid grid the closed form itself
+    replaced).
 
-    The trapezoid error falls like h^2, so at 24 points per wavelength it
-    is 4/3 of the change to 48; the bound doubles that and adds 1e-12,
-    the Airy evaluator's agreement with AMOS that both routes inherit.
+    The quadrature error falls geometrically as the panels narrow, so the
+    run at 3 wavelengths per panel is far nearer the integral than the
+    change from 6; the bound is that change plus 1e-12, the Airy
+    evaluator's agreement with AMOS that both routes inherit.
     """
     rep = smeared_overlap(*args)
-    ratio_24 = smeared_overlap_trapezoid_oracle(*args)
-    ratio_48 = smeared_overlap_trapezoid_oracle(*args,
-                                                points_per_wavelength=48)
-    bound = 2.0 * abs(ratio_24 - ratio_48) + 1e-12
-    assert abs(rep.ratio - ratio_24) <= bound
+    coarse = smeared_overlap_gauss_oracle(*args)
+    fine = smeared_overlap_gauss_oracle(*args, wavelengths_per_panel=3.0)
+    bound = abs(coarse - fine) + 1e-12
+    assert abs(rep.ratio - fine) <= bound
 
 
 def test_overlap_window_too_small_is_rejected():

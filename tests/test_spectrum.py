@@ -184,6 +184,18 @@ def test_discretize_window_must_fit_support():
         discretize(ConstantDOS(1.0), 0.0, -1.0, 5)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(half=st.floats(1.0, 1e3), n=st.sampled_from([401, 1121, 2001]))
+def test_band_at_its_own_halfwidth_stays_on_its_support(half, n):
+    """The end levels center +- idx * step can round past the band; they
+    are kept on it, so a tabulated band discretized at exactly its own
+    half-width is evaluated inside its support, on a uniform grid."""
+    dos = TabulatedDOS(np.array([-half, half]), np.array([1.0, 1.0]))
+    cont = discretize(dos, 0.0, half, n)
+    assert cont.energies[0] >= -half and cont.energies[-1] <= half
+    assert np.allclose(cont.weights[1:-1], 2.0 * half / (n - 1))
+
+
 def test_continuum_grid_validation():
     with pytest.raises(DomainError):
         DiscretizedContinuum(energies=np.array([0.0, 1.0, 2.5]),
