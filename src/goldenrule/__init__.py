@@ -32,14 +32,11 @@ from .spectrum import (
     lorentzian,
 )
 from .perturbation import (
-    Channel,
-    ChannelledElement,
     ConstantElement,
     ContinuousChannelElement,
     ExpSuperposition,
     GaussianPulse,
     HarmonicRisingExp,
-    PiecewiseConstantPulse,
     RectangularPulse,
     RisingExp,
     TabulatedElement,
@@ -75,7 +72,6 @@ from .pulsetrain import (
     cross_term_integral,
     generalized_decay,
     propagate_train,
-    pulse_kick,
 )
 from .wignerweisskopf import (
     CouplingFunction,

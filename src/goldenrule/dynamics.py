@@ -107,8 +107,8 @@ def _seed_rising_terms(env, V0):
     if isinstance(env, RisingExp):
         return [(V0 * np.exp(-env.gamma * env.t_ref), env.gamma, 0.0)]
     if isinstance(env, TwoSidedExp):
-        amp = V0 * env.v_minus * np.exp(-env.gamma_minus * env.t_ref)
-        return [(amp, env.gamma_minus, 0.0)]
+        return [(V0 * np.exp(-env.gamma_minus * env.t_ref), env.gamma_minus,
+                 0.0)]
     if isinstance(env, ExpSuperposition):
         return [(V0 * w * np.exp(-g * env.t_ref), g, 0.0)
                 for g, w in env.terms]
@@ -158,8 +158,8 @@ class AmplitudeTrajectory:
     c_f_end: the full c_f vector at the last sample.
     rate_table: dict t -> dS/dt, the probability current at each
         registered rate time, read by transition_rate.
+    mode: "first_order" (panel quadrature) or "coupled" (Filon steps).
     norm_drift: max |(|c_i|^2 + S) - 1| over samples (coupled mode only).
-    method: "quadrature" (first_order mode) or "filon" (coupled mode).
     evaluations: envelope values used, acceptance tests and rejected
         steps included.
     steps: accepted coupled steps, each held to tol / 20 by its
@@ -176,7 +176,6 @@ class AmplitudeTrajectory:
     mode: str
     tol: float
     norm_drift: float | None
-    method: str
     evaluations: int
     steps: int
     rejected: int
@@ -681,13 +680,11 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
                                          interval)
         ci_all = np.ones(t_eval.size, dtype=complex)
         steps = rejected = 0
-        method = "quadrature"
     else:
         ci0 = np.sqrt(max(0.0, 1.0 - float(np.sum(weights * np.abs(cf0) ** 2))))
         ci_all, cf_all, steps, rejected, evaluations = _coupled_amplitudes(
             lambda s: evaluate(env, V0, s), omegas, weights, v, ci0, cf0,
             t_eval, tol)
-        method = "filon"
     S_all = np.einsum("f,ft->t", weights, np.abs(cf_all) ** 2)
 
     norm_drift = None
@@ -713,8 +710,7 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
         times=samples, c_i=ci_all[sample_idx], occupied=S_all[sample_idx],
         c_f_end=cf_all[:, sample_idx[-1]].copy(), rate_table=rate_table,
         continuum=continuum, mode=mode, tol=tol, norm_drift=norm_drift,
-        method=method, evaluations=evaluations, steps=steps,
-        rejected=rejected)
+        evaluations=evaluations, steps=steps, rejected=rejected)
 
 
 def transition_rate(traj, t):

@@ -16,7 +16,6 @@ from scipy.integrate import quad
 
 from .errors import (DegenerateSpectrumError, DomainError,
                      UnsupportedShapeError)
-from .tables import read_table
 
 _LN_FLOOR = np.log(1e6)  # support radius measured at 1e-6 relative amplitude
 
@@ -44,14 +43,11 @@ class RisingExp:
 class TwoSidedExp:
     """Rise e^{gamma_minus t} then decay e^{-gamma_plus t} around t_ref.
 
-    The two branches may carry distinct amplitudes v_minus / v_plus;
-    the value exactly at t_ref comes from the decaying branch.
+    Both branches reach 1 at t_ref.
     """
 
     gamma_minus: float
     gamma_plus: float
-    v_minus: float = 1.0
-    v_plus: float = 1.0
     t_ref: float = 0.0
 
     def __post_init__(self):
@@ -61,8 +57,8 @@ class TwoSidedExp:
     def shape(self, t):
         dt = np.asarray(t, dtype=float) - self.t_ref
         out = np.where(dt < 0.0,
-                       self.v_minus * np.exp(self.gamma_minus * np.minimum(dt, 0.0)),
-                       self.v_plus * np.exp(-self.gamma_plus * np.maximum(dt, 0.0)))
+                       np.exp(self.gamma_minus * np.minimum(dt, 0.0)),
+                       np.exp(-self.gamma_plus * np.maximum(dt, 0.0)))
         return out if out.ndim else float(out)
 
     def support_radius(self):
@@ -110,38 +106,6 @@ class RectangularPulse:
 
     def support_radius(self):
         return (0.5 * self.width, 0.5 * self.width)
-
-
-@dataclass(frozen=True)
-class PiecewiseConstantPulse:
-    """Back-to-back constant segments [(duration, level), ...] from t_ref."""
-
-    segments: tuple
-    t_ref: float = 0.0
-
-    def __post_init__(self):
-        segs = tuple((float(d), float(v)) for d, v in self.segments)
-        if not segs:
-            raise DomainError("need at least one segment")
-        if any(d <= 0.0 for d, _ in segs):
-            raise DomainError("segment durations must be positive")
-        object.__setattr__(self, "segments", segs)
-
-    @property
-    def total_duration(self):
-        return sum(d for d, _ in self.segments)
-
-    def shape(self, t):
-        dt = np.asarray(t, dtype=float) - self.t_ref
-        out = np.zeros_like(dt)
-        start = 0.0
-        for dur, level in self.segments:
-            out = np.where((dt >= start) & (dt < start + dur), level, out)
-            start += dur
-        return out if out.ndim else float(out)
-
-    def support_radius(self):
-        return (0.0, self.total_duration)
 
 
 @dataclass(frozen=True)
@@ -223,25 +187,16 @@ def spectral_amplitude(env, omega):
     omega = np.asarray(omega, dtype=float)
     phase = np.exp(1j * omega * env.t_ref)
     if isinstance(env, TwoSidedExp):
-        st = (env.v_minus / (env.gamma_minus + 1j * omega)
-              + env.v_plus / (env.gamma_plus - 1j * omega))
+        st = (1.0 / (env.gamma_minus + 1j * omega)
+              + 1.0 / (env.gamma_plus - 1j * omega))
     elif isinstance(env, GaussianPulse):
         st = np.exp(-0.25 * (omega * env.tau) ** 2) + 0j
     elif isinstance(env, RectangularPulse):
         st = env.width * np.sinc(omega * env.width / (2.0 * np.pi)) + 0j
-    elif isinstance(env, PiecewiseConstantPulse):
-        st = np.zeros(omega.shape, dtype=complex)
-        start = 0.0
-        for dur, level in env.segments:
-            mid = start + 0.5 * dur
-            st = st + (level * dur * np.sinc(omega * dur / (2.0 * np.pi))
-                       * np.exp(1j * omega * mid))
-            start += dur
     else:
         raise UnsupportedShapeError(
             f"{type(env).__name__} has no Fourier transform; supported: "
-            + _kinds(TwoSidedExp, GaussianPulse, RectangularPulse,
-                     PiecewiseConstantPulse))
+            + _kinds(TwoSidedExp, GaussianPulse, RectangularPulse))
     out = phase * st
     return out if out.ndim else complex(out)
 
@@ -249,18 +204,15 @@ def spectral_amplitude(env, omega):
 def spectral_shape_sq(env, omega):
     """|s~(omega)|^2 in closed form for the pulse shapes that have one.
 
-    TwoSidedExp requires a common branch amplitude (the closed form assumes
-    it); Gaussian gives exp(-(omega tau / sqrt 2)^2); Rectangular gives
+    TwoSidedExp gives (g- + g+)^2 / ((omega^2 + g-^2)(omega^2 + g+^2));
+    Gaussian gives exp(-(omega tau / sqrt 2)^2); Rectangular gives
     4 sin^2(omega T / 2) / omega^2 with the omega -> 0 limit T^2.
     """
     omega = np.asarray(omega, dtype=float)
     if isinstance(env, TwoSidedExp):
-        if env.v_minus != env.v_plus:
-            raise DomainError(
-                "closed form needs equal branch amplitudes v_minus == v_plus")
         gm, gp = env.gamma_minus, env.gamma_plus
         try:
-            peak = env.v_plus ** 2 * (gm + gp) ** 2
+            peak = (gm + gp) ** 2
         except OverflowError:
             raise DomainError(
                 f"(gamma_minus + gamma_plus)^2 overflows a float at rates "
@@ -280,13 +232,6 @@ def spectral_shape_sq(env, omega):
             f"no closed-form spectrum for {type(env).__name__}; supported: "
             + _kinds(TwoSidedExp, GaussianPulse, RectangularPulse))
     return out if out.ndim else float(out)
-
-
-def _as_fn(obj):
-    if callable(obj):
-        return obj
-    val = float(obj)
-    return lambda E: val
 
 
 @dataclass(frozen=True)
@@ -327,42 +272,6 @@ class TabulatedElement:
 
 
 @dataclass(frozen=True)
-class Channel:
-    """One decay channel: a label plus V_m and D as numbers or callables of E."""
-
-    label: str
-    element: object
-    dos: object
-
-
-@dataclass(frozen=True)
-class ChannelledElement:
-    """Finite set of channels sharing the total energy E."""
-
-    channels: tuple
-
-    def __post_init__(self):
-        if not self.channels:
-            raise DomainError("need at least one channel")
-        object.__setattr__(self, "channels", tuple(self.channels))
-
-    @classmethod
-    def from_csv(cls, path):
-        """Load channels from CSV columns sigma,E,V,D (grouped by sigma)."""
-        groups = {}
-        for sigma, E, V, D in read_table(
-                path, {"sigma": str, "E": float, "V": float, "D": float}):
-            groups.setdefault(sigma, []).append((E, V, D))
-        channels = []
-        for sigma, pts in groups.items():
-            E, V, D = (np.array(col) for col in zip(*sorted(pts)))
-            channels.append(Channel(label=sigma,
-                                    element=TabulatedElement(E, V).element,
-                                    dos=TabulatedElement(E, D).element))
-        return cls(channels=tuple(channels))
-
-
-@dataclass(frozen=True)
 class ContinuousChannelElement:
     """Channels labelled by a continuous parameter s on [s_lo, s_hi].
 
@@ -384,54 +293,38 @@ def averaged_sq_matrix_element(model, E):
     """DOS-weighted channel average of |V_m|^2 at total energy E.
 
     Returns the pair (avg_sq, total_dos) so that the one-line golden rule
-    r = 2 pi * avg_sq * total_dos reproduces the per-channel sum. E may be
-    an array, and both results are then arrays of its shape; a continuous
-    channel set runs its two quadratures once per energy.
+    r = 2 pi * avg_sq * total_dos reproduces the integral over channels.
+    E may be an array, and both results are then arrays of its shape; the
+    two quadratures over s run once per energy.
 
     Raises:
+        DomainError: if model is not a ContinuousChannelElement.
         DegenerateSpectrumError: if the total DOS at E vanishes.
     """
-    if isinstance(model, ChannelledElement):
+    if not isinstance(model, ContinuousChannelElement):
+        raise DomainError(
+            f"{type(model).__name__} has no channel structure to average over")
+    if np.ndim(E):
         E = np.asarray(E, dtype=float)
-        num = np.zeros(E.shape)
-        den = np.zeros(E.shape)
-        for ch in model.channels:
-            v = np.asarray(_as_fn(ch.element)(E), dtype=float)
-            d = np.asarray(_as_fn(ch.dos)(E), dtype=float)
-            if np.any(d < 0.0):
-                raise DomainError(f"channel {ch.label!r} has negative DOS")
-            num = num + v * v * d
-            den = den + d
-        if np.any(den == 0.0):
-            raise DegenerateSpectrumError(f"total DOS vanishes at E = {E}")
-        if num.ndim:
-            return num / den, den
-        return float(num / den), float(den)
-    if isinstance(model, ContinuousChannelElement):
-        if np.ndim(E):
-            E = np.asarray(E, dtype=float)
-            pairs = [averaged_sq_matrix_element(model, e) for e in E.flat]
-            return tuple(np.reshape(col, E.shape) for col in zip(*pairs))
-        lo, hi = model.s_range
-        num, _ = quad(lambda s: model.element(E, s) ** 2 * model.dos(E, s),
-                      lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
-        den, _ = quad(lambda s: model.dos(E, s), lo, hi,
-                      epsabs=1e-13, epsrel=1e-12, limit=200)
-        if den == 0.0:
-            raise DegenerateSpectrumError(f"total DOS vanishes at E = {E}")
-        return num / den, den
-    raise DomainError(
-        f"{type(model).__name__} has no channel structure to average over")
+        pairs = [averaged_sq_matrix_element(model, e) for e in E.flat]
+        return tuple(np.reshape(col, E.shape) for col in zip(*pairs))
+    lo, hi = model.s_range
+    num, _ = quad(lambda s: model.element(E, s) ** 2 * model.dos(E, s),
+                  lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
+    den, _ = quad(lambda s: model.dos(E, s), lo, hi,
+                  epsabs=1e-13, epsrel=1e-12, limit=200)
+    if den == 0.0:
+        raise DegenerateSpectrumError(f"total DOS vanishes at E = {E}")
+    return num / den, den
 
 
 def element_at(model, E):
     """Real matrix element the propagator should use at energy E.
 
-    For channelled models this is the root-mean-square element, which pairs
-    with the total DOS in rate formulas. Both channel kinds accept an array
-    of energies.
+    For a channel set this is the root-mean-square element, which pairs
+    with the total DOS in rate formulas; it accepts an array of energies.
     """
-    if isinstance(model, (ChannelledElement, ContinuousChannelElement)):
+    if isinstance(model, ContinuousChannelElement):
         avg_sq, _ = averaged_sq_matrix_element(model, E)
         out = np.sqrt(avg_sq)
         return out if np.ndim(out) else float(out)

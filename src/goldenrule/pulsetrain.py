@@ -108,24 +108,6 @@ class PulseTrain:
         return out if out.ndim else float(out)
 
 
-def pulse_kick(env, V0, model, omega_fi, c_i):
-    """Amplitude transferred to a level by one isolated pulse.
-
-    Delta c_f = -i V0 m(E_f) s~(omega_fi) c_i, exact to first order when
-    the level's phase e^{i omega_fi t} winds negligibly while amplitude
-    remains on the initial level. Only Fourier-transformable envelopes
-    qualify; a bare turn-on raises UnsupportedShapeError.
-
-    The matrix-element model must be energy-independent here, since the
-    signature identifies levels by detuning alone.
-    """
-    if not isinstance(model, ConstantElement):
-        raise DomainError(
-            "pulse kicks identify levels by detuning; use a ConstantElement")
-    st = spectral_amplitude(env, omega_fi)
-    return -1j * V0 * model.value * np.asarray(st) * c_i
-
-
 def _kick_strength(pulse, continuum, model):
     """Band-integrated |kick|^2 per unit survival, sum_f w_f |Vt_f|^2."""
     v = np.asarray(element_at(model, continuum.energies), dtype=float)
@@ -153,8 +135,9 @@ def propagate_train(train, continuum, model=None, *, tol, n_samples=101,
     Integrates with V0 = 1 (the train carries every member's V0) across
     the train's support widened by t_margin on each side, on n_samples
     uniform samples. A train starts before its first pulse, so
-    integrate seeds it with an empty band; its Filon-collocation steps
-    each agree with two half steps to tol / 20 (see integrate).
+    integrate seeds it with an empty band; each Filon-collocation step is
+    held to tol / 20 by a defect estimate at its own Gauss-Lobatto nodes
+    (see integrate).
     """
     times = train_sample_times(train, n_samples, t_margin)
     return integrate(continuum, train, 1.0, model, times[0], times[-1],
@@ -357,15 +340,11 @@ def cross_term_closed_form(env, D, T):
     if D < 0.0:
         raise DomainError("DOS must be non-negative")
     if isinstance(env, TwoSidedExp):
-        if env.v_minus != env.v_plus:
-            raise DomainError(
-                "closed form needs equal branch amplitudes v_minus == v_plus")
-        v2 = env.v_plus ** 2
         gm, gp = env.gamma_minus, env.gamma_plus
         if abs(gp - gm) <= _DEGENERATE_REL * max(gp, gm):
             g = 0.5 * (gm + gp)
-            return 2.0 * np.pi * D * v2 * np.exp(-g * T) * (1.0 + g * T) / g
-        return (np.pi * D * v2 * (gm + gp) / (gp - gm)
+            return 2.0 * np.pi * D * np.exp(-g * T) * (1.0 + g * T) / g
+        return (np.pi * D * (gm + gp) / (gp - gm)
                 * (np.exp(-gm * T) / gm - np.exp(-gp * T) / gp))
     if isinstance(env, GaussianPulse):
         lag = T / env.tau  # (T / tau)^2, unlike T^2 / tau^2, cannot overflow

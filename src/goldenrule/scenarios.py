@@ -71,7 +71,8 @@ from .pulsetrain import (
     propagate_train,
     train_sample_times,
 )
-from .spectrum import ConstantDOS, PowerLawDOS, TabulatedDOS, discretize
+from .spectrum import (REVIVAL_SHARE, ConstantDOS, PowerLawDOS, TabulatedDOS,
+                       discretize)
 from .tables import fmt, format_table
 from .wignerweisskopf import (CouplingFunction, nonperturbative_validate,
                               window_samples)
@@ -569,10 +570,11 @@ def _cross_validate(cfg, violations):
         elif kind == "validity_sweep":
             _check_windows(p, [p["window_halfwidth_over_gamma"]
                                * (0.5 * p["rate"] / m) for m in p["margins"]])
-            # the run window must clear 0.8 of the revival time 2 pi /
-            # spacing, spacing = 2 W gamma / (n_levels - 1); gamma cancels
+            # the run window must clear REVIVAL_SHARE of the revival time
+            # 2 pi / spacing, spacing = 2 W gamma / (n_levels - 1); gamma
+            # cancels
             span = np.ptp(_SWEEP_WINDOW_GAMMAS)
-            most = 0.8 * np.pi * (p["n_levels"] - 1) / span
+            most = REVIVAL_SHARE * np.pi * (p["n_levels"] - 1) / span
             if p["window_halfwidth_over_gamma"] > most:
                 violations.append(
                     f"parameters.window_halfwidth_over_gamma: the run window "
@@ -608,6 +610,12 @@ def _cross_validate(cfg, violations):
         elif kind == "decay_law":
             _, cont, pulses = _decay_law_setup(p)
             times = train_sample_times(PulseTrain(pulses), _TRAIN_SAMPLES)
+            span, revival = np.ptp(times), 2.0 * np.pi / cont.delta_e
+            if span > REVIVAL_SHARE * revival:
+                violations.append(
+                    f"parameters.n_levels: the train's samples span "
+                    f"{span:.6g}, past {REVIVAL_SHARE:g} of the band's "
+                    f"revival time 2 pi / spacing = {revival:.6g}")
             least_coupled_steps(float(np.max(np.abs(cont.omegas))), times)
         elif kind == "ww":
             _build_coupling(p["coupling"], p["omega_i"])
@@ -707,6 +715,20 @@ def runner(kind):
     return deco
 
 
+def _write_following_rates(ctx, traj, env, V0, model, dos, E_i, rate_times):
+    """rates.csv: the integrated current against the following golden
+    rule at each rate time. Returns its rows (t, r_numeric, r_following,
+    ratio)."""
+    rows = []
+    for t in rate_times:
+        r_num = transition_rate(traj, t)
+        r_pred = golden_rule_following(env, V0, model, dos, E_i, t)
+        rows.append((t, r_num, r_pred, r_num / r_pred))
+    ctx.write_csv("rates.csv", ["t", "r_numeric", "r_following", "ratio"],
+                  rows)
+    return rows
+
+
 @runner("golden_rule")
 def _run_golden_rule(cfg, ctx):
     params = cfg["parameters"]
@@ -737,11 +759,8 @@ def _run_golden_rule(cfg, ctx):
     traj = integrate(cont, env, V0, model, t0, t1, tol=ctx.tol,
                      rate_times=rate_times)
 
-    rows = []
-    for t in rate_times:
-        r_num = transition_rate(traj, t)
-        r_pred = golden_rule_following(env, V0, model, dos, E_i, t)
-        rows.append((t, r_num, r_pred, r_num / r_pred))
+    rows = _write_following_rates(ctx, traj, env, V0, model, dos, E_i,
+                                  rate_times)
     ratios = np.array([row[3] for row in rows])
     # argmax lands on the first NaN, so a NaN ratio fails the check
     worst = ratios[np.argmax(np.abs(ratios - 1.0))]
@@ -758,8 +777,6 @@ def _run_golden_rule(cfg, ctx):
                         "width_over_gamma": fit.width / gamma},
         "norm_drift": traj.norm_drift,
     })
-    ctx.write_csv("rates.csv", ["t", "r_numeric", "r_following", "ratio"],
-                  rows)
     ctx.write_csv("trajectory.csv",
                   ["t", "re_c_i", "im_c_i", "p_i", "occupied"],
                   [(t, c.real, c.imag, abs(c) ** 2, S)
@@ -947,11 +964,8 @@ def _run_superposition(cfg, ctx):
     traj = integrate(cont, env, V0, model, t0, t1, tol=ctx.tol,
                      mode="first_order", rate_times=rate_times)
 
-    rows = []
-    for t in rate_times:
-        r_num = transition_rate(traj, t)
-        r_pred = golden_rule_following(env, V0, model, dos, E_i, t)
-        rows.append((t, r_num, r_pred, r_num / r_pred))
+    rows = _write_following_rates(ctx, traj, env, V0, model, dos, E_i,
+                                  rate_times)
     worst = np.max([abs(row[3] - 1.0) for row in rows])
     ctx.metric("superposition_following", worst, 0.0,
                checks["following_rel_tol"])
@@ -961,8 +975,6 @@ def _run_superposition(cfg, ctx):
     resid = float(np.max(np.abs(traj.c_f_end - ana)))
     ctx.details.update({"terms": [list(t) for t in terms],
                         "amplitude_residual_at_end": resid})
-    ctx.write_csv("rates.csv", ["t", "r_numeric", "r_following", "ratio"],
-                  rows)
 
 
 @runner("pulse_train")
@@ -1343,6 +1355,8 @@ def run_sweep(source, axis, values, out_dir=None, workers=1):
     os.makedirs(where, exist_ok=True)
 
     payloads = [(source, axis, v, where) for v in values]
+    # a fork pool starts all its workers at once: no more than there are runs
+    workers = min(workers, len(payloads))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -23,6 +23,11 @@ from .errors import DomainError
 from .tables import read_table
 
 
+# a run on a discretized band may span at most this share of its revival
+# time 2 pi / spacing, after which amplitude returns from the levels
+REVIVAL_SHARE = 0.8
+
+
 class DegenerateEdgeWarning(UserWarning):
     """Log-derivative requested at a tabulation edge; one-sided estimate."""
 

@@ -22,19 +22,18 @@ from scipy.integrate import quad
 
 from .errors import (DiscretizationTooCoarseError, DomainError, EdgeError,
                      PreconditionError, ToleranceFailureError)
-from .perturbation import PiecewiseConstantPulse, TabulatedElement
-from .spectrum import DiscretizedContinuum
-from .tables import read_table
+from .perturbation import RectangularPulse, TabulatedElement
+from .spectrum import REVIVAL_SHARE, DiscretizedContinuum
 from .dynamics import integrate
 
 
 class CouplingFunction:
     """Coupling density f(omega) >= 0 on [lo, hi] with omega_i inside.
 
-    fn must be vectorized; tabulated couplings interpolate linearly.
+    fn must be vectorized.
     """
 
-    def __init__(self, fn, support, omega_i, knots=None):
+    def __init__(self, fn, support, omega_i):
         lo, hi = float(support[0]), float(support[1])
         if not hi > lo:
             raise DomainError("support must be a nonempty interval")
@@ -44,7 +43,6 @@ class CouplingFunction:
         self.fn = fn
         self.support = (lo, hi)
         self.omega_i = float(omega_i)
-        self.knots = None if knots is None else np.asarray(knots, dtype=float)
         probe = self(np.linspace(lo, hi, 101))
         if np.any(probe < 0.0):
             raise DomainError("coupling density must be non-negative")
@@ -72,25 +70,6 @@ class CouplingFunction:
             raise DomainError("fractional powers need a positive support")
         return cls(lambda w: c * (np.asarray(w) / omega0) ** exponent,
                    (lo, hi), omega_i)
-
-    @classmethod
-    def from_table(cls, omega, values, omega_i):
-        om = np.asarray(omega, dtype=float)
-        val = np.asarray(values, dtype=float)
-        if om.ndim != 1 or om.size < 2 or val.shape != om.shape:
-            raise DomainError("need matching 1-d arrays with >= 2 samples")
-        if not np.all(np.diff(om) > 0.0):
-            raise DomainError("frequencies must be strictly increasing")
-        if np.any(val < 0.0):
-            raise DomainError("coupling density must be non-negative")
-        return cls(lambda w: np.interp(w, om, val), (om[0], om[-1]), omega_i,
-                   knots=om)
-
-    @classmethod
-    def from_csv(cls, path, omega_i):
-        """Two columns with header ``omega,f``, ascending frequency."""
-        omega, values = zip(*read_table(path, {"omega": float, "f": float}))
-        return cls.from_table(omega, values, omega_i)
 
 
 def ww_rate(f):
@@ -127,22 +106,14 @@ def principal_value_shift(f, *, rel_tol=1e-8):
     def plain(w):
         return float(f(w)) / (w - wi)
 
-    def knots_in(a, b):
-        if f.knots is None:
-            return None
-        pts = f.knots[(f.knots > a) & (f.knots < b)]
-        return pts if pts.size else None
-
     total = 0.0
     err = 0.0
     for a, b, fn in ((wi - delta, wi, regular), (wi, wi + delta, regular),
                      (lo, wi - delta, plain), (wi + delta, hi, plain)):
         if b - a <= 0.0:
             continue
-        pts = knots_in(a, b)
-        lim = 800 if pts is None else max(800, pts.size + 100)
         val, e = quad(fn, a, b, epsabs=rel_tol * scale, epsrel=rel_tol,
-                      limit=lim, points=pts)
+                      limit=800)
         total += val
         err += e
     if err > max(rel_tol * abs(total), rel_tol * scale):
@@ -245,7 +216,7 @@ def nonperturbative_validate(f, n_levels, *, tol=1e-9, horizon_rates=6.0,
 
     t_end = horizon_rates / r
     revival = 2.0 * np.pi / delta
-    if t_end > 0.8 * revival:
+    if t_end > REVIVAL_SHARE * revival:
         raise DiscretizationTooCoarseError(
             f"horizon {t_end:.3g} runs into the revival at {revival:.3g}; "
             "refine the grid")
@@ -257,7 +228,10 @@ def nonperturbative_validate(f, n_levels, *, tol=1e-9, horizon_rates=6.0,
                           least=2)
     samples = np.linspace(0.0, t_end, n_samples)
 
-    env = PiecewiseConstantPulse(((t_end * 1.02, 1.0),), t_ref=0.0)
+    # an abrupt switch-on at t = 0 that stays on past t_end; t_ref = w / 2
+    # puts the left edge at exactly 0.0, where the zero seed belongs
+    width = 1.02 * t_end
+    env = RectangularPulse(width, t_ref=0.5 * width)
     traj = integrate(continuum, env, 1.0, model, 0.0, t_end, tol=tol,
                      mode="coupled", sample_times=samples)
 

@@ -176,11 +176,8 @@ def pv_shift_smeared_oracle(f, eps):
         u = w - wi
         return float(f(w)) * u / (u * u + eps * eps)
 
-    pts = [wi]
-    if f.knots is not None:
-        pts = list(f.knots[(f.knots > lo) & (f.knots < hi)]) + pts
     val, _ = quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-11,
-                  limit=max(800, len(pts) + 100), points=pts)
+                  limit=800, points=[wi])
     return -val
 
 

@@ -97,14 +97,18 @@ def test_overlapping_pulses_are_a_config_violation(tmp_path, capsys):
 def test_band_at_its_own_halfwidth_runs_to_a_verdict(tmp_path, capsys):
     """discretize keeps its end levels on the band, so a tabulated band
     discretized at exactly its own half-width stays inside its support
-    (this half-width rounded the top level past it)."""
+    (this half-width rounded the top level past it): the only violation
+    left is its revival 1.38 time units into a train 61.4 units long."""
     def mutate(c):
         c["parameters"].update(dos_halfwidth=912.842821700444, n_levels=401)
 
     path = write_variant(tmp_path, "gaussian_train_decay", mutate)
-    assert main(["validate", path]) == EXIT_OK
-    code = main(["run", path, "--out", str(tmp_path / "out")])
-    assert code in (EXIT_OK, EXIT_METRIC_FAIL)
+    for argv in (["validate", path],
+                 ["run", path, "--out", str(tmp_path / "out")]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("  - ") == 1
+        assert "revival time 2 pi / spacing = 1.37662" in err
 
 
 def test_tol_below_roundoff_exits_three(tmp_path, capsys):
@@ -438,6 +442,37 @@ def test_sweep_parallel_workers(tmp_path):
                  "--values", "0.1,0.2", "--out", str(tmp_path),
                  "--workers", "2"])
     assert code == EXIT_OK
+
+
+def test_sweep_pool_holds_no_more_workers_than_runs(tmp_path, monkeypatch):
+    """A fork pool starts every worker up front: two values ask for two
+    workers, not 4096, and one value runs in this process."""
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    for values, want in (("0.1,0.2", [2]), ("0.1", [])):
+        asked.clear()
+        code = main(["sweep", "isotropic_scattering",
+                     "--axis", "parameters.scattering.c1",
+                     "--values", values, "--out", str(tmp_path),
+                     "--workers", "4096"])
+        assert code == EXIT_OK
+        assert asked == want
 
 
 def test_sweep_captures_per_row_numerical_errors(tmp_path, capsys):

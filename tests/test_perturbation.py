@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldenrule import (
-    Channel,
-    ChannelledElement,
     ConstantDOS,
     ConstantElement,
     ContinuousChannelElement,
@@ -14,7 +12,6 @@ from goldenrule import (
     ExpSuperposition,
     GaussianPulse,
     HarmonicRisingExp,
-    PiecewiseConstantPulse,
     RectangularPulse,
     RisingExp,
     TabulatedElement,
@@ -49,11 +46,10 @@ def test_gaussian_unit_area_normalization():
 
 
 def test_two_sided_branches():
-    env = TwoSidedExp(1.0, 2.0, v_minus=1.0, v_plus=3.0)
+    env = TwoSidedExp(1.0, 2.0)
     assert env.shape(-1.0) == pytest.approx(np.exp(-1.0))
-    # the reference instant itself belongs to the decaying branch
-    assert env.shape(0.0) == pytest.approx(3.0)
-    assert env.shape(1.0) == pytest.approx(3.0 * np.exp(-2.0))
+    assert env.shape(0.0) == 1.0
+    assert env.shape(1.0) == pytest.approx(np.exp(-2.0))
 
 
 def test_rectangular_edges_inclusive():
@@ -61,15 +57,6 @@ def test_rectangular_edges_inclusive():
     assert env.shape(1.0) == 1.0
     assert env.shape(-1.0) == 1.0
     assert env.shape(1.0000001) == 0.0
-
-
-def test_piecewise_constant_profile():
-    env = PiecewiseConstantPulse(((1.0, 2.0), (0.5, -1.0)))
-    assert env.total_duration == pytest.approx(1.5)
-    assert env.shape(0.5) == 2.0
-    assert env.shape(1.2) == -1.0
-    assert env.shape(-0.1) == 0.0
-    assert env.shape(1.5) == 0.0
 
 
 def test_superposition_unit_amplitude_at_reference():
@@ -85,8 +72,8 @@ def test_harmonic_carrier_profile():
 def test_shapes_broadcast_over_time_arrays():
     t = np.linspace(-2.0, 2.0, 9)
     for env in (RisingExp(1.0), TwoSidedExp(1.0, 2.0), GaussianPulse(0.7),
-                RectangularPulse(1.0), PiecewiseConstantPulse(((1.0, 1.0),)),
-                ExpSuperposition(((1.0, 1.0),)), HarmonicRisingExp(1.0, 3.0)):
+                RectangularPulse(1.0), ExpSuperposition(((1.0, 1.0),)),
+                HarmonicRisingExp(1.0, 3.0)):
         assert env.shape(t).shape == t.shape
 
 
@@ -97,8 +84,8 @@ def test_shapes_broadcast_over_time_arrays():
     lambda: TwoSidedExp(1.0, -2.0),
     lambda: GaussianPulse(0.0),
     lambda: RectangularPulse(-1.0),
-    lambda: PiecewiseConstantPulse(()),
-    lambda: PiecewiseConstantPulse(((0.0, 1.0),)),
+    lambda: RectangularPulse(0.0),
+    lambda: GaussianPulse(np.nan),
     lambda: ExpSuperposition(()),
     lambda: ExpSuperposition(((-1.0, 1.0),)),
     lambda: ExpSuperposition(((1.0, 0.6), (2.0, 0.6))),
@@ -141,7 +128,8 @@ def test_spectral_amplitude_carries_reference_phase():
     (GaussianPulse(0.8), -10.0, 10.0),
     (RectangularPulse(1.5), -0.75, 0.75),
     (TwoSidedExp(1.0, 2.5), -40.0, 18.0),
-    (PiecewiseConstantPulse(((0.6, 1.0), (0.4, -0.5))), 0.0, 1.0),
+    # the abrupt switch-on: left edge at exactly 0
+    (RectangularPulse(1.0, t_ref=0.5), 0.0, 1.0),
 ])
 def test_spectral_amplitude_matches_quadrature(env, t_lo, t_hi):
     for w in (-3.1, -0.4, 0.0, 1.7, 6.0):
@@ -195,14 +183,6 @@ def test_unsupported_spectra_raise():
         spectral_shape_sq(HarmonicRisingExp(1.0, 2.0), 0.0)
 
 
-def test_two_sided_closed_form_needs_equal_amplitudes():
-    env = TwoSidedExp(1.0, 2.0, v_minus=1.0, v_plus=3.0)
-    with pytest.raises(DomainError):
-        spectral_shape_sq(env, 0.0)
-    # the complex transform itself is fine with distinct branches
-    spectral_amplitude(env, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # matrix-element models and channel averages
 
@@ -223,28 +203,31 @@ def test_tabulated_element_interp_and_bounds():
 
 
 def test_channel_average_equal_elements_is_trivial():
-    model = ChannelledElement((Channel("a", 1.0, 2.0), Channel("b", 1.0, 5.0)))
+    model = ContinuousChannelElement(element=lambda E, s: 1.0,
+                                     dos=lambda E, s: 2.0 + s,
+                                     s_range=(0.0, 2.0))
     avg_sq, total = averaged_sq_matrix_element(model, 0.0)
-    assert avg_sq == pytest.approx(1.0)
-    assert total == pytest.approx(7.0)
+    assert avg_sq == pytest.approx(1.0, rel=1e-12)
+    assert total == pytest.approx(6.0, rel=1e-12)
 
 
 def test_channel_average_weights_by_dos():
-    model = ChannelledElement((Channel("open", 1.0, 3.0),
-                               Channel("closed", 0.0, 1.0)))
+    # element s with density s on [0, 1]: int s^3 / int s = 1/2, where an
+    # unweighted average of s^2 would give 1/3
+    model = ContinuousChannelElement(element=lambda E, s: s,
+                                     dos=lambda E, s: s, s_range=(0.0, 1.0))
     avg_sq, total = averaged_sq_matrix_element(model, 0.0)
-    assert avg_sq == pytest.approx(0.75)
-    assert total == pytest.approx(4.0)
-    assert element_at(model, 0.0) == pytest.approx(np.sqrt(0.75))
+    assert avg_sq == pytest.approx(0.5, rel=1e-12)
+    assert total == pytest.approx(0.5, rel=1e-12)
+    assert element_at(model, 0.0) == pytest.approx(np.sqrt(0.5), rel=1e-12)
 
 
 def test_channel_average_stays_within_bounds():
-    vals = [0.2, 1.4, 0.9]
-    doses = [1.0, 2.0, 0.5]
-    model = ChannelledElement(tuple(
-        Channel(str(k), v, d) for k, (v, d) in enumerate(zip(vals, doses))))
+    model = ContinuousChannelElement(element=lambda E, s: 0.2 + 1.2 * s * s,
+                                     dos=lambda E, s: np.exp(-s),
+                                     s_range=(0.0, 1.0))
     avg_sq, _ = averaged_sq_matrix_element(model, 1.0)
-    assert min(v * v for v in vals) <= avg_sq <= max(v * v for v in vals)
+    assert 0.2 ** 2 <= avg_sq <= 1.4 ** 2
 
 
 def test_continuous_channels_uniform_phase():
@@ -274,45 +257,9 @@ def test_continuous_channels_accept_an_energy_array():
 
 
 def test_degenerate_channels_raise():
-    model = ChannelledElement((Channel("a", 1.0, 0.0),))
+    model = ContinuousChannelElement(element=lambda E, s: 1.0,
+                                     dos=lambda E, s: 0.0, s_range=(0.0, 1.0))
     with pytest.raises(DegenerateSpectrumError):
         averaged_sq_matrix_element(model, 0.0)
     with pytest.raises(DomainError):
         averaged_sq_matrix_element(ConstantElement(1.0), 0.0)
-
-
-def test_channelled_element_csv_round_trip(tmp_path):
-    path = tmp_path / "channels.csv"
-    path.write_text(
-        "sigma,E,V,D\n"
-        "up,0.0,1.0,2.0\n"
-        "up,2.0,1.0,2.0\n"
-        "down,0.0,0.5,1.0\n"
-        "down,2.0,0.5,1.0\n")
-    model = ChannelledElement.from_csv(path)
-    assert len(model.channels) == 2
-    avg_sq, total = averaged_sq_matrix_element(model, 1.0)
-    assert total == pytest.approx(3.0)
-    assert avg_sq == pytest.approx((1.0 * 2.0 + 0.25 * 1.0) / 3.0)
-    with pytest.raises(DomainError):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,2\n")
-        ChannelledElement.from_csv(bad)
-
-
-def test_channelled_model_from_csv_drives_integrate(tmp_path):
-    # flat channels up (V=1, D=2) and down (V=0.5, D=1): the rms element
-    # is sqrt((1 * 2 + 0.25 * 1) / 3) = sqrt(0.75) at every energy
-    path = tmp_path / "channels.csv"
-    path.write_text("sigma,E,V,D\nup,-5,1,2\nup,5,1,2\n"
-                    "down,-5,0.5,1\ndown,5,0.5,1\n")
-    model = ChannelledElement.from_csv(path)
-    cont = discretize(ConstantDOS(1.0), 0.0, 4.0, 41)
-    got = integrate(cont, RisingExp(1.0), 0.01, model, -5.0, 0.0)
-    want = integrate(cont, RisingExp(1.0), 0.01,
-                     ConstantElement(np.sqrt(0.75)), -5.0, 0.0)
-    assert np.array_equal(got.occupied, want.occupied)
-    assert np.array_equal(got.c_f_end, want.c_f_end)
-    avg_sq, total = averaged_sq_matrix_element(model, cont.energies)
-    assert np.array_equal(avg_sq, np.full(41, 0.75))
-    assert np.array_equal(total, np.full(41, 3.0))

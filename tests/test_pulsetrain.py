@@ -18,7 +18,6 @@ from goldenrule import (
     RectangularPulse,
     RisingExp,
     TabulatedDOS,
-    TabulatedElement,
     ToleranceFailureError,
     TwoSidedExp,
     UnsupportedShapeError,
@@ -29,8 +28,6 @@ from goldenrule import (
     generalized_decay,
     integrate,
     propagate_train,
-    pulse_kick,
-    spectral_amplitude,
 )
 from oracles import cross_term_direct_oracle
 
@@ -76,42 +73,6 @@ def test_train_rejects_envelopes_without_compact_support():
 def test_empty_train_is_rejected():
     with pytest.raises(DomainError):
         PulseTrain([])
-
-
-# ---------------------------------------------------------------------------
-# per-pulse kicks
-
-def test_kick_rectangular_resonant():
-    # s~(0) = width, so the resonant kick is -i V T c_i
-    got = pulse_kick(RectangularPulse(2.5), 0.3, UNIT, 0.0, 1.0)
-    assert got == pytest.approx(-1j * 0.3 * 2.5)
-
-
-def test_kick_gaussian_resonant_unit_area():
-    got = pulse_kick(GaussianPulse(1.7), 0.3, UNIT, 0.0, 0.8)
-    assert got == pytest.approx(-1j * 0.3 * 0.8)
-
-
-def test_kick_scales_with_current_amplitude():
-    assert pulse_kick(GaussianPulse(1.0), 1.0, UNIT, 0.5, 0.0) == 0.0
-    half = pulse_kick(GaussianPulse(1.0), 1.0, UNIT, 0.5, 0.5)
-    full = pulse_kick(GaussianPulse(1.0), 1.0, UNIT, 0.5, 1.0)
-    assert half == pytest.approx(0.5 * full)
-
-
-def test_kick_tracks_spectral_amplitude_off_resonance():
-    env = TwoSidedExp(1.0, 2.0)
-    w = 1.7
-    want = -1j * 0.2 * spectral_amplitude(env, w)
-    assert pulse_kick(env, 0.2, UNIT, w, 1.0) == pytest.approx(want)
-
-
-def test_kick_requires_transformable_shape_and_flat_element():
-    with pytest.raises(UnsupportedShapeError):
-        pulse_kick(RisingExp(1.0), 1.0, UNIT, 0.0, 1.0)
-    model = TabulatedElement(np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
-    with pytest.raises(DomainError):
-        pulse_kick(GaussianPulse(1.0), 1.0, model, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +194,6 @@ def test_cross_term_rectangle_triangle_overlap():
 def test_cross_term_closed_form_guards():
     with pytest.raises(DomainError):
         cross_term_closed_form(GaussianPulse(1.0), 1.0, -0.1)
-    with pytest.raises(DomainError):
-        cross_term_closed_form(TwoSidedExp(1.0, 2.0, v_plus=2.0), 1.0, 0.0)
     with pytest.raises(UnsupportedShapeError):
         cross_term_closed_form(RisingExp(1.0), 1.0, 0.0)
 

@@ -1,21 +1,12 @@
 import numpy as np
 import pytest
 
-from goldenrule import (
-    ChannelledElement,
-    CouplingFunction,
-    DomainError,
-    TabulatedDOS,
-)
+from goldenrule import DomainError, TabulatedDOS
 from goldenrule.tables import format_table, read_table
 
 # reader, its header, two good data rows
 READERS = {
     "dos": (TabulatedDOS.from_csv, "E,D", ["0,1", "1,2"]),
-    "channels": (ChannelledElement.from_csv, "sigma,E,V,D",
-                 ["up,0,1,2", "up,1,1,2"]),
-    "coupling": (lambda p: CouplingFunction.from_csv(p, 0.5), "omega,f",
-                 ["0,1", "1,2"]),
 }
 
 

@@ -13,7 +13,6 @@ from goldenrule import (
     principal_value_shift,
     ww_rate,
 )
-from goldenrule.tables import format_table
 from oracles import pv_shift_smeared_oracle
 
 
@@ -54,36 +53,6 @@ def test_power_window_values():
         CouplingFunction.power_window(0.02, 0.5, 1.0, -1.0, 3.0, 1.2)
 
 
-def test_from_table_guards_and_interpolation():
-    om = np.array([0.0, 1.0, 2.0])
-    f = CouplingFunction.from_table(om, [0.0, 1.0, 0.0], 1.0)
-    assert f(0.5) == pytest.approx(0.5)
-    with pytest.raises(DomainError):
-        CouplingFunction.from_table([0.0, 0.0, 1.0], [0.0, 1.0, 0.0], 0.5)
-    with pytest.raises(DomainError):
-        CouplingFunction.from_table(om, [0.0, -1.0, 0.0], 1.0)
-    with pytest.raises(DomainError):
-        CouplingFunction.from_table([0.0], [1.0], 0.0)
-
-
-def test_csv_round_trip(tmp_path):
-    om = np.linspace(0.0, 2.0, 9)
-    f = CouplingFunction.from_table(om, 0.3 + 0.1 * om, 1.0)
-    path = tmp_path / "coupling.csv"
-    path.write_text(format_table(["omega", "f"], zip(om, f(om)),
-                                 {"kind": "test"}))
-    back = CouplingFunction.from_csv(path, 1.0)
-    grid = np.linspace(0.0, 2.0, 41)
-    assert np.allclose(back(grid), f(grid), rtol=1e-15)
-    with pytest.raises(DomainError):
-        CouplingFunction.from_csv(path, 5.0)
-
-    bad = tmp_path / "bad.csv"
-    bad.write_text("x,y\n0,1\n")
-    with pytest.raises(DomainError):
-        CouplingFunction.from_csv(bad, 0.5)
-
-
 # ---------------------------------------------------------------------------
 # rate and level shift
 
@@ -109,16 +78,16 @@ def test_shift_flat_band_log_ratio():
 def test_shift_linear_slope_on_symmetric_window():
     # only the odd part survives: f = f0 + s (w - wi) gives -2 a s
     wi, aa, slope = 5.0, 1.5, 0.3
-    grid = np.linspace(wi - aa, wi + aa, 2001)
-    f = CouplingFunction.from_table(grid, 0.7 + slope * (grid - wi), wi)
+    f = CouplingFunction(lambda w: 0.7 + slope * (w - wi), (wi - aa, wi + aa),
+                         wi)
     assert principal_value_shift(f) == pytest.approx(-2.0 * aa * slope,
                                                      rel=1e-8)
 
 
 def test_shift_even_density_vanishes():
     wi, aa = 5.0, 1.5
-    grid = np.linspace(wi - aa, wi + aa, 2001)
-    f = CouplingFunction.from_table(grid, 0.4 + 0.2 * (grid - wi) ** 2, wi)
+    f = CouplingFunction(lambda w: 0.4 + 0.2 * (w - wi) ** 2,
+                         (wi - aa, wi + aa), wi)
     assert abs(principal_value_shift(f)) < 1e-8
 
 
