@@ -17,12 +17,12 @@ Three exhibits on a flat band:
 import numpy as np
 
 from goldenrule import (
+    ConstantDOS,
     ConstantElement,
     GaussianPulse,
     Pulse,
     PulseTrain,
     RectangularPulse,
-    TabulatedDOS,
     TwoSidedExp,
     additivity_defect,
     cross_term_closed_form,
@@ -42,7 +42,7 @@ def cross_terms():
               ("rectangle", RectangularPulse(2.0), 400.0)]
     seps = [0.0, 1.0, 2.0, 3.5, 5.0]
     for label, env, half in shapes:
-        dos = TabulatedDOS([-half, half], [1.0, 1.0])
+        dos = ConstantDOS(1.0, (-half, half))
         scale = abs(cross_term_closed_form(env, 1.0, 0.0))
         cells = []
         for T in seps:
@@ -60,8 +60,7 @@ def two_pulse_defect():
     print("=== additivity defect of two Gaussian pulses")
     tau = 1.0
     V0 = np.sqrt(1e-4 * tau / np.sqrt(2.0 * np.pi))
-    cont = discretize(TabulatedDOS([-30.0, 30.0], [1.0, 1.0]), 0.0, 30.0,
-                      1201)
+    cont = discretize(ConstantDOS(1.0, (-30.0, 30.0)), 0.0, 30.0, 1201)
     for sep in (4.0, 5.0, 6.0):
         train = PulseTrain([Pulse(0.0, GaussianPulse(tau), V0),
                             Pulse(sep, GaussianPulse(tau), V0)])
@@ -79,7 +78,7 @@ def decay_law():
     target = 0.55
     q = -np.log(target) / n_p
     V0 = float(np.sqrt(q * tau * np.sqrt(2.0 * np.pi) / (2.0 * np.pi)))
-    dos = TabulatedDOS([-35.0, 35.0], [1.0, 1.0])
+    dos = ConstantDOS(1.0, (-35.0, 35.0))
     cont = discretize(dos, 0.0, 35.0, 1121)
     train = PulseTrain([Pulse(k * sep, GaussianPulse(tau), V0)
                         for k in range(n_p)])

@@ -23,11 +23,9 @@ from .errors import (
 )
 from .spectrum import (
     ConstantDOS,
-    DegenerateEdgeWarning,
     DiscretizedContinuum,
     INFINITE_SCALE,
     PowerLawDOS,
-    TabulatedDOS,
     discretize,
     lorentzian,
 )

@@ -8,16 +8,14 @@ integration up to interference terms that average out over the band;
 additivity_defect measures the residual against one propagate_train run.
 
 One quadrature per axis. The interference terms (cross_term_integral)
-take weighted QUADPACK rules on a tabulated band split at decades
-around zero detuning and at the table's knots, one route at every
-delay; the density is read once per piece end and is affine in between,
-and a far piece whose bound is below its share of atol is bounded
-instead of integrated. Outside the central decade a RectangularPulse's
-oscillating sinc^2 spectrum goes onto the weights too (the split-weight
-route: a smooth amplitude against cos and sin at T and T +- width), so
-any band width resolves. The decay law
-(generalized_decay) integrates its rate, called on arrays of times, by
-the panel quadrature of dynamics.integrate at zero frequency.
+take weighted QUADPACK rules on a flat band with edges, split at decades
+around zero detuning, one route at every delay; a far piece whose bound
+is below its share of atol is bounded instead of integrated. Outside the
+central decade a RectangularPulse's oscillating sinc^2 spectrum goes
+onto the weights too (the split-weight route: a smooth amplitude against
+cos and sin at T and T +- width), so any band width resolves. The decay
+law (generalized_decay) integrates its rate, called on arrays of times,
+by the panel quadrature of dynamics.integrate at zero frequency.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from .perturbation import (ConstantElement, GaussianPulse, RectangularPulse,
                            TwoSidedExp, element_at, evaluate,
                            spectral_amplitude, spectral_shape_sq)
 from .dynamics import _panel_rule, integrate
-from .spectrum import TabulatedDOS
+from .spectrum import ConstantDOS
 
 
 @dataclass(frozen=True)
@@ -194,36 +192,33 @@ def cross_term_integral(env, dos, omega_i, T, *, rtol=1e-6, atol=1e-12):
 
     This is the interference term between two identical pulses a time T
     apart, before any stationary-phase argument kills it. Integration
-    runs over the support of a TabulatedDOS, split at zero detuning, at
-    decades +-s 10^k of the narrowest spectral scale s = 1 / (longest
-    support radius), so any band width resolves the peak, and at the
-    table's interior knots. D is read once, at every piece end; between
-    them it is exactly linear, so each piece's integrand takes D in the
-    affine form d(x0) + (x - x0) (d(x1) - d(x0)) / (x1 - x0). Every piece
-    takes QUADPACK's cos-weighted rule at frequency T (plain Gauss-Kronrod
-    at T = 0) and, for T > 0, the sin-weighted one; each estimate is
-    asked for atol and rtol over the number of estimates, and the error
-    estimates add up weighted by their coefficients.
+    runs over the support of a ConstantDOS with finite edges, split at
+    zero detuning and at decades +-s 10^k of the narrowest spectral scale
+    s = 1 / (longest support radius), so any band width resolves the
+    peak; the integrand is D0 |s~|^2. Every piece takes QUADPACK's
+    cos-weighted rule at frequency T (plain Gauss-Kronrod at T = 0) and,
+    for T > 0, the sin-weighted one; each estimate is asked for atol and
+    rtol over the number of estimates, and the error estimates add up
+    weighted by their coefficients.
 
     A RectangularPulse of width w takes a split-weight route outside the
     central decade (|x| >= s): its sinc^2 spectrum oscillates with
-    period 2 pi / w, so there D |s~|^2 e^{iTx} is written as
-    (2 D / x^2) (e^{iTx} - e^{i(T+w)x} / 2 - e^{i(T-w)x} / 2), and the
-    smooth amplitude 2 D / x^2 takes the cos- and sin-weighted rules at
+    period 2 pi / w, so there D0 |s~|^2 e^{iTx} is written as
+    (2 D0 / x^2) (e^{iTx} - e^{i(T+w)x} / 2 - e^{i(T-w)x} / 2), and the
+    smooth amplitude 2 D0 / x^2 takes the cos- and sin-weighted rules at
     |T|, T + w and |T - w|, which resolve any band width.
 
     Tail pieces are bounded before they are integrated. |s~|^2 (and the
     rectangle's 2 / x^2) falls monotonically in |x|, so a piece not
-    touching zero contributes at most sum |coefficient| max(d(x0),
-    d(x1)) f(inner) (x1 - x0), inner its end nearer zero; a piece whose
-    bound is at most atol over the number of estimates is skipped and
-    its bound added to the error. This keeps QUADPACK off the far
-    pieces of huge bands, where it returns NaN on an integrand that has
-    underflowed to zero.
+    touching zero contributes at most sum |coefficient| D0 f(inner)
+    (x1 - x0), inner its end nearer zero; a piece whose bound is at most
+    atol over the number of estimates is skipped and its bound added to
+    the error. This keeps QUADPACK off the far pieces of huge bands,
+    where it returns NaN on an integrand that has underflowed to zero.
 
     Raises:
         DomainError: a T, rtol or atol that is NaN or out of range, or a
-            DOS that is not a TabulatedDOS on a finite window.
+            DOS that is not a ConstantDOS with a finite support.
         ToleranceFailureError: if a piece's estimate is not finite, or
             the summed error estimate exceeds max(rtol * |I|, atol).
     """
@@ -232,43 +227,40 @@ def cross_term_integral(env, dos, omega_i, T, *, rtol=1e-6, atol=1e-12):
     if not (rtol > 0.0 and atol > 0.0):
         raise DomainError(
             f"rtol and atol must be positive, got {rtol} and {atol}")
-    if not (isinstance(dos, TabulatedDOS)
+    if not (isinstance(dos, ConstantDOS)
             and np.all(np.isfinite(dos.support))):
         raise DomainError(
-            "cross-term integral needs a TabulatedDOS on a finite window, "
+            "cross-term integral needs a ConstantDOS with a finite support, "
             f"got {type(dos).__name__}")
     lo, hi = dos.support
+    d = dos.D0
     s = 1.0 / max(env.support_radius())
-    edges = np.union1d(_decade_edges(s, lo - omega_i, hi - omega_i),
-                       dos.energies[1:-1] - omega_i)
-    # an edge can round one ulp past the support
-    dens = dos.density(np.clip(omega_i + edges, lo, hi)).tolist()
-    edges = edges.tolist()
+    edges = _decade_edges(s, lo - omega_i, hi - omega_i).tolist()
+    split_fn = lambda x: 2.0 * d / (x * x)
+    shape_fn = lambda x: d * float(spectral_shape_sq(env, x))
 
-    # (x0, x1, d(x0), d(x1), split-weight?, [(coefficient, frequency,
-    # weight)]) per piece
+    # (x0, x1, split-weight?, [(coefficient, frequency, weight)]) per piece
     pieces = []
-    for x0, x1, d0, d1 in zip(edges[:-1], edges[1:], dens[:-1], dens[1:]):
+    for x0, x1 in zip(edges[:-1], edges[1:]):
         if isinstance(env, RectangularPulse) and (x0 >= s or x1 <= -s):
-            pieces.append((x0, x1, d0, d1, True, _split_weights(
+            pieces.append((x0, x1, True, _split_weights(
                 ((1.0, T), (-0.5, T + env.width), (-0.5, T - env.width)))))
         else:
-            pieces.append((x0, x1, d0, d1, False, [(1.0, T, "cos")]
+            pieces.append((x0, x1, False, [(1.0, T, "cos")]
                            + ([(1j, T, "sin")] if T > 0.0 else [])))
     n_est = sum(len(terms) for *_, terms in pieces)
     total = 0.0 + 0.0j
     err = 0.0
-    for x0, x1, d0, d1, split, terms in pieces:
+    for x0, x1, split, terms in pieces:
         inner = min(abs(x0), abs(x1))
         if inner > 0.0:
             f = (2.0 / inner / inner if split
                  else float(spectral_shape_sq(env, inner)))
-            bound = (sum(abs(c) for c, _, _ in terms) * max(d0, d1) * f
-                     * (x1 - x0))
+            bound = sum(abs(c) for c, _, _ in terms) * d * f * (x1 - x0)
             if bound <= atol / n_est:
                 err += bound
                 continue
-        fn = _affine_integrand(env, x0, d0, (d1 - d0) / (x1 - x0), split)
+        fn = split_fn if split else shape_fn
         for coef, freq, weight in terms:
             val, e = quad(fn, x0, x1, weight=weight, wvar=freq,
                           epsabs=atol / n_est, epsrel=rtol / n_est,
@@ -285,17 +277,6 @@ def cross_term_integral(env, dos, omega_i, T, *, rtol=1e-6, atol=1e-12):
             f"cross-term quadrature only certified to {err:.3g} for an "
             f"estimate of size {size:.3g}", achieved=err)
     return total
-
-
-def _affine_integrand(env, x0, d0, slope, split):
-    """One piece's integrand, D(x) = d0 + (x - x0) slope in plain floats.
-
-    D |s~(x)|^2, or the rectangle's split-weight amplitude 2 D / x^2.
-    A node an ulp past a piece end stays on the same line.
-    """
-    if split:
-        return lambda x: 2.0 * (d0 + (x - x0) * slope) / (x * x)
-    return lambda x: (d0 + (x - x0) * slope) * float(spectral_shape_sq(env, x))
 
 
 def _split_weights(terms):

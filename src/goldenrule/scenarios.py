@@ -20,11 +20,12 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from .dynamics import (
     fit_lorentzian_profile,
@@ -37,7 +38,7 @@ from .dynamics import (
     transition_rate,
     validity_report,
 )
-from .errors import ConfigError, GoldenRuleError
+from .errors import ConfigError, DomainError, GoldenRuleError
 from .fieldstates import (
     FieldState,
     airy,
@@ -71,8 +72,7 @@ from .pulsetrain import (
     propagate_train,
     train_sample_times,
 )
-from .spectrum import (REVIVAL_SHARE, ConstantDOS, PowerLawDOS, TabulatedDOS,
-                       discretize)
+from .spectrum import REVIVAL_SHARE, ConstantDOS, PowerLawDOS, discretize
 from .tables import fmt, format_table
 from .wignerweisskopf import (CouplingFunction, nonperturbative_validate,
                               window_samples)
@@ -288,14 +288,10 @@ _POS = dict(check=lambda v: v > 0, msg="must be > 0")
 _NONNEG = dict(check=lambda v: v >= 0, msg="must be >= 0")
 
 _DOS_SCHEMA = {
-    "type": Field(types=(str,), choices=("constant", "power_law",
-                                         "flat_band", "tabulated")),
+    "type": Field(types=(str,), choices=("constant", "power_law")),
     "d0": Field(required=False, default=1.0, **_POS),
     "e0": Field(required=False, default=1.0, **_POS),
     "exponent": Field(required=False, default=1.0),
-    "halfwidth": Field(required=False, **_POS),
-    "center": Field(required=False, default=0.0),
-    "file": Field(types=(str,), required=False),
 }
 
 
@@ -305,15 +301,6 @@ def build_dos(block):
         return ConstantDOS(block["d0"])
     if kind == "power_law":
         return PowerLawDOS(block["d0"], block["e0"], block["exponent"])
-    if kind == "flat_band":
-        if "halfwidth" not in block:
-            raise ConfigError(["dos.halfwidth: required for flat_band"])
-        c, w, d = block["center"], block["halfwidth"], block["d0"]
-        return TabulatedDOS(np.array([c - w, c + w]), np.array([d, d]))
-    if kind == "tabulated":
-        if "file" not in block:
-            raise ConfigError(["dos.file: required for tabulated"])
-        return TabulatedDOS.from_csv(block["file"])
     raise ConfigError([f"dos.type: unknown kind {kind}"])
 
 
@@ -983,7 +970,7 @@ def _run_pulse_train(cfg, ctx):
     checks = cfg["checks"]
     d0 = p["d0"]
     half = p["dos_halfwidth"]
-    dos = TabulatedDOS(np.array([-half, half]), np.array([d0, d0]))
+    dos = ConstantDOS(d0, (-half, half))
     seps = sorted(p["separations"])
 
     rows = []
@@ -996,9 +983,13 @@ def _run_pulse_train(cfg, ctx):
         quad_vals = {}
         for T in seps:
             closed = cross_term_closed_form(env, d0, T)
-            # certify the quadrature well below the band-scale tolerance
-            quad_val = quad_vals[T] = cross_term_integral(
-                env, dos, 0.0, T, atol=1e-6 * scale)
+            # certify the quadrature well below the band-scale tolerance;
+            # its summed error estimate gives the verdict, not a QUADPACK
+            # warning on one piece (a width of 1e300 draws one)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IntegrationWarning)
+                quad_val = quad_vals[T] = cross_term_integral(
+                    env, dos, 0.0, T, atol=1e-6 * scale)
             errs.append(abs(closed - quad_val) / scale)
             rows.append((label, T, closed.real, closed.imag,
                          quad_val.real, quad_val.imag, errs[-1]))
@@ -1033,7 +1024,7 @@ def _decay_law_setup(p):
     its train, each of V0 transferring -ln(target_survival) / n_pulses."""
     tau, n_p = p["tau"], p["n_pulses"]
     d0, half = p["d0"], p["dos_halfwidth"]
-    dos = TabulatedDOS(np.array([-half, half]), np.array([d0, d0]))
+    dos = ConstantDOS(d0, (-half, half))
     cont = discretize(dos, 0.0, half, p["n_levels"])
     q = -np.log(p["target_survival"]) / n_p
     s_sq_integral = 1.0 / (tau * np.sqrt(2.0 * np.pi))
@@ -1181,7 +1172,10 @@ def _run_ionization(cfg, ctx):
     p = cfg["parameters"]
     checks = cfg["checks"]
     kw = {} if p.get("e_b") is None else {"E_b": p["e_b"]}
-    direct = toy_ionization_rate(p["kappa"], p["f"], p["m"], **kw)
+    with warnings.catch_warnings():
+        # the weak_field metric reports a field too strong for the rate
+        warnings.filterwarnings("ignore", "field is not weak", UserWarning)
+        direct = toy_ionization_rate(p["kappa"], p["f"], p["m"], **kw)
     box = box_quantized_rate(p["kappa"], p["f"], p["m"],
                              xi_wall=p["xi_wall"], **kw)
     ctx.metric("route_agreement", direct.rate, box.rate,
@@ -1284,7 +1278,13 @@ def run_scenario(source, out_dir=None):
                      tol=cfg["integrator"]["tol"])
     start = time.perf_counter()
     try:
-        RUNNERS[cfg["kind"]](cfg, ctx)
+        # an overflow, a division by zero or an invalid float operation
+        # ends the run typed, not as a warning beside meaningless numbers
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            RUNNERS[cfg["kind"]](cfg, ctx)
+    except FloatingPointError as exc:
+        raise DomainError(f"[scenario {cfg['name']}] float arithmetic "
+                          f"failed: {exc}") from None
     except GoldenRuleError as exc:
         exc.args = (f"[scenario {cfg['name']}] {exc}",) + exc.args[1:]
         raise
@@ -1299,25 +1299,27 @@ def _leaf_ref(cfg, dotted):
     node = cfg
     parts = dotted.split(".")
     for part in parts[:-1]:
-        if isinstance(node, list):
-            node = node[int(part)]
-        elif isinstance(node, dict) and part in node:
-            node = node[part]
-        else:
-            raise ConfigError([f"axis: no key {part!r} along {dotted!r}"])
-    leaf = parts[-1]
-    if isinstance(node, list):
-        leaf = int(leaf)
-    elif not isinstance(node, dict) or leaf not in node:
-        raise ConfigError([f"axis: no key {leaf!r} along {dotted!r}"])
+        node = node[_child_key(node, part, dotted)]
+    leaf = _child_key(node, parts[-1], dotted)
     if not _is_number(node[leaf]):
         raise ConfigError([f"axis: {dotted!r} is not a numeric leaf"])
     return node, leaf
 
 
+def _child_key(node, part, dotted):
+    """The key or list index that part names in node, or ConfigError."""
+    if isinstance(node, list):
+        if part.isdecimal() and int(part) < len(node):
+            return int(part)
+        raise ConfigError([f"axis: {part!r} is not an index below "
+                           f"{len(node)} along {dotted!r}"])
+    if isinstance(node, dict) and part in node:
+        return part
+    raise ConfigError([f"axis: no key {part!r} along {dotted!r}"])
+
+
 def _sweep_one(payload):
     """Worker body for one sweep point; returns a row dict."""
-    import copy
     source, axis, value, out_dir = payload
     cfg, raw = load_config(source)
     node, key = _leaf_ref(cfg, axis)

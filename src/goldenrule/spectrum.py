@@ -8,28 +8,21 @@ into integrals over the band.
 Every DOS model offers density(E), support, validate_window(lo, hi) and
 log_derivative_scale(E), the energy scale |d ln D / dE|^-1 over which D
 varies at E: the INFINITE_SCALE sentinel for a flat spectrum (never a raw
-float infinity), and for tabulated data queried at a support edge a
-DegenerateEdgeWarning with the one-sided estimate.
+float infinity). Outside its support a model raises DomainError.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .tables import read_table
 
 
 # a run on a discretized band may span at most this share of its revival
 # time 2 pi / spacing, after which amplitude returns from the levels
 REVIVAL_SHARE = 0.8
-
-
-class DegenerateEdgeWarning(UserWarning):
-    """Log-derivative requested at a tabulation edge; one-sided estimate."""
 
 
 class _InfiniteScale:
@@ -105,92 +98,45 @@ class PowerLawDOS:
 
 
 class ConstantDOS:
-    """Flat density of states on the whole line."""
+    """Flat density of states D0 on support, the whole line by default.
 
-    def __init__(self, D0):
+    A finite support (lo, hi) models a flat band with edges: density,
+    validate_window and log_derivative_scale refuse energies outside it,
+    and accept the edges themselves.
+    """
+
+    def __init__(self, D0, support=(-np.inf, np.inf)):
         if not D0 > 0.0:
             raise DomainError(f"D0 must be positive, got {D0}")
+        lo, hi = float(support[0]), float(support[1])
+        if not lo < hi:
+            raise DomainError(f"support [{lo}, {hi}] is empty")
         self.D0 = float(D0)
+        self.support = (lo, hi)
 
-    @property
-    def support(self):
-        return (-np.inf, np.inf)
+    def _check(self, E):
+        lo, hi = self.support
+        if not np.all((E >= lo) & (E <= hi)):  # NaN is outside too
+            raise DomainError(f"energy outside flat band [{lo}, {hi}]")
 
     def density(self, E):
         E = np.asarray(E, dtype=float)
+        self._check(E)
         out = np.full(E.shape, self.D0)
         return out if out.ndim else self.D0
 
     def validate_window(self, lo, hi):
         if not lo <= hi:
             raise DomainError(f"window [{lo}, {hi}] is empty")
-
-    def log_derivative_scale(self, E):
-        return INFINITE_SCALE
-
-
-class TabulatedDOS:
-    """Piecewise-linear density of states from (energy, density) samples."""
-
-    def __init__(self, energies, densities):
-        E = np.asarray(energies, dtype=float)
-        D = np.asarray(densities, dtype=float)
-        if E.ndim != 1 or E.size < 2 or D.shape != E.shape:
-            raise DomainError("need matching 1-d arrays with at least 2 samples")
-        if not np.all(np.diff(E) > 0.0):
-            raise DomainError("tabulated energies must be strictly increasing")
-        if not np.all(D > 0.0):
-            raise DomainError("tabulated densities must be positive everywhere")
-        self.energies = E
-        self.densities = D
-
-    @classmethod
-    def from_csv(cls, path):
-        """Load from a two-column CSV with header ``E,D``, ascending in E."""
-        E, D = zip(*read_table(path, {"E": float, "D": float}))
-        return cls(E, D)
-
-    @property
-    def support(self):
-        return (float(self.energies[0]), float(self.energies[-1]))
-
-    def density(self, E):
-        E = np.asarray(E, dtype=float)
-        lo, hi = self.support
-        if np.any(E < lo) or np.any(E > hi):
-            raise DomainError("energy outside tabulated support")
-        out = np.interp(E, self.energies, self.densities)
-        return out if out.ndim else float(out)
-
-    def validate_window(self, lo, hi):
         slo, shi = self.support
         if lo < slo or hi > shi:
             raise DomainError(
-                f"window [{lo}, {hi}] extends outside tabulated support "
+                f"window [{lo}, {hi}] extends outside flat band "
                 f"[{slo}, {shi}]")
 
     def log_derivative_scale(self, E):
-        E = float(E)
-        lo, hi = self.support
-        if E < lo or E > hi:
-            raise DomainError("energy outside tabulated support")
-        grid = self.energies
-        slopes = np.diff(self.densities) / np.diff(grid)
-        if E == lo or E == hi:
-            warnings.warn(
-                "log-derivative at a tabulation edge is a one-sided estimate",
-                DegenerateEdgeWarning, stacklevel=2)
-            slope = slopes[0] if E == lo else slopes[-1]
-        else:
-            k = int(np.searchsorted(grid, E))
-            if E == grid[k]:
-                # interior knot: average the two adjacent segment slopes
-                slope = 0.5 * (slopes[k - 1] + slopes[k])
-            else:
-                slope = slopes[k - 1]
-        if slope == 0.0:
-            return INFINITE_SCALE
-        return float(self.density(E)) / abs(float(slope))
+        self._check(np.asarray(E, dtype=float))
+        return INFINITE_SCALE
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,7 +236,7 @@ def discretize(dos, center, halfwidth, n_levels=2001):
     the center. Same inputs give bit-identical grids.
 
     Args:
-        dos: density-of-states model (PowerLawDOS, ConstantDOS, TabulatedDOS).
+        dos: density-of-states model (PowerLawDOS or ConstantDOS).
         center: band center E_i.
         halfwidth: half the band width, positive.
         n_levels: odd level count >= 3.

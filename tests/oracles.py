@@ -121,10 +121,9 @@ def cross_term_direct_oracle(env, dos, omega_i, T, epsabs=1e-13,
     0 and at +-s 10^k (s the inverse support radius) and, for a
     RectangularPulse of width w, at every zero 2 pi k / w of its sinc^2
     spectrum, so the rectangle is resolved lobe by lobe instead of on
-    split weights; a tabulated D keeps its kinks inside the pieces. Each
-    piece takes QUADPACK's cos-weighted rule at frequency T and, for
-    T > 0, the sin-weighted one. Returns the complex value and the summed
-    error estimate.
+    split weights. Each piece takes QUADPACK's cos-weighted rule at
+    frequency T and, for T > 0, the sin-weighted one. Returns the complex
+    value and the summed error estimate.
     """
     from goldenrule import RectangularPulse
     from goldenrule.perturbation import spectral_shape_sq

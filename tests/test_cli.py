@@ -142,6 +142,8 @@ def test_invalid_config_lists_violations(tmp_path, capsys):
 
 
 def test_missing_dos_table_is_a_config_violation(tmp_path, capsys):
+    """A DOS table is no config type: the type and its file key are both
+    violations, before any file is opened."""
     missing = tmp_path / "no_such_dos.csv"
     path = write_variant(
         tmp_path, "golden_rule_basic",
@@ -151,7 +153,9 @@ def test_missing_dos_table_is_a_config_violation(tmp_path, capsys):
         assert main(verb) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
-        assert f"  - parameters: {missing}: cannot read table" in err
+        assert ("  - parameters.dynamics.dos.type: must be one of "
+                "constant, power_law") in err
+        assert "  - parameters.dynamics.dos.file: unknown key" in err
 
 
 def test_commented_out_checks_block_is_a_config_violation(tmp_path, capsys):
@@ -218,18 +222,17 @@ def _set_path(*keys_and_value):
      "parameters: window [-200.0, 200.0] extends outside power-law"),
     ("superposed_turnons",
      _set_path("parameters", "dos", {"type": "tabulated"}),
-     "dos.file: required for tabulated"),
+     "parameters.dos.type: must be one of constant, power_law"),
     ("superposed_turnons",
      _set_path("parameters", "dos", {"type": "flat_band", "d0": 1}),
-     "dos.halfwidth: required for flat_band"),
+     "parameters.dos.type: must be one of constant, power_law"),
     ("validity_margins",
      _set_path("parameters", "dos", {"type": "power_law", "d0": 1, "e0": 1,
                                      "exponent": 1}),
      "parameters: window [-250.0, 250.0] extends outside power-law"),
     ("validity_margins",
-     _set_path("parameters", "dos", {"type": "flat_band", "d0": 1,
-                                     "halfwidth": 1}),
-     "parameters: window [-250.0, 250.0] extends outside tabulated"),
+     _set_path("parameters", "dos", {"type": "flat_band", "d0": 1}),
+     "parameters.dos.type: must be one of constant, power_law"),
     # configs whose runs would declare one metric twice, or none
     ("pulse_cross_terms",
      _set_path("parameters", "shapes", 2, {"shape": "gaussian", "tau": 2.0}),
@@ -326,13 +329,11 @@ def test_wide_coupled_band_is_refused_before_stepping(tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
-# QUADPACK warns on the 1e300 width; cross_term_integral's own
-# certification gives the verdict
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_huge_gaussian_width_runs_to_a_verdict(tmp_path, capsys):
     """A Gaussian of width 1e300 has a cross term of about 2.5e-300: its
     closed form is evaluated without overflow and agrees with the
-    quadrature."""
+    quadrature. QUADPACK warns on a piece; the run leaves the verdict to
+    cross_term_integral's own certification and shows no warning."""
     path = write_variant(tmp_path, "pulse_cross_terms",
                          _set_path("parameters", "shapes", 1, "tau", 1e300))
     assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_OK
@@ -425,6 +426,20 @@ def test_any_bad_value_is_valid_or_a_config_violation(tmp_path_factory,
     assert main(["validate", str(path)]) in (EXIT_OK, EXIT_CONFIG)
 
 
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(site=st.sampled_from(MUTATION_SITES), bad=st.sampled_from(BAD_VALUES))
+def test_any_bad_value_runs_to_an_exit_code(tmp_path_factory, site, bad):
+    source, keys = site
+    cfg, _ = load_config(source)
+    _set_path(*keys, bad)(cfg)
+    where = tmp_path_factory.mktemp("mutant_run")
+    path = where / "config.yaml"
+    with open(path, "w") as fh:
+        yaml.safe_dump(cfg, fh)
+    code = main(["run", str(path), "--out", str(where / "out")])
+    assert code in (EXIT_OK, EXIT_METRIC_FAIL, EXIT_CONFIG, EXIT_NUMERICAL)
+
+
 def test_sweep_green_axis(tmp_path, capsys):
     code = main(["sweep", "isotropic_scattering",
                  "--axis", "parameters.scattering.c1",
@@ -503,6 +518,16 @@ def test_sweep_rejects_bad_axis(capsys):
                  "--axis", "parameters.scattering.nope",
                  "--values", "1.0"]) == EXIT_CONFIG
     assert "nope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index", ["x", "7", "-1"])
+def test_sweep_rejects_bad_list_index(tmp_path, capsys, index):
+    code = main(["sweep", "pulse_cross_terms",
+                 "--axis", f"parameters.shapes.{index}.width",
+                 "--values", "1,2", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"  - axis: '{index}' is not an index below 3" in err
 
 
 def test_workers_flag_must_be_positive(capsys):

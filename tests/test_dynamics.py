@@ -20,7 +20,6 @@ from goldenrule import (
     PreconditionError,
     RectangularPulse,
     RisingExp,
-    TabulatedDOS,
     ToleranceFailureError,
     TwoSidedExp,
     analytic_cf_rising_exp,
@@ -735,7 +734,7 @@ def test_harmonic_drops_channels_outside_support():
     assert pred.dos_down is None
     assert pred.rate == pytest.approx(2.0 * np.pi * 1e-4 * 5.0)
 
-    narrow = TabulatedDOS([0.9, 1.1], [1.0, 1.0])
+    narrow = ConstantDOS(1.0, (0.9, 1.1))
     pred2 = harmonic_rate_prediction(1e-4, narrow, 1.0, 0.5)
     assert pred2.both_outside
     assert pred2.rate == 0.0

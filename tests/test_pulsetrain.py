@@ -12,12 +12,12 @@ from goldenrule import (
     ConstantElement,
     DomainError,
     GaussianPulse,
+    PowerLawDOS,
     PreconditionError,
     Pulse,
     PulseTrain,
     RectangularPulse,
     RisingExp,
-    TabulatedDOS,
     ToleranceFailureError,
     TwoSidedExp,
     UnsupportedShapeError,
@@ -149,7 +149,7 @@ def test_additivity_needs_a_coupled_trajectory():
 # cross-term integrals and closed forms
 
 def flat_band(center, halfwidth, d0=1.0):
-    return TabulatedDOS([center - halfwidth, center + halfwidth], [d0, d0])
+    return ConstantDOS(d0, (center - halfwidth, center + halfwidth))
 
 
 def test_cross_term_two_sided_zero_delay():
@@ -297,7 +297,7 @@ RECT_W = 2.0  # the bundled pulse_cross_terms rectangle
     *[(flat_band(0.0, 250.0), 0.0, T)
       for T in (0.0, 0.8, RECT_W, 3.5, 5.0, RECT_W * (1.0 + 1e-9))],
     (flat_band(10.0, 250.0), 37.5, 0.8),
-    (TabulatedDOS([1e-9, 300.0], [1.0, 1.0]), 0.0, 3.5),
+    (ConstantDOS(1.0, (1e-9, 300.0)), 0.0, 3.5),
 ], ids=["T0", "T0.8", "Tw", "T3.5", "T5", "Tw+", "off_centre", "one_sided"])
 def test_cross_term_rectangle_matches_direct_oracle(dos, omega_i, T):
     # the split-weight route against the sinc^2 integrand resolved lobe by
@@ -309,20 +309,18 @@ def test_cross_term_rectangle_matches_direct_oracle(dos, omega_i, T):
     assert abs(got - want) <= max(rtol * abs(want), atol) + oracle_err
 
 
-# five knots, omega_i between two of them: each has a kink in the band
-KNOTTED = TabulatedDOS([-200.0, -30.0, 0.5, 45.0, 260.0],
-                       [0.7, 1.3, 1.0, 0.4, 0.9])
+# omega_i off the band's centre: its edges sit 207.3 and 252.7 away
+OFF_CENTRE = ConstantDOS(1.0, (-200.0, 260.0))
 
 
 @pytest.mark.parametrize("T", [0.0, 0.8, 3.5])
 @pytest.mark.parametrize("env", [TwoSidedExp(1.0, 2.5), GaussianPulse(1.0),
                                  RectangularPulse(RECT_W)])
-def test_cross_term_on_a_knotted_band_matches_per_node_oracle(env, T):
-    # D read once per piece end and affine between the knots, against D
-    # read by dos.density at every node with its kinks inside the pieces
+def test_cross_term_off_centre_matches_per_node_oracle(env, T):
+    # D0 |s~|^2 per piece against D read by dos.density at every node
     rtol, atol = 1e-10, 1e-10 * cross_term_closed_form(env, 1.0, 0.0)
-    want, oracle_err = cross_term_direct_oracle(env, KNOTTED, 7.3, T)
-    got = cross_term_integral(env, KNOTTED, 7.3, T, rtol=rtol, atol=atol)
+    want, oracle_err = cross_term_direct_oracle(env, OFF_CENTRE, 7.3, T)
+    got = cross_term_integral(env, OFF_CENTRE, 7.3, T, rtol=rtol, atol=atol)
     assert abs(got - want) <= max(rtol * abs(want), atol) + oracle_err
 
 
@@ -351,20 +349,14 @@ def test_cross_term_rectangle_raises_no_integration_warning(halfwidth):
                                 atol=1e-6 * scale)
 
 
-class _CompactFlatDOS(ConstantDOS):
-    """A flat DOS cut to [-10, 10] that is not a TabulatedDOS."""
-
-    support = (-10.0, 10.0)
-
-
 def test_cross_term_integral_guards():
     env = GaussianPulse(1.0)
     with pytest.raises(DomainError):
         cross_term_integral(env, flat_band(0.0, 10.0), 0.0, -1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="got ConstantDOS"):
         cross_term_integral(env, FLAT, 0.0, 0.0)
-    with pytest.raises(DomainError, match="TabulatedDOS"):
-        cross_term_integral(env, _CompactFlatDOS(1.0), 0.0, 0.0)
+    with pytest.raises(DomainError, match="got PowerLawDOS"):
+        cross_term_integral(env, PowerLawDOS(1.0, 1.0, 0.0), 0.0, 0.0)
     for T in (np.nan, np.inf):
         with pytest.raises(DomainError):
             cross_term_integral(env, flat_band(0.0, 10.0), 0.0, T)

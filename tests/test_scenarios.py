@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 import yaml
@@ -151,6 +153,30 @@ def test_leaf_ref_paths():
         _leaf_ref(cfg, "a.missing")
     with pytest.raises(ConfigError):
         _leaf_ref(cfg, "a.s")
+    for index in ("x", "2", "-1", "+1", "\u00b2"):
+        with pytest.raises(ConfigError, match="not an index below 2"):
+            _leaf_ref(cfg, f"a.b.{index}")
+
+
+WORKLOADS_PY = (Path(__file__).resolve().parents[1] / "perfbench"
+                / "workloads.py")
+
+
+def test_benchmark_configs_validate():
+    """Every config the benchmark generates, seeds 0-9, still validates,
+    so a schema edit cannot drop a key the benchmark overrides."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    count = 0
+    for workload in workloads.WORKLOADS:
+        for seed in range(10):
+            for _, cfg in workloads.generate(
+                    workload, seed, lambda n: load_config(n)[0]):
+                validate_config(cfg)
+                count += 1
+    assert count == 110
 
 
 # ---------------------------------------------------------------------------

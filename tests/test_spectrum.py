@@ -10,11 +10,9 @@ from goldenrule import (
     DomainError,
     INFINITE_SCALE,
     PowerLawDOS,
-    TabulatedDOS,
     discretize,
     lorentzian,
 )
-from goldenrule.spectrum import DegenerateEdgeWarning
 
 
 # ---------------------------------------------------------------------------
@@ -94,49 +92,42 @@ def test_power_law_rejects_bad_scales(bad):
         PowerLawDOS(**kw)
 
 
-def test_tabulated_dos_interpolates_and_guards():
-    dos = TabulatedDOS([0.0, 1.0, 2.0], [1.0, 2.0, 2.0])
-    assert dos.density(0.5) == pytest.approx(1.5)
-    assert dos.support == (0.0, 2.0)
-    dos.validate_window(0.0, 2.0)       # exact edges are allowed
-    with pytest.raises(DomainError):
-        dos.validate_window(-0.1, 1.0)
-    with pytest.raises(DomainError):
-        dos.density(2.5)
-
-
-def test_tabulated_dos_constructor_rejections():
-    with pytest.raises(DomainError):
-        TabulatedDOS([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
-    with pytest.raises(DomainError):
-        TabulatedDOS([0.0, 1.0], [1.0, 0.0])
-    with pytest.raises(DomainError):
-        TabulatedDOS([0.0], [1.0])
-
-
-def test_tabulated_scale_interior_knot_averages_slopes():
-    # slopes are 1 then 0; at the shared knot the scale uses their mean
-    dos = TabulatedDOS([0.0, 1.0, 2.0], [1.0, 2.0, 2.0])
-    assert dos.log_derivative_scale(1.0) == pytest.approx(2.0 / 0.5)
+def test_flat_band_accepts_its_edges_and_guards_outside():
+    dos = ConstantDOS(2.0, (0.0, 1.5))
+    assert dos.support == (0.0, 1.5)
+    assert dos.density(0.0) == 2.0 and dos.density(1.5) == 2.0
+    assert np.array_equal(dos.density([0.0, 0.7, 1.5]), [2.0, 2.0, 2.0])
+    dos.validate_window(0.0, 1.5)       # exact edges are allowed
+    assert dos.log_derivative_scale(0.0) is INFINITE_SCALE
     assert dos.log_derivative_scale(1.5) is INFINITE_SCALE
+    for E in (-0.1, 1.6, np.nan):
+        with pytest.raises(DomainError, match="outside flat band"):
+            dos.density(E)
+        with pytest.raises(DomainError, match="outside flat band"):
+            dos.log_derivative_scale(E)
+    with pytest.raises(DomainError, match="outside flat band"):
+        dos.density([0.5, 1.6])
+    with pytest.raises(DomainError, match="outside flat band"):
+        dos.validate_window(-0.1, 1.0)
+    with pytest.raises(DomainError, match="outside flat band"):
+        dos.validate_window(0.5, 1.6)
 
 
-def test_tabulated_scale_edge_is_one_sided_with_warning():
-    dos = TabulatedDOS([0.0, 1.0, 2.0], [1.0, 2.0, 4.0])
-    with pytest.warns(DegenerateEdgeWarning):
-        scale = dos.log_derivative_scale(0.0)
-    assert scale == pytest.approx(1.0)
+def test_whole_line_flat_band_takes_any_energy():
+    dos = ConstantDOS(1.0)
+    assert dos.support == (-np.inf, np.inf)
+    assert dos.density(-1e300) == 1.0
+    dos.validate_window(-1e300, 1e300)
+    assert dos.log_derivative_scale(1e300) is INFINITE_SCALE
 
 
-def test_tabulated_dos_csv_round_trip(tmp_path):
-    path = tmp_path / "dos.csv"
-    path.write_text("E,D\n0.0,1.0\n1.0,3.0\n2.0,2.0\n")
-    dos = TabulatedDOS.from_csv(path)
-    assert dos.density(0.5) == pytest.approx(2.0)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("energy,density\n0,1\n")
-    with pytest.raises(DomainError):
-        TabulatedDOS.from_csv(bad)
+def test_flat_band_constructor_rejections():
+    for D0, support in ((0.0, (-1.0, 1.0)), (-1.0, (-1.0, 1.0)),
+                        (np.nan, (-1.0, 1.0)), (1.0, (1.0, 1.0)),
+                        (1.0, (1.0, -1.0)), (1.0, (np.nan, 1.0)),
+                        (1.0, (np.inf, np.inf))):
+        with pytest.raises(DomainError):
+            ConstantDOS(D0, support)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +179,9 @@ def test_discretize_window_must_fit_support():
 @given(half=st.floats(1.0, 1e3), n=st.sampled_from([401, 1121, 2001]))
 def test_band_at_its_own_halfwidth_stays_on_its_support(half, n):
     """The end levels center +- idx * step can round past the band; they
-    are kept on it, so a tabulated band discretized at exactly its own
+    are kept on it, so a flat band discretized at exactly its own
     half-width is evaluated inside its support, on a uniform grid."""
-    dos = TabulatedDOS(np.array([-half, half]), np.array([1.0, 1.0]))
+    dos = ConstantDOS(1.0, (-half, half))
     cont = discretize(dos, 0.0, half, n)
     assert cont.energies[0] >= -half and cont.energies[-1] <= half
     assert np.allclose(cont.weights[1:-1], 2.0 * half / (n - 1))
