@@ -220,12 +220,17 @@ def _set_path(*keys_and_value):
      _set_path("parameters", "dos", {"type": "power_law", "d0": 1, "e0": 1,
                                      "exponent": 1}),
      "parameters: window [-200.0, 200.0] extends outside power-law"),
-    ("superposed_turnons",
-     _set_path("parameters", "dos", {"type": "tabulated"}),
-     "parameters.dos.type: must be one of constant, power_law"),
-    ("superposed_turnons",
-     _set_path("parameters", "dos", {"type": "flat_band", "d0": 1}),
-     "parameters.dos.type: must be one of constant, power_law"),
+    # explicit ids: the two rows share their violation, and an id built
+    # from it would tell them apart only by a trailing counter
+    pytest.param("superposed_turnons",
+                 _set_path("parameters", "dos", {"type": "tabulated"}),
+                 "parameters.dos.type: must be one of constant, power_law",
+                 id="superposed_turnons-dos-tabulated"),
+    pytest.param("superposed_turnons",
+                 _set_path("parameters", "dos", {"type": "flat_band",
+                                                 "d0": 1}),
+                 "parameters.dos.type: must be one of constant, power_law",
+                 id="superposed_turnons-dos-flat_band"),
     ("validity_margins",
      _set_path("parameters", "dos", {"type": "power_law", "d0": 1, "e0": 1,
                                      "exponent": 1}),
