@@ -336,9 +336,9 @@ def _first_order_amplitudes(omegas, v, cf0, t_eval, s, wv, interval):
     the node phases factored by _level_phases, it is the ceil(N/m) x m
     matrix sum_s (wv_s coarse_s) outer fine_s, read row by row as the N
     levels. Intervals with equal node counts are contracted together by
-    one einsum in blocks of about _BLOCK_BYTES (no BLAS call, so no helper
-    threads spin), and no node x level phase block is ever formed. The
-    increments are scaled by -i m_f and accumulated in place.
+    one einsum in blocks of about _BLOCK_BYTES, and no node x level phase
+    block is ever formed. The increments are scaled by -i m_f and
+    accumulated in place.
     """
     n = omegas.size
     starts = np.flatnonzero(np.r_[True, interval[1:] != interval[:-1]])

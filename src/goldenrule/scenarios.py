@@ -13,6 +13,10 @@ Every file records the sha256 of the config that produced it.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import hashlib
 import json
 import numbers
@@ -24,6 +28,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 import yaml
 from scipy.integrate import IntegrationWarning, quad
 
@@ -1261,11 +1266,65 @@ def load_config(source):
     return cfg, raw
 
 
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) thread-count calls of each OpenBLAS the numpy and scipy
+    wheels bundle, looked up once per process.
+
+    Empty where a wheel bundles none, where a library will not load, or
+    where it exports neither the scipy_openblas nor the plain openblas
+    names: holding runs to one thread is then left undone, silently.
+    """
+    calls = []
+    for pkg in (np, scipy):
+        libdir = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)),
+                              pkg.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for name in ("scipy_openblas_{}_num_threads64_",
+                         "scipy_openblas_{}_num_threads",
+                         "openblas_{}_num_threads64_",
+                         "openblas_{}_num_threads"):
+                get = getattr(lib, name.format("get"), None)
+                put = getattr(lib, name.format("set"), None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    calls.append((get, put))
+                    break
+    return tuple(calls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold each bundled OpenBLAS to one thread, then give back its count.
+
+    A run's BLAS products are small (the coupled steps' N x 8 by 8): helper
+    threads would spin beside them and save no wall time, so a run would
+    cost two CPUs on two cores, and k sweep workers would ask for 2k. The
+    count is per process, so runs in several threads at once would hand
+    it back out of order.
+    """
+    calls = _openblas_thread_calls()
+    before = [get() for get, _ in calls]
+    for _, put in calls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), threads in zip(calls, before):
+            put(threads)
+
+
 def run_scenario(source, out_dir=None):
     """Validate, execute and summarize one scenario.
 
     Returns the run's RunContext; artifacts and summary.json land in
-    out_dir (CLI flag > config output_dir > runs/<name>).
+    out_dir (CLI flag > config output_dir > runs/<name>). The runner holds
+    one BLAS thread (_one_blas_thread).
     """
     cfg, raw = load_config(source)
     cfg = validate_config(cfg)
@@ -1280,7 +1339,8 @@ def run_scenario(source, out_dir=None):
     try:
         # an overflow, a division by zero or an invalid float operation
         # ends the run typed, not as a warning beside meaningless numbers
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with _one_blas_thread(), np.errstate(over="raise", divide="raise",
+                                             invalid="raise"):
             RUNNERS[cfg["kind"]](cfg, ctx)
     except FloatingPointError as exc:
         raise DomainError(f"[scenario {cfg['name']}] float arithmetic "
@@ -1350,6 +1410,13 @@ def run_sweep(source, axis, values, out_dir=None, workers=1):
     """
     if not values:
         raise ConfigError(["values: empty sweep value list"])
+    # each value's run directory is named by its fmt text
+    texts = [fmt(v) for v in values]
+    twice = {t: v for k, (t, v) in enumerate(zip(texts, values))
+             if t in texts[:k]}
+    if twice:
+        raise ConfigError([f"values: {v} given twice"
+                           for v in twice.values()])
     cfg, raw = load_config(source)
     cfg = validate_config(cfg)
     _leaf_ref(cfg, axis)    # fail fast if the axis is bad

@@ -457,11 +457,22 @@ def test_sweep_green_axis(tmp_path, capsys):
 
 
 def test_sweep_parallel_workers(tmp_path):
-    code = main(["sweep", "isotropic_scattering",
-                 "--axis", "parameters.scattering.c1",
-                 "--values", "0.1,0.2", "--out", str(tmp_path),
-                 "--workers", "2"])
-    assert code == EXIT_OK
+    """Two workers write the sweep.csv one worker writes, on coupled runs."""
+    def shrink(cfg):
+        cfg["integrator"]["tol"] = 1e-6
+        cfg["parameters"].update(n_levels=2001)
+
+    path = write_variant(tmp_path, "validity_margins", shrink)
+    tables = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        code = main(["sweep", path,
+                     "--axis", "parameters.window_halfwidth_over_gamma",
+                     "--values", "100,120", "--out", str(out),
+                     "--workers", workers])
+        assert code == EXIT_OK
+        tables.append((out / "sweep.csv").read_text())
+    assert tables[0] == tables[1]
 
 
 def test_sweep_pool_holds_no_more_workers_than_runs(tmp_path, monkeypatch):
@@ -516,6 +527,19 @@ def test_sweep_rejects_bad_values(capsys):
     assert main(["sweep", "isotropic_scattering",
                  "--axis", "parameters.scattering.c1",
                  "--values", ", ,"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("values, text", [("0.1,0.1", "0.1"),
+                                          ("1,1.0", "1.0")])
+def test_sweep_refuses_a_value_given_twice(tmp_path, capsys, values, text):
+    """Values with one fmt text would share one run directory."""
+    code = main(["sweep", "isotropic_scattering",
+                 "--axis", "parameters.scattering.c1",
+                 "--values", values, "--out", str(tmp_path / "sweep"),
+                 "--workers", "2"])
+    assert code == EXIT_CONFIG
+    assert f"  - values: {text} given twice" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_rejects_bad_axis(capsys):

@@ -1,3 +1,6 @@
+import ctypes
+import functools
+import glob
 import hashlib
 import importlib.util
 import json
@@ -5,12 +8,15 @@ import os
 import shutil
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 import yaml
 
 import goldenrule.pulsetrain
 import goldenrule.scenarios
-from goldenrule import ConfigError
+from goldenrule import ConfigError, DomainError, PreconditionError
+from goldenrule.cli import EXIT_OK, main
 from goldenrule.scenarios import (
     MetricResult,
     _leaf_ref,
@@ -312,3 +318,81 @@ def test_a_nan_rate_fails_the_run(tmp_path, monkeypatch, name):
     summary = run_scenario(name, out_dir=str(tmp_path))
     assert spoiled
     assert not summary.passed
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread per run
+
+def blas_threads():
+    return [get() for get, _ in goldenrule.scenarios._openblas_thread_calls()]
+
+
+def test_every_bundled_openblas_exposes_its_thread_calls():
+    """Were a wheel to rename them, runs would silently keep the helper
+    threads: numpy's bundled OpenBLAS, at least, is found and held."""
+    libs = [path for pkg in (numpy, scipy)
+            for path in glob.glob(os.path.join(
+                os.path.dirname(pkg.__file__), os.pardir,
+                pkg.__name__ + ".libs", "*openblas*"))]
+    assert any(f"{os.sep}numpy.libs{os.sep}" in path for path in libs)
+    assert len(goldenrule.scenarios._openblas_thread_calls()) == len(libs)
+
+
+@pytest.mark.parametrize("raised, caught", [
+    (None, None),
+    (PreconditionError("stub refuses"), PreconditionError),
+    (FloatingPointError("stub overflows"), DomainError),
+])
+def test_runner_holds_one_blas_thread_and_gives_the_count_back(
+        tmp_path, monkeypatch, raised, caught):
+    calls = goldenrule.scenarios._openblas_thread_calls()
+    inside = []
+
+    def stub(cfg, ctx):
+        inside.append(blas_threads())
+        if raised is not None:
+            raise raised
+
+    monkeypatch.setitem(goldenrule.scenarios.RUNNERS, "golden_rule", stub)
+    shipped = blas_threads()
+    try:
+        # a count above one, so that a count left at one shows
+        for _, put in calls:
+            put(2)
+        if caught is None:
+            run_scenario("isotropic_scattering", out_dir=str(tmp_path))
+        else:
+            with pytest.raises(caught, match="stub"):
+                run_scenario("isotropic_scattering", out_dir=str(tmp_path))
+        assert blas_threads() == [2] * len(calls)
+    finally:
+        for (_, put), threads in zip(calls, shipped):
+            put(threads)
+    assert inside == [[1] * len(calls)]
+
+
+def refuse_to_load(path):
+    raise OSError(f"cannot load {path}")
+
+
+@pytest.mark.parametrize("lookup", ["finds_nothing", "cannot_load"])
+def test_run_without_blas_thread_calls_is_unchanged(tmp_path, monkeypatch,
+                                                    lookup):
+    def metrics(out):
+        return json.loads((out / "summary.json").read_text())["metrics"]
+
+    assert main(["run", "golden_rule_basic",
+                 "--out", str(tmp_path / "held")]) == EXIT_OK
+    if lookup == "finds_nothing":
+        monkeypatch.setattr(goldenrule.scenarios, "_openblas_thread_calls",
+                            lambda: ())
+    else:
+        # a lookup of its own, so the process's cached one stays intact
+        fresh = goldenrule.scenarios._openblas_thread_calls.__wrapped__
+        monkeypatch.setattr(goldenrule.scenarios, "_openblas_thread_calls",
+                            functools.cache(fresh))
+        monkeypatch.setattr(ctypes, "CDLL", refuse_to_load)
+        assert goldenrule.scenarios._openblas_thread_calls() == ()
+    assert main(["run", "golden_rule_basic",
+                 "--out", str(tmp_path / "free")]) == EXIT_OK
+    assert metrics(tmp_path / "free") == metrics(tmp_path / "held")
