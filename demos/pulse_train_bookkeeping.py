@@ -18,7 +18,6 @@ import numpy as np
 
 from goldenrule import (
     ConstantDOS,
-    ConstantElement,
     GaussianPulse,
     Pulse,
     PulseTrain,
@@ -31,8 +30,6 @@ from goldenrule import (
     generalized_decay,
     propagate_train,
 )
-
-MODEL = ConstantElement(1.0)
 
 
 def cross_terms():
@@ -64,9 +61,8 @@ def two_pulse_defect():
     for sep in (4.0, 5.0, 6.0):
         train = PulseTrain([Pulse(0.0, GaussianPulse(tau), V0),
                             Pulse(sep, GaussianPulse(tau), V0)])
-        traj = propagate_train(train, cont, MODEL, tol=1e-9,
-                               t_margin=2.0 * tau)
-        rep = additivity_defect(train, traj, MODEL)
+        traj = propagate_train(train, cont, tol=1e-9, t_margin=2.0 * tau)
+        rep = additivity_defect(train, traj)
         print(f"gap {sep:g} tau: defect {rep.defect:.2e}, kicks "
               + ", ".join(f"{q:.3e}" for q in rep.kick_strengths))
     print()
@@ -84,13 +80,13 @@ def decay_law():
                         for k in range(n_p)])
 
     # one coupled run feeds both the kick booking and the decay law
-    traj = propagate_train(train, cont, MODEL, tol=1e-9, n_samples=13)
-    rep = additivity_defect(train, traj, MODEL)
+    traj = propagate_train(train, cont, tol=1e-9, n_samples=13)
+    rep = additivity_defect(train, traj)
     print(f"booked survival {rep.survival_kicks:.6f} vs coupled "
           f"{rep.survival_full:.6f} (defect {rep.defect:.2e})")
 
     t = traj.times
-    curve = generalized_decay(train, 1.0, t, model=MODEL, dos=dos, E_i=0.0)
+    curve = generalized_decay(train, 1.0, t, dos=dos, E_i=0.0)
     p_num = np.abs(traj.c_i) ** 2
     print(f"{'t':>7} {'coupled p_i':>12} {'mean-rate law':>13} {'ratio':>7}")
     for tk, pn, pl in list(zip(t, p_num, curve.survival))[::3]:

@@ -15,7 +15,6 @@ import numpy as np
 
 from goldenrule import (
     ConstantDOS,
-    ConstantElement,
     RisingExp,
     discretize,
     golden_rule_following,
@@ -27,7 +26,6 @@ from goldenrule import (
 
 D0 = 1.0
 E_I = 0.0
-MODEL = ConstantElement(1.0)
 
 
 def follow_once(V0, gamma, halfwidth, n_levels, label):
@@ -36,7 +34,7 @@ def follow_once(V0, gamma, halfwidth, n_levels, label):
     env = RisingExp(gamma)
     t0, t1 = -2.0 / gamma, 0.25 / gamma
     probe = np.linspace(-1.0 / gamma, 0.2 / gamma, 7)
-    traj = integrate(cont, env, V0, MODEL, t0, t1, tol=1e-9,
+    traj = integrate(cont, env, V0, t0, t1, tol=1e-9,
                      mode="coupled", rate_times=probe)
 
     print(f"\n--- {label}: V0 = {V0:g}, gamma = {gamma:g}")
@@ -48,7 +46,7 @@ def follow_once(V0, gamma, halfwidth, n_levels, label):
     worst = 0.0
     for t in probe:
         r_num = transition_rate(traj, t)
-        r_ref = golden_rule_following(env, V0, MODEL, dos, E_I, t)
+        r_ref = golden_rule_following(env, V0, dos, E_I, t)
         worst = max(worst, abs(r_num / r_ref - 1.0))
         print(f"{t * gamma:8.2f} {r_num:12.5e} {r_ref:12.5e} "
               f"{r_num / r_ref:8.4f}")

@@ -30,17 +30,14 @@ from .spectrum import (
     lorentzian,
 )
 from .perturbation import (
-    ConstantElement,
     ContinuousChannelElement,
     ExpSuperposition,
     GaussianPulse,
     HarmonicRisingExp,
     RectangularPulse,
     RisingExp,
-    TabulatedElement,
     TwoSidedExp,
     averaged_sq_matrix_element,
-    element_at,
     evaluate,
     spectral_amplitude,
     spectral_shape_sq,

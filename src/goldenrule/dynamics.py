@@ -8,9 +8,10 @@ the first-order amplitude equations read
     dc_i/dt = -i sum_f w_f conj(V_fi(t)) e^{-i omega t} c_f(t),
 
 with w_f the quadrature weights of the discretized band (hbar = 1). The
-instantaneous coupling factorizes as V_fi(t) = evaluate(env, V0, t) *
-element(E_f): the envelope carries the time dependence, the model the
-energy profile, and scenarios set one of the two scales to unity.
+instantaneous coupling factorizes as V_fi(t) = evaluate(env, V0, t) * v_f:
+the envelope carries the time dependence and the band the energy profile,
+v_f being the coupling of level f (DiscretizedContinuum.couplings, ones
+unless the band was built with others).
 
 Each mode has one propagation path. In first order c_i stays 1, the
 right-hand side does not depend on the state, and
@@ -38,7 +39,8 @@ Rates are the probability current into the band,
     dS/dt = 2 a(t) Im(c_i(t) sum_f w_f v_f e^{+i omega_f t} conj(c_f(t))),
 
 the time derivative of the occupied sum S(t) = sum_f w_f |c_f|^2 under
-the equations above, with a(t) = evaluate(env, V0, t) and v_f = element(E_f).
+the equations above, with a(t) = evaluate(env, V0, t) and v_f the band's
+couplings.
 It is built from the integrated amplitudes and the equation of motion
 alone, so it stays independent of every analytic rate formula it is
 compared against: no golden-rule density, matrix-element average or
@@ -59,9 +61,8 @@ from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.optimize import least_squares
 
 from .errors import DomainError, PreconditionError, ToleranceFailureError
-from .perturbation import (ConstantElement, ExpSuperposition,
-                           HarmonicRisingExp, RisingExp, TwoSidedExp,
-                           evaluate, element_at)
+from .perturbation import (ExpSuperposition, HarmonicRisingExp, RisingExp,
+                           TwoSidedExp, evaluate)
 from .spectrum import INFINITE_SCALE
 
 _RTOL_SAFETY = 20.0  # solver runs tighter than the user tolerance contract
@@ -123,12 +124,12 @@ def _seed_rising_terms(env, V0):
     return None
 
 
-def seed_amplitudes(continuum, env, V0, model, t0):
-    """Final-level amplitudes at t0 from the analytic turn-on solution.
+def seed_amplitudes(continuum, env, V0, t0):
+    """Final-level amplitudes at t0 from the analytic turn-on solution,
+    each scaled by its level's coupling.
 
     Pulse envelopes seed to zero; t0 should then precede the pulse support.
     """
-    v = np.asarray(element_at(model, continuum.energies), dtype=float)
     omegas = continuum.omegas
     terms = _seed_rising_terms(env, V0)
     if terms is None:
@@ -144,7 +145,7 @@ def seed_amplitudes(continuum, env, V0, model, t0):
     cf0 = np.zeros(omegas.size, dtype=complex)
     for amp, gamma, shift in terms:
         cf0 += analytic_cf_rising_exp(1.0, omegas + shift, gamma, t0) * amp
-    return cf0 * v
+    return cf0 * continuum.couplings
 
 
 @dataclass(frozen=True, eq=False)
@@ -589,16 +590,16 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
     return ci_all, out.T, steps, rejected, evaluations
 
 
-def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
+def integrate(continuum, env, V0, t0=None, t1=0.0, *,
               tol=1e-9, mode="first_order", sample_times=None,
               rate_times=None):
     """Propagate the amplitude equations across [t0, t1].
 
     Args:
-        continuum: DiscretizedContinuum of final levels.
+        continuum: DiscretizedContinuum of final levels and their
+            couplings.
         env: coupling envelope.
         V0: overall coupling scale multiplying the envelope shape.
-        model: matrix-element model (default: constant 1).
         t0: start time; None picks the turn-on instant where the envelope
             has decayed to 1e-6 of its t_ref amplitude.
         t1: end time.
@@ -620,8 +621,8 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
         rate_times: times in [t0, t1] where transition_rate() will be
             queried; the probability current is stored at each.
 
-    The final levels start from seed_amplitudes(continuum, env, V0, model,
-    t0): the analytic amplitudes of a turn-on that has been rising since
+    The final levels start from seed_amplitudes(continuum, env, V0, t0):
+    the analytic amplitudes of a turn-on that has been rising since
     t = -inf, or an empty band for pulses and pulse trains.
 
     Returns:
@@ -636,8 +637,6 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
             step or first-order panel that failed its test after every
             bisection, or a coupled sample interval that stalls.
     """
-    if model is None:
-        model = ConstantElement(1.0)
     if mode not in ("first_order", "coupled"):
         raise DomainError(f"unknown mode {mode!r}")
     if not tol > 0.0:
@@ -653,7 +652,7 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
 
     omegas = continuum.omegas
     weights = continuum.weights
-    v = np.asarray(element_at(model, continuum.energies), dtype=float)
+    v = continuum.couplings
     max_omega = float(np.max(np.abs(omegas)))
 
     def times_within(times, what):
@@ -671,7 +670,7 @@ def integrate(continuum, env, V0, model=None, t0=None, t1=0.0, *,
     # samples and rate times are exact members of t_eval
     t_eval = np.unique(np.concatenate([samples, [t0, t1], rates]))
 
-    cf0 = seed_amplitudes(continuum, env, V0, model, t0)
+    cf0 = seed_amplitudes(continuum, env, V0, t0)
 
     if mode == "first_order":
         s, wv, interval, evaluations = _panel_rule(
@@ -736,16 +735,16 @@ def golden_rule_rate(Vm_sq, D):
     return 2.0 * np.pi * Vm_sq * D
 
 
-def golden_rule_following(env, V0, model, dos, E_i, t):
-    """Instantaneous-rate law r(t) = 2 pi |V(t) m(E_i)|^2 D(E_i).
+def golden_rule_following(env, V0, dos, E_i, t):
+    """Instantaneous-rate law r(t) = 2 pi |V(t)|^2 D(E_i), for a band of
+    unit couplings.
 
     Valid for slowly varying envelopes; the harmonic carrier case has its
     own two-channel prediction.
     """
     V_t = evaluate(env, V0, t)
-    m = element_at(model, E_i)
     D = dos.density(E_i)
-    out = 2.0 * np.pi * (np.asarray(V_t) * m) ** 2 * D
+    out = 2.0 * np.pi * np.asarray(V_t) ** 2 * D
     return out if out.ndim else float(out)
 
 

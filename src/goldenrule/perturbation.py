@@ -1,10 +1,12 @@
-"""Time-dependent coupling envelopes and matrix-element models.
+"""Time-dependent coupling envelopes and the channel-averaged element.
 
 An envelope is a dimensionless time profile s(t); the physical coupling is
-V(t) = V0 * s(t), optionally further scaled by an energy-dependent matrix
-element model. Fourier conventions follow s~(omega) = integral s(t) e^{+i
-omega t} dt, so a pulse centered at t_ref picks up the phase e^{i omega
-t_ref}.
+V(t) = V0 * s(t), scaled per final level by the coupling v_f its band
+carries (spectrum.DiscretizedContinuum.couplings). A set of channels
+labelled by a continuous parameter enters the golden rule only through its
+DOS-weighted average of |V|^2 (averaged_sq_matrix_element). Fourier
+conventions follow s~(omega) = integral s(t) e^{+i omega t} dt, so a pulse
+centered at t_ref picks up the phase e^{i omega t_ref}.
 """
 
 from __future__ import annotations
@@ -235,43 +237,6 @@ def spectral_shape_sq(env, omega):
 
 
 @dataclass(frozen=True)
-class ConstantElement:
-    """Energy-independent matrix element."""
-
-    value: float
-
-    def element(self, E):
-        E = np.asarray(E, dtype=float)
-        out = np.full(E.shape, self.value)
-        return out if out.ndim else self.value
-
-
-@dataclass(frozen=True, eq=False)
-class TabulatedElement:
-    """Matrix element interpolated linearly from (energy, value) samples."""
-
-    energies: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        E = np.asarray(self.energies, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if E.ndim != 1 or E.size < 2 or v.shape != E.shape:
-            raise DomainError("need matching 1-d arrays with at least 2 samples")
-        if not np.all(np.diff(E) > 0.0):
-            raise DomainError("tabulated energies must be strictly increasing")
-        object.__setattr__(self, "energies", E)
-        object.__setattr__(self, "values", v)
-
-    def element(self, E):
-        E = np.asarray(E, dtype=float)
-        if np.any(E < self.energies[0]) or np.any(E > self.energies[-1]):
-            raise DomainError("energy outside tabulated support")
-        out = np.interp(E, self.energies, self.values)
-        return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
 class ContinuousChannelElement:
     """Channels labelled by a continuous parameter s on [s_lo, s_hi].
 
@@ -289,43 +254,28 @@ class ContinuousChannelElement:
             raise DomainError("need a nonempty channel parameter range")
 
 
-def averaged_sq_matrix_element(model, E):
+def averaged_sq_matrix_element(channels, E):
     """DOS-weighted channel average of |V_m|^2 at total energy E.
 
     Returns the pair (avg_sq, total_dos) so that the one-line golden rule
     r = 2 pi * avg_sq * total_dos reproduces the integral over channels.
-    E may be an array, and both results are then arrays of its shape; the
-    two quadratures over s run once per energy.
+    E is a scalar energy.
 
     Raises:
-        DomainError: if model is not a ContinuousChannelElement.
+        DomainError: if channels is not a ContinuousChannelElement.
         DegenerateSpectrumError: if the total DOS at E vanishes.
     """
-    if not isinstance(model, ContinuousChannelElement):
+    if not isinstance(channels, ContinuousChannelElement):
         raise DomainError(
-            f"{type(model).__name__} has no channel structure to average over")
-    if np.ndim(E):
-        E = np.asarray(E, dtype=float)
-        pairs = [averaged_sq_matrix_element(model, e) for e in E.flat]
-        return tuple(np.reshape(col, E.shape) for col in zip(*pairs))
-    lo, hi = model.s_range
-    num, _ = quad(lambda s: model.element(E, s) ** 2 * model.dos(E, s),
-                  lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
-    den, _ = quad(lambda s: model.dos(E, s), lo, hi,
+            f"{type(channels).__name__} has no channel structure to "
+            "average over")
+    lo, hi = channels.s_range
+    element, dos = channels.element, channels.dos
+    num, _ = quad(lambda s: element(E, s) ** 2 * dos(E, s), lo, hi,
+                  epsabs=1e-13, epsrel=1e-12, limit=200)
+    den, _ = quad(lambda s: dos(E, s), lo, hi,
                   epsabs=1e-13, epsrel=1e-12, limit=200)
     if den == 0.0:
         raise DegenerateSpectrumError(f"total DOS vanishes at E = {E}")
     return num / den, den
 
-
-def element_at(model, E):
-    """Real matrix element the propagator should use at energy E.
-
-    For a channel set this is the root-mean-square element, which pairs
-    with the total DOS in rate formulas; it accepts an array of energies.
-    """
-    if isinstance(model, ContinuousChannelElement):
-        avg_sq, _ = averaged_sq_matrix_element(model, E)
-        out = np.sqrt(avg_sq)
-        return out if np.ndim(out) else float(out)
-    return model.element(E)

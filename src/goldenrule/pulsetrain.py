@@ -27,9 +27,8 @@ from scipy.integrate import quad
 
 from .errors import (DomainError, PreconditionError, ToleranceFailureError,
                      UnsupportedShapeError)
-from .perturbation import (ConstantElement, GaussianPulse, RectangularPulse,
-                           TwoSidedExp, element_at, evaluate,
-                           spectral_amplitude, spectral_shape_sq)
+from .perturbation import (GaussianPulse, RectangularPulse, TwoSidedExp,
+                           evaluate, spectral_amplitude, spectral_shape_sq)
 from .dynamics import _panel_rule, integrate
 from .spectrum import ConstantDOS
 
@@ -106,11 +105,10 @@ class PulseTrain:
         return out if out.ndim else float(out)
 
 
-def _kick_strength(pulse, continuum, model):
+def _kick_strength(pulse, continuum):
     """Band-integrated |kick|^2 per unit survival, sum_f w_f |Vt_f|^2."""
-    v = np.asarray(element_at(model, continuum.energies), dtype=float)
     st = spectral_amplitude(pulse.env, continuum.omegas)
-    amp = pulse.V0 * v * np.abs(st)
+    amp = pulse.V0 * continuum.couplings * np.abs(st)
     return float(np.sum(continuum.weights * amp * amp))
 
 
@@ -126,8 +124,7 @@ class AdditivityReport:
     kick_strengths: tuple    # q_n per pulse
 
 
-def propagate_train(train, continuum, model=None, *, tol, n_samples=101,
-                    t_margin=0.0):
+def propagate_train(train, continuum, *, tol, n_samples=101, t_margin=0.0):
     """Coupled propagation of the whole train from an empty band.
 
     Integrates with V0 = 1 (the train carries every member's V0) across
@@ -138,7 +135,7 @@ def propagate_train(train, continuum, model=None, *, tol, n_samples=101,
     (see integrate).
     """
     times = train_sample_times(train, n_samples, t_margin)
-    return integrate(continuum, train, 1.0, model, times[0], times[-1],
+    return integrate(continuum, train, 1.0, times[0], times[-1],
                      tol=tol, mode="coupled", sample_times=times)
 
 
@@ -150,22 +147,20 @@ def train_sample_times(train, n_samples, t_margin=0.0):
                        train.t_ref + right + t_margin, n_samples)
 
 
-def additivity_defect(train, traj, model=None):
+def additivity_defect(train, traj):
     """Quantify how well per-pulse kicks reproduce the full propagation.
 
     Route (a) is traj, a coupled propagation across the whole train (see
     propagate_train); route (b) assigns each pulse its band-integrated
     kick strength q_n and books survival self-consistently at mid-pulse,
     p_mid = p (1 - q_n / 2), so the comparison degrades only at O(q^3)
-    per pulse. The defect is |a - b| relative to route (a). model must be
-    the one traj was propagated with.
+    per pulse. Both routes read the couplings of traj's band. The defect
+    is |a - b| relative to route (a).
     """
     if traj.mode != "coupled":
         raise PreconditionError(
             "additivity needs a coupled trajectory; a first-order run never "
             "depletes the initial level")
-    if model is None:
-        model = ConstantElement(1.0)
     transferred_full = float(traj.occupied[-1])
     survival_full = float(np.abs(traj.c_i[-1]) ** 2)
 
@@ -173,7 +168,7 @@ def additivity_defect(train, traj, model=None):
     total = 0.0
     strengths = []
     for pulse in train.pulses:
-        q = _kick_strength(pulse, traj.continuum, model)
+        q = _kick_strength(pulse, traj.continuum)
         strengths.append(q)
         p_mid = p * (1.0 - 0.5 * q)
         total += q * p_mid
@@ -346,13 +341,13 @@ class DecayCurve:
     rates: np.ndarray
 
 
-def generalized_decay(rbar, p0, t_grid, *, model=None, dos=None, E_i=None):
+def generalized_decay(rbar, p0, t_grid, *, dos=None, E_i=None):
     """Exponential-of-integral decay for a time-dependent mean rate.
 
     rbar may be a callable r(t) >= 0, which is called on arrays of times
     (a scalar result is broadcast, so lambda t: 0.3 works), or a
     PulseTrain, in which case the instantaneous rate is the golden rule
-    driven by the train's combined envelope, 2 pi |V(t) m(E_i)|^2 D(E_i)
+    driven by the train's combined envelope, 2 pi |V(t)|^2 D(E_i)
     (dos and E_i then required; the law of dynamics.golden_rule_following,
     with the envelope read through this module's evaluate). The rate
     history is accumulated by the panel quadrature integrate uses, at zero
@@ -363,10 +358,8 @@ def generalized_decay(rbar, p0, t_grid, *, model=None, dos=None, E_i=None):
     if isinstance(rbar, PulseTrain):
         if dos is None or E_i is None:
             raise DomainError("decay from a train needs dos and E_i")
-        m = element_at(model if model is not None else ConstantElement(1.0),
-                       E_i)
         D = float(dos.density(E_i))
-        rate_fn = lambda t: 2.0 * np.pi * (evaluate(rbar, 1.0, t) * m) ** 2 * D
+        rate_fn = lambda t: 2.0 * np.pi * evaluate(rbar, 1.0, t) ** 2 * D
     else:
         rate_fn = rbar
 

@@ -57,7 +57,6 @@ from .fieldstates import (
     toy_ionization_rate,
 )
 from .perturbation import (
-    ConstantElement,
     ContinuousChannelElement,
     ExpSuperposition,
     GaussianPulse,
@@ -316,8 +315,9 @@ _INTEGRATOR_SCHEMA = {
 }
 
 _TOP_SCHEMA_COMMON = {
-    "name": Field(types=(str,), check=lambda v: v and "/" not in v,
-                  msg="must be a non-empty name without '/'"),
+    "name": Field(types=(str,),
+                  check=lambda v: v and "/" not in v and "\0" not in v,
+                  msg="must be a non-empty name without '/' or NUL"),
     "kind": Field(types=(str,), choices=SCENARIO_KINDS),
     "description": Field(types=(str,), required=False),
     "output_dir": Field(types=(str,), required=False),
@@ -707,14 +707,14 @@ def runner(kind):
     return deco
 
 
-def _write_following_rates(ctx, traj, env, V0, model, dos, E_i, rate_times):
+def _write_following_rates(ctx, traj, env, V0, dos, E_i, rate_times):
     """rates.csv: the integrated current against the following golden
     rule at each rate time. Returns its rows (t, r_numeric, r_following,
     ratio)."""
     rows = []
     for t in rate_times:
         r_num = transition_rate(traj, t)
-        r_pred = golden_rule_following(env, V0, model, dos, E_i, t)
+        r_pred = golden_rule_following(env, V0, dos, E_i, t)
         rows.append((t, r_num, r_pred, r_num / r_pred))
     ctx.write_csv("rates.csv", ["t", "r_numeric", "r_following", "ratio"],
                   rows)
@@ -736,7 +736,6 @@ def _run_golden_rule(cfg, ctx):
     r = p["rate_over_gamma"] * gamma
     V0 = np.sqrt(r / (2.0 * np.pi * D))
     env = RisingExp(gamma)
-    model = ConstantElement(1.0)
 
     rep = validity_report(V0 ** 2, dos, E_i, gamma,
                           threshold=checks["validity_threshold"])
@@ -748,11 +747,10 @@ def _run_golden_rule(cfg, ctx):
     t1 = t_hi + 0.1 / gamma
 
     cont = discretize(dos, E_i, p["window_halfwidth"], p["n_levels"])
-    traj = integrate(cont, env, V0, model, t0, t1, tol=ctx.tol,
+    traj = integrate(cont, env, V0, t0, t1, tol=ctx.tol,
                      rate_times=rate_times)
 
-    rows = _write_following_rates(ctx, traj, env, V0, model, dos, E_i,
-                                  rate_times)
+    rows = _write_following_rates(ctx, traj, env, V0, dos, E_i, rate_times)
     ratios = np.array([row[3] for row in rows])
     # argmax lands on the first NaN, so a NaN ratio fails the check
     worst = ratios[np.argmax(np.abs(ratios - 1.0))]
@@ -829,7 +827,6 @@ def _run_validity_sweep(cfg, ctx):
     E_i = p["e_i"]
     D = float(dos.density(E_i))
     V0 = np.sqrt(r / (2.0 * np.pi * D))
-    model = ConstantElement(1.0)
 
     rows = []
     for m, bound in zip(margins, bounds):
@@ -838,7 +835,7 @@ def _run_validity_sweep(cfg, ctx):
         half = p["window_halfwidth_over_gamma"] * gamma
         cont = discretize(dos, E_i, half, p["n_levels"])
         t0, t1 = (g / gamma for g in _SWEEP_WINDOW_GAMMAS)
-        traj = integrate(cont, env, V0, model, t0, t1, tol=ctx.tol,
+        traj = integrate(cont, env, V0, t0, t1, tol=ctx.tol,
                          mode="coupled", rate_times=[0.0])
         r_num = transition_rate(traj, 0.0)
         err = abs(r_num / r - 1.0)
@@ -858,7 +855,6 @@ def _run_two_sided(cfg, ctx):
     gp = p["gamma_plus"]
     dos = build_dos(p["dos"])
     E_i = p["e_i"]
-    model = ConstantElement(1.0)
     t_ref = p["ref_time_gammas"] / gp
     lo_g, hi_g = p["trail_window_gammas"]
     trail = np.linspace(lo_g / gp, hi_g / gp, p["n_rate_times"])
@@ -873,7 +869,7 @@ def _run_two_sided(cfg, ctx):
         # analytic seeding on the rising branch makes a long pre-roll moot
         t0 = -0.2 / gp
         t1 = hi_g / gp + 0.2 / gp
-        traj = integrate(cont, env, p["v0"], model, t0, t1, tol=ctx.tol,
+        traj = integrate(cont, env, p["v0"], t0, t1, tol=ctx.tol,
                          mode="first_order", rate_times=rate_times)
         results[label] = {t: transition_rate(traj, t) for t in rate_times}
 
@@ -910,7 +906,6 @@ def _run_harmonic(cfg, ctx):
     dos = build_dos(p["dos"])
     E_i, V0 = p["e_i"], p["v0"]
     env = HarmonicRisingExp(gamma, omega_c)
-    model = ConstantElement(1.0)
     cont = discretize(dos, E_i, p["window_halfwidth"], p["n_levels"])
     # first, so that a coupling it refuses skips the integration
     pred = harmonic_rate_prediction(V0 * V0, dos, E_i, omega_c, gamma=gamma)
@@ -918,7 +913,7 @@ def _run_harmonic(cfg, ctx):
     half_period = np.pi / omega_c
     samples = np.linspace(-half_period, half_period, p["cycle_samples"])
     t0 = -2.5 / gamma
-    traj = integrate(cont, env, V0, model, t0, half_period, tol=ctx.tol,
+    traj = integrate(cont, env, V0, t0, half_period, tol=ctx.tol,
                      mode="first_order", sample_times=samples)
 
     # least-squares amplitude of S(t) = C exp(2 gamma t) over one cycle
@@ -946,24 +941,22 @@ def _run_superposition(cfg, ctx):
     env = ExpSuperposition(terms)
     dos = build_dos(p["dos"])
     E_i, V0 = p["e_i"], p["v0"]
-    model = ConstantElement(1.0)
     cont = discretize(dos, E_i, p["window_halfwidth"], p["n_levels"])
 
     slow = min(g for g, _ in terms)
     rate_times = np.linspace(p["t_lo"], p["t_hi"], p["n_rate_times"])
     t0 = p["t_lo"] - 0.5 / slow
     t1 = p["t_hi"] + 0.02 / slow
-    traj = integrate(cont, env, V0, model, t0, t1, tol=ctx.tol,
+    traj = integrate(cont, env, V0, t0, t1, tol=ctx.tol,
                      mode="first_order", rate_times=rate_times)
 
-    rows = _write_following_rates(ctx, traj, env, V0, model, dos, E_i,
-                                  rate_times)
+    rows = _write_following_rates(ctx, traj, env, V0, dos, E_i, rate_times)
     worst = np.max([abs(row[3] - 1.0) for row in rows])
     ctx.metric("superposition_following", worst, 0.0,
                checks["following_rel_tol"])
 
     # the analytic turn-on solution, as integrate seeds it, at the end
-    ana = seed_amplitudes(cont, env, V0, model, t1)
+    ana = seed_amplitudes(cont, env, V0, t1)
     resid = float(np.max(np.abs(traj.c_f_end - ana)))
     ctx.details.update({"terms": [list(t) for t in terms],
                         "amplitude_residual_at_end": resid})
@@ -1045,18 +1038,16 @@ def _run_decay_law(cfg, ctx):
     checks = cfg["checks"]
     dos, cont, pulses = _decay_law_setup(p)
     train = PulseTrain(pulses)
-    model = ConstantElement(1.0)
     V0 = pulses[0].V0
     centers = [pulse.center for pulse in pulses]
 
-    traj = propagate_train(train, cont, model, tol=ctx.tol,
+    traj = propagate_train(train, cont, tol=ctx.tol,
                            n_samples=_TRAIN_SAMPLES)
-    rep = additivity_defect(train, traj, model)
+    rep = additivity_defect(train, traj)
     ctx.metric("additivity_defect", rep.defect, 0.0, checks["defect_tol"])
 
     p_num = np.abs(traj.c_i) ** 2
-    curve = generalized_decay(train, 1.0, traj.times, model=model, dos=dos,
-                              E_i=0.0)
+    curve = generalized_decay(train, 1.0, traj.times, dos=dos, E_i=0.0)
     ratio = p_num / curve.survival
     ctx.metric("decay_law_match", float(np.max(np.abs(ratio - 1.0))), 0.0,
                checks["decay_rel_tol"])
@@ -1239,8 +1230,12 @@ def bundled_scenarios():
 def load_config(source):
     """Read a config from a path or a bundled scenario name."""
     if os.path.exists(source):
-        with open(source, "rb") as fh:
-            raw = fh.read()
+        try:
+            with open(source, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise ConfigError([f"config: cannot read {source!r}: "
+                               f"{exc.strerror or exc}"]) from None
     else:
         base = _bundled_dir()
         hit = None
@@ -1319,6 +1314,17 @@ def _one_blas_thread():
             put(threads)
 
 
+def _run_dir(where):
+    """Create the directory where (and its parents); returns it, or raises
+    ConfigError naming it when it cannot be made."""
+    try:
+        os.makedirs(where, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: an embedded NUL
+        why = getattr(exc, "strerror", None) or exc
+        raise ConfigError([f"output directory {where!r}: {why}"]) from None
+    return where
+
+
 def run_scenario(source, out_dir=None):
     """Validate, execute and summarize one scenario.
 
@@ -1328,9 +1334,8 @@ def run_scenario(source, out_dir=None):
     """
     cfg, raw = load_config(source)
     cfg = validate_config(cfg)
-    where = out_dir or cfg.get("output_dir") or os.path.join(
-        "runs", cfg["name"])
-    os.makedirs(where, exist_ok=True)
+    where = _run_dir(out_dir or cfg.get("output_dir")
+                     or os.path.join("runs", cfg["name"]))
 
     ctx = RunContext(name=cfg["name"], kind=cfg["kind"], out_dir=where,
                      config_sha256=config_sha256(raw),
@@ -1385,8 +1390,8 @@ def _sweep_one(payload):
     node, key = _leaf_ref(cfg, axis)
     node[key] = value
     text = yaml.safe_dump(cfg, sort_keys=True)
-    tmpdir = os.path.join(out_dir, f"{axis.replace('.', '_')}={fmt(value)}")
-    os.makedirs(tmpdir, exist_ok=True)
+    tmpdir = _run_dir(os.path.join(
+        out_dir, f"{axis.replace('.', '_')}={fmt(value)}"))
     cfg_path = os.path.join(tmpdir, "config.yaml")
     atomic_write_text(cfg_path, text)
     try:
@@ -1420,8 +1425,7 @@ def run_sweep(source, axis, values, out_dir=None, workers=1):
     cfg, raw = load_config(source)
     cfg = validate_config(cfg)
     _leaf_ref(cfg, axis)    # fail fast if the axis is bad
-    where = out_dir or os.path.join("runs", cfg["name"] + "_sweep")
-    os.makedirs(where, exist_ok=True)
+    where = _run_dir(out_dir or os.path.join("runs", cfg["name"] + "_sweep"))
 
     payloads = [(source, axis, v, where) for v in values]
     # a fork pool starts all its workers at once: no more than there are runs

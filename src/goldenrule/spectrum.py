@@ -148,8 +148,7 @@ class DiscretizedContinuum:
     = omega_0 + f delta exactly. So the detunings (omegas) are snapped to
     (k - k_c) delta, k_c the center level and delta the mean spacing,
     while energies keep the caller's values, whose spacings may differ
-    from delta by at most 1e-9 delta (a wider jitter is rejected); a
-    tabulated model built on those energies is evaluated on its own grid.
+    from delta by at most 1e-9 delta (a wider jitter is rejected).
 
     energies: level positions, strictly increasing, uniform spacing.
     weights: quadrature measure per level, all positive; summing
@@ -157,22 +156,32 @@ class DiscretizedContinuum:
     center: the reference energy E_i; guaranteed to sit exactly on a level.
     halfwidth: half the covered band (energies span [center-W', center+W2]
         for symmetric grids W' = W2 = halfwidth).
+    couplings: real coupling v_f of each level to the initial one, finite,
+        ones by default; the instantaneous coupling to level f is
+        V(t) v_f, so the band enters the rates through w_f v_f^2.
     """
 
     energies: np.ndarray
     weights: np.ndarray
     center: float
     halfwidth: float
+    couplings: np.ndarray = None
 
     def __post_init__(self):
         E = np.ascontiguousarray(self.energies, dtype=float)
         w = np.ascontiguousarray(self.weights, dtype=float)
+        v = (np.ones(E.shape) if self.couplings is None
+             else np.array(self.couplings, dtype=float))
         if E.ndim != 1 or E.size < 1:
             raise DomainError("need at least 1 level")
         if w.shape != E.shape:
             raise DomainError("weights shape must match energies")
+        if v.shape != E.shape:
+            raise DomainError("couplings shape must match energies")
         if not np.all(w > 0.0):
             raise DomainError("quadrature weights must all be positive")
+        if not np.all(np.isfinite(v)):
+            raise DomainError("couplings must all be finite")
         if E.size >= 2:
             d = np.diff(E)
             if not np.all(d > 0.0):
@@ -187,20 +196,20 @@ class DiscretizedContinuum:
             raise DomainError("center must coincide with a level")
         if E.size >= 3 and k in (0, E.size - 1):
             raise DomainError("center must be an interior level")
-        E.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "energies", E)
-        object.__setattr__(self, "weights", w)
+        for name, arr in (("energies", E), ("weights", w), ("couplings", v)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "center", float(self.center))
         object.__setattr__(self, "halfwidth", float(self.halfwidth))
 
     @classmethod
-    def from_grid(cls, energies, weights, center):
-        """Wrap an explicit grid and measure (used for asymmetric bands)."""
+    def from_grid(cls, energies, weights, center, couplings=None):
+        """Wrap an explicit grid, measure and couplings (used for
+        asymmetric bands)."""
         E = np.asarray(energies, dtype=float)
         half = 0.5 * float(E[-1] - E[0])
         return cls(energies=E, weights=np.asarray(weights, dtype=float),
-                   center=float(center), halfwidth=half)
+                   center=float(center), halfwidth=half, couplings=couplings)
 
     @property
     def n_levels(self):

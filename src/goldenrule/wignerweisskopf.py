@@ -22,7 +22,7 @@ from scipy.integrate import quad
 
 from .errors import (DiscretizationTooCoarseError, DomainError, EdgeError,
                      PreconditionError, ToleranceFailureError)
-from .perturbation import RectangularPulse, TabulatedElement
+from .perturbation import RectangularPulse
 from .spectrum import REVIVAL_SHARE, DiscretizedContinuum
 from .dynamics import integrate
 
@@ -212,7 +212,6 @@ def nonperturbative_validate(f, n_levels, *, tol=1e-9, horizon_rates=6.0,
     weights = np.full(grid.size, delta)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    continuum = DiscretizedContinuum.from_grid(grid, weights, f.omega_i)
 
     t_end = horizon_rates / r
     revival = 2.0 * np.pi / delta
@@ -221,8 +220,8 @@ def nonperturbative_validate(f, n_levels, *, tol=1e-9, horizon_rates=6.0,
             f"horizon {t_end:.3g} runs into the revival at {revival:.3g}; "
             "refine the grid")
 
-    couplings = np.sqrt(np.maximum(f(grid), 0.0))
-    model = TabulatedElement(grid, couplings)
+    continuum = DiscretizedContinuum.from_grid(
+        grid, weights, f.omega_i, couplings=np.sqrt(np.maximum(f(grid), 0.0)))
     t_hi = fit_window_rates[1] / r
     mask = window_samples("fit", fit_window_rates, horizon_rates, n_samples,
                           least=2)
@@ -232,7 +231,7 @@ def nonperturbative_validate(f, n_levels, *, tol=1e-9, horizon_rates=6.0,
     # puts the left edge at exactly 0.0, where the zero seed belongs
     width = 1.02 * t_end
     env = RectangularPulse(width, t_ref=0.5 * width)
-    traj = integrate(continuum, env, 1.0, model, 0.0, t_end, tol=tol,
+    traj = integrate(continuum, env, 1.0, 0.0, t_end, tol=tol,
                      mode="coupled", sample_times=samples)
 
     mag = np.abs(traj.c_i)

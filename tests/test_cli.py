@@ -129,6 +129,32 @@ def test_unknown_scenario_exits_two(capsys):
     assert "  - " in err
 
 
+BAD_PATHS = {
+    "validate_a_directory": lambda d: ["validate", str(d)],
+    "run_a_directory": lambda d: ["run", str(d)],
+    "run_out_an_existing_file": lambda d: [
+        "run", "airy_validation", "--out", str(d / "file")],
+    "sweep_out_an_existing_file": lambda d: [
+        "sweep", "airy_validation", "--axis", "parameters.n_zeros",
+        "--values", "3", "--out", str(d / "file")],
+    "validate_a_nul_name": lambda d: ["validate", str(d / "nul.yaml")],
+    "run_a_nul_name": lambda d: ["run", str(d / "nul.yaml")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PATHS))
+def test_bad_path_exits_two(tmp_path, monkeypatch, capsys, case):
+    """A config that cannot be read, a run directory that cannot be made
+    and a name no directory can carry are configuration problems."""
+    (tmp_path / "file").write_text("")
+    cfg, _ = load_config("airy_validation")
+    cfg["name"] = "air\0y"
+    (tmp_path / "nul.yaml").write_text(yaml.safe_dump(cfg))
+    monkeypatch.chdir(tmp_path)  # where a run without --out writes
+    assert main(BAD_PATHS[case](tmp_path)) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
 def test_invalid_config_lists_violations(tmp_path, capsys):
     path = write_variant(
         tmp_path, "isotropic_scattering",

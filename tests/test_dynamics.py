@@ -7,7 +7,7 @@ import yaml
 
 from goldenrule import (
     ConstantDOS,
-    ConstantElement,
+    CouplingFunction,
     DiscretizedContinuum,
     DomainError,
     ExpSuperposition,
@@ -40,7 +40,6 @@ from oracles import (coupled_rk_oracle, fd_rate_oracle,
                      level_phases_direct_oracle)
 
 FLAT = ConstantDOS(1.0)
-UNIT = ConstantElement(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +80,8 @@ def test_golden_rule_rate_value():
 
 def test_following_law_tracks_envelope():
     env = RisingExp(0.5)
-    r0 = golden_rule_following(env, 0.1, UNIT, FLAT, 0.0, 0.0)
-    rm = golden_rule_following(env, 0.1, UNIT, FLAT, 0.0, -1.0)
+    r0 = golden_rule_following(env, 0.1, FLAT, 0.0, 0.0)
+    rm = golden_rule_following(env, 0.1, FLAT, 0.0, -1.0)
     assert r0 == pytest.approx(golden_rule_rate(0.01, 1.0))
     assert rm / r0 == pytest.approx(np.exp(-1.0), rel=1e-12)
 
@@ -90,9 +89,16 @@ def test_following_law_tracks_envelope():
 # ---------------------------------------------------------------------------
 # seeding
 
+def _coupled(cont, couplings):
+    """cont's levels and weights carrying the given couplings."""
+    return DiscretizedContinuum.from_grid(
+        cont.energies, cont.weights, cont.center,
+        couplings=np.broadcast_to(couplings, cont.energies.shape))
+
+
 def test_seed_matches_closed_form_per_level():
-    cont = discretize(FLAT, 0.0, 5.0, 41)
-    cf = seed_amplitudes(cont, RisingExp(0.7), 0.3, ConstantElement(2.0), -4.0)
+    cont = _coupled(discretize(FLAT, 0.0, 5.0, 41), 2.0)
+    cf = seed_amplitudes(cont, RisingExp(0.7), 0.3, -4.0)
     want = 2.0 * analytic_cf_rising_exp(0.3, cont.omegas, 0.7, -4.0)
     assert np.allclose(cf, want, rtol=1e-14, atol=0.0)
 
@@ -100,7 +106,7 @@ def test_seed_matches_closed_form_per_level():
 def test_seed_superposition_is_term_sum():
     cont = discretize(FLAT, 0.0, 5.0, 41)
     env = ExpSuperposition(((0.5, 0.6), (1.5, 0.4)))
-    cf = seed_amplitudes(cont, env, 1.0, UNIT, -4.0)
+    cf = seed_amplitudes(cont, env, 1.0, -4.0)
     want = (0.6 * analytic_cf_rising_exp(1.0, cont.omegas, 0.5, -4.0)
             + 0.4 * analytic_cf_rising_exp(1.0, cont.omegas, 1.5, -4.0))
     assert np.allclose(cf, want, rtol=1e-14, atol=0.0)
@@ -109,10 +115,9 @@ def test_seed_superposition_is_term_sum():
 def test_seed_harmonic_counter_rotating_pair():
     """A harmonic carrier seeds as two detuned exponential turn-ons with
     opposite reference phases."""
-    cont = discretize(FLAT, 0.0, 8.0, 81)
+    cont = _coupled(discretize(FLAT, 0.0, 8.0, 81), 1.5)
     wc, g, tr = 3.0, 0.4, -1.0
-    cf = seed_amplitudes(cont, HarmonicRisingExp(g, wc, t_ref=tr), 2.0,
-                         ConstantElement(1.5), -6.0)
+    cf = seed_amplitudes(cont, HarmonicRisingExp(g, wc, t_ref=tr), 2.0, -6.0)
     amp = 2.0 * np.exp(-g * tr)
     want = 1.5 * (
         amp * np.exp(1j * wc * tr)
@@ -126,16 +131,16 @@ def test_seed_two_sided_requires_rising_branch():
     cont = discretize(FLAT, 0.0, 5.0, 41)
     env = TwoSidedExp(1.0, 2.0)
     with pytest.raises(PreconditionError):
-        seed_amplitudes(cont, env, 1.0, UNIT, 0.0)
-    assert seed_amplitudes(cont, env, 1.0, UNIT, -1.0).any()
+        seed_amplitudes(cont, env, 1.0, 0.0)
+    assert seed_amplitudes(cont, env, 1.0, -1.0).any()
 
 
 def test_seed_pulses_start_from_nothing():
     cont = discretize(FLAT, 0.0, 5.0, 41)
-    cf = seed_amplitudes(cont, GaussianPulse(1.0), 1.0, UNIT, -10.0)
+    cf = seed_amplitudes(cont, GaussianPulse(1.0), 1.0, -10.0)
     assert not cf.any()
     with pytest.warns(UserWarning):
-        seed_amplitudes(cont, GaussianPulse(1.0), 1.0, UNIT, 0.0)
+        seed_amplitudes(cont, GaussianPulse(1.0), 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +148,7 @@ def test_seed_pulses_start_from_nothing():
 
 def test_integrate_zero_coupling_is_inert():
     cont = discretize(FLAT, 0.0, 2.0, 21)
-    traj = integrate(cont, RisingExp(1.0), 0.0, UNIT, t0=-5.0, t1=0.0,
+    traj = integrate(cont, RisingExp(1.0), 0.0, t0=-5.0, t1=0.0,
                      mode="coupled")
     assert np.allclose(np.abs(traj.c_i) ** 2, 1.0, atol=1e-12)
     assert np.allclose(traj.occupied, 0.0, atol=1e-15)
@@ -157,7 +162,7 @@ def test_integrate_reproduces_rabi_oscillation():
                                 weights=np.array([1.0]),
                                 center=5.0, halfwidth=0.0)
     V, t_end = 0.3, 4.0
-    traj = integrate(cont, RectangularPulse(2.0 * t_end, t_ref=t_end), V, UNIT,
+    traj = integrate(cont, RectangularPulse(2.0 * t_end, t_ref=t_end), V,
                      t0=0.0, t1=t_end, tol=1e-10, mode="coupled",
                      sample_times=np.linspace(0.0, t_end, 9))
     assert np.allclose(np.abs(traj.c_i) ** 2, np.cos(V * traj.times) ** 2,
@@ -167,7 +172,7 @@ def test_integrate_reproduces_rabi_oscillation():
 def test_first_order_run_matches_analytic_profile():
     gamma, V0, tol, t1 = 0.5, 1e-3, 1e-9, 0.3
     cont = discretize(FLAT, 0.0, 12.0, 801)
-    traj = integrate(cont, RisingExp(gamma), V0, UNIT,
+    traj = integrate(cont, RisingExp(gamma), V0,
                      t0=-np.log(1e6) / gamma, t1=t1, tol=tol,
                      mode="first_order")
     want = analytic_cf_rising_exp(V0, cont.omegas, gamma, t1)
@@ -178,7 +183,7 @@ def test_first_order_run_matches_analytic_profile():
 def test_default_start_is_the_envelope_turn_on():
     gamma = 2.0
     cont = discretize(FLAT, 0.0, 4.0, 41)
-    traj = integrate(cont, RisingExp(gamma), 1e-3, UNIT, t1=0.0)
+    traj = integrate(cont, RisingExp(gamma), 1e-3, t1=0.0)
     assert traj.times[0] == pytest.approx(-np.log(1e6) / gamma)
 
 
@@ -186,25 +191,25 @@ def test_integrate_argument_validation():
     cont = discretize(FLAT, 0.0, 2.0, 21)
     env = RisingExp(1.0)
     with pytest.raises(DomainError):
-        integrate(cont, env, 1.0, UNIT, t0=0.0, t1=0.0)
+        integrate(cont, env, 1.0, t0=0.0, t1=0.0)
     with pytest.raises(DomainError):
-        integrate(cont, env, 1.0, UNIT, t0=-1.0, t1=0.0, mode="exact")
+        integrate(cont, env, 1.0, t0=-1.0, t1=0.0, mode="exact")
     with pytest.raises(DomainError):
-        integrate(cont, env, 1.0, UNIT, t0=-1.0, t1=0.0,
+        integrate(cont, env, 1.0, t0=-1.0, t1=0.0,
                   sample_times=[-2.0, 0.0])
     with pytest.raises(DomainError):
-        integrate(cont, env, 1.0, UNIT, t0=-1.0, t1=0.0, rate_times=[1.0])
+        integrate(cont, env, 1.0, t0=-1.0, t1=0.0, rate_times=[1.0])
     with pytest.raises(DomainError, match="rate_times"):
-        integrate(cont, env, 1.0, UNIT, t0=-1.0, t1=0.0, rate_times=[np.nan])
+        integrate(cont, env, 1.0, t0=-1.0, t1=0.0, rate_times=[np.nan])
     with pytest.raises(DomainError, match="sample_times"):
-        integrate(cont, env, 1.0, UNIT, t0=-3.0, t1=0.0,
+        integrate(cont, env, 1.0, t0=-3.0, t1=0.0,
                   sample_times=[-3.0, np.nan, 0.0])
     with pytest.raises(DomainError):
-        integrate(cont, GaussianPulse(1.0, t_ref=np.inf), 1.0, UNIT, t1=0.0)
+        integrate(cont, GaussianPulse(1.0, t_ref=np.inf), 1.0, t1=0.0)
     for mode in ("first_order", "coupled"):
         for tol in (0.0, -1e-9, np.nan):
             with pytest.raises(DomainError, match="tol"):
-                integrate(cont, env, 1.0, UNIT, t0=-1.0, t1=0.0, tol=tol,
+                integrate(cont, env, 1.0, t0=-1.0, t1=0.0, tol=tol,
                           mode=mode)
 
 
@@ -214,7 +219,7 @@ def test_stored_times_are_found_within_the_span_tolerance():
     not found."""
     cont = discretize(FLAT, 0.0, 2.0, 21)
     rates = [-0.5, -2.0, -1.0, -1.0 + 3e-9]
-    traj = integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
+    traj = integrate(cont, RisingExp(1.0), 1e-3, t0=-3.0, t1=0.0,
                      rate_times=rates)
     for t in rates:
         near = t + 1e-9 * 3.0 * 0.4
@@ -329,7 +334,7 @@ def test_first_order_sums_match_direct_oracle_on_scenarios(name, tmp_path,
 
 def _rising_run(rate_times, t1=0.4):
     cont = discretize(FLAT, 0.0, 24.0, 2401)
-    return integrate(cont, RisingExp(0.5), 1e-3, UNIT,
+    return integrate(cont, RisingExp(0.5), 1e-3,
                      t0=-np.log(1e6) / 0.5, t1=t1, tol=1e-9,
                      mode="first_order", rate_times=rate_times)
 
@@ -337,7 +342,7 @@ def _rising_run(rate_times, t1=0.4):
 def test_numeric_rate_follows_golden_rule():
     traj = _rising_run(rate_times=[0.0])
     r_num = transition_rate(traj, 0.0)
-    r_ref = golden_rule_following(RisingExp(0.5), 1e-3, UNIT, FLAT, 0.0, 0.0)
+    r_ref = golden_rule_following(RisingExp(0.5), 1e-3, FLAT, 0.0, 0.0)
     assert r_num == pytest.approx(r_ref, rel=2e-2)
 
 
@@ -375,12 +380,12 @@ RATE_CASES = {
 def test_rate_current_agrees_with_finite_differences(case):
     env, V0, t0, t1, n, half, mode, rate_times = RATE_CASES[case]
     cont = discretize(FLAT, 0.0, half, n)
-    traj = integrate(cont, env, V0, UNIT, t0, t1, tol=1e-9, mode=mode,
+    traj = integrate(cont, env, V0, t0, t1, tol=1e-9, mode=mode,
                      rate_times=rate_times)
     h = 2.0 * np.pi / (20.0 * np.max(np.abs(cont.omegas)))
 
     def occupied(times):
-        return integrate(cont, env, V0, UNIT, t0, t1, tol=1e-12, mode=mode,
+        return integrate(cont, env, V0, t0, t1, tol=1e-12, mode=mode,
                          sample_times=times).occupied
 
     for t in rate_times:
@@ -399,7 +404,7 @@ def test_rates_settle_with_tol(case):
     for tol in (1e-10,) if mode == "first_order" else (1e-7, 1e-9):
         rates = []
         for run_tol in (tol, tol / 100.0):
-            traj = integrate(cont, env, V0, UNIT, t0, t1, tol=run_tol,
+            traj = integrate(cont, env, V0, t0, t1, tol=run_tol,
                              mode=mode, rate_times=rate_times)
             rates.append(np.array([transition_rate(traj, t)
                                    for t in rate_times]))
@@ -409,19 +414,39 @@ def test_rates_settle_with_tol(case):
 # ---------------------------------------------------------------------------
 # first-order quadrature against the RK45 reference route
 
+def _asymmetric_band():
+    grid = np.linspace(-2.0, 6.0, 201)
+    weights = np.full(grid.size, grid[1] - grid[0])
+    weights[[0, -1]] *= 0.5
+    return DiscretizedContinuum.from_grid(grid, weights, 0.0)
+
+
+def _power_law_band():
+    """_asymmetric_band moved to omega in [1, 9] around omega_i = 3, with
+    the couplings sqrt(f) that nonperturbative_validate takes from the
+    power-law coupling density f = (omega / 3)^1.5."""
+    band = _asymmetric_band()
+    grid = band.energies + 3.0
+    f = CouplingFunction.power_window(1.0, 1.5, 3.0, grid[0], grid[-1], 3.0)
+    return DiscretizedContinuum.from_grid(grid, band.weights, 3.0,
+                                          couplings=np.sqrt(f(grid)))
+
+
 _T_REF = 0.3137  # off every sample and rate time below
 FIRST_ORDER_CASES = {
-    "rising_exp": (RisingExp(0.5), 1e-3, -np.log(1e6) / 0.5, 0.3),
+    "rising_exp": (RisingExp(0.5), 1e-3, -np.log(1e6) / 0.5, 0.3, None),
     "exp_superposition": (ExpSuperposition(((0.5, 1.5), (1.0, -0.5))), 1e-3,
-                          -np.log(1e6) / 0.5, 0.3),
+                          -np.log(1e6) / 0.5, 0.3, None),
     "harmonic_rising_exp": (HarmonicRisingExp(0.5, 3.0), 1e-3,
-                            -np.log(1e6) / 0.5, 0.3),
+                            -np.log(1e6) / 0.5, 0.3, None),
     "gaussian_pulse": (GaussianPulse(1.0, t_ref=_T_REF), 0.05,
-                       _T_REF - np.sqrt(np.log(1e6)), 3.0),
+                       _T_REF - np.sqrt(np.log(1e6)), 3.0, None),
     "two_sided_exp": (TwoSidedExp(0.5, 1.0, t_ref=_T_REF), 1e-3,
-                      -np.log(1e6) / 0.5, 4.0),
+                      -np.log(1e6) / 0.5, 4.0, None),
     "rectangular_pulse": (RectangularPulse(2.0, t_ref=_T_REF), 0.05,
-                          -1.5, 3.0),
+                          -1.5, 3.0, None),
+    "rising_exp_power_law_band": (RisingExp(0.5), 1e-3, -np.log(1e6) / 0.5,
+                                  0.3, _power_law_band),
 }
 
 
@@ -434,21 +459,21 @@ def test_first_order_quadrature_matches_rk45_oracle(case):
     and |dr| <= 2 |a(t)| sum_f w_f |v_f| e for the current
     r = 2 a(t) Im(sum_f w_f v_f e^{i omega_f t} conj(c_f)).
     """
-    env, V0, t0, t1 = FIRST_ORDER_CASES[case]
+    env, V0, t0, t1, band = FIRST_ORDER_CASES[case]
     tol = 1e-9
-    cont = discretize(FLAT, 0.0, 12.0, 401)
+    cont = band() if band else discretize(FLAT, 0.0, 12.0, 401)
     samples = np.linspace(t0, t1, 41)
     rate_times = t0 + (t1 - t0) * np.array([0.37, 0.55, 0.71, 0.93])
-    traj = integrate(cont, env, V0, UNIT, t0, t1, tol=tol,
+    traj = integrate(cont, env, V0, t0, t1, tol=tol,
                      mode="first_order", sample_times=samples,
                      rate_times=rate_times)
 
     t_eval = np.unique(np.concatenate([samples, rate_times]))
     edges = [_T_REF - 1.0, _T_REF, _T_REF + 1.0]
     assert not np.any(np.isin(edges, t_eval))
-    cf0 = seed_amplitudes(cont, env, V0, UNIT, t0)
-    ref = first_order_rk_oracle(env, V0, cont.omegas, np.ones(cont.omegas.size),
-                                cf0, t_eval, tol)
+    cf0 = seed_amplitudes(cont, env, V0, t0)
+    ref = first_order_rk_oracle(env, V0, cont.omegas, cont.couplings, cf0,
+                                t_eval, tol)
     err = 10.0 * tol * np.max(np.abs(ref))
     S_ref = cont.weights @ np.abs(ref) ** 2
     S_err = cont.weights @ (2.0 * np.abs(ref) * err + err * err)
@@ -458,13 +483,13 @@ def test_first_order_quadrature_matches_rk45_oracle(case):
     idx = at(samples)
     assert np.all(np.abs(traj.occupied - S_ref[idx]) <= S_err[idx])
     assert sorted(traj.rate_table) == sorted(rate_times)
+    wv = cont.weights * cont.couplings
     for t in rate_times:
         a = V0 * env.shape(t)
-        mix = cont.weights @ (np.exp(1j * cont.omegas * t)
-                              * np.conj(ref[:, at(t)]))
+        mix = wv @ (np.exp(1j * cont.omegas * t) * np.conj(ref[:, at(t)]))
         r_ref = 2.0 * a * mix.imag
         assert abs(transition_rate(traj, t) - r_ref) <= (
-            2.0 * abs(a) * np.sum(cont.weights) * err)
+            2.0 * abs(a) * np.sum(np.abs(wv)) * err)
 
 
 def test_first_order_never_calls_the_stepper(monkeypatch):
@@ -478,11 +503,11 @@ def test_first_order_never_calls_the_stepper(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_coupled_amplitudes", refuse)
     cont = discretize(FLAT, 0.0, 2.0, 21)
-    traj = integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
+    traj = integrate(cont, RisingExp(1.0), 1e-3, t0=-3.0, t1=0.0,
                      mode="first_order")
     assert traj.occupied[-1] > 0.0
     with pytest.raises(Stepped):
-        integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
+        integrate(cont, RisingExp(1.0), 1e-3, t0=-3.0, t1=0.0,
                   mode="coupled")
 
 
@@ -504,14 +529,14 @@ def test_unresolvable_envelope_is_a_tolerance_failure(monkeypatch):
     monkeypatch.setattr(dynamics, "_MAX_PANELS", 256)
     cont = discretize(FLAT, 0.0, 2.0, 21)
     with pytest.raises(ToleranceFailureError, match="did not converge"):
-        integrate(cont, Noise(), 1.0, UNIT, t0=-1.0, t1=1.0,
+        integrate(cont, Noise(), 1.0, t0=-1.0, t1=1.0,
                   sample_times=np.linspace(-1.0, 1.0, 5))
 
 
 def test_trajectory_names_its_method():
     cont = discretize(FLAT, 0.0, 2.0, 21)
     for mode in ("first_order", "coupled"):
-        traj = integrate(cont, RisingExp(1.0), 1e-3, UNIT, t0=-3.0, t1=0.0,
+        traj = integrate(cont, RisingExp(1.0), 1e-3, t0=-3.0, t1=0.0,
                          mode=mode)
         assert traj.mode == mode
         assert isinstance(traj.evaluations, int) and traj.evaluations > 0
@@ -528,13 +553,6 @@ def test_trajectory_names_its_method():
 # ---------------------------------------------------------------------------
 # coupled Filon steps against the RK45 reference route
 
-def _asymmetric_band():
-    grid = np.linspace(-2.0, 6.0, 201)
-    weights = np.full(grid.size, grid[1] - grid[0])
-    weights[[0, -1]] *= 0.5
-    return DiscretizedContinuum.from_grid(grid, weights, 0.0)
-
-
 # switched on at exactly t = 0 and on past t1
 _ABRUPT = RectangularPulse(20.0, t_ref=10.0)
 COUPLED_CASES = {
@@ -545,6 +563,8 @@ COUPLED_CASES = {
                        1.0, -4.0, 10.0, None),
     "abrupt_flat_band": (_ABRUPT, 0.1, 0.0, 19.0, None),
     "abrupt_asymmetric_band": (_ABRUPT, 0.1, 0.0, 19.0, _asymmetric_band),
+    # couplings from 0.44 to 2.3 across the band
+    "abrupt_power_law_band": (_ABRUPT, 0.1, 0.0, 19.0, _power_law_band),
     "harmonic_rising_exp": (HarmonicRisingExp(0.5, 3.0), 0.05,
                             -np.log(1e6) / 0.5, 0.3, None),
     # a kink at t_ref inside a sample interval
@@ -569,13 +589,12 @@ def _coupled_against_oracle(cont, env, V0, t0, t1, samples, rate_times,
     r = 2 a(t) Im(c_i m) with m = sum_f w_f v_f e^{i omega_f t} conj(c_f),
     |dr| <= 2 |a(t)| e (|m| + 2 sum_f w_f |v_f|).
     """
-    traj = integrate(cont, env, V0, UNIT, t0, t1, tol=tol, mode="coupled",
+    traj = integrate(cont, env, V0, t0, t1, tol=tol, mode="coupled",
                      sample_times=samples, rate_times=rate_times)
     t_eval = np.unique(np.concatenate([samples, rate_times]))
-    cf0 = seed_amplitudes(cont, env, V0, UNIT, t0)
-    ones = np.ones(cont.omegas.size)
+    cf0 = seed_amplitudes(cont, env, V0, t0)
     ci_ref, cf_ref = coupled_rk_oracle(env, V0, cont.omegas, cont.weights,
-                                       ones, cf0, t_eval, tol)
+                                       cont.couplings, cf0, t_eval, tol)
     err = 10.0 * tol
     S_ref = cont.weights @ np.abs(cf_ref) ** 2
     S_err = cont.weights @ (2.0 * np.abs(cf_ref) * err + err * err)
@@ -585,12 +604,12 @@ def _coupled_against_oracle(cont, env, V0, t0, t1, samples, rate_times,
     assert np.all(np.abs(traj.c_i - ci_ref[idx]) <= err)
     assert np.max(np.abs(traj.c_f_end - cf_ref[:, -1])) <= err
     assert np.all(np.abs(traj.occupied - S_ref[idx]) <= S_err[idx])
+    wv = cont.weights * cont.couplings
     for t in rate_times:
         a = V0 * env.shape(t)
-        mix = cont.weights @ (np.exp(1j * cont.omegas * t)
-                              * np.conj(cf_ref[:, at(t)]))
+        mix = wv @ (np.exp(1j * cont.omegas * t) * np.conj(cf_ref[:, at(t)]))
         r_ref = 2.0 * a * np.imag(ci_ref[at(t)] * mix)
-        bound = 2.0 * abs(a) * err * (abs(mix) + 2.0 * np.sum(cont.weights))
+        bound = 2.0 * abs(a) * err * (abs(mix) + 2.0 * np.sum(np.abs(wv)))
         assert abs(transition_rate(traj, t) - r_ref) <= bound
     return traj
 
@@ -634,7 +653,7 @@ def test_coupled_tol_below_roundoff_is_a_tolerance_failure():
     cont = discretize(FLAT, 0.0, 8.0, 201)
     start = time.perf_counter()
     with pytest.raises(ToleranceFailureError, match="double-precision"):
-        integrate(cont, RisingExp(0.5), 0.08, UNIT, t0=-10.0, t1=0.5,
+        integrate(cont, RisingExp(0.5), 0.08, t0=-10.0, t1=0.5,
                   tol=1e-18, mode="coupled")
     assert time.perf_counter() - start < 10.0
 
@@ -651,7 +670,7 @@ def test_coupled_nan_envelope_is_a_tolerance_failure():
 
     cont = discretize(FLAT, 0.0, 2.0, 21)
     with pytest.raises(ToleranceFailureError, match="non-finite"):
-        integrate(cont, NaNPulse(), 0.1, UNIT, t0=-1.0, t1=1.0,
+        integrate(cont, NaNPulse(), 0.1, t0=-1.0, t1=1.0,
                   mode="coupled")
 
 
@@ -668,7 +687,7 @@ def test_coupled_steps_past_a_cap_name_their_time(monkeypatch, cap, value,
     monkeypatch.setattr(dynamics, cap, value)
     cont = discretize(FLAT, 0.0, 8.0, 201)
     with pytest.raises(ToleranceFailureError, match=message):
-        integrate(cont, RectangularPulse(2.0, t_ref=_T_REF), 0.2, UNIT,
+        integrate(cont, RectangularPulse(2.0, t_ref=_T_REF), 0.2,
                   t0=-1.5, t1=3.0, mode="coupled",
                   sample_times=np.linspace(-1.5, 3.0, 41))
 

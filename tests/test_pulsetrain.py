@@ -9,7 +9,7 @@ from scipy.integrate import IntegrationWarning
 from goldenrule import (
     AdditivityReport,
     ConstantDOS,
-    ConstantElement,
+    DiscretizedContinuum,
     DomainError,
     GaussianPulse,
     PowerLawDOS,
@@ -32,7 +32,6 @@ from goldenrule import (
 from oracles import cross_term_direct_oracle
 
 FLAT = ConstantDOS(1.0)
-UNIT = ConstantElement(1.0)
 
 
 def gaussian_train(n_pulses, sep, tau=1.0, V0=1e-3):
@@ -85,9 +84,25 @@ def test_single_pulse_kick_matches_full_integration():
     V0 = np.sqrt(1e-6 * tau / np.sqrt(2.0 * np.pi))   # kick q ~ 1e-6
     cont = discretize(FLAT, 10.0, 30.0, 1201)
     train = PulseTrain([Pulse(0.0, GaussianPulse(tau), V0)])
-    traj = propagate_train(train, cont, UNIT, tol=tol, t_margin=2.0 * tau)
-    rep = additivity_defect(train, traj, UNIT)
+    traj = propagate_train(train, cont, tol=tol, t_margin=2.0 * tau)
+    rep = additivity_defect(train, traj)
     assert isinstance(rep, AdditivityReport)
+    assert rep.defect < 10.0 * tol
+    assert rep.kick_strengths[0] == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_kick_route_reads_the_band_couplings():
+    """Couplings 2 at half the V0 above transfer the same: the kicks and
+    the coupled run both read v_f from the band."""
+    tau, tol = 1.0, 1e-9
+    V0 = 0.5 * np.sqrt(1e-6 * tau / np.sqrt(2.0 * np.pi))
+    unit = discretize(FLAT, 10.0, 30.0, 1201)
+    cont = DiscretizedContinuum.from_grid(
+        unit.energies, unit.weights, unit.center,
+        couplings=np.full(unit.n_levels, 2.0))
+    train = PulseTrain([Pulse(0.0, GaussianPulse(tau), V0)])
+    rep = additivity_defect(
+        train, propagate_train(train, cont, tol=tol, t_margin=2.0 * tau))
     assert rep.defect < 10.0 * tol
     assert rep.kick_strengths[0] == pytest.approx(1e-6, rel=1e-3)
 
@@ -98,8 +113,8 @@ def test_two_gaussians_six_tau_apart_add():
     cont = discretize(FLAT, 10.0, 30.0, 1201)
     train = PulseTrain([Pulse(0.0, GaussianPulse(tau), V0),
                         Pulse(6.0 * tau, GaussianPulse(tau), V0)])
-    traj = propagate_train(train, cont, UNIT, tol=1e-9, t_margin=2.0 * tau)
-    rep = additivity_defect(train, traj, UNIT)
+    traj = propagate_train(train, cont, tol=1e-9, t_margin=2.0 * tau)
+    rep = additivity_defect(train, traj)
     assert rep.defect < 1e-3
     assert len(rep.kick_strengths) == 2
     assert rep.survival_full == pytest.approx(rep.survival_kicks, abs=1e-6)
@@ -113,8 +128,8 @@ def test_contiguous_rectangles_defect_stays_moderate():
     train = PulseTrain([Pulse(0.0, RectangularPulse(w), V),
                         Pulse(w, RectangularPulse(w), V),
                         Pulse(2.0 * w, RectangularPulse(w), V)])
-    traj = propagate_train(train, cont, UNIT, tol=1e-9)
-    rep = additivity_defect(train, traj, UNIT)
+    traj = propagate_train(train, cont, tol=1e-9)
+    rep = additivity_defect(train, traj)
     assert rep.defect < 0.05
 
 
@@ -126,9 +141,8 @@ def test_defect_decreases_with_separation():
     for sep in (4.0, 5.0, 6.0):
         train = PulseTrain([Pulse(0.0, GaussianPulse(tau), V0),
                             Pulse(sep * tau, GaussianPulse(tau), V0)])
-        traj = propagate_train(train, cont, UNIT, tol=1e-9,
-                               t_margin=2.0 * tau)
-        defects.append(additivity_defect(train, traj, UNIT).defect)
+        traj = propagate_train(train, cont, tol=1e-9, t_margin=2.0 * tau)
+        defects.append(additivity_defect(train, traj).defect)
     assert defects[0] > defects[1] > defects[2]
 
 
@@ -139,10 +153,10 @@ def test_additivity_needs_a_coupled_trajectory():
     assert traj.mode == "coupled"
     assert traj.times.size == 17
     assert traj.times[0] == train.t_ref - train.support_radius()[0]
-    first = integrate(cont, train, 1.0, UNIT, traj.times[0], traj.times[-1],
+    first = integrate(cont, train, 1.0, traj.times[0], traj.times[-1],
                       tol=1e-6)
     with pytest.raises(PreconditionError):
-        additivity_defect(train, first, UNIT)
+        additivity_defect(train, first)
 
 
 # ---------------------------------------------------------------------------

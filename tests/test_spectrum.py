@@ -220,6 +220,31 @@ def test_from_grid_asymmetric_band():
     assert cont.center == 1.0
 
 
+def test_couplings_default_to_ones_and_are_read_only():
+    cont = discretize(ConstantDOS(1.0), 0.0, 1.0, 5)
+    assert np.array_equal(cont.couplings, np.ones(5))
+    given = np.linspace(0.5, 2.5, 5)
+    band = DiscretizedContinuum.from_grid(cont.energies, cont.weights, 0.0,
+                                          couplings=given)
+    assert np.array_equal(band.couplings, given)
+    for arr in (cont.couplings, band.couplings):
+        with pytest.raises(ValueError):
+            arr[0] = 3.0
+    given[0] = 9.0  # the band keeps its own copy
+    assert band.couplings[0] == 0.5
+
+
+@pytest.mark.parametrize("couplings", [np.ones(4), np.ones((5, 1)),
+                                       [1.0, np.nan, 1.0, 1.0, 1.0],
+                                       [1.0, 1.0, np.inf, 1.0, 1.0]],
+                         ids=["short", "column", "nan", "inf"])
+def test_couplings_must_match_the_levels_and_be_finite(couplings):
+    E = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(DomainError, match="couplings"):
+        DiscretizedContinuum.from_grid(E, np.ones(5), 0.0,
+                                       couplings=couplings)
+
+
 def test_jittered_levels_snap_to_uniform_detunings():
     """Levels up to 1e-10 step off uniform are accepted with their energies
     kept, and their detunings snapped to (k - k_c) delta; 1e-8 step off
