@@ -10,16 +10,10 @@ band, and energy-normalized field states for a toy ionization problem.
 
 from .errors import (
     ConfigError,
-    DegenerateSpectrumError,
-    DiscretizationTooCoarseError,
     DomainError,
-    EdgeError,
     GoldenRuleError,
     PreconditionError,
-    RangeError,
     ToleranceFailureError,
-    UnsupportedShapeError,
-    WindowError,
 )
 from .spectrum import (
     ConstantDOS,
@@ -73,6 +67,7 @@ from .wignerweisskopf import (
     WWValidation,
     nonperturbative_validate,
     principal_value_shift,
+    ww_problem,
     ww_rate,
 )
 from .fieldstates import (

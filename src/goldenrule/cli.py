@@ -6,9 +6,9 @@ Verbs:
     validate <config>       check a config and exit without running
     list-scenarios          show the bundled configuration library
 
-<config> is a file path or the name of a bundled scenario. Exit codes: 0
-all checks passed, 1 a metric failed, 2 usage or configuration problem,
-3 the numerics raised (stiffness, tolerance, domain).
+<config> is a file path or a bundled scenario's name. Exit codes: 0 all
+checks passed, 1 a metric failed, 2 a usage or configuration problem or a
+refusal before integrating, 3 the numerics failed propagating or checking.
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ def _parse_values(text):
             except ValueError:
                 raise ConfigError(
                     [f"values: {chunk!r} is not numeric"]) from None
-    if not values:
-        raise ConfigError(["values: empty sweep value list"])
-    return values
+    return values  # run_sweep refuses an empty list
 
 
 def _cmd_validate(args):

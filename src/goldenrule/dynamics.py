@@ -217,37 +217,12 @@ def _require_resolvable(t_eval, parts, max_omega, what):
             "float spacing of their times: their nodes would collapse")
 
 
-def _panel_rule(f, t_eval, max_omega, tol):
-    """Accepted quadrature nodes for integral f(s) e^{i omega s} ds.
-
-    f is real and takes arrays of times (the envelope, or at max_omega = 0
-    the decay law's rate). Each interval [t_k, t_k+1] of t_eval is cut
-    into equal panels spanning at most _PANEL_PHASE rad of max|omega|
-    phase, each with an 8-point Gauss rule (4 points where a panel spans
-    at most _SHORT_PANEL rad). A panel is accepted when its Gauss rule and
-    the Gauss-Lobatto rule of the same degree agree on integral f(s)
-    e^{i w s} ds, w in {0, max|omega|}, to (tol / 20) * integral |f|;
-    otherwise both halves are tested in the next round. Lobatto nodes sit
-    on the panel ends and between the Gauss nodes, so a jump anywhere in
-    a panel shows in the difference, which is at least 1/1.5 of the Gauss
-    rule's error there. f is real, so w = -max|omega| gives the conjugate
-    of w = +max|omega|.
-
-    Returns:
-        (s, wv, interval, evaluations): Gauss nodes in increasing order,
-        their weights times f, the k of the interval holding each node,
-        and the number of integrand values used.
-
-    Raises:
-        ToleranceFailureError: if a first panel is narrower than the float
-            spacing of its times, the first panels' arrays and node tables
-            would pass _ROUND_BYTES, panels still fail after
-            _MAX_BISECTIONS rounds, or a round would test more than
-            max(initial panels, _MAX_PANELS) of them (an integrand no panel
-            width resolves).
-    """
-    widths = np.diff(t_eval)
-    m = np.maximum(1.0, np.ceil(max_omega * widths / _PANEL_PHASE))
+def first_panels(max_omega, t_eval):
+    """Panels per interval of t_eval that _panel_rule starts from, each
+    spanning at most _PANEL_PHASE rad of max_omega phase. Raises
+    ToleranceFailureError for panels narrower than the float spacing of
+    their times, or more than _ROUND_BYTES of panel arrays."""
+    m = np.maximum(1.0, np.ceil(max_omega * np.diff(t_eval) / _PANEL_PHASE))
     _require_resolvable(t_eval, m, max_omega, "panels")
     first = float(np.sum(m))
     if first * _PANEL_BYTES > _ROUND_BYTES:
@@ -255,7 +230,38 @@ def _panel_rule(f, t_eval, max_omega, tol):
             f"max|omega| = {max_omega:.6g} asks for {first:.4g} first panels, "
             f"{first * _PANEL_BYTES / 1e9:.3g} GB of panel arrays and node "
             f"tables, beyond the {_ROUND_BYTES / 1e9:.3g} GB budget")
-    m = m.astype(int)
+    return m.astype(int)
+
+
+def _panel_rule(f, t_eval, max_omega, tol):
+    """Accepted quadrature nodes for integral f(s) e^{i omega s} ds.
+
+    f is real and takes arrays of times (the envelope, or at max_omega = 0
+    the decay law's rate). Each interval [t_k, t_k+1] of t_eval is cut
+    into equal panels (first_panels) spanning at most _PANEL_PHASE rad of
+    max|omega| phase, each with an 8-point Gauss rule (4 points where a
+    panel spans at most _SHORT_PANEL rad). A panel is accepted when its
+    Gauss rule and the Gauss-Lobatto rule of the same degree agree on
+    integral f(s) e^{i w s} ds, w in {0, max|omega|}, to (tol / 20) *
+    integral |f|; otherwise both halves are tested in the next round.
+    Lobatto nodes sit on the panel ends and between the Gauss nodes, so a
+    jump anywhere in a panel shows in the difference, which is at least
+    1/1.5 of the Gauss rule's error there. f is real, so w = -max|omega|
+    gives the conjugate of w = +max|omega|.
+
+    Returns:
+        (s, wv, interval, evaluations): Gauss nodes in increasing order,
+        their weights times f, the k of the interval holding each node,
+        and the number of integrand values used.
+
+    Raises:
+        ToleranceFailureError: first panels that first_panels refuses,
+            panels that still fail after _MAX_BISECTIONS rounds, or a
+            round that would test more than max(initial panels,
+            _MAX_PANELS) of them (an integrand no panel width resolves).
+    """
+    widths = np.diff(t_eval)
+    m = first_panels(max_omega, t_eval)
     k = np.repeat(np.arange(widths.size), m)
     j = np.arange(k.size) - np.repeat(np.cumsum(m) - m, m)
     lo = t_eval[k] + widths[k] * j / m[k]
@@ -590,6 +596,41 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
     return ci_all, out.T, steps, rejected, evaluations
 
 
+def integration_grid(continuum, t0, t1, *, mode="first_order",
+                     sample_times=None, rate_times=None):
+    """(samples, rates, t_eval) of an integrate call, checked as integrate
+    checks them before it propagates: the sorted samples (default 201
+    uniform points), the rate times, and both with t0 and t1, each once.
+
+    Raises DomainError for a bad mode, t1 <= t0, or a sample or rate time
+    that is not a number in [t0, t1] (NaN included); ToleranceFailureError
+    where first_panels or least_coupled_steps refuse the grid's sizes.
+    """
+    if mode not in ("first_order", "coupled"):
+        raise DomainError(f"unknown mode {mode!r}")
+    if not t1 > t0:
+        raise DomainError(f"need t1 > t0, got [{t0}, {t1}]")
+
+    def times_within(times, what):
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        if times.ndim != 1 or not np.all((times >= t0) & (times <= t1)):
+            raise DomainError(f"{what} must lie within [{t0}, {t1}]")
+        return times
+
+    if sample_times is None:
+        sample_times = np.linspace(t0, t1, 201)
+    samples = np.unique(times_within(sample_times, "sample_times"))
+    rates = times_within([] if rate_times is None else rate_times,
+                         "rate_times")
+    t_eval = np.unique(np.concatenate([samples, [t0, t1], rates]))
+    max_omega = float(np.max(np.abs(continuum.omegas)))
+    if mode == "first_order":
+        first_panels(max_omega, t_eval)
+    else:
+        least_coupled_steps(max_omega, t_eval)
+    return samples, rates, t_eval
+
+
 def integrate(continuum, env, V0, t0=None, t1=0.0, *,
               tol=1e-9, mode="first_order", sample_times=None,
               rate_times=None):
@@ -630,45 +671,32 @@ def integrate(continuum, env, V0, t0=None, t1=0.0, *,
         sample only (c_f_end).
 
     Raises:
-        DomainError: a bad mode or tol, t1 <= t0, or a sample or rate
-            time that is not a number in [t0, t1] (NaN included).
-        ToleranceFailureError: coupled norm drift beyond 10 * tol, a
-            coupled tol / 20 below double-precision resolution, a coupled
-            step or first-order panel that failed its test after every
-            bisection, or a coupled sample interval that stalls.
+        DomainError: a bad tol, a V0 that is not finite, or a grid that
+            integration_grid refuses as a DomainError.
+        ToleranceFailureError: a grid that integration_grid refuses,
+            coupled norm drift beyond 10 * tol, a coupled tol / 20 below
+            double-precision resolution, a coupled step or first-order
+            panel that failed its test after every bisection, a coupled
+            sample interval that stalls, or a non-finite amplitude.
     """
-    if mode not in ("first_order", "coupled"):
-        raise DomainError(f"unknown mode {mode!r}")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
+    if not np.isfinite(V0):
+        raise DomainError(f"V0 must be finite, got {V0}")
     if t0 is None:
         left, _ = env.support_radius()
         if not np.isfinite(left):
             raise DomainError("envelope has no finite turn-on time; pass t0")
         t0 = env.t_ref - left
     t0, t1 = float(t0), float(t1)
-    if not t1 > t0:
-        raise DomainError(f"need t1 > t0, got [{t0}, {t1}]")
+    samples, rates, t_eval = integration_grid(
+        continuum, t0, t1, mode=mode, sample_times=sample_times,
+        rate_times=rate_times)
 
     omegas = continuum.omegas
     weights = continuum.weights
     v = continuum.couplings
     max_omega = float(np.max(np.abs(omegas)))
-
-    def times_within(times, what):
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        if times.ndim != 1 or not np.all((times >= t0) & (times <= t1)):
-            raise DomainError(f"{what} must lie within [{t0}, {t1}]")
-        return times
-
-    if sample_times is None:
-        sample_times = np.linspace(t0, t1, 201)
-    samples = np.unique(times_within(sample_times, "sample_times"))
-    rates = times_within([] if rate_times is None else rate_times,
-                         "rate_times")
-
-    # samples and rate times are exact members of t_eval
-    t_eval = np.unique(np.concatenate([samples, [t0, t1], rates]))
 
     cf0 = seed_amplitudes(continuum, env, V0, t0)
 
@@ -684,7 +712,11 @@ def integrate(continuum, env, V0, t0=None, t1=0.0, *,
         ci_all, cf_all, steps, rejected, evaluations = _coupled_amplitudes(
             lambda s: evaluate(env, V0, s), omegas, weights, v, ci0, cf0,
             t_eval, tol)
-    S_all = np.einsum("f,ft->t", weights, np.abs(cf_all) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        S_all = np.einsum("f,ft->t", weights, np.abs(cf_all) ** 2)
+    if not np.all(np.isfinite(S_all)):
+        raise ToleranceFailureError(
+            f"{mode} propagation produced a non-finite amplitude")
 
     norm_drift = None
     if mode == "coupled":

@@ -9,14 +9,6 @@ class DomainError(GoldenRuleError, ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-class UnsupportedShapeError(GoldenRuleError, ValueError):
-    """Envelope kind has no closed form for the requested quantity."""
-
-
-class DegenerateSpectrumError(GoldenRuleError, ValueError):
-    """Spectral data degenerate (e.g. zero total density of states)."""
-
-
 class PreconditionError(GoldenRuleError, ValueError):
     """A documented precondition of a routine is violated."""
 
@@ -27,26 +19,6 @@ class ToleranceFailureError(GoldenRuleError, RuntimeError):
     def __init__(self, msg, achieved=None):
         super().__init__(msg)
         self.achieved = achieved
-
-
-class DiscretizationTooCoarseError(GoldenRuleError, RuntimeError):
-    """Level spacing too coarse for the requested time horizon (revival)."""
-
-
-class WindowError(GoldenRuleError, RuntimeError):
-    """Result drifts with the integration window beyond tolerance."""
-
-    def __init__(self, msg, drift=None):
-        super().__init__(msg)
-        self.drift = drift
-
-
-class RangeError(GoldenRuleError, ValueError):
-    """Argument outside the guaranteed accuracy range of a special function."""
-
-
-class EdgeError(GoldenRuleError, ValueError):
-    """Evaluation point sits on a support edge where the result is undefined."""
 
 
 class ConfigError(GoldenRuleError, ValueError):
@@ -60,3 +32,7 @@ class ConfigError(GoldenRuleError, ValueError):
         self.violations = list(violations)
         super().__init__("invalid configuration:\n" + "\n".join(
             "  - " + v for v in self.violations))
+
+    def __reduce__(self):
+        # rebuilt from the violations: its args hold the joined message
+        return type(self), (self.violations,)

@@ -18,17 +18,23 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import airy as _scipy_airy
 
-from .errors import DomainError, RangeError, WindowError
+from .errors import DomainError, ToleranceFailureError
 
 _GUARD = 200.0
 
 
-def _airy_both(xi):
+def _guarded(xi):
+    """xi as a float array; DomainError where |xi| passes the guard."""
     xi = np.asarray(xi, dtype=float)
     if np.any(np.abs(xi) > _GUARD):
-        raise RangeError(
+        raise DomainError(
             f"|xi| exceeds the accuracy guard {_GUARD:g}; got "
             f"{float(np.max(np.abs(xi))):g}")
+    return xi
+
+
+def _airy_both(xi):
+    xi = _guarded(xi)
     ai, aip, _, _ = _scipy_airy(xi)
     if xi.ndim == 0:
         return float(ai), float(aip)
@@ -36,7 +42,7 @@ def _airy_both(xi):
 
 
 def airy(xi):
-    """Airy function Ai(xi) for |xi| <= 200; RangeError outside.
+    """Airy function Ai(xi) for |xi| <= 200; DomainError outside.
 
     One evaluator, scipy.special.airy (the AMOS route), on the whole
     guarded range. Accuracy: 1e-10 absolute on [-200, 5] and 1e-10
@@ -60,7 +66,7 @@ def airy_zero(n):
     guess = -t ** (2.0 / 3.0) * (1.0 + 5.0 / (48.0 * t2)
                                  - 5.0 / (36.0 * t2 * t2))
     if abs(guess) > _GUARD - 1.0:
-        raise RangeError(f"zero {n} lies beyond the Airy accuracy guard")
+        raise DomainError(f"zero {n} lies beyond the Airy accuracy guard")
     xi = guess
     for _ in range(6):
         ai, aip = _airy_both(xi)
@@ -132,11 +138,11 @@ class OverlapReport:
 
 # smeared_overlap: largest accepted change of the ratio when the window
 # shrinks by 15%; half-width of the energy kernel in sigmas and its
-# Gauss-Legendre node count, even so that no node sits at e = 0, where
-# the Wronskian quotient is 0 / 0
+# Gauss-Legendre rule, of an even node count so that no node sits at
+# e = 0, where the Wronskian quotient is 0 / 0
 _DRIFT_TOL = 0.005
 _KERNEL_SIGMAS = 8.0
-_KERNEL_NODES = 80
+_KERNEL_RULE = np.polynomial.legendre.leggauss(80)
 
 
 def smeared_overlap(E1, sigma_E, F, m, *, x_window=None):
@@ -144,11 +150,29 @@ def smeared_overlap(E1, sigma_E, F, m, *, x_window=None):
 
     Exactly delta-normalized states give ratio 1 for any kernel width;
     the window must hold enough oscillations for the smeared tail to die
-    out, otherwise the value still depends on it and a WindowError
-    carrying the drift estimate is raised.
+    out, otherwise the value still depends on it and a
+    ToleranceFailureError carrying the drift estimate is raised.
 
     Each overlap comes in closed form from the Airy equation (DLMF 9.11):
     W(u) = Ai(u) Ai'(u - e) - Ai'(u) Ai(u - e) has W' = -e Ai(u) Ai(u - e).
+    """
+    sig, u, e, we = overlap_nodes(E1, sigma_E, F, m, x_window=x_window)
+    W = airy(u) * airy_prime(u - e) - airy_prime(u) * airy(u - e)
+    ratio, ratio_trim = (float(x) for x in (W[:2] - W[2]) / e @ we)
+    drift = abs(ratio - ratio_trim)
+    if drift > _DRIFT_TOL:
+        raise ToleranceFailureError(
+            f"overlap window too small: ratio drifts by {drift:.3g} when "
+            "the window shrinks by 15%", achieved=drift)
+    return OverlapReport(ratio=ratio, sigma_xi=sig,
+                         window=(float(u[0, 0]), float(u[2, 0])), drift=drift)
+
+
+def overlap_nodes(E1, sigma_E, F, m, *, x_window=None):
+    """smeared_overlap's (sig, u, e, we): the kernel width in xi, the
+    window's lower end, its 15%-trimmed lower end and its upper end (a
+    column), and the kernel nodes with weights g_sigma(e) / g_sigma(0).
+    Raises DomainError where an Airy argument u or u - e passes the guard.
     """
     if not sigma_E > 0.0:
         raise DomainError("kernel width must be positive")
@@ -164,22 +188,15 @@ def smeared_overlap(E1, sigma_E, F, m, *, x_window=None):
         u_max = 8.0
 
     # kernel nodes e; each weight carries g_sigma(e) / g_sigma(0)
-    nodes, wts = np.polynomial.legendre.leggauss(_KERNEL_NODES)
+    nodes, wts = _KERNEL_RULE
     e = _KERNEL_SIGMAS * sig * nodes
     we = _KERNEL_SIGMAS * sig * wts * np.exp(-0.5 * (e / sig) ** 2)
 
     # int_lo^max Ai(u) Ai(u - e) du = (W(lo) - W(max)) / e, with lo the
     # window's end and the end of the 15%-trimmed window
-    u = np.array([u_min, u_min + 0.15 * (u_max - u_min), u_max])[:, None]
-    W = airy(u) * airy_prime(u - e) - airy_prime(u) * airy(u - e)
-    ratio, ratio_trim = (float(x) for x in (W[:2] - W[2]) / e @ we)
-    drift = abs(ratio - ratio_trim)
-    if drift > _DRIFT_TOL:
-        raise WindowError(
-            f"overlap window too small: ratio drifts by {drift:.3g} when "
-            "the window shrinks by 15%", drift=drift)
-    return OverlapReport(ratio=ratio, sigma_xi=sig,
-                         window=(float(u_min), float(u_max)), drift=drift)
+    u = _guarded([u_min, u_min + 0.15 * (u_max - u_min), u_max])[:, None]
+    _guarded(u - e)
+    return sig, u, e, we
 
 
 @dataclass(frozen=True)
@@ -194,19 +211,25 @@ class IonizationResult:
     window: tuple
 
 
-def _default_window(kappa, x_t):
-    return (-40.0 / kappa, x_t + 40.0 / kappa)
-
-
-def _bound_energy(kappa, F, m, E_b):
-    """E_b, or -kappa^2 / 2m when None; finite and negative, else DomainError."""
+def ionization_window(kappa, F, m, E_b=None, window=None):
+    """(E_bound, state, (x_lo, x_hi)) that both ionization routes share:
+    E_b, or -kappa^2 / 2m when None, its field state, and the window,
+    (-40 / kappa, x_t + 40 / kappa) around the turning point x_t when
+    None. DomainError unless kappa, F, m > 0, E_bound is finite and
+    negative and Ai's argument at both window ends is within the guard.
+    """
     if not (kappa > 0.0 and F > 0.0 and m > 0.0):
         raise DomainError("need kappa > 0, F > 0, m > 0")
     E_bound = float(E_b) if E_b is not None else -kappa * kappa / (2.0 * m)
     if not -np.inf < E_bound < 0.0:
         raise DomainError(
             f"bound-state energy must be finite and negative, got {E_bound}")
-    return E_bound
+    state = FieldState(F=F, m=m, E=E_bound)
+    if window is None:
+        window = (-40.0 / kappa, state.turning_point() + 40.0 / kappa)
+    x_lo, x_hi = float(window[0]), float(window[1])
+    _guarded(state.xi([x_lo, x_hi]))
+    return E_bound, state, (x_lo, x_hi)
 
 
 def toy_ionization_rate(kappa, F, m, *, E_b=None, window=None):
@@ -219,16 +242,13 @@ def toy_ionization_rate(kappa, F, m, *, E_b=None, window=None):
     regime F / kappa << |E_b|; outside it a warning is raised and the
     flag cleared, but the number is still returned.
     """
-    E_bound = _bound_energy(kappa, F, m, E_b)
+    E_bound, state, (x_lo, x_hi) = ionization_window(kappa, F, m, E_b,
+                                                     window)
     weak_ok = F / kappa <= 0.1 * abs(E_bound)
     if not weak_ok:
         warnings.warn("field is not weak against the binding energy; the "
                       "golden-rule rate is unreliable here", stacklevel=2)
-    state = FieldState(F=F, m=m, E=E_bound)
     x_t = state.turning_point()
-    if window is None:
-        window = _default_window(kappa, x_t)
-    x_lo, x_hi = float(window[0]), float(window[1])
     pre = 1.0 / (state.a * np.sqrt(F))
 
     def psi_b(x):
@@ -261,7 +281,7 @@ class BoxRateResult:
     normalization: float
 
 
-def box_quantized_rate(kappa, F, m, *, E_b=None, xi_wall=185.0, window=None):
+def box_quantized_rate(kappa, F, m, *, E_b=None, xi_wall=185.0):
     """Same toy rate, but with discrete field states in a finite box.
 
     A hard wall far down-field quantizes the continuum; placing it so
@@ -270,10 +290,9 @@ def box_quantized_rate(kappa, F, m, *, E_b=None, xi_wall=185.0, window=None):
     read off neighboring levels, and the closed-form normalization 1 /
     (sqrt(a) |Ai'(a_n)|) from the square-integral identity at a zero.
     """
-    E_bound = _bound_energy(kappa, F, m, E_b)
+    _, state, (x_lo, x_hi) = ionization_window(kappa, F, m, E_b)
     if not 10.0 <= xi_wall <= _GUARD - 10.0:
         raise DomainError("xi_wall must sit well inside the Airy guard")
-    state = FieldState(F=F, m=m, E=E_bound)
     a = state.a
     x_t = state.turning_point()
 
@@ -289,9 +308,7 @@ def box_quantized_rate(kappa, F, m, *, E_b=None, xi_wall=185.0, window=None):
     dos = 2.0 / dE
     C = 1.0 / (np.sqrt(a) * abs(airy_prime(z_n)))
 
-    if window is None:
-        window = _default_window(kappa, x_t)
-    x_lo, x_hi = float(window[0]), min(float(window[1]), wall)
+    x_hi = min(x_hi, wall)
 
     def integrand(x):
         return (C * float(airy(state.xi(x))) * (-F * x)

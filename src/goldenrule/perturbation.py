@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import (DegenerateSpectrumError, DomainError,
-                     UnsupportedShapeError)
+from .errors import DomainError
 
 _LN_FLOOR = np.log(1e6)  # support radius measured at 1e-6 relative amplitude
 
@@ -196,7 +195,7 @@ def spectral_amplitude(env, omega):
     elif isinstance(env, RectangularPulse):
         st = env.width * np.sinc(omega * env.width / (2.0 * np.pi)) + 0j
     else:
-        raise UnsupportedShapeError(
+        raise DomainError(
             f"{type(env).__name__} has no Fourier transform; supported: "
             + _kinds(TwoSidedExp, GaussianPulse, RectangularPulse))
     out = phase * st
@@ -230,7 +229,7 @@ def spectral_shape_sq(env, omega):
         s = env.width * np.sinc(omega * env.width / (2.0 * np.pi))
         out = s * s
     else:
-        raise UnsupportedShapeError(
+        raise DomainError(
             f"no closed-form spectrum for {type(env).__name__}; supported: "
             + _kinds(TwoSidedExp, GaussianPulse, RectangularPulse))
     return out if out.ndim else float(out)
@@ -262,8 +261,8 @@ def averaged_sq_matrix_element(channels, E):
     E is a scalar energy.
 
     Raises:
-        DomainError: if channels is not a ContinuousChannelElement.
-        DegenerateSpectrumError: if the total DOS at E vanishes.
+        DomainError: if channels is not a ContinuousChannelElement, or
+            the total DOS at E vanishes.
     """
     if not isinstance(channels, ContinuousChannelElement):
         raise DomainError(
@@ -276,6 +275,6 @@ def averaged_sq_matrix_element(channels, E):
     den, _ = quad(lambda s: dos(E, s), lo, hi,
                   epsabs=1e-13, epsrel=1e-12, limit=200)
     if den == 0.0:
-        raise DegenerateSpectrumError(f"total DOS vanishes at E = {E}")
+        raise DomainError(f"total DOS vanishes at E = {E}")
     return num / den, den
 

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import (DomainError, PreconditionError, ToleranceFailureError,
-                     UnsupportedShapeError)
+from .errors import DomainError, PreconditionError, ToleranceFailureError
 from .perturbation import (GaussianPulse, RectangularPulse, TwoSidedExp,
                            evaluate, spectral_amplitude, spectral_shape_sq)
 from .dynamics import _panel_rule, integrate
@@ -327,7 +326,7 @@ def cross_term_closed_form(env, D, T):
         return D * np.sqrt(2.0 * np.pi) / env.tau * np.exp(-0.5 * lag * lag)
     if isinstance(env, RectangularPulse):
         return 2.0 * np.pi * D * max(0.0, env.width - T)
-    raise UnsupportedShapeError(
+    raise DomainError(
         f"no closed-form cross term for {type(env).__name__}; supported: "
         "TwoSidedExp, GaussianPulse, RectangularPulse")
 

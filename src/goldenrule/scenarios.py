@@ -1,11 +1,11 @@
 """Config-driven scenario engine behind the command line interface.
 
 A scenario is a YAML document naming an experiment kind plus its physical
-parameters and check tolerances. Validation is collect-all: every
-violation in the file is reported at once, unknown keys included, and all
-physical preconditions are exercised at load time by actually building
-the module objects. Runners execute the experiment, compare against the
-closed-form predictions, and emit CSV artifacts plus a machine-readable
+parameters and check tolerances. Validation reports every schema
+violation in the file at once, unknown keys included, and then builds the
+kind's setup, everything its run needs before integrating; a run uses
+that setup to execute the experiment, compare against the closed-form
+predictions, and emit CSV artifacts plus a machine-readable
 summary.json. CSV files (see tables.py) keep 17 significant digits;
 summary.json writes each float as its shortest repr that round-trips.
 Every file records the sha256 of the config that produced it.
@@ -38,7 +38,7 @@ from .dynamics import (
     golden_rule_rate,
     harmonic_rate_prediction,
     integrate,
-    least_coupled_steps,
+    integration_grid,
     seed_amplitudes,
     transition_rate,
     validity_report,
@@ -53,6 +53,8 @@ from .fieldstates import (
     energy_normalize_planewave,
     field_wavefunction,
     gaussian_smeared_airy,
+    ionization_window,
+    overlap_nodes,
     smeared_overlap,
     toy_ionization_rate,
 )
@@ -79,13 +81,7 @@ from .pulsetrain import (
 from .spectrum import REVIVAL_SHARE, ConstantDOS, PowerLawDOS, discretize
 from .tables import fmt, format_table
 from .wignerweisskopf import (CouplingFunction, nonperturbative_validate,
-                              window_samples)
-
-SCENARIO_KINDS = (
-    "golden_rule", "two_sided_pulse", "harmonic", "superposition",
-    "pulse_train", "decay_law", "ww", "airy_check", "ionization",
-    "validity_sweep",
-)
+                              window_samples, ww_problem)
 
 
 def atomic_write_text(path, text):
@@ -290,6 +286,7 @@ def _validate_block(data, schema, path, violations):
 
 _POS = dict(check=lambda v: v > 0, msg="must be > 0")
 _NONNEG = dict(check=lambda v: v >= 0, msg="must be >= 0")
+_UNIT = dict(check=lambda v: 0 < v < 1, msg="must be in (0, 1)")
 
 _DOS_SCHEMA = {
     "type": Field(types=(str,), choices=("constant", "power_law")),
@@ -300,30 +297,15 @@ _DOS_SCHEMA = {
 
 
 def build_dos(block):
-    kind = block["type"]
-    if kind == "constant":
+    if block["type"] == "constant":
         return ConstantDOS(block["d0"])
-    if kind == "power_law":
-        return PowerLawDOS(block["d0"], block["e0"], block["exponent"])
-    raise ConfigError([f"dos.type: unknown kind {kind}"])
+    return PowerLawDOS(block["d0"], block["e0"], block["exponent"])
 
 
 _INTEGRATOR_SCHEMA = {
     "tol": Field(required=False, default=1e-9,
                  check=lambda v: 0 < v <= 1e-2,
                  msg="must be in (0, 1e-2]"),
-}
-
-_TOP_SCHEMA_COMMON = {
-    "name": Field(types=(str,),
-                  check=lambda v: v and "/" not in v and "\0" not in v,
-                  msg="must be a non-empty name without '/' or NUL"),
-    "kind": Field(types=(str,), choices=SCENARIO_KINDS),
-    "description": Field(types=(str,), required=False),
-    "output_dir": Field(types=(str,), required=False),
-    "integrator": Field(required=False, sub=_INTEGRATOR_SCHEMA),
-    "parameters": Field(types=(dict,)),   # per-kind schema swapped in
-    "checks": Field(types=(dict,), required=False),
 }
 
 
@@ -333,24 +315,36 @@ def _odd_levels(v):
 
 _LEVELS = dict(types=(int,), check=_odd_levels, msg="must be odd and >= 3")
 
+# the band of the kinds whose setup discretizes the DOS around e_i
+_BAND = {
+    "dos": Field(sub=_DOS_SCHEMA),
+    "e_i": Field(required=False, default=0.0),
+    "window_halfwidth": Field(**_POS),
+    "n_levels": Field(**_LEVELS),
+}
+
+
+def _at_least(n):
+    return dict(types=(int,), check=lambda v: v >= n, msg=f"need >= {n}")
+
+
+def _interval(**item):
+    """A [lo, hi] list with hi > lo, each end checked as item."""
+    return dict(list_item=Field(**item), msg="must be [lo, hi] with hi > lo",
+                check=lambda v: len(v) == 2 and v[1] > v[0])
+
+
 PARAM_SCHEMAS = {
     "golden_rule": {
         "dynamics": Field(required=False, sub={
             "gamma": Field(**_POS),
-            "rate_over_gamma": Field(check=lambda v: 0 < v < 1,
-                                     msg="must be in (0, 1)"),
-            "dos": Field(sub=_DOS_SCHEMA),
-            "e_i": Field(required=False, default=0.0),
-            "window_halfwidth": Field(**_POS),
-            "n_levels": Field(**_LEVELS),
+            "rate_over_gamma": Field(**_UNIT),
+            **_BAND,
             "t_lo_gammas": Field(required=False, default=-2.0,
                                  check=lambda v: v < 0,
                                  msg="must be negative"),
-            "depletion_cap": Field(required=False, default=0.1,
-                                   check=lambda v: 0 < v < 1,
-                                   msg="must be in (0, 1)"),
-            "n_rate_times": Field(types=(int,), required=False, default=33,
-                                  check=lambda v: v >= 5, msg="need >= 5"),
+            "depletion_cap": Field(required=False, default=0.1, **_UNIT),
+            "n_rate_times": Field(required=False, default=33, **_at_least(5)),
         }),
         "scattering": Field(required=False, sub={
             "mass": Field(**_POS),
@@ -374,30 +368,20 @@ PARAM_SCHEMAS = {
         "gamma_minus": Field(**_POS),
         "edge_factor": Field(required=False, default=4.0,
                              check=lambda v: v > 1, msg="must be > 1"),
-        "dos": Field(sub=_DOS_SCHEMA),
-        "e_i": Field(required=False, default=0.0),
+        **_BAND,
         "v0": Field(required=False, default=0.01, **_POS),
-        "window_halfwidth": Field(**_POS),
-        "n_levels": Field(**_LEVELS),
         "ref_time_gammas": Field(required=False, default=0.05, **_POS),
         "trail_window_gammas": Field(required=False, default=[3.0, 5.0],
-                                     list_item=Field(**_POS),
-                                     check=lambda v: len(v) == 2
-                                     and v[1] > v[0],
-                                     msg="must be [lo, hi] with hi > lo"),
-        "n_rate_times": Field(types=(int,), required=False, default=40,
-                              check=lambda v: v >= 10, msg="need >= 10"),
+                                     **_interval(**_POS)),
+        "n_rate_times": Field(required=False, default=40, **_at_least(10)),
     },
     "harmonic": {
         "gamma": Field(**_POS),
         "omega_carrier": Field(**_POS),
+        **_BAND,
         "e_i": Field(**_POS),
         "v0": Field(**_POS),
-        "dos": Field(sub=_DOS_SCHEMA),
-        "window_halfwidth": Field(**_POS),
-        "n_levels": Field(**_LEVELS),
-        "cycle_samples": Field(types=(int,), required=False, default=65,
-                               check=lambda v: v >= 16, msg="need >= 16"),
+        "cycle_samples": Field(required=False, default=65, **_at_least(16)),
     },
     "superposition": {
         "terms": Field(list_item=Field(sub={
@@ -405,14 +389,10 @@ PARAM_SCHEMAS = {
             "weight": Field(),
         }), check=lambda v: len(v) >= 2, msg="need at least two terms"),
         "v0": Field(required=False, default=0.01, **_POS),
-        "dos": Field(sub=_DOS_SCHEMA),
-        "e_i": Field(required=False, default=0.0),
-        "window_halfwidth": Field(**_POS),
-        "n_levels": Field(**_LEVELS),
+        **_BAND,
         "t_lo": Field(),
         "t_hi": Field(),
-        "n_rate_times": Field(types=(int,), required=False, default=40,
-                              check=lambda v: v >= 10, msg="need >= 10"),
+        "n_rate_times": Field(required=False, default=40, **_at_least(10)),
     },
     "pulse_train": {
         "shapes": Field(list_item=Field(sub={
@@ -430,12 +410,10 @@ PARAM_SCHEMAS = {
         "d0": Field(required=False, default=1.0, **_POS),
     },
     "decay_law": {
-        "n_pulses": Field(types=(int,), check=lambda v: v >= 2,
-                          msg="need >= 2 pulses"),
+        "n_pulses": Field(**_at_least(2)),
         "tau": Field(**_POS),
         "separation": Field(**_POS),
-        "target_survival": Field(check=lambda v: 0 < v < 1,
-                                 msg="must be in (0, 1)"),
+        "target_survival": Field(**_UNIT),
         "dos_halfwidth": Field(**_POS),
         "d0": Field(required=False, default=1.0, **_POS),
         "n_levels": Field(**_LEVELS),
@@ -446,26 +424,16 @@ PARAM_SCHEMAS = {
             "c": Field(**_POS),
             "exponent": Field(required=False, default=1.0),
             "omega0": Field(required=False, **_POS),
-            "support": Field(list_item=Field(),
-                             check=lambda v: len(v) == 2 and v[1] > v[0],
-                             msg="must be [lo, hi] with hi > lo"),
+            "support": Field(**_interval()),
         }),
         "omega_i": Field(),
-        "n_levels": Field(types=(int,), check=lambda v: v >= 4001,
-                          msg="need >= 4001 levels"),
+        "n_levels": Field(**_at_least(4001)),
         "horizon_rates": Field(required=False, default=6.0, **_POS),
         "fit_window_rates": Field(required=False, default=[2.0, 6.0],
-                                  list_item=Field(**_POS),
-                                  check=lambda v: len(v) == 2
-                                  and v[1] > v[0],
-                                  msg="must be [lo, hi] with hi > lo"),
+                                  **_interval(**_POS)),
         "decay_window_rates": Field(required=False, default=[2.0, 5.0],
-                                    list_item=Field(**_POS),
-                                    check=lambda v: len(v) == 2
-                                    and v[1] > v[0],
-                                    msg="must be [lo, hi] with hi > lo"),
-        "n_samples": Field(types=(int,), required=False, default=481,
-                           check=lambda v: v >= 64, msg="need >= 64"),
+                                    **_interval(**_POS)),
+        "n_samples": Field(required=False, default=481, **_at_least(64)),
     },
     "airy_check": {
         "identity_points": Field(list_item=Field(
@@ -538,132 +506,35 @@ CHECK_SCHEMAS = {
     },
 }
 
-
-# validity_sweep integrates each margin over this window, in 1 / gamma
-_SWEEP_WINDOW_GAMMAS = (-2.0, 0.2)
-
-
-def _cross_validate(cfg, violations):
-    """Kind-specific structure checks plus physical fail-fast probes."""
-    kind = cfg.get("kind")
-    p = cfg.get("parameters")
-    if kind not in PARAM_SCHEMAS or not isinstance(p, dict):
-        return
-    try:
-        if kind == "golden_rule":
-            has_dyn = "dynamics" in p
-            has_scat = "scattering" in p
-            if has_dyn == has_scat:
-                violations.append(
-                    "parameters: give exactly one of dynamics / scattering")
-            elif has_dyn:
-                p = p["dynamics"]
-                _check_windows(p, [p["window_halfwidth"]])
-        elif kind == "validity_sweep":
-            _check_windows(p, [p["window_halfwidth_over_gamma"]
-                               * (0.5 * p["rate"] / m) for m in p["margins"]])
-            # the run window must clear REVIVAL_SHARE of the revival time
-            # 2 pi / spacing, spacing = 2 W gamma / (n_levels - 1); gamma
-            # cancels
-            span = np.ptp(_SWEEP_WINDOW_GAMMAS)
-            most = REVIVAL_SHARE * np.pi * (p["n_levels"] - 1) / span
-            if p["window_halfwidth_over_gamma"] > most:
-                violations.append(
-                    f"parameters.window_halfwidth_over_gamma: the run window "
-                    f"{span:g} / gamma runs into the revival of the discrete "
-                    f"band above {most:.6g}")
-            bounds = cfg["checks"].get("bounds")
-            if bounds is not None and len(bounds) != len(p["margins"]):
-                violations.append(
-                    "checks.bounds: must match margins in length")
-            _check_distinct(violations, "parameters.margins", "metric name",
-                            [_margin_metric(m) for m in p["margins"]])
-        elif kind == "two_sided_pulse":
-            TwoSidedExp(p["gamma_minus"], p["gamma_plus"])
-            _check_windows(p, [p["window_halfwidth"]])
-        elif kind == "harmonic":
-            HarmonicRisingExp(p["gamma"], p["omega_carrier"])
-            _check_windows(p, [p["window_halfwidth"]])
-            if p["omega_carrier"] + p["gamma"] * 5 > p["window_halfwidth"]:
-                violations.append(
-                    "parameters.window_halfwidth: must cover the carrier "
-                    "sidebands with room, > omega_carrier + 5 gamma")
-        elif kind == "superposition":
-            terms = tuple((t["gamma"], t["weight"]) for t in p["terms"])
-            ExpSuperposition(terms)
-            _check_windows(p, [p["window_halfwidth"]])
-            if not p["t_hi"] > p["t_lo"]:
-                violations.append("parameters.t_hi: must exceed t_lo")
-        elif kind == "pulse_train":
-            _check_distinct(violations, "parameters.shapes", "shape",
-                            [blk["shape"] for blk in p["shapes"]])
-            for blk in p["shapes"]:
-                _build_pulse_shape(blk)
-        elif kind == "decay_law":
-            _, cont, pulses = _decay_law_setup(p)
-            times = train_sample_times(PulseTrain(pulses), _TRAIN_SAMPLES)
-            span, revival = np.ptp(times), 2.0 * np.pi / cont.delta_e
-            if span > REVIVAL_SHARE * revival:
-                violations.append(
-                    f"parameters.n_levels: the train's samples span "
-                    f"{span:.6g}, past {REVIVAL_SHARE:g} of the band's "
-                    f"revival time 2 pi / spacing = {revival:.6g}")
-            least_coupled_steps(float(np.max(np.abs(cont.omegas))), times)
-        elif kind == "ww":
-            _build_coupling(p["coupling"], p["omega_i"])
-            horizon = p["horizon_rates"]
-            for key in ("fit_window_rates", "decay_window_rates"):
-                if p[key][1] > horizon:
-                    violations.append(f"parameters.{key}: must end by "
-                                      f"horizon_rates = {horizon:g}")
-            if not any(k in cfg["checks"] for k in CHECK_SCHEMAS["ww"]):
-                violations.append("checks: a ww run needs at least one of "
-                                  + ", ".join(CHECK_SCHEMAS["ww"]))
-            _ww_windows(p, cfg["checks"])
-        elif kind == "ionization":
-            if p.get("e_b") is not None and not p["e_b"] < 0:
-                violations.append("parameters.e_b: must be negative")
-    except ConfigError as exc:
-        violations.extend(exc.violations)
-    except GoldenRuleError as exc:
-        violations.append(f"parameters: {exc}")
-    except (KeyError, TypeError):
-        pass    # structural violations already recorded
+_TOP_SCHEMA_COMMON = {
+    "name": Field(types=(str,),
+                  check=lambda v: v and "/" not in v and "\0" not in v,
+                  msg="must be a non-empty name without '/' or NUL"),
+    "kind": Field(types=(str,), choices=tuple(PARAM_SCHEMAS)),
+    "description": Field(types=(str,), required=False),
+    "output_dir": Field(types=(str,), required=False),
+    "integrator": Field(required=False, sub=_INTEGRATOR_SCHEMA),
+    "parameters": Field(types=(dict,)),   # per-kind schema swapped in
+    "checks": Field(types=(dict,), required=False),
+}
 
 
-def _check_distinct(violations, path, what, names):
+def _repeats(path, what, names):
     """One violation per name that repeats: each names its own metric."""
-    for name in sorted({n for n in names if names.count(n) > 1}):
-        violations.append(f"{path}: {what} {name} given more than once")
+    return [f"{path}: {what} {name} given more than once"
+            for name in sorted({n for n in names if names.count(n) > 1})]
 
 
-def _margin_metric(m):
-    return f"following_error_margin_{m:g}"
-
-
-def _check_windows(p, halfwidths):
-    """The runner's DOS and every window e_i +- halfwidth it will use."""
-    dos = build_dos(p["dos"])
-    for half in halfwidths:
-        dos.validate_window(p["e_i"] - half, p["e_i"] + half)
+_PULSE_SHAPES = {"two_sided": (TwoSidedExp, ("gamma_minus", "gamma_plus")),
+                 "gaussian": (GaussianPulse, ("tau",)),
+                 "rect": (RectangularPulse, ("width",))}
 
 
 def _build_pulse_shape(blk):
-    shape = blk["shape"]
-    if shape == "two_sided":
-        if "gamma_minus" not in blk or "gamma_plus" not in blk:
-            raise ConfigError(
-                ["shapes: two_sided needs gamma_minus and gamma_plus"])
-        return TwoSidedExp(blk["gamma_minus"], blk["gamma_plus"])
-    if shape == "gaussian":
-        if "tau" not in blk:
-            raise ConfigError(["shapes: gaussian needs tau"])
-        return GaussianPulse(blk["tau"])
-    if shape == "rect":
-        if "width" not in blk:
-            raise ConfigError(["shapes: rect needs width"])
-        return RectangularPulse(blk["width"])
-    raise ConfigError([f"shapes: unknown shape {shape}"])
+    shape, (cls, keys) = blk["shape"], _PULSE_SHAPES[blk["shape"]]
+    if not all(k in blk for k in keys):
+        raise ConfigError([f"shapes: {shape} needs {' and '.join(keys)}"])
+    return cls(*(blk[k] for k in keys))
 
 
 def _build_coupling(blk, omega_i):
@@ -676,35 +547,71 @@ def _build_coupling(blk, omega_i):
         blk["c"], blk["exponent"], blk["omega0"], lo, hi, omega_i)
 
 
-def validate_config(cfg):
-    """Fill defaults and collect every violation; raise ConfigError if any."""
-    violations = []
+# a run's float rules: an overflow, a division by zero or an invalid
+# operation ends it typed, not as a warning beside meaningless numbers
+_FLOAT_RULES = dict(over="raise", divide="raise", invalid="raise")
+
+
+def _validated(cfg):
+    """(cfg with its defaults filled, the run its kind's setup returns).
+
+    Raises ConfigError listing every schema violation, or else naming
+    what the setup refused under the run's float rules.
+    """
     if not isinstance(cfg, dict):
         raise ConfigError(["<root>: config must be a mapping"])
+    violations = []
     kind = cfg.get("kind")
     schema = dict(_TOP_SCHEMA_COMMON)
     if isinstance(kind, str) and kind in PARAM_SCHEMAS:
         schema["parameters"] = Field(sub=PARAM_SCHEMAS[kind])
         schema["checks"] = Field(required=False, sub=CHECK_SCHEMAS[kind])
     _validate_block(cfg, schema, "", violations)
-    if not violations:
-        _cross_validate(cfg, violations)
     if violations:
         raise ConfigError(violations)
-    return cfg
+    try:
+        with np.errstate(**_FLOAT_RULES):
+            return cfg, SETUPS[kind](cfg["parameters"], cfg["checks"])
+    except ConfigError:
+        raise
+    except GoldenRuleError as exc:
+        raise ConfigError([f"parameters: {exc}"]) from None
+    except FloatingPointError as exc:
+        raise ConfigError(
+            [f"parameters: float arithmetic failed: {exc}"]) from None
+
+
+def validate_config(cfg):
+    """Fill defaults and build the kind's setup; ConfigError if refused."""
+    return _validated(cfg)[0]
 
 
 # ---------------------------------------------------------------------------
-# runners
+# kinds
 
-RUNNERS = {}
+SETUPS = {}
 
 
-def runner(kind):
-    def deco(fn):
-        RUNNERS[kind] = fn
-        return fn
+def scenario_kind(kind):
+    """Register the decorated setup(p, checks) as the kind's.
+
+    From the validated parameters and checks the setup builds everything
+    the run needs before it integrates: the band or DOS, the envelopes or
+    train, the windows, the times and the integration sizes. It raises a
+    typed error for what the run would refuse, so validate refuses it
+    too, and returns run(ctx), which only integrates, checks and writes.
+    """
+    def deco(setup):
+        SETUPS[kind] = setup
+        return setup
     return deco
+
+
+def _integration(cont, t0, t1, **grid):
+    """integrate's t0, t1 and grid keywords for one integration on cont,
+    checked as integrate checks them before it propagates."""
+    integration_grid(cont, t0, t1, **grid)
+    return dict(t0=t0, t1=t1, **grid)
 
 
 def _write_following_rates(ctx, traj, env, V0, dos, E_i, rate_times):
@@ -721,66 +628,67 @@ def _write_following_rates(ctx, traj, env, V0, dos, E_i, rate_times):
     return rows
 
 
-@runner("golden_rule")
-def _run_golden_rule(cfg, ctx):
-    params = cfg["parameters"]
-    if "scattering" in params:
-        _run_scattering(cfg, ctx)
-        return
-    p = params["dynamics"]
-    checks = cfg["checks"]
-    gamma = p["gamma"]
+@scenario_kind("golden_rule")
+def _golden_rule(p, checks):
+    if ("dynamics" in p) == ("scattering" in p):
+        raise ConfigError(
+            ["parameters: give exactly one of dynamics / scattering"])
+    if "scattering" in p:
+        return _scattering(p["scattering"], checks)
+    p = p["dynamics"]
+    gamma, E_i = p["gamma"], p["e_i"]
     dos = build_dos(p["dos"])
-    E_i = p["e_i"]
+    cont = discretize(dos, E_i, p["window_halfwidth"], p["n_levels"])
     D = float(dos.density(E_i))
     r = p["rate_over_gamma"] * gamma
     V0 = np.sqrt(r / (2.0 * np.pi * D))
     env = RisingExp(gamma)
-
     rep = validity_report(V0 ** 2, dos, E_i, gamma,
                           threshold=checks["validity_threshold"])
     left = rep.left_margin
     t_hi = np.log(p["depletion_cap"] / left) / (2.0 * gamma)
     t_lo = p["t_lo_gammas"] / gamma
+    if not np.isfinite(gamma * gamma):  # the profile fit's seed width
+        raise DomainError(f"Lorentzian seed: width {gamma:.6g} squared is "
+                          "not a finite float")
     rate_times = np.linspace(t_lo, t_hi, p["n_rate_times"])
-    t0 = t_lo - 1.0 / gamma
-    t1 = t_hi + 0.1 / gamma
+    span = _integration(cont, t_lo - 1.0 / gamma, t_hi + 0.1 / gamma,
+                        rate_times=rate_times)
 
-    cont = discretize(dos, E_i, p["window_halfwidth"], p["n_levels"])
-    traj = integrate(cont, env, V0, t0, t1, tol=ctx.tol,
-                     rate_times=rate_times)
+    def run(ctx):
+        traj = integrate(cont, env, V0, tol=ctx.tol, **span)
+        rows = _write_following_rates(ctx, traj, env, V0, dos, E_i,
+                                      rate_times)
+        ratios = np.array([row[3] for row in rows])
+        # argmax lands on the first NaN, so a NaN ratio fails the check
+        worst = ratios[np.argmax(np.abs(ratios - 1.0))]
+        ctx.metric("following_ratio", worst, 1.0,
+                   checks["following_rel_tol"])
+        ctx.metric("validity_pass", 1.0 if rep.passed else 0.0, 1.0, 0.0)
 
-    rows = _write_following_rates(ctx, traj, env, V0, dos, E_i, rate_times)
-    ratios = np.array([row[3] for row in rows])
-    # argmax lands on the first NaN, so a NaN ratio fails the check
-    worst = ratios[np.argmax(np.abs(ratios - 1.0))]
-    ctx.metric("following_ratio", worst, 1.0, checks["following_rel_tol"])
-    ctx.metric("validity_pass", 1.0 if rep.passed else 0.0, 1.0, 0.0)
-
-    prob = np.abs(traj.c_f_end) ** 2
-    fit = fit_lorentzian_profile(cont, prob, gamma)
-    ctx.details.update({
-        "rate": r, "gamma": gamma, "V0": float(V0),
-        "left_margin": rep.left_margin, "right_margin": rep.right_margin,
-        "depletion_at_window_end": left * float(np.exp(2 * gamma * t_hi)),
-        "profile_fit": {"center": fit.center, "width": fit.width,
-                        "width_over_gamma": fit.width / gamma},
-        "norm_drift": traj.norm_drift,
-    })
-    ctx.write_csv("trajectory.csv",
-                  ["t", "re_c_i", "im_c_i", "p_i", "occupied"],
-                  [(t, c.real, c.imag, abs(c) ** 2, S)
-                   for t, c, S in zip(traj.times, traj.c_i, traj.occupied)])
-    ctx.write_csv("profile.csv", ["E", "weight", "prob", "lorentz_fit"],
-                  [(E, w, pr, fit.amplitude / ((E - fit.center) ** 2
-                                               + fit.width * fit.width))
-                   for E, w, pr in zip(cont.energies, cont.weights, prob)],
-                  extra={"profile_time": fmt(t1)})
+        prob = np.abs(traj.c_f_end) ** 2
+        fit = fit_lorentzian_profile(cont, prob, gamma)
+        ctx.details.update({
+            "rate": r, "gamma": gamma, "V0": float(V0),
+            "left_margin": left, "right_margin": rep.right_margin,
+            "depletion_at_window_end": left * float(np.exp(2 * gamma * t_hi)),
+            "profile_fit": {"center": fit.center, "width": fit.width,
+                            "width_over_gamma": fit.width / gamma},
+            "norm_drift": traj.norm_drift,
+        })
+        ctx.write_csv("trajectory.csv",
+                      ["t", "re_c_i", "im_c_i", "p_i", "occupied"],
+                      [(t, c.real, c.imag, abs(c) ** 2, S) for t, c, S
+                       in zip(traj.times, traj.c_i, traj.occupied)])
+        ctx.write_csv("profile.csv", ["E", "weight", "prob", "lorentz_fit"],
+                      [(E, w, pr, fit.amplitude / ((E - fit.center) ** 2
+                                                   + fit.width * fit.width))
+                       for E, w, pr in zip(cont.energies, cont.weights, prob)],
+                      extra={"profile_time": fmt(span["t1"])})
+    return run
 
 
-def _run_scattering(cfg, ctx):
-    p = cfg["parameters"]["scattering"]
-    checks = cfg["checks"]
+def _scattering(p, checks):
     mass, energy = p["mass"], p["energy"]
     c0, c1 = p["c0"], p["c1"]
     d_phi = mass / (4.0 * np.pi ** 2)
@@ -788,34 +696,41 @@ def _run_scattering(cfg, ctx):
     def u(phi):
         return c0 + c1 * np.cos(phi)
 
-    r_dos = 2.0 * np.pi * quad(lambda s: d_phi * u(s) ** 2,
-                               0.0, 2.0 * np.pi, epsabs=1e-15,
-                               epsrel=1e-12)[0]
-    norm = energy_normalize_planewave(d_phi)
-    r_norm = quad(lambda s: (norm * u(s)) ** 2, 0.0, 2.0 * np.pi,
-                  epsabs=1e-15, epsrel=1e-12)[0] / (2.0 * np.pi)
-    channel = ContinuousChannelElement(
-        element=lambda E, s: u(s), dos=lambda E, s: d_phi,
-        s_range=(0.0, 2.0 * np.pi))
-    avg_sq, total_dos = averaged_sq_matrix_element(channel, energy)
-    r_avg = golden_rule_rate(avg_sq, total_dos)
+    def run(ctx):
+        r_dos = 2.0 * np.pi * quad(lambda s: d_phi * u(s) ** 2,
+                                   0.0, 2.0 * np.pi, epsabs=1e-15,
+                                   epsrel=1e-12)[0]
+        norm = energy_normalize_planewave(d_phi)
+        r_norm = quad(lambda s: (norm * u(s)) ** 2, 0.0, 2.0 * np.pi,
+                      epsabs=1e-15, epsrel=1e-12)[0] / (2.0 * np.pi)
+        channel = ContinuousChannelElement(
+            element=lambda E, s: u(s), dos=lambda E, s: d_phi,
+            s_range=(0.0, 2.0 * np.pi))
+        avg_sq, total_dos = averaged_sq_matrix_element(channel, energy)
+        r_avg = golden_rule_rate(avg_sq, total_dos)
 
-    rates = {"explicit_dos": r_dos, "energy_normalized": r_norm,
-             "channel_average": r_avg}
-    ref = r_dos
-    spread = max(abs(v - ref) / ref for v in rates.values())
-    ctx.metric("normalization_equivalence", spread, 0.0,
-               checks["equivalence_tol"])
-    ctx.details.update({"rates": rates, "d_phi": d_phi,
-                        "planewave_norm_factor": float(norm)})
-    ctx.write_csv("routes.csv", ["route", "rate"],
-                  [(k, v) for k, v in rates.items()])
+        rates = {"explicit_dos": r_dos, "energy_normalized": r_norm,
+                 "channel_average": r_avg}
+        spread = max(abs(v - r_dos) / r_dos for v in rates.values())
+        ctx.metric("normalization_equivalence", spread, 0.0,
+                   checks["equivalence_tol"])
+        ctx.details.update({"rates": rates, "d_phi": d_phi,
+                            "planewave_norm_factor": float(norm)})
+        ctx.write_csv("routes.csv", ["route", "rate"],
+                      [(k, v) for k, v in rates.items()])
+    return run
 
 
-@runner("validity_sweep")
-def _run_validity_sweep(cfg, ctx):
-    p = cfg["parameters"]
-    checks = cfg["checks"]
+# validity_sweep integrates each margin over this window, in 1 / gamma
+_SWEEP_WINDOW_GAMMAS = (-2.0, 0.2)
+
+
+def _margin_metric(m):
+    return f"following_error_margin_{m:g}"
+
+
+@scenario_kind("validity_sweep")
+def _validity_sweep(p, checks):
     r = p["rate"]
     margins = list(p["margins"])
     bounds = checks.get("bounds")
@@ -823,203 +738,234 @@ def _run_validity_sweep(cfg, ctx):
         bounds = [{"mode": "below", "limit": 0.02} if m <= 0.02 else
                   {"mode": "below", "limit": 0.10} if m <= 0.1 else
                   {"mode": "above", "limit": 0.10} for m in margins]
-    dos = build_dos(p["dos"])
-    E_i = p["e_i"]
+    problems = []
+    # the run window must clear REVIVAL_SHARE of the revival time 2 pi /
+    # spacing, spacing = 2 W gamma / (n_levels - 1); gamma cancels
+    span = np.ptp(_SWEEP_WINDOW_GAMMAS)
+    most = REVIVAL_SHARE * np.pi * (p["n_levels"] - 1) / span
+    if p["window_halfwidth_over_gamma"] > most:
+        problems.append(
+            f"parameters.window_halfwidth_over_gamma: the run window "
+            f"{span:g} / gamma runs into the revival of the discrete band "
+            f"above {most:.6g}")
+    if len(bounds) != len(margins):
+        problems.append("checks.bounds: must match margins in length")
+    problems += _repeats("parameters.margins", "metric name",
+                         [_margin_metric(m) for m in margins])
+    if problems:
+        raise ConfigError(problems)
+    dos, E_i = build_dos(p["dos"]), p["e_i"]
+    sweep = []
+    for m, bound in zip(margins, bounds):
+        gamma = 0.5 * r / m
+        cont = discretize(dos, E_i, p["window_halfwidth_over_gamma"] * gamma,
+                          p["n_levels"])
+        t0, t1 = (g / gamma for g in _SWEEP_WINDOW_GAMMAS)
+        sweep.append((m, bound, gamma, cont, _integration(
+            cont, t0, t1, mode="coupled", rate_times=[0.0])))
     D = float(dos.density(E_i))
     V0 = np.sqrt(r / (2.0 * np.pi * D))
 
-    rows = []
-    for m, bound in zip(margins, bounds):
-        gamma = 0.5 * r / m
-        env = RisingExp(gamma)
-        half = p["window_halfwidth_over_gamma"] * gamma
-        cont = discretize(dos, E_i, half, p["n_levels"])
-        t0, t1 = (g / gamma for g in _SWEEP_WINDOW_GAMMAS)
-        traj = integrate(cont, env, V0, t0, t1, tol=ctx.tol,
-                         mode="coupled", rate_times=[0.0])
-        r_num = transition_rate(traj, 0.0)
-        err = abs(r_num / r - 1.0)
-        ctx.metric(_margin_metric(m), err, 0.0, bound["limit"],
-                   mode=bound["mode"])
-        rows.append((m, gamma, r_num, err, bound["mode"], bound["limit"]))
-    ctx.details.update({"rate": r, "V0": float(V0)})
-    ctx.write_csv("sweep.csv",
-                  ["left_margin", "gamma", "r_numeric", "rel_error",
-                   "bound_mode", "bound_limit"], rows)
+    def run(ctx):
+        rows = []
+        for m, bound, gamma, cont, span in sweep:
+            traj = integrate(cont, RisingExp(gamma), V0, tol=ctx.tol, **span)
+            r_num = transition_rate(traj, 0.0)
+            err = abs(r_num / r - 1.0)
+            ctx.metric(_margin_metric(m), err, 0.0, bound["limit"],
+                       mode=bound["mode"])
+            rows.append((m, gamma, r_num, err, bound["mode"],
+                         bound["limit"]))
+        ctx.details.update({"rate": r, "V0": float(V0)})
+        ctx.write_csv("sweep.csv",
+                      ["left_margin", "gamma", "r_numeric", "rel_error",
+                       "bound_mode", "bound_limit"], rows)
+    return run
 
 
-@runner("two_sided_pulse")
-def _run_two_sided(cfg, ctx):
-    p = cfg["parameters"]
-    checks = cfg["checks"]
-    gp = p["gamma_plus"]
-    dos = build_dos(p["dos"])
-    E_i = p["e_i"]
+@scenario_kind("two_sided_pulse")
+def _two_sided_pulse(p, checks):
+    gp, gm = p["gamma_plus"], p["gamma_minus"]
+    envs = {"base": TwoSidedExp(gm, gp),
+            "fast_edge": TwoSidedExp(gm * p["edge_factor"], gp)}
+    cont = discretize(build_dos(p["dos"]), p["e_i"], p["window_halfwidth"],
+                      p["n_levels"])
     t_ref = p["ref_time_gammas"] / gp
     lo_g, hi_g = p["trail_window_gammas"]
     trail = np.linspace(lo_g / gp, hi_g / gp, p["n_rate_times"])
     curve = np.linspace(t_ref, hi_g / gp, 3 * p["n_rate_times"])
     rate_times = np.unique(np.concatenate([[t_ref], curve, trail]))
-    cont = discretize(dos, E_i, p["window_halfwidth"], p["n_levels"])
+    # analytic seeding on the rising branch makes a long pre-roll moot
+    span = _integration(cont, -0.2 / gp, hi_g / gp + 0.2 / gp,
+                        mode="first_order", rate_times=rate_times)
 
-    results = {}
-    for label, gm in (("base", p["gamma_minus"]),
-                      ("fast_edge", p["gamma_minus"] * p["edge_factor"])):
-        env = TwoSidedExp(gm, gp)
-        # analytic seeding on the rising branch makes a long pre-roll moot
-        t0 = -0.2 / gp
-        t1 = hi_g / gp + 0.2 / gp
-        traj = integrate(cont, env, p["v0"], t0, t1, tol=ctx.tol,
-                         mode="first_order", rate_times=rate_times)
-        results[label] = {t: transition_rate(traj, t) for t in rate_times}
+    def run(ctx):
+        results = {}
+        for label, env in envs.items():
+            traj = integrate(cont, env, p["v0"], tol=ctx.tol, **span)
+            results[label] = {t: transition_rate(traj, t)
+                              for t in rate_times}
 
-    diffs = [abs(results["base"][t] / results["fast_edge"][t] - 1.0)
-             for t in trail]
-    ctx.metric("edge_independence", np.max(diffs), 0.0,
-               checks["edge_independence_tol"])
+        diffs = [abs(results["base"][t] / results["fast_edge"][t] - 1.0)
+                 for t in trail]
+        ctx.metric("edge_independence", np.max(diffs), 0.0,
+                   checks["edge_independence_tol"])
 
-    r_ref = results["base"][t_ref]
-    decay_err = np.max([
-        abs(results["base"][t] * np.exp(2.0 * gp * (t - t_ref)) / r_ref - 1.0)
-        for t in trail])
-    ctx.metric("trailing_decay", decay_err, 0.0,
-               checks["trailing_decay_tol"])
-    ctx.details.update({
-        "gamma_plus": gp, "gamma_minus": (p["gamma_minus"],
-                                          p["gamma_minus"] * p["edge_factor"]),
-        "r_at_ref": r_ref, "ref_time": t_ref,
-    })
-    for label, table in results.items():
-        ctx.write_csv(f"rates_{label}.csv",
-                      ["t", "r_numeric", "decay_model", "ratio"],
-                      [(t, v,
-                        r_ref * np.exp(-2.0 * gp * (t - t_ref)),
-                        v * np.exp(2.0 * gp * (t - t_ref)) / r_ref)
-                       for t, v in sorted(table.items())])
+        r_ref = results["base"][t_ref]
+        decay_err = np.max([
+            abs(results["base"][t] * np.exp(2.0 * gp * (t - t_ref)) / r_ref
+                - 1.0) for t in trail])
+        ctx.metric("trailing_decay", decay_err, 0.0,
+                   checks["trailing_decay_tol"])
+        ctx.details.update({
+            "gamma_plus": gp,
+            "gamma_minus": tuple(env.gamma_minus for env in envs.values()),
+            "r_at_ref": r_ref, "ref_time": t_ref,
+        })
+        for label, table in results.items():
+            ctx.write_csv(f"rates_{label}.csv",
+                          ["t", "r_numeric", "decay_model", "ratio"],
+                          [(t, v,
+                            r_ref * np.exp(-2.0 * gp * (t - t_ref)),
+                            v * np.exp(2.0 * gp * (t - t_ref)) / r_ref)
+                           for t, v in sorted(table.items())])
+    return run
 
 
-@runner("harmonic")
-def _run_harmonic(cfg, ctx):
-    p = cfg["parameters"]
-    checks = cfg["checks"]
+@scenario_kind("harmonic")
+def _harmonic(p, checks):
     gamma, omega_c = p["gamma"], p["omega_carrier"]
-    dos = build_dos(p["dos"])
     E_i, V0 = p["e_i"], p["v0"]
     env = HarmonicRisingExp(gamma, omega_c)
+    dos = build_dos(p["dos"])
     cont = discretize(dos, E_i, p["window_halfwidth"], p["n_levels"])
-    # first, so that a coupling it refuses skips the integration
+    if omega_c + gamma * 5 > p["window_halfwidth"]:
+        raise ConfigError(
+            ["parameters.window_halfwidth: must cover the carrier "
+             "sidebands with room, > omega_carrier + 5 gamma"])
     pred = harmonic_rate_prediction(V0 * V0, dos, E_i, omega_c, gamma=gamma)
-
     half_period = np.pi / omega_c
     samples = np.linspace(-half_period, half_period, p["cycle_samples"])
-    t0 = -2.5 / gamma
-    traj = integrate(cont, env, V0, t0, half_period, tol=ctx.tol,
-                     mode="first_order", sample_times=samples)
+    span = _integration(cont, -2.5 / gamma, half_period, mode="first_order",
+                        sample_times=samples)
 
-    # least-squares amplitude of S(t) = C exp(2 gamma t) over one cycle
-    w = np.exp(2.0 * gamma * traj.times)
-    C = float(np.dot(traj.occupied, w) / np.dot(w, w))
-    r_num = 2.0 * gamma * C
-    tol_eff = checks["base_rel_tol"] + pred.neglected_bound
-    ctx.metric("harmonic_rate", abs(r_num / pred.rate - 1.0), 0.0, tol_eff)
-    ctx.details.update({
-        "r_numeric": r_num, "r_predicted": pred.rate,
-        "dos_up": pred.dos_up, "dos_down": pred.dos_down,
-        "neglected_bound": pred.neglected_bound,
-        "effective_tolerance": tol_eff,
-    })
-    ctx.write_csv("cycle.csv", ["t", "occupied", "model"],
-                  [(t, S, C * np.exp(2.0 * gamma * t))
-                   for t, S in zip(traj.times, traj.occupied)])
+    def run(ctx):
+        traj = integrate(cont, env, V0, tol=ctx.tol, **span)
+        # least-squares amplitude of S(t) = C exp(2 gamma t) over one cycle
+        w = np.exp(2.0 * gamma * traj.times)
+        C = float(np.dot(traj.occupied, w) / np.dot(w, w))
+        r_num = 2.0 * gamma * C
+        tol_eff = checks["base_rel_tol"] + pred.neglected_bound
+        ctx.metric("harmonic_rate", abs(r_num / pred.rate - 1.0), 0.0,
+                   tol_eff)
+        ctx.details.update({
+            "r_numeric": r_num, "r_predicted": pred.rate,
+            "dos_up": pred.dos_up, "dos_down": pred.dos_down,
+            "neglected_bound": pred.neglected_bound,
+            "effective_tolerance": tol_eff,
+        })
+        ctx.write_csv("cycle.csv", ["t", "occupied", "model"],
+                      [(t, S, C * np.exp(2.0 * gamma * t))
+                       for t, S in zip(traj.times, traj.occupied)])
+    return run
 
 
-@runner("superposition")
-def _run_superposition(cfg, ctx):
-    p = cfg["parameters"]
-    checks = cfg["checks"]
+@scenario_kind("superposition")
+def _superposition(p, checks):
     terms = tuple((t["gamma"], t["weight"]) for t in p["terms"])
     env = ExpSuperposition(terms)
-    dos = build_dos(p["dos"])
-    E_i, V0 = p["e_i"], p["v0"]
+    dos, E_i, V0 = build_dos(p["dos"]), p["e_i"], p["v0"]
     cont = discretize(dos, E_i, p["window_halfwidth"], p["n_levels"])
-
+    if not p["t_hi"] > p["t_lo"]:
+        raise ConfigError(["parameters.t_hi: must exceed t_lo"])
     slow = min(g for g, _ in terms)
     rate_times = np.linspace(p["t_lo"], p["t_hi"], p["n_rate_times"])
-    t0 = p["t_lo"] - 0.5 / slow
-    t1 = p["t_hi"] + 0.02 / slow
-    traj = integrate(cont, env, V0, t0, t1, tol=ctx.tol,
-                     mode="first_order", rate_times=rate_times)
+    span = _integration(cont, p["t_lo"] - 0.5 / slow,
+                        p["t_hi"] + 0.02 / slow, mode="first_order",
+                        rate_times=rate_times)
 
-    rows = _write_following_rates(ctx, traj, env, V0, dos, E_i, rate_times)
-    worst = np.max([abs(row[3] - 1.0) for row in rows])
-    ctx.metric("superposition_following", worst, 0.0,
-               checks["following_rel_tol"])
+    def run(ctx):
+        traj = integrate(cont, env, V0, tol=ctx.tol, **span)
+        rows = _write_following_rates(ctx, traj, env, V0, dos, E_i,
+                                      rate_times)
+        worst = np.max([abs(row[3] - 1.0) for row in rows])
+        ctx.metric("superposition_following", worst, 0.0,
+                   checks["following_rel_tol"])
+        # the analytic turn-on solution, as integrate seeds it, at the end
+        ana = seed_amplitudes(cont, env, V0, span["t1"])
+        resid = float(np.max(np.abs(traj.c_f_end - ana)))
+        ctx.details.update({"terms": [list(t) for t in terms],
+                            "amplitude_residual_at_end": resid})
+    return run
 
-    # the analytic turn-on solution, as integrate seeds it, at the end
-    ana = seed_amplitudes(cont, env, V0, t1)
-    resid = float(np.max(np.abs(traj.c_f_end - ana)))
-    ctx.details.update({"terms": [list(t) for t in terms],
-                        "amplitude_residual_at_end": resid})
 
-
-@runner("pulse_train")
-def _run_pulse_train(cfg, ctx):
-    p = cfg["parameters"]
-    checks = cfg["checks"]
-    d0 = p["d0"]
-    half = p["dos_halfwidth"]
+@scenario_kind("pulse_train")
+def _pulse_train(p, checks):
+    problems = _repeats("parameters.shapes", "shape",
+                        [blk["shape"] for blk in p["shapes"]])
+    if problems:
+        raise ConfigError(problems)
+    d0, half = p["d0"], p["dos_halfwidth"]
     dos = ConstantDOS(d0, (-half, half))
     seps = sorted(p["separations"])
-
-    rows = []
-    rect_env = None
+    # shape, envelope, cross-term scale and closed form at each separation
+    shapes = []
     for blk in p["shapes"]:
         env = _build_pulse_shape(blk)
-        label = blk["shape"]
-        scale = abs(cross_term_closed_form(env, d0, 0.0))
-        errs = []
-        quad_vals = {}
-        for T in seps:
-            closed = cross_term_closed_form(env, d0, T)
-            # certify the quadrature well below the band-scale tolerance;
-            # its summed error estimate gives the verdict, not a QUADPACK
-            # warning on one piece (a width of 1e300 draws one)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IntegrationWarning)
-                quad_val = quad_vals[T] = cross_term_integral(
-                    env, dos, 0.0, T, atol=1e-6 * scale)
-            errs.append(abs(closed - quad_val) / scale)
-            rows.append((label, T, closed.real, closed.imag,
-                         quad_val.real, quad_val.imag, errs[-1]))
-        ctx.metric(f"cross_term_{label}", np.max(errs), 0.0,
-                   checks["agreement_tol"])
-        if label == "rect":
-            rect_env, rect_vals = env, quad_vals
+        shapes.append((blk["shape"], env,
+                       abs(cross_term_closed_form(env, d0, 0.0)),
+                       [cross_term_closed_form(env, d0, T) for T in seps]))
 
-    if rect_env is not None:
-        width = rect_env.width
-        far = [T for T in seps
-               if T > width
-               and T * 2.0 * half >= checks["min_separation_bandwidth"]]
-        if far:
-            T_s = max(far)
-            rel = abs(rect_vals[T_s]) / (2.0 * np.pi * T_s * d0)
-            ctx.metric("rect_suppression", rel, 0.0,
-                       checks["suppression_tol"])
-            ctx.details["rect_suppression_at"] = {
-                "separation": T_s, "separation_bandwidth": T_s * 2.0 * half}
-    ctx.details["dos_halfwidth"] = half
-    ctx.write_csv("cross_terms.csv",
-                  ["shape", "T", "re_closed", "im_closed", "re_quad",
-                   "im_quad", "scaled_error"], rows)
+    def run(ctx):
+        rows = []
+        rect_env = None
+        for label, env, scale, closed_forms in shapes:
+            errs = []
+            quad_vals = {}
+            for T, closed in zip(seps, closed_forms):
+                # certify the quadrature well below the band-scale
+                # tolerance; its summed error estimate gives the verdict,
+                # not a QUADPACK warning on one piece (a width of 1e300
+                # draws one)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", IntegrationWarning)
+                    quad_val = quad_vals[T] = cross_term_integral(
+                        env, dos, 0.0, T, atol=1e-6 * scale)
+                errs.append(abs(closed - quad_val) / scale)
+                rows.append((label, T, closed.real, closed.imag,
+                             quad_val.real, quad_val.imag, errs[-1]))
+            ctx.metric(f"cross_term_{label}", np.max(errs), 0.0,
+                       checks["agreement_tol"])
+            if label == "rect":
+                rect_env, rect_vals = env, quad_vals
+
+        if rect_env is not None:
+            width = rect_env.width
+            far = [T for T in seps
+                   if T > width
+                   and T * 2.0 * half >= checks["min_separation_bandwidth"]]
+            if far:
+                T_s = max(far)
+                rel = abs(rect_vals[T_s]) / (2.0 * np.pi * T_s * d0)
+                ctx.metric("rect_suppression", rel, 0.0,
+                           checks["suppression_tol"])
+                ctx.details["rect_suppression_at"] = {
+                    "separation": T_s,
+                    "separation_bandwidth": T_s * 2.0 * half}
+        ctx.details["dos_halfwidth"] = half
+        ctx.write_csv("cross_terms.csv",
+                      ["shape", "T", "re_closed", "im_closed", "re_quad",
+                       "im_quad", "scaled_error"], rows)
+    return run
 
 
 _TRAIN_SAMPLES = 481  # decay_law's sample grid across the train
 
 
-def _decay_law_setup(p):
-    """decay_law's flat band, its level grid and the n_pulses Gaussians of
-    its train, each of V0 transferring -ln(target_survival) / n_pulses."""
+@scenario_kind("decay_law")
+def _decay_law(p, checks):
+    """A flat band, its level grid and a train of n_pulses Gaussians,
+    each of V0 transferring -ln(target_survival) / n_pulses."""
     tau, n_p = p["tau"], p["n_pulses"]
     d0, half = p["d0"], p["dos_halfwidth"]
     dos = ConstantDOS(d0, (-half, half))
@@ -1027,175 +973,191 @@ def _decay_law_setup(p):
     q = -np.log(p["target_survival"]) / n_p
     s_sq_integral = 1.0 / (tau * np.sqrt(2.0 * np.pi))
     V0 = float(np.sqrt(q / (2.0 * np.pi * d0 * s_sq_integral)))
-    pulses = tuple(Pulse(c, GaussianPulse(tau), V0)
-                   for c in p["separation"] * np.arange(n_p))
-    return dos, cont, pulses
+    train = PulseTrain(Pulse(c, GaussianPulse(tau), V0)
+                       for c in p["separation"] * np.arange(n_p))
+    # the grid propagate_train integrates on
+    times = train_sample_times(train, _TRAIN_SAMPLES)
+    integration_grid(cont, times[0], times[-1], mode="coupled",
+                     sample_times=times)
+    span, revival = np.ptp(times), 2.0 * np.pi / cont.delta_e
+    if span > REVIVAL_SHARE * revival:
+        raise ConfigError(
+            [f"parameters.n_levels: the train's samples span {span:.6g}, "
+             f"past {REVIVAL_SHARE:g} of the band's revival time 2 pi / "
+             f"spacing = {revival:.6g}"])
+
+    def run(ctx):
+        traj = propagate_train(train, cont, tol=ctx.tol,
+                               n_samples=_TRAIN_SAMPLES)
+        rep = additivity_defect(train, traj)
+        ctx.metric("additivity_defect", rep.defect, 0.0, checks["defect_tol"])
+
+        p_num = np.abs(traj.c_i) ** 2
+        curve = generalized_decay(train, 1.0, traj.times, dos=dos, E_i=0.0)
+        ratio = p_num / curve.survival
+        ctx.metric("decay_law_match", float(np.max(np.abs(ratio - 1.0))),
+                   0.0, checks["decay_rel_tol"])
+        ctx.details.update({
+            "kick_strengths": list(rep.kick_strengths),
+            "survival_coupled": rep.survival_full,
+            "survival_booked": rep.survival_kicks,
+            "transferred_coupled": rep.transferred_full,
+            "transferred_booked": rep.transferred_kicks,
+            "final_survival": float(p_num[-1]),
+            "V0": V0,
+        })
+        ctx.write_csv("decay.csv",
+                      ["t", "p_coupled", "p_decay_law", "ratio", "rbar"],
+                      [(t, pn, ps, rt, rb) for t, pn, ps, rt, rb in
+                       zip(traj.times, p_num, curve.survival, ratio,
+                           curve.rates)])
+        ctx.write_csv("kicks.csv", ["pulse", "center", "q"],
+                      [(i, pulse.center, qq) for i, (pulse, qq) in
+                       enumerate(zip(train.pulses, rep.kick_strengths))])
+    return run
 
 
-@runner("decay_law")
-def _run_decay_law(cfg, ctx):
-    p = cfg["parameters"]
-    checks = cfg["checks"]
-    dos, cont, pulses = _decay_law_setup(p)
-    train = PulseTrain(pulses)
-    V0 = pulses[0].V0
-    centers = [pulse.center for pulse in pulses]
-
-    traj = propagate_train(train, cont, tol=ctx.tol,
-                           n_samples=_TRAIN_SAMPLES)
-    rep = additivity_defect(train, traj)
-    ctx.metric("additivity_defect", rep.defect, 0.0, checks["defect_tol"])
-
-    p_num = np.abs(traj.c_i) ** 2
-    curve = generalized_decay(train, 1.0, traj.times, dos=dos, E_i=0.0)
-    ratio = p_num / curve.survival
-    ctx.metric("decay_law_match", float(np.max(np.abs(ratio - 1.0))), 0.0,
-               checks["decay_rel_tol"])
-    ctx.details.update({
-        "kick_strengths": list(rep.kick_strengths),
-        "survival_coupled": rep.survival_full,
-        "survival_booked": rep.survival_kicks,
-        "transferred_coupled": rep.transferred_full,
-        "transferred_booked": rep.transferred_kicks,
-        "final_survival": float(p_num[-1]),
-        "V0": V0,
-    })
-    ctx.write_csv("decay.csv",
-                  ["t", "p_coupled", "p_decay_law", "ratio", "rbar"],
-                  [(t, pn, ps, rt, rb) for t, pn, ps, rt, rb in
-                   zip(traj.times, p_num, curve.survival, ratio,
-                       curve.rates)])
-    ctx.write_csv("kicks.csv", ["pulse", "center", "q"],
-                  [(i, c, qq) for i, (c, qq) in
-                   enumerate(zip(centers, rep.kick_strengths))])
-
-
-@runner("ww")
-def _run_ww(cfg, ctx):
-    p = cfg["parameters"]
-    checks = cfg["checks"]
-    f = _build_coupling(p["coupling"], p["omega_i"])
-    decay_mask = _ww_windows(p, checks)
-    val = nonperturbative_validate(
-        f, p["n_levels"], tol=ctx.tol, horizon_rates=p["horizon_rates"],
-        fit_window_rates=tuple(p["fit_window_rates"]),
+@scenario_kind("ww")
+def _ww(p, checks):
+    problems = []
+    horizon = p["horizon_rates"]
+    if p["decay_window_rates"][1] > horizon:
+        problems.append(f"parameters.decay_window_rates: must end by "
+                        f"horizon_rates = {horizon:g}")
+    if not any(k in checks for k in CHECK_SCHEMAS["ww"]):
+        problems.append("checks: a ww run needs at least one of "
+                        + ", ".join(CHECK_SCHEMAS["ww"]))
+    if problems:
+        raise ConfigError(problems)
+    problem = ww_problem(
+        _build_coupling(p["coupling"], p["omega_i"]), p["n_levels"],
+        horizon_rates=horizon, fit_window_rates=tuple(p["fit_window_rates"]),
         n_samples=p["n_samples"])
-
-    if checks.get("rate_rel_tol") is not None:
-        ctx.metric("ww_rate", val.rate_fitted, val.rate_analytic,
-                   checks["rate_rel_tol"], mode="rel")
-    if checks.get("shift_rel_tol") is not None:
-        ctx.metric("ww_shift", val.shift_fitted, val.shift_analytic,
-                   checks["shift_rel_tol"], mode="rel")
+    decay_mask = None
     if checks.get("decay_pointwise_tol") is not None:
-        r = val.rate_analytic
-        prob = np.abs(val.c_i[decay_mask]) ** 2
-        modelp = np.exp(-r * val.times[decay_mask])
-        worst = float(np.max(np.abs(prob / modelp - 1.0)))
-        ctx.metric("decay_curve", worst, 0.0,
-                   checks["decay_pointwise_tol"])
+        decay_mask = window_samples("decay", p["decay_window_rates"],
+                                    horizon, p["n_samples"], least=1)
 
-    ctx.details.update(val.to_dict())
-    ctx.details.update({"delta_omega": val.delta_omega,
-                        "revival_time": val.revival_time})
-    mag = np.abs(val.c_i)
-    phase = np.unwrap(np.angle(val.c_i))
-    r, s = val.rate_analytic, val.shift_analytic
-    ctx.write_csv("decay.csv",
-                  ["t", "p_i", "model_p", "phase", "model_phase"],
-                  [(t, m * m, np.exp(-r * t), ph, -s * t)
-                   for t, m, ph in zip(val.times, mag, phase)])
+    def run(ctx):
+        val = nonperturbative_validate(problem, tol=ctx.tol)
+        r, s = val.rate_analytic, val.shift_analytic
+        if checks.get("rate_rel_tol") is not None:
+            ctx.metric("ww_rate", val.rate_fitted, r,
+                       checks["rate_rel_tol"], mode="rel")
+        if checks.get("shift_rel_tol") is not None:
+            ctx.metric("ww_shift", val.shift_fitted, s,
+                       checks["shift_rel_tol"], mode="rel")
+        if decay_mask is not None:
+            prob = np.abs(val.c_i[decay_mask]) ** 2
+            modelp = np.exp(-r * val.times[decay_mask])
+            worst = float(np.max(np.abs(prob / modelp - 1.0)))
+            ctx.metric("decay_curve", worst, 0.0,
+                       checks["decay_pointwise_tol"])
+
+        ctx.details.update(val.to_dict())
+        ctx.details.update({"delta_omega": val.delta_omega,
+                            "revival_time": val.revival_time})
+        mag = np.abs(val.c_i)
+        phase = np.unwrap(np.angle(val.c_i))
+        ctx.write_csv("decay.csv",
+                      ["t", "p_i", "model_p", "phase", "model_phase"],
+                      [(t, m * m, np.exp(-r * t), ph, -s * t)
+                       for t, m, ph in zip(val.times, mag, phase)])
+    return run
 
 
-def _ww_windows(p, checks):
-    """Count the samples in the fit window, and in the decay window when
-    decay_pointwise_tol checks it; returns the decay window's mask."""
-    args = (p["horizon_rates"], p["n_samples"])
-    window_samples("fit", p["fit_window_rates"], *args, least=2)
-    if checks.get("decay_pointwise_tol") is None:
-        return None
-    return window_samples("decay", p["decay_window_rates"], *args, least=1)
-
-
-@runner("airy_check")
-def _run_airy_check(cfg, ctx):
-    p = cfg["parameters"]
-    checks = cfg["checks"]
-
-    # square-integral identity int_xi^inf Ai^2 = Ai'^2 - xi Ai^2
-    rows = []
-    for xi in p["identity_points"]:
-        lhs = quad(lambda u: airy(u) ** 2, xi, 30.0,
-                   epsabs=1e-15, epsrel=1e-12, limit=800)[0]
-        rhs = airy_prime(xi) ** 2 - xi * airy(xi) ** 2
-        rows.append((xi, lhs, rhs, abs(lhs - rhs) / abs(rhs)))
-    worst = np.max([row[3] for row in rows], initial=0.0)
-    ctx.metric("sq_integral_identity", worst, 0.0, checks["identity_tol"])
-    ctx.write_csv("identity.csv", ["xi", "quadrature", "closed_form",
-                                   "rel_error"], rows)
-
-    worst_zero = np.max([abs(airy(airy_zero(n))) for n in
-                         range(1, p["n_zeros"] + 1)])
-    ctx.metric("zero_residual", worst_zero, 0.0, checks["identity_tol"])
-
-    # smear closed form against direct kernel quadrature at a probe point
-    xi_probe, sig_probe = -3.0, 0.7
-    direct = quad(lambda s: np.exp(-0.5 * (s / sig_probe) ** 2)
-                  / (sig_probe * np.sqrt(2 * np.pi)) * airy(xi_probe - s),
-                  -8 * sig_probe, 8 * sig_probe,
-                  epsabs=1e-14, epsrel=1e-12, limit=400)[0]
-    closed = float(gaussian_smeared_airy(xi_probe, sig_probe))
-    ctx.metric("smear_identity", abs(direct - closed) / abs(closed),
-               0.0, checks["identity_tol"])
-
+@scenario_kind("airy_check")
+def _airy_check(p, checks):
     ov = p["overlap"]
-    state = FieldState(F=ov["f"], m=ov["m"], E=ov["e1"])
-    overlap_rows = []
-    for k, sig_xi in enumerate(ov["sigma_xi_values"], start=1):
-        sigma_E = sig_xi * state.a * ov["f"]
-        rep = smeared_overlap(ov["e1"], sigma_E, ov["f"], ov["m"])
-        ctx.metric(f"overlap_ratio_{k}", rep.ratio, 1.0,
-                   checks["overlap_tol"])
-        overlap_rows.append((sig_xi, sigma_E, rep.ratio, rep.drift,
-                             rep.window[0], rep.window[1]))
-    ctx.write_csv("overlap.csv",
-                  ["sigma_xi", "sigma_E", "ratio", "window_drift",
-                   "xi_min", "xi_max"], overlap_rows)
+    a = FieldState(F=ov["f"], m=ov["m"], E=ov["e1"]).a
+    # (sigma_xi, sigma_E) of each overlap, its Airy arguments in the guard
+    overlaps = []
+    for sig_xi in ov["sigma_xi_values"]:
+        sigma_E = sig_xi * a * ov["f"]
+        overlap_nodes(ov["e1"], sigma_E, ov["f"], ov["m"])
+        overlaps.append((sig_xi, sigma_E))
+
+    def run(ctx):
+        # square-integral identity int_xi^inf Ai^2 = Ai'^2 - xi Ai^2
+        rows = []
+        for xi in p["identity_points"]:
+            lhs = quad(lambda u: airy(u) ** 2, xi, 30.0,
+                       epsabs=1e-15, epsrel=1e-12, limit=800)[0]
+            rhs = airy_prime(xi) ** 2 - xi * airy(xi) ** 2
+            rows.append((xi, lhs, rhs, abs(lhs - rhs) / abs(rhs)))
+        worst = np.max([row[3] for row in rows], initial=0.0)
+        ctx.metric("sq_integral_identity", worst, 0.0,
+                   checks["identity_tol"])
+        ctx.write_csv("identity.csv", ["xi", "quadrature", "closed_form",
+                                       "rel_error"], rows)
+
+        worst_zero = np.max([abs(airy(airy_zero(n))) for n in
+                             range(1, p["n_zeros"] + 1)])
+        ctx.metric("zero_residual", worst_zero, 0.0, checks["identity_tol"])
+
+        # smear closed form against direct kernel quadrature at a probe
+        xi_probe, sig_probe = -3.0, 0.7
+        direct = quad(lambda s: np.exp(-0.5 * (s / sig_probe) ** 2)
+                      / (sig_probe * np.sqrt(2 * np.pi))
+                      * airy(xi_probe - s),
+                      -8 * sig_probe, 8 * sig_probe,
+                      epsabs=1e-14, epsrel=1e-12, limit=400)[0]
+        closed = float(gaussian_smeared_airy(xi_probe, sig_probe))
+        ctx.metric("smear_identity", abs(direct - closed) / abs(closed),
+                   0.0, checks["identity_tol"])
+
+        overlap_rows = []
+        for k, (sig_xi, sigma_E) in enumerate(overlaps, start=1):
+            rep = smeared_overlap(ov["e1"], sigma_E, ov["f"], ov["m"])
+            ctx.metric(f"overlap_ratio_{k}", rep.ratio, 1.0,
+                       checks["overlap_tol"])
+            overlap_rows.append((sig_xi, sigma_E, rep.ratio, rep.drift,
+                                 rep.window[0], rep.window[1]))
+        ctx.write_csv("overlap.csv",
+                      ["sigma_xi", "sigma_E", "ratio", "window_drift",
+                       "xi_min", "xi_max"], overlap_rows)
+    return run
 
 
-@runner("ionization")
-def _run_ionization(cfg, ctx):
-    p = cfg["parameters"]
-    checks = cfg["checks"]
+@scenario_kind("ionization")
+def _ionization(p, checks):
+    if p.get("e_b") is not None and not p["e_b"] < 0:
+        raise ConfigError(["parameters.e_b: must be negative"])
     kw = {} if p.get("e_b") is None else {"E_b": p["e_b"]}
-    with warnings.catch_warnings():
-        # the weak_field metric reports a field too strong for the rate
-        warnings.filterwarnings("ignore", "field is not weak", UserWarning)
-        direct = toy_ionization_rate(p["kappa"], p["f"], p["m"], **kw)
-    box = box_quantized_rate(p["kappa"], p["f"], p["m"],
-                             xi_wall=p["xi_wall"], **kw)
-    ctx.metric("route_agreement", direct.rate, box.rate,
-               checks["route_rel_tol"], mode="rel")
-    ctx.metric("weak_field", 1.0 if direct.weak_field_ok else 0.0, 1.0, 0.0)
-    ctx.details.update({
-        "rate_direct": direct.rate, "rate_box": box.rate,
-        "matrix_element_direct": direct.matrix_element,
-        "matrix_element_box": box.matrix_element,
-        "overlap_diagnostic": direct.overlap,
-        "E_bound": direct.E_bound,
-        "box": {"dos": box.dos, "wall": box.wall,
-                "level_index": box.level_index,
-                "normalization": box.normalization},
-        "field_over_binding": p["f"] / (p["kappa"] * abs(direct.E_bound)),
-    })
-    ctx.write_csv("routes.csv", ["route", "rate", "matrix_element"],
-                  [("continuum", direct.rate, direct.matrix_element),
-                   ("box", box.rate, box.matrix_element)])
-    x = np.linspace(direct.window[0], direct.window[1], 601)
-    psi = field_wavefunction(x, direct.E_bound, p["f"], p["m"])
-    ctx.write_csv("wavefunction.csv", ["x", "psi"],
-                  list(zip(x, psi)),
-                  extra={"E": fmt(direct.E_bound)})
+    ionization_window(p["kappa"], p["f"], p["m"], **kw)
+
+    def run(ctx):
+        with warnings.catch_warnings():
+            # the weak_field metric reports a field too strong for the rate
+            warnings.filterwarnings("ignore", "field is not weak",
+                                    UserWarning)
+            direct = toy_ionization_rate(p["kappa"], p["f"], p["m"], **kw)
+        box = box_quantized_rate(p["kappa"], p["f"], p["m"],
+                                 xi_wall=p["xi_wall"], **kw)
+        ctx.metric("route_agreement", direct.rate, box.rate,
+                   checks["route_rel_tol"], mode="rel")
+        ctx.metric("weak_field", 1.0 if direct.weak_field_ok else 0.0, 1.0,
+                   0.0)
+        ctx.details.update({
+            "rate_direct": direct.rate, "rate_box": box.rate,
+            "matrix_element_direct": direct.matrix_element,
+            "matrix_element_box": box.matrix_element,
+            "overlap_diagnostic": direct.overlap,
+            "E_bound": direct.E_bound,
+            "box": {"dos": box.dos, "wall": box.wall,
+                    "level_index": box.level_index,
+                    "normalization": box.normalization},
+            "field_over_binding": p["f"] / (p["kappa"]
+                                            * abs(direct.E_bound)),
+        })
+        ctx.write_csv("routes.csv", ["route", "rate", "matrix_element"],
+                      [("continuum", direct.rate, direct.matrix_element),
+                       ("box", box.rate, box.matrix_element)])
+        x = np.linspace(direct.window[0], direct.window[1], 601)
+        psi = field_wavefunction(x, direct.E_bound, p["f"], p["m"])
+        ctx.write_csv("wavefunction.csv", ["x", "psi"], list(zip(x, psi)),
+                      extra={"E": fmt(direct.E_bound)})
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -1238,17 +1200,12 @@ def load_config(source):
                                f"{exc.strerror or exc}"]) from None
     else:
         base = _bundled_dir()
-        hit = None
-        for suffix in ("", ".yaml"):
-            cand = base / (source + suffix)
-            if cand.is_file():
-                hit = cand
-                break
+        hit = next((base / (source + suffix) for suffix in ("", ".yaml")
+                    if (base / (source + suffix)).is_file()), None)
         if hit is None:
-            for entry in bundled_scenarios():
-                if entry["name"] == source:
-                    hit = base / os.path.basename(entry["path"])
-                    break
+            hit = next((base / os.path.basename(entry["path"])
+                        for entry in bundled_scenarios()
+                        if entry["name"] == source), None)
         if hit is None:
             raise ConfigError(
                 [f"config: {source!r} is neither a file nor a bundled "
@@ -1328,12 +1285,13 @@ def _run_dir(where):
 def run_scenario(source, out_dir=None):
     """Validate, execute and summarize one scenario.
 
-    Returns the run's RunContext; artifacts and summary.json land in
-    out_dir (CLI flag > config output_dir > runs/<name>). The runner holds
-    one BLAS thread (_one_blas_thread).
+    Validation builds the kind's setup once and returns its run, which
+    holds one BLAS thread (_one_blas_thread). Returns the run's
+    RunContext; artifacts and summary.json land in out_dir (CLI flag >
+    config output_dir > runs/<name>).
     """
     cfg, raw = load_config(source)
-    cfg = validate_config(cfg)
+    cfg, run = _validated(cfg)
     where = _run_dir(out_dir or cfg.get("output_dir")
                      or os.path.join("runs", cfg["name"]))
 
@@ -1342,11 +1300,8 @@ def run_scenario(source, out_dir=None):
                      tol=cfg["integrator"]["tol"])
     start = time.perf_counter()
     try:
-        # an overflow, a division by zero or an invalid float operation
-        # ends the run typed, not as a warning beside meaningless numbers
-        with _one_blas_thread(), np.errstate(over="raise", divide="raise",
-                                             invalid="raise"):
-            RUNNERS[cfg["kind"]](cfg, ctx)
+        with _one_blas_thread(), np.errstate(**_FLOAT_RULES):
+            run(ctx)
     except FloatingPointError as exc:
         raise DomainError(f"[scenario {cfg['name']}] float arithmetic "
                           f"failed: {exc}") from None
@@ -1396,12 +1351,11 @@ def _sweep_one(payload):
     atomic_write_text(cfg_path, text)
     try:
         summary = run_scenario(cfg_path, out_dir=tmpdir)
-    except ConfigError as exc:
-        return {"value": value, "status": "config_error",
-                "error": str(exc), "metrics": {}}
     except GoldenRuleError as exc:
-        return {"value": value, "status": "numerical_error",
-                "error": str(exc), "metrics": {}}
+        status = ("config_error" if isinstance(exc, ConfigError)
+                  else "numerical_error")
+        return {"value": value, "status": status, "error": str(exc),
+                "metrics": {}}
     return {"value": value, "status": "ok", "error": "",
             "metrics": {k: v.to_dict() for k, v in summary.metrics.items()},
             "passed": summary.passed}

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import (DiscretizationTooCoarseError, DomainError, EdgeError,
-                     PreconditionError, ToleranceFailureError)
+from .errors import DomainError, PreconditionError, ToleranceFailureError
 from .perturbation import RectangularPulse
 from .spectrum import REVIVAL_SHARE, DiscretizedContinuum
-from .dynamics import integrate
+from .dynamics import integrate, integration_grid
 
 
 class CouplingFunction:
@@ -77,7 +76,7 @@ def ww_rate(f):
     lo, hi = f.support
     span = hi - lo
     if min(f.omega_i - lo, hi - f.omega_i) <= 1e-9 * span:
-        raise EdgeError("omega_i sits on the support edge; rate undefined "
+        raise DomainError("omega_i sits on the support edge; rate undefined "
                         "(half the band is missing)")
     return 2.0 * np.pi * float(f(f.omega_i))
 
@@ -168,23 +167,35 @@ def window_samples(name, window_rates, horizon_rates, n_samples, *, least):
     return mask
 
 
-def nonperturbative_validate(f, n_levels, *, tol=1e-9, horizon_rates=6.0,
-                             fit_window_rates=(2.0, 6.0), n_samples=481):
-    """Integrate the coupled equations and fit rate and shift from c_i.
+@dataclass(frozen=True, eq=False)
+class WWProblem:
+    """The nonperturbative check up to its integration (see ww_problem)."""
+
+    coupling: CouplingFunction
+    rate: float               # r = 2 pi f(omega_i)
+    continuum: DiscretizedContinuum
+    samples: np.ndarray       # linspace(0, horizon_rates / r, n_samples)
+    fit_mask: np.ndarray      # the samples in fit_window_rates / r
+    fit_end: float            # fit_window_rates[1] / r
+    delta_omega: float
+    revival_time: float
+
+
+def ww_problem(f, n_levels, *, horizon_rates=6.0, fit_window_rates=(2.0, 6.0),
+               n_samples=481):
+    """Everything nonperturbative_validate needs before it integrates.
 
     The band support [lo, hi] is rebuilt as uniformly spaced levels,
     delta = (hi - lo) / (n_levels - 1) apart, with the initial frequency
     exactly on the grid and every level inside the support (so one fewer
     than n_levels when omega_i is not a whole number of spacings from the
-    edges), couplings sqrt(f(omega_k)) with trapezoid weights, and the
-    interaction switched on abruptly at t = 0. ln|c_i| and arg c_i are
-    fitted linearly on the window [fit_window_rates] / r.
+    edges), couplings sqrt(f(omega_k)) with trapezoid weights.
 
-    Preconditions: a support width hi - lo >= 200 r, n_levels >= 4001,
-    spacing <= r / 20, a fit window inside the horizon holding at least
-    two samples (see window_samples), a revival time 2 pi / spacing past
-    it. A non-monotone |c_i| before the fit ends means the discrete band
-    has started to feed back and raises DiscretizationTooCoarseError.
+    Preconditions: omega_i off the support edges (ww_rate), hi - lo >= 200
+    r, n_levels >= 4001, a fit window ending by the horizon and holding at
+    least two samples (window_samples), spacing <= r / 20, a horizon
+    within REVIVAL_SHARE of the revival time 2 pi / spacing, and coupled
+    steps the sample grid can hold (integration_grid).
     """
     lo, hi = f.support
     width = hi - lo
@@ -198,11 +209,21 @@ def nonperturbative_validate(f, n_levels, *, tol=1e-9, horizon_rates=6.0,
         raise PreconditionError("need at least 4001 levels")
     if fit_window_rates[1] > horizon_rates:
         raise PreconditionError(
-            f"fit window ends past the horizon {horizon_rates:g} / r")
+            "fit window [{:g}, {:g}] / r ends past the horizon {:g} / r"
+            .format(*fit_window_rates, horizon_rates))
+    mask = window_samples("fit", fit_window_rates, horizon_rates, n_samples,
+                          least=2)
     delta = width / (n_levels - 1)
     if delta > r / 20.0:
         raise PreconditionError(
             f"spacing {delta:.3g} exceeds r/20 = {r / 20:.3g}")
+
+    t_end = horizon_rates / r
+    revival = 2.0 * np.pi / delta
+    if t_end > REVIVAL_SHARE * revival:
+        raise PreconditionError(
+            f"horizon {t_end:.3g} runs into the revival at {revival:.3g}; "
+            "refine the grid")
 
     # place omega_i exactly on the grid, inside the support; the guard
     # keeps whole ratios whole
@@ -212,32 +233,38 @@ def nonperturbative_validate(f, n_levels, *, tol=1e-9, horizon_rates=6.0,
     weights = np.full(grid.size, delta)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-
-    t_end = horizon_rates / r
-    revival = 2.0 * np.pi / delta
-    if t_end > REVIVAL_SHARE * revival:
-        raise DiscretizationTooCoarseError(
-            f"horizon {t_end:.3g} runs into the revival at {revival:.3g}; "
-            "refine the grid")
-
     continuum = DiscretizedContinuum.from_grid(
         grid, weights, f.omega_i, couplings=np.sqrt(np.maximum(f(grid), 0.0)))
-    t_hi = fit_window_rates[1] / r
-    mask = window_samples("fit", fit_window_rates, horizon_rates, n_samples,
-                          least=2)
     samples = np.linspace(0.0, t_end, n_samples)
+    integration_grid(continuum, 0.0, t_end, mode="coupled",
+                     sample_times=samples)
+    return WWProblem(coupling=f, rate=r, continuum=continuum,
+                     samples=samples, fit_mask=mask,
+                     fit_end=fit_window_rates[1] / r, delta_omega=delta,
+                     revival_time=revival)
 
+
+def nonperturbative_validate(problem, *, tol=1e-9):
+    """Integrate the coupled equations and fit rate and shift from c_i.
+
+    problem comes from ww_problem. The interaction is switched on abruptly
+    at t = 0, and ln|c_i| and arg c_i are fitted linearly on the fit
+    window. A non-monotone |c_i| before the fit ends means the discrete
+    band has started to feed back and raises ToleranceFailureError.
+    """
+    samples, mask = problem.samples, problem.fit_mask
+    t_end = samples[-1]
     # an abrupt switch-on at t = 0 that stays on past t_end; t_ref = w / 2
     # puts the left edge at exactly 0.0, where the zero seed belongs
     width = 1.02 * t_end
     env = RectangularPulse(width, t_ref=0.5 * width)
-    traj = integrate(continuum, env, 1.0, 0.0, t_end, tol=tol,
+    traj = integrate(problem.continuum, env, 1.0, 0.0, t_end, tol=tol,
                      mode="coupled", sample_times=samples)
 
     mag = np.abs(traj.c_i)
-    guard = mag[traj.times <= min(t_hi, t_end)]
+    guard = mag[traj.times <= problem.fit_end]
     if np.any(guard[1:] > guard[:-1] * (1.0 + 1e-4)):
-        raise DiscretizationTooCoarseError(
+        raise ToleranceFailureError(
             "|c_i| turned around before the fit window closed; the discrete "
             "band is feeding back (revival too early)")
 
@@ -251,10 +278,11 @@ def nonperturbative_validate(f, n_levels, *, tol=1e-9, horizon_rates=6.0,
     res_ph = float(np.sqrt(np.mean(
         (phase - (slope_ph * t_fit + icpt_ph)) ** 2)))
 
-    shift = principal_value_shift(f)
-    return WWValidation(rate_analytic=r, shift_analytic=shift,
+    shift = principal_value_shift(problem.coupling)
+    return WWValidation(rate_analytic=problem.rate, shift_analytic=shift,
                         rate_fitted=-2.0 * float(slope_log),
                         shift_fitted=-float(slope_ph),
                         residual_log=res_log, residual_phase=res_ph,
                         times=traj.times, c_i=traj.c_i,
-                        delta_omega=delta, revival_time=revival)
+                        delta_omega=problem.delta_omega,
+                        revival_time=problem.revival_time)

@@ -66,20 +66,20 @@ def test_run_metric_failure_exits_one(tmp_path, capsys):
     assert "\nFAIL isotropic_scattering in " in out
 
 
-def test_run_numerical_failure_exits_three(tmp_path, capsys):
-    # E_i = 1e300 is a valid config, but the band's level spacing falls
-    # below the float spacing there, so its levels collapse
+def test_band_floats_cannot_hold_is_refused_up_front(tmp_path, capsys):
+    # at E_i = 1e300 the band's level spacing falls below the float
+    # spacing, so its levels collapse: the setup that validate and run
+    # share refuses it before anything integrates
     path = write_variant(
         tmp_path, "validity_margins",
         lambda c: c["parameters"].__setitem__("e_i", 1e300))
-    assert main(["validate", path]) == EXIT_OK
-    capsys.readouterr()
-    code = main(["run", path, "--out", str(tmp_path / "out")])
-    assert code == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure:")
-    assert "[scenario validity_margins]" in err
-    assert "strictly increasing" in err
+    for argv in (["validate", path],
+                 ["run", path, "--out", str(tmp_path / "out")]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "  - parameters: level grid must be strictly increasing" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_overlapping_pulses_are_a_config_violation(tmp_path, capsys):
@@ -279,8 +279,8 @@ def _set_path(*keys_and_value):
      _set_path("parameters", "dynamics", "mode", "coupled"),
      "parameters.dynamics.mode: unknown key"),
     # windows the run would find empty or cut short
-    ("ww_flat_decay", _set_path("parameters", "horizon_rates", 1.5),
-     "parameters.fit_window_rates: must end by horizon_rates = 1.5"),
+    ("ww_flat_decay", _set_path("parameters", "fit_window_rates", [2.0, 7.0]),
+     "parameters: fit window [2, 7] / r ends past the horizon 6 / r"),
     ("ww_flat_decay",
      _set_path("parameters", "decay_window_rates", [7.0, 8.0]),
      "parameters.decay_window_rates: must end by horizon_rates = 6"),
@@ -322,9 +322,12 @@ def test_malformed_block_is_a_config_violation(tmp_path, capsys, name,
 ])
 def test_huge_values_end_in_a_typed_failure(tmp_path, capsys, name, mutate,
                                              message):
+    """Each is refused before anything integrates, except the two-sided
+    pulse whose spectrum overflows inside the cross-term quadrature."""
     path = write_variant(tmp_path, name, mutate)
     code = main(["run", path, "--out", str(tmp_path / "out")])
-    assert code in (EXIT_CONFIG, EXIT_NUMERICAL)
+    want = EXIT_NUMERICAL if name == "pulse_cross_terms" else EXIT_CONFIG
+    assert code == want
     assert message in capsys.readouterr().err
 
 
@@ -469,6 +472,9 @@ def test_any_bad_value_runs_to_an_exit_code(tmp_path_factory, site, bad):
         yaml.safe_dump(cfg, fh)
     code = main(["run", str(path), "--out", str(where / "out")])
     assert code in (EXIT_OK, EXIT_METRIC_FAIL, EXIT_CONFIG, EXIT_NUMERICAL)
+    # validate refuses exactly what the run refuses before integrating
+    assert (main(["validate", str(path)]) == EXIT_CONFIG) == (
+        code == EXIT_CONFIG)
 
 
 def test_sweep_green_axis(tmp_path, capsys):
@@ -533,16 +539,17 @@ def test_sweep_pool_holds_no_more_workers_than_runs(tmp_path, monkeypatch):
 
 
 def test_sweep_captures_per_row_numerical_errors(tmp_path, capsys):
-    code = main(["sweep", "validity_margins",
-                 "--axis", "parameters.e_i",
-                 "--values", "1e300,-1e300", "--out", str(tmp_path)])
+    # both tolerances pass validate; the coupled steps refuse them
+    code = main(["sweep", "ww_flat_decay",
+                 "--axis", "integrator.tol",
+                 "--values", "1e-18,1e-17", "--out", str(tmp_path)])
     assert code == EXIT_METRIC_FAIL
     out = capsys.readouterr().out
     assert out.count("numerical_error") == 2
-    assert "FAIL sweep over parameters.e_i (2 runs)" in out
+    assert "FAIL sweep over integrator.tol (2 runs)" in out
     body = (tmp_path / "sweep.csv").read_text()
     assert "numerical_error" in body
-    assert "strictly increasing" in body
+    assert "double-precision resolution" in body
 
 
 def test_sweep_rejects_bad_values(capsys):

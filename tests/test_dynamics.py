@@ -492,6 +492,23 @@ def test_first_order_quadrature_matches_rk45_oracle(case):
             2.0 * abs(a) * np.sum(np.abs(wv)) * err)
 
 
+@pytest.mark.parametrize("mode", ["first_order", "coupled"])
+def test_non_finite_coupling_scale_is_a_domain_error(mode):
+    cont = discretize(FLAT, 0.0, 2.0, 21)
+    for V0 in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="V0 must be finite"):
+            integrate(cont, RisingExp(1.0), V0, t0=-3.0, t1=0.0, mode=mode)
+
+
+def test_first_order_overflow_is_a_tolerance_failure():
+    """|c_f|^2 past the float range ends typed, without a warning, as a
+    non-finite coupled step does."""
+    cont = discretize(FLAT, 0.0, 2.0, 21)
+    with pytest.raises(ToleranceFailureError, match="non-finite amplitude"):
+        integrate(cont, RisingExp(1.0), 1e200, t0=-3.0, t1=0.0,
+                  mode="first_order")
+
+
 def test_first_order_never_calls_the_stepper(monkeypatch):
     import goldenrule.dynamics as dynamics
 

@@ -6,8 +6,7 @@ import pytest
 from goldenrule import (
     DomainError,
     FieldState,
-    RangeError,
-    WindowError,
+    ToleranceFailureError,
     airy,
     airy_prime,
     airy_zero,
@@ -89,11 +88,11 @@ def test_airy_log_derivative_asymptotics():
 
 
 def test_airy_range_guard():
-    with pytest.raises(RangeError):
+    with pytest.raises(DomainError, match="accuracy guard"):
         airy(201.0)
-    with pytest.raises(RangeError):
+    with pytest.raises(DomainError, match="accuracy guard"):
         airy(np.array([0.0, -201.0]))
-    with pytest.raises(RangeError):
+    with pytest.raises(DomainError, match="accuracy guard"):
         airy_prime(-200.5)
 
 
@@ -117,7 +116,7 @@ def test_airy_zero_guards():
         airy_zero(0)
     with pytest.raises(DomainError):
         airy_zero(1.5)
-    with pytest.raises(RangeError):
+    with pytest.raises(DomainError, match="beyond the Airy accuracy guard"):
         airy_zero(600)
 
 
@@ -222,7 +221,7 @@ def test_overlap_wronskian_matches_trapezoid_oracle(args):
 
 
 def test_overlap_window_too_small_is_rejected():
-    with pytest.raises(WindowError):
+    with pytest.raises(ToleranceFailureError, match="window too small"):
         smeared_overlap(0.0, 0.25, 1.0, 0.5, x_window=(-8.0, 30.0))
     with pytest.raises(DomainError):
         smeared_overlap(0.0, -0.25, 1.0, 0.5)

@@ -20,7 +20,6 @@ from goldenrule import (
     RisingExp,
     ToleranceFailureError,
     TwoSidedExp,
-    UnsupportedShapeError,
     additivity_defect,
     cross_term_closed_form,
     cross_term_integral,
@@ -208,7 +207,7 @@ def test_cross_term_rectangle_triangle_overlap():
 def test_cross_term_closed_form_guards():
     with pytest.raises(DomainError):
         cross_term_closed_form(GaussianPulse(1.0), 1.0, -0.1)
-    with pytest.raises(UnsupportedShapeError):
+    with pytest.raises(DomainError, match="no closed-form cross term"):
         cross_term_closed_form(RisingExp(1.0), 1.0, 0.0)
 
 

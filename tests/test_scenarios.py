@@ -280,6 +280,35 @@ def test_sweep_all_green(tmp_path):
     assert all(r["status"] == "ok" for r in rows)
 
 
+def test_validate_builds_each_setup_without_integrating(monkeypatch):
+    """validate runs every kind's setup and never the integrations."""
+    class Integrated(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Integrated
+
+    for name in ("integrate", "propagate_train", "nonperturbative_validate"):
+        monkeypatch.setattr(goldenrule.scenarios, name, refuse)
+    for entry in bundled_scenarios():
+        cfg, _ = load_config(entry["path"])
+        validate_config(cfg)
+
+
+def test_a_run_builds_its_setup_once(tmp_path, monkeypatch):
+    """validate and the runner share one setup: one band per run."""
+    calls = []
+    discretize = goldenrule.scenarios.discretize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return discretize(*args, **kwargs)
+
+    monkeypatch.setattr(goldenrule.scenarios, "discretize", counting)
+    run_scenario("golden_rule_basic", out_dir=str(tmp_path))
+    assert len(calls) == 1
+
+
 def test_decay_law_propagates_the_train_once(tmp_path, monkeypatch):
     modes = []
 
@@ -348,12 +377,14 @@ def test_runner_holds_one_blas_thread_and_gives_the_count_back(
     calls = goldenrule.scenarios._openblas_thread_calls()
     inside = []
 
-    def stub(cfg, ctx):
-        inside.append(blas_threads())
-        if raised is not None:
-            raise raised
+    def stub(p, checks):
+        def run(ctx):
+            inside.append(blas_threads())
+            if raised is not None:
+                raise raised
+        return run
 
-    monkeypatch.setitem(goldenrule.scenarios.RUNNERS, "golden_rule", stub)
+    monkeypatch.setitem(goldenrule.scenarios.SETUPS, "golden_rule", stub)
     shipped = blas_threads()
     try:
         # a count above one, so that a count left at one shows

@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from goldenrule import (
     CouplingFunction,
-    DiscretizationTooCoarseError,
     DomainError,
-    EdgeError,
     PreconditionError,
     nonperturbative_validate,
     principal_value_shift,
+    ww_problem,
     ww_rate,
 )
 from oracles import pv_shift_smeared_oracle
@@ -63,7 +62,7 @@ def test_rate_is_two_pi_times_density():
 def test_rate_refuses_edge_placement():
     f = CouplingFunction(lambda w: np.ones(np.shape(w)), (0.0, 1.0),
                          1.0 - 1e-12)
-    with pytest.raises(EdgeError):
+    with pytest.raises(DomainError, match="support edge"):
         ww_rate(f)
 
 
@@ -125,28 +124,29 @@ def test_smeared_shift_rejects_zero_width():
 def test_validate_preconditions():
     f = flat_band(rate=0.01)
     with pytest.raises(PreconditionError):
-        nonperturbative_validate(f, 2001)               # too few levels
+        ww_problem(f, 2001)                             # too few levels
     wide = CouplingFunction.flat(1.0 / (2.0 * np.pi), 9.0, 11.0, 10.0)
     with pytest.raises(PreconditionError):
-        nonperturbative_validate(wide, 4001)            # width < 200 r
+        ww_problem(wide, 4001)                          # width < 200 r
     narrow = flat_band(rate=0.005)
     with pytest.raises(PreconditionError):
-        nonperturbative_validate(narrow, 4001)          # spacing > r/20
+        ww_problem(narrow, 4001)                        # spacing > r/20
     with pytest.raises(PreconditionError):
-        nonperturbative_validate(f, 4001, horizon_rates=1.5)  # fit > end
+        ww_problem(f, 4001, horizon_rates=1.5)          # fit > end
 
 
 def test_validate_refuses_horizons_past_the_revival():
     f = flat_band(rate=0.01)
-    with pytest.raises(DiscretizationTooCoarseError):
-        nonperturbative_validate(f, 4001, horizon_rates=120.0)
+    with pytest.raises(PreconditionError, match="runs into the revival"):
+        ww_problem(f, 4001, horizon_rates=120.0)
 
 
 @pytest.fixture(scope="module")
 def ww_runs():
     f = flat_band(rate=0.01)
-    kw = dict(tol=1e-8, horizon_rates=4.0, fit_window_rates=(2.0, 4.0))
-    return {n: nonperturbative_validate(f, n, **kw) for n in (4001, 8001)}
+    kw = dict(horizon_rates=4.0, fit_window_rates=(2.0, 4.0))
+    return {n: nonperturbative_validate(ww_problem(f, n, **kw), tol=1e-8)
+            for n in (4001, 8001)}
 
 
 def test_validate_matches_analytic_rate(ww_runs):
