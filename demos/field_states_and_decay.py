@@ -73,11 +73,12 @@ def band_decay():
     r = 0.01
     f = CouplingFunction.flat(r / (2.0 * np.pi), 9.0, 11.0, 10.0)
     kw = dict(horizon_rates=4.0, fit_window_rates=(2.0, 4.0))
-    val = nonperturbative_validate(ww_problem(f, 4001, **kw), tol=1e-8)
+    problem = ww_problem(f, 4001, **kw)
+    val = nonperturbative_validate(problem, tol=1e-8)
     print(f"symmetric band: fitted rate {val.rate_fitted:.6f} vs analytic "
           f"{val.rate_analytic:.6f} "
           f"({abs(val.rate_fitted / val.rate_analytic - 1.0):.2%} off)")
-    print(f"revival time {val.revival_time:.0f} vs horizon "
+    print(f"revival time {problem.revival_time:.0f} vs horizon "
           f"{val.times[-1]:.0f}: the discrete band never feeds back")
 
     g = CouplingFunction.flat(r / (2.0 * np.pi), 9.5, 12.0, 10.0)

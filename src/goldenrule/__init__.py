@@ -18,13 +18,11 @@ from .errors import (
 from .spectrum import (
     ConstantDOS,
     DiscretizedContinuum,
-    INFINITE_SCALE,
     PowerLawDOS,
     discretize,
     lorentzian,
 )
 from .perturbation import (
-    ContinuousChannelElement,
     ExpSuperposition,
     GaussianPulse,
     HarmonicRisingExp,

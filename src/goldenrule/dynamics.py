@@ -63,7 +63,6 @@ from scipy.optimize import least_squares
 from .errors import DomainError, PreconditionError, ToleranceFailureError
 from .perturbation import (ExpSuperposition, HarmonicRisingExp, RisingExp,
                            TwoSidedExp, evaluate)
-from .spectrum import INFINITE_SCALE
 
 _RTOL_SAFETY = 20.0  # solver runs tighter than the user tolerance contract
 _PANEL_PHASE = 4.0   # most max|omega| phase, in rad, one quadrature panel spans
@@ -479,19 +478,25 @@ class _FilonStepper:
     def step(self, ci, cf, rot, h, a):
         """(c_i, c_f, rot, err) at t + h from (ci, cf, rot) at t, where rot
         = e^{i omega_f t} and a holds the envelope at t + h u (Gauss nodes,
-        then Lobatto nodes); err is the step's defect estimate."""
+        then Lobatto nodes); err is the step's defect estimate, inf where
+        the step's arithmetic overflows or turns invalid."""
         D, phases, Q, shift = self.rule(h)
         reach = h * h * float(np.max(np.abs(a))) * self.v_mass
         a, az = a[:self.x.size], a[self.x.size:]
-        F = (np.conj(rot) * cf) @ phases
-        M = np.eye(a.size) + h * self.A @ (a[:, None] * Q * a)
-        y = np.linalg.solve(M, ci - 1j * h * (self.A @ (a * F)))
-        g = a * y
-        dci = -1j * a * F - a * (Q @ g)
-        defect = self.wz @ np.abs(az * (ci + h * (self.A_z @ dci))
-                                  - self.L_z @ g)
-        return (ci + h * (self.b @ dci), cf + rot * (D @ g), rot * shift,
-                max(h * math.sqrt(self.v_mass), reach) * defect)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                F = (np.conj(rot) * cf) @ phases
+                M = np.eye(a.size) + h * self.A @ (a[:, None] * Q * a)
+                y = np.linalg.solve(M, ci - 1j * h * (self.A @ (a * F)))
+                g = a * y
+                dci = -1j * a * F - a * (Q @ g)
+                defect = self.wz @ np.abs(az * (ci + h * (self.A_z @ dci))
+                                          - self.L_z @ g)
+                return (ci + h * (self.b @ dci), cf + rot * (D @ g),
+                        rot * shift,
+                        max(h * math.sqrt(self.v_mass), reach) * defect)
+        except FloatingPointError:
+            return ci, cf, rot, math.inf
 
 
 def least_coupled_steps(max_omega, t_eval):
@@ -708,7 +713,9 @@ def integrate(continuum, env, V0, t0=None, t1=0.0, *,
         ci_all = np.ones(t_eval.size, dtype=complex)
         steps = rejected = 0
     else:
-        ci0 = np.sqrt(max(0.0, 1.0 - float(np.sum(weights * np.abs(cf0) ** 2))))
+        with np.errstate(over="ignore"):  # an inf seed mass leaves c_i 0
+            mass = float(np.sum(weights * np.abs(cf0) ** 2))
+        ci0 = np.sqrt(max(0.0, 1.0 - mass))
         ci_all, cf_all, steps, rejected, evaluations = _coupled_amplitudes(
             lambda s: evaluate(env, V0, s), omegas, weights, v, ci0, cf0,
             t_eval, tol)
@@ -784,12 +791,8 @@ def golden_rule_following(env, V0, dos, E_i, t):
 class ValidityReport:
     """Margins of the rate-following sandwich r/2 << gamma << dos scale."""
 
-    rate: float
-    gamma: float
     left_margin: float      # (r/2) / gamma, depletion side
-    right_margin: float     # gamma / |d omega / d ln D|, spectral side
-    dos_scale: object       # energy scale of DOS variation or INFINITE_SCALE
-    threshold: float
+    right_margin: float     # gamma |d ln D / dE|, spectral side
     passed: bool
 
 
@@ -797,19 +800,16 @@ def validity_report(Vm_sq, dos, E_i, gamma, threshold=0.1):
     """Check both inequalities that let the rate follow the envelope.
 
     The left margin (r/2)/gamma guards against depletion outrunning the
-    turn-on; the right margin gamma/scale guards against the envelope
-    spectrum sampling DOS structure. A flat spectrum has no finite scale
-    and contributes a zero right margin.
+    turn-on; the right margin gamma * dos.log_slope(E_i) guards against
+    the envelope spectrum sampling DOS structure, and is zero on a flat
+    spectrum.
     """
     if not gamma > 0.0:
         raise DomainError(f"gamma must be positive, got {gamma}")
     rate = golden_rule_rate(Vm_sq, dos.density(E_i))
     left = 0.5 * rate / gamma
-    scale = dos.log_derivative_scale(E_i)
-    right = 0.0 if scale is INFINITE_SCALE else gamma / scale
-    return ValidityReport(rate=rate, gamma=gamma, left_margin=left,
-                          right_margin=right, dos_scale=scale,
-                          threshold=threshold,
+    right = gamma * dos.log_slope(E_i)
+    return ValidityReport(left_margin=left, right_margin=right,
                           passed=(left < threshold and right < threshold))
 
 
@@ -818,46 +818,28 @@ class HarmonicPrediction:
     """Two-channel rate for a harmonically driven turn-on."""
 
     rate: float
-    dos_up: float | None     # D(E_i + omega_carrier), None if outside support
-    dos_down: float | None
-    dropped: tuple
-    both_outside: bool
-    neglected_bound: float | None   # size of the dropped cross terms
+    dos_up: float            # D(E_i + omega_carrier)
+    dos_down: float          # D(E_i - omega_carrier)
+    neglected_bound: float   # size of the dropped cross terms
 
 
-def harmonic_rate_prediction(Vm_sq, dos, E_i, omega_carrier, gamma=None):
+def harmonic_rate_prediction(Vm_sq, dos, E_i, omega_carrier, gamma):
     """r = 2 pi |V_m|^2 [D(E_i + w) + D(E_i - w)] for carrier frequency w.
 
-    Channels falling outside the DOS support are dropped and flagged; with
-    both outside the rate is zero. At omega_carrier = 0 the two channels
-    coincide and the result is twice the static golden rule. When gamma is
-    given, the reported bound gamma / (2 omega_carrier) estimates the
-    dropped oscillating cross terms.
+    Both sidebands must lie in the DOS support (DomainError otherwise);
+    the reported bound gamma / (2 w) estimates the dropped oscillating
+    cross terms.
     """
     if not 0.0 <= Vm_sq < np.inf:
         raise DomainError(f"|V_m|^2 must be finite and non-negative, got "
                           f"{Vm_sq}")
-    if omega_carrier < 0.0:
-        raise DomainError("carrier frequency must be non-negative")
-    densities = {}
-    dropped = []
-    for name, E in (("up", E_i + omega_carrier), ("down", E_i - omega_carrier)):
-        try:
-            dos.validate_window(E, E)
-            densities[name] = float(dos.density(E))
-        except DomainError:
-            densities[name] = None
-            dropped.append(name)
-    total = sum(d for d in densities.values() if d is not None)
-    bound = None
-    if gamma is not None and omega_carrier > 0.0:
-        bound = gamma / (2.0 * omega_carrier)
-    return HarmonicPrediction(rate=2.0 * np.pi * Vm_sq * total,
-                              dos_up=densities["up"],
-                              dos_down=densities["down"],
-                              dropped=tuple(dropped),
-                              both_outside=(len(dropped) == 2),
-                              neglected_bound=bound)
+    if not omega_carrier > 0.0:
+        raise DomainError("carrier frequency must be positive")
+    up = float(dos.density(E_i + omega_carrier))
+    down = float(dos.density(E_i - omega_carrier))
+    return HarmonicPrediction(rate=2.0 * np.pi * Vm_sq * (up + down),
+                              dos_up=up, dos_down=down,
+                              neglected_bound=gamma / (2.0 * omega_carrier))
 
 
 @dataclass(frozen=True)
@@ -867,8 +849,6 @@ class LorentzFit:
     center: float
     width: float
     amplitude: float
-    peak: float
-    cost: float
 
 
 def fit_lorentzian_profile(continuum, profile_sq, width_init):
@@ -899,5 +879,4 @@ def fit_lorentzian_profile(continuum, profile_sq, width_init):
                         max_nfev=200 * 4)
     A, c, w = fit.x
     w = abs(float(w))
-    return LorentzFit(center=float(c), width=w, amplitude=float(A),
-                      peak=float(A) / (w * w), cost=float(fit.cost))
+    return LorentzFit(center=float(c), width=w, amplitude=float(A))

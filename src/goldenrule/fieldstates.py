@@ -12,7 +12,7 @@ hbar = 1 throughout.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -94,16 +94,12 @@ class FieldState:
     F: float
     m: float
     E: float
-    a: float = None
+    a: float = field(init=False)   # length scale (2 m F)^(-1/3)
 
     def __post_init__(self):
         if not (self.F > 0.0 and self.m > 0.0):
             raise DomainError("need F > 0 and m > 0")
-        a = (2.0 * self.m * self.F) ** (-1.0 / 3.0)
-        if self.a is not None and abs(self.a - a) > 1e-12 * a:
-            raise DomainError(f"inconsistent length scale: gave {self.a}, "
-                              f"expected {a}")
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", (2.0 * self.m * self.F) ** (-1.0 / 3.0))
 
     def xi(self, x):
         return -(np.asarray(x, dtype=float) + self.E / self.F) / self.a
@@ -131,7 +127,6 @@ class OverlapReport:
     """Delta-normalization check of the field states under smearing."""
 
     ratio: float            # target 1: measured peak over g_sigma(0)
-    sigma_xi: float
     window: tuple           # (xi_min, xi_max) actually integrated
     drift: float            # change of ratio when the window shrinks 15%
 
@@ -164,8 +159,8 @@ def smeared_overlap(E1, sigma_E, F, m, *, x_window=None):
         raise ToleranceFailureError(
             f"overlap window too small: ratio drifts by {drift:.3g} when "
             "the window shrinks by 15%", achieved=drift)
-    return OverlapReport(ratio=ratio, sigma_xi=sig,
-                         window=(float(u[0, 0]), float(u[2, 0])), drift=drift)
+    return OverlapReport(ratio=ratio, window=(float(u[0, 0]), float(u[2, 0])),
+                         drift=drift)
 
 
 def overlap_nodes(E1, sigma_E, F, m, *, x_window=None):
@@ -211,16 +206,16 @@ class IonizationResult:
     window: tuple
 
 
-def ionization_window(kappa, F, m, E_b=None, window=None):
+def ionization_window(kappa, F, m, window=None):
     """(E_bound, state, (x_lo, x_hi)) that both ionization routes share:
-    E_b, or -kappa^2 / 2m when None, its field state, and the window,
-    (-40 / kappa, x_t + 40 / kappa) around the turning point x_t when
-    None. DomainError unless kappa, F, m > 0, E_bound is finite and
-    negative and Ai's argument at both window ends is within the guard.
+    E_bound = -kappa^2 / 2m, its field state, and the window, (-40 /
+    kappa, x_t + 40 / kappa) around the turning point x_t when None.
+    DomainError unless kappa, F, m > 0, E_bound is finite and negative
+    and Ai's argument at both window ends is within the guard.
     """
     if not (kappa > 0.0 and F > 0.0 and m > 0.0):
         raise DomainError("need kappa > 0, F > 0, m > 0")
-    E_bound = float(E_b) if E_b is not None else -kappa * kappa / (2.0 * m)
+    E_bound = -kappa * kappa / (2.0 * m)
     if not -np.inf < E_bound < 0.0:
         raise DomainError(
             f"bound-state energy must be finite and negative, got {E_bound}")
@@ -232,18 +227,17 @@ def ionization_window(kappa, F, m, E_b=None, window=None):
     return E_bound, state, (x_lo, x_hi)
 
 
-def toy_ionization_rate(kappa, F, m, *, E_b=None, window=None):
+def toy_ionization_rate(kappa, F, m, *, window=None):
     """Rate out of the delta-well bound state under the potential -F x.
 
     The bound state is psi_b = sqrt(kappa) e^{-kappa |x|} at E_b =
-    -kappa^2 / 2m (overridable to fold in a Stark shift); the final state
-    is the energy-normalized field eigenfunction at the same energy, so
-    r = 2 pi |<Psi(E_b)| (-F x) |psi_b>|^2. Meaningful in the weak-field
-    regime F / kappa << |E_b|; outside it a warning is raised and the
-    flag cleared, but the number is still returned.
+    -kappa^2 / 2m; the final state is the energy-normalized field
+    eigenfunction at the same energy, so r = 2 pi |<Psi(E_b)| (-F x)
+    |psi_b>|^2. Meaningful in the weak-field regime F / kappa << |E_b|;
+    outside it a warning is raised and the flag cleared, but the number
+    is still returned.
     """
-    E_bound, state, (x_lo, x_hi) = ionization_window(kappa, F, m, E_b,
-                                                     window)
+    E_bound, state, (x_lo, x_hi) = ionization_window(kappa, F, m, window)
     weak_ok = F / kappa <= 0.1 * abs(E_bound)
     if not weak_ok:
         warnings.warn("field is not weak against the binding energy; the "
@@ -281,7 +275,7 @@ class BoxRateResult:
     normalization: float
 
 
-def box_quantized_rate(kappa, F, m, *, E_b=None, xi_wall=185.0):
+def box_quantized_rate(kappa, F, m, *, xi_wall=185.0):
     """Same toy rate, but with discrete field states in a finite box.
 
     A hard wall far down-field quantizes the continuum; placing it so
@@ -290,7 +284,7 @@ def box_quantized_rate(kappa, F, m, *, E_b=None, xi_wall=185.0):
     read off neighboring levels, and the closed-form normalization 1 /
     (sqrt(a) |Ai'(a_n)|) from the square-integral identity at a zero.
     """
-    _, state, (x_lo, x_hi) = ionization_window(kappa, F, m, E_b)
+    _, state, (x_lo, x_hi) = ionization_window(kappa, F, m)
     if not 10.0 <= xi_wall <= _GUARD - 10.0:
         raise DomainError("xi_wall must sit well inside the Airy guard")
     a = state.a

@@ -235,41 +235,21 @@ def spectral_shape_sq(env, omega):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class ContinuousChannelElement:
-    """Channels labelled by a continuous parameter s on [s_lo, s_hi].
+def averaged_sq_matrix_element(element, dos, s_range, E):
+    """DOS-weighted average of |V_m|^2 at total energy E over channels
+    labelled by a continuous parameter s on s_range = (s_lo, s_hi).
 
-    element and dos are callables of (E, s); the channel average integrates
-    over s by adaptive quadrature.
-    """
-
-    element: object
-    dos: object
-    s_range: tuple
-
-    def __post_init__(self):
-        lo, hi = self.s_range
-        if not hi > lo:
-            raise DomainError("need a nonempty channel parameter range")
-
-
-def averaged_sq_matrix_element(channels, E):
-    """DOS-weighted channel average of |V_m|^2 at total energy E.
-
-    Returns the pair (avg_sq, total_dos) so that the one-line golden rule
-    r = 2 pi * avg_sq * total_dos reproduces the integral over channels.
-    E is a scalar energy.
+    element and dos are callables of (E, s); both integrals over s are
+    adaptive quadrature. Returns the pair (avg_sq, total_dos) so that the
+    one-line golden rule r = 2 pi * avg_sq * total_dos reproduces the
+    integral over channels. E is a scalar energy.
 
     Raises:
-        DomainError: if channels is not a ContinuousChannelElement, or
-            the total DOS at E vanishes.
+        DomainError: if s_range is empty, or the total DOS at E vanishes.
     """
-    if not isinstance(channels, ContinuousChannelElement):
-        raise DomainError(
-            f"{type(channels).__name__} has no channel structure to "
-            "average over")
-    lo, hi = channels.s_range
-    element, dos = channels.element, channels.dos
+    lo, hi = s_range
+    if not hi > lo:
+        raise DomainError("need a nonempty channel parameter range")
     num, _ = quad(lambda s: element(E, s) ** 2 * dos(E, s), lo, hi,
                   epsabs=1e-13, epsrel=1e-12, limit=200)
     den, _ = quad(lambda s: dos(E, s), lo, hi,
@@ -277,4 +257,3 @@ def averaged_sq_matrix_element(channels, E):
     if den == 0.0:
         raise DomainError(f"total DOS vanishes at E = {E}")
     return num / den, den
-

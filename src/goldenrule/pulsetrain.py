@@ -266,7 +266,7 @@ def cross_term_integral(env, dos, omega_i, T, *, rtol=1e-6, atol=1e-12):
             total += coef * val
             err += abs(coef) * e
     size = np.hypot(total.real, total.imag)  # abs() raises on overflow
-    if not (np.isfinite(size) and err <= max(rtol * size, atol, 1e-15)):
+    if not (np.isfinite(size) and err <= max(rtol * size, atol)):
         raise ToleranceFailureError(
             f"cross-term quadrature only certified to {err:.3g} for an "
             f"estimate of size {size:.3g}", achieved=err)

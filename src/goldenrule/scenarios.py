@@ -59,7 +59,6 @@ from .fieldstates import (
     toy_ionization_rate,
 )
 from .perturbation import (
-    ContinuousChannelElement,
     ExpSuperposition,
     GaussianPulse,
     HarmonicRisingExp,
@@ -67,6 +66,7 @@ from .perturbation import (
     RisingExp,
     TwoSidedExp,
     averaged_sq_matrix_element,
+    spectral_shape_sq,
 )
 from .pulsetrain import (
     Pulse,
@@ -456,7 +456,6 @@ PARAM_SCHEMAS = {
         "xi_wall": Field(required=False, default=185.0,
                          check=lambda v: 10 <= v <= 190,
                          msg="must be in [10, 190]"),
-        "e_b": Field(required=False),
     },
 }
 
@@ -703,10 +702,8 @@ def _scattering(p, checks):
         norm = energy_normalize_planewave(d_phi)
         r_norm = quad(lambda s: (norm * u(s)) ** 2, 0.0, 2.0 * np.pi,
                       epsabs=1e-15, epsrel=1e-12)[0] / (2.0 * np.pi)
-        channel = ContinuousChannelElement(
-            element=lambda E, s: u(s), dos=lambda E, s: d_phi,
-            s_range=(0.0, 2.0 * np.pi))
-        avg_sq, total_dos = averaged_sq_matrix_element(channel, energy)
+        avg_sq, total_dos = averaged_sq_matrix_element(
+            lambda E, s: u(s), lambda E, s: d_phi, (0.0, 2.0 * np.pi), energy)
         r_avg = golden_rule_rate(avg_sq, total_dos)
 
         rates = {"explicit_dos": r_dos, "energy_normalized": r_norm,
@@ -843,7 +840,7 @@ def _harmonic(p, checks):
         raise ConfigError(
             ["parameters.window_halfwidth: must cover the carrier "
              "sidebands with room, > omega_carrier + 5 gamma"])
-    pred = harmonic_rate_prediction(V0 * V0, dos, E_i, omega_c, gamma=gamma)
+    pred = harmonic_rate_prediction(V0 * V0, dos, E_i, omega_c, gamma)
     half_period = np.pi / omega_c
     samples = np.linspace(-half_period, half_period, p["cycle_samples"])
     span = _integration(cont, -2.5 / gamma, half_period, mode="first_order",
@@ -908,10 +905,12 @@ def _pulse_train(p, checks):
     d0, half = p["d0"], p["dos_halfwidth"]
     dos = ConstantDOS(d0, (-half, half))
     seps = sorted(p["separations"])
-    # shape, envelope, cross-term scale and closed form at each separation
+    # shape, envelope, cross-term scale and closed form at each separation;
+    # a spectrum whose peak overflows can never be integrated
     shapes = []
     for blk in p["shapes"]:
         env = _build_pulse_shape(blk)
+        spectral_shape_sq(env, 0.0)
         shapes.append((blk["shape"], env,
                        abs(cross_term_closed_form(env, d0, 0.0)),
                        [cross_term_closed_form(env, d0, T) for T in seps]))
@@ -1055,8 +1054,8 @@ def _ww(p, checks):
                        checks["decay_pointwise_tol"])
 
         ctx.details.update(val.to_dict())
-        ctx.details.update({"delta_omega": val.delta_omega,
-                            "revival_time": val.revival_time})
+        ctx.details.update({"delta_omega": problem.delta_omega,
+                            "revival_time": problem.revival_time})
         mag = np.abs(val.c_i)
         phase = np.unwrap(np.angle(val.c_i))
         ctx.write_csv("decay.csv",
@@ -1121,19 +1120,16 @@ def _airy_check(p, checks):
 
 @scenario_kind("ionization")
 def _ionization(p, checks):
-    if p.get("e_b") is not None and not p["e_b"] < 0:
-        raise ConfigError(["parameters.e_b: must be negative"])
-    kw = {} if p.get("e_b") is None else {"E_b": p["e_b"]}
-    ionization_window(p["kappa"], p["f"], p["m"], **kw)
+    ionization_window(p["kappa"], p["f"], p["m"])
 
     def run(ctx):
         with warnings.catch_warnings():
             # the weak_field metric reports a field too strong for the rate
             warnings.filterwarnings("ignore", "field is not weak",
                                     UserWarning)
-            direct = toy_ionization_rate(p["kappa"], p["f"], p["m"], **kw)
+            direct = toy_ionization_rate(p["kappa"], p["f"], p["m"])
         box = box_quantized_rate(p["kappa"], p["f"], p["m"],
-                                 xi_wall=p["xi_wall"], **kw)
+                                 xi_wall=p["xi_wall"])
         ctx.metric("route_agreement", direct.rate, box.rate,
                    checks["route_rel_tol"], mode="rel")
         ctx.metric("weak_field", 1.0 if direct.weak_field_ok else 0.0, 1.0,
@@ -1202,10 +1198,6 @@ def load_config(source):
         base = _bundled_dir()
         hit = next((base / (source + suffix) for suffix in ("", ".yaml")
                     if (base / (source + suffix)).is_file()), None)
-        if hit is None:
-            hit = next((base / os.path.basename(entry["path"])
-                        for entry in bundled_scenarios()
-                        if entry["name"] == source), None)
         if hit is None:
             raise ConfigError(
                 [f"config: {source!r} is neither a file nor a bundled "

@@ -6,9 +6,9 @@ quadrature weights; the weights are the measure that turns sums over levels
 into integrals over the band.
 
 Every DOS model offers density(E), support, validate_window(lo, hi) and
-log_derivative_scale(E), the energy scale |d ln D / dE|^-1 over which D
-varies at E: the INFINITE_SCALE sentinel for a flat spectrum (never a raw
-float infinity). Outside its support a model raises DomainError.
+log_slope(E) = |d ln D / dE|, the inverse of the energy scale over which
+D varies at E (0.0 on a flat spectrum). Outside its support a model
+raises DomainError.
 """
 
 from __future__ import annotations
@@ -23,21 +23,6 @@ from .errors import DomainError
 # a run on a discretized band may span at most this share of its revival
 # time 2 pi / spacing, after which amplitude returns from the levels
 REVIVAL_SHARE = 0.8
-
-
-class _InfiniteScale:
-    """Sentinel for a flat spectrum: no finite variation scale exists.
-
-    Deliberately not a float so it can never leak into arithmetic.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "INFINITE_SCALE"
-
-
-INFINITE_SCALE = _InfiniteScale()
 
 
 def lorentzian(E, Gamma):
@@ -88,20 +73,18 @@ class PowerLawDOS:
             raise DomainError(
                 f"window [{lo}, {hi}] extends outside power-law support E > 0")
 
-    def log_derivative_scale(self, E):
-        # |D / D'| = E / |n|; flat when n == 0
-        if np.any(np.asarray(E) <= 0.0):
+    def log_slope(self, E):
+        # |D' / D| = |n| / E
+        if not E > 0.0:
             raise DomainError("power-law DOS defined for E > 0 only")
-        if self.exponent == 0.0:
-            return INFINITE_SCALE
-        return float(E) / abs(self.exponent)
+        return abs(self.exponent) / float(E)
 
 
 class ConstantDOS:
     """Flat density of states D0 on support, the whole line by default.
 
     A finite support (lo, hi) models a flat band with edges: density,
-    validate_window and log_derivative_scale refuse energies outside it,
+    validate_window and log_slope refuse energies outside it,
     and accept the edges themselves.
     """
 
@@ -134,9 +117,9 @@ class ConstantDOS:
                 f"window [{lo}, {hi}] extends outside flat band "
                 f"[{slo}, {shi}]")
 
-    def log_derivative_scale(self, E):
+    def log_slope(self, E):
         self._check(np.asarray(E, dtype=float))
-        return INFINITE_SCALE
+        return 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +137,6 @@ class DiscretizedContinuum:
     weights: quadrature measure per level, all positive; summing
         weights[k] * g(energies[k]) approximates the band integral of D*g.
     center: the reference energy E_i; guaranteed to sit exactly on a level.
-    halfwidth: half the covered band (energies span [center-W', center+W2]
-        for symmetric grids W' = W2 = halfwidth).
     couplings: real coupling v_f of each level to the initial one, finite,
         ones by default; the instantaneous coupling to level f is
         V(t) v_f, so the band enters the rates through w_f v_f^2.
@@ -164,7 +145,6 @@ class DiscretizedContinuum:
     energies: np.ndarray
     weights: np.ndarray
     center: float
-    halfwidth: float
     couplings: np.ndarray = None
 
     def __post_init__(self):
@@ -200,20 +180,6 @@ class DiscretizedContinuum:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "center", float(self.center))
-        object.__setattr__(self, "halfwidth", float(self.halfwidth))
-
-    @classmethod
-    def from_grid(cls, energies, weights, center, couplings=None):
-        """Wrap an explicit grid, measure and couplings (used for
-        asymmetric bands)."""
-        E = np.asarray(energies, dtype=float)
-        half = 0.5 * float(E[-1] - E[0])
-        return cls(energies=E, weights=np.asarray(weights, dtype=float),
-                   center=float(center), halfwidth=half, couplings=couplings)
-
-    @property
-    def n_levels(self):
-        return int(self.energies.size)
 
     @property
     def delta_e(self):
@@ -268,5 +234,4 @@ def discretize(dos, center, halfwidth, n_levels=2001):
     weights[0] *= 0.5
     weights[-1] *= 0.5
     return DiscretizedContinuum(energies=energies, weights=weights,
-                                center=float(center),
-                                halfwidth=float(halfwidth))
+                                center=float(center))

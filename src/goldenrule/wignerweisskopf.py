@@ -133,8 +133,6 @@ class WWValidation:
     residual_phase: float    # rms of the phase line fit
     times: np.ndarray
     c_i: np.ndarray
-    delta_omega: float
-    revival_time: float
 
     def to_dict(self):
         return {
@@ -233,7 +231,7 @@ def ww_problem(f, n_levels, *, horizon_rates=6.0, fit_window_rates=(2.0, 6.0),
     weights = np.full(grid.size, delta)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    continuum = DiscretizedContinuum.from_grid(
+    continuum = DiscretizedContinuum(
         grid, weights, f.omega_i, couplings=np.sqrt(np.maximum(f(grid), 0.0)))
     samples = np.linspace(0.0, t_end, n_samples)
     integration_grid(continuum, 0.0, t_end, mode="coupled",
@@ -283,6 +281,4 @@ def nonperturbative_validate(problem, *, tol=1e-9):
                         rate_fitted=-2.0 * float(slope_log),
                         shift_fitted=-float(slope_ph),
                         residual_log=res_log, residual_phase=res_ph,
-                        times=traj.times, c_i=traj.c_i,
-                        delta_omega=problem.delta_omega,
-                        revival_time=problem.revival_time)
+                        times=traj.times, c_i=traj.c_i)

@@ -322,12 +322,10 @@ def test_malformed_block_is_a_config_violation(tmp_path, capsys, name,
 ])
 def test_huge_values_end_in_a_typed_failure(tmp_path, capsys, name, mutate,
                                              message):
-    """Each is refused before anything integrates, except the two-sided
-    pulse whose spectrum overflows inside the cross-term quadrature."""
+    """Each is refused before anything integrates."""
     path = write_variant(tmp_path, name, mutate)
     code = main(["run", path, "--out", str(tmp_path / "out")])
-    want = EXIT_NUMERICAL if name == "pulse_cross_terms" else EXIT_CONFIG
-    assert code == want
+    assert code == EXIT_CONFIG
     assert message in capsys.readouterr().err
 
 
@@ -365,13 +363,17 @@ def test_wide_coupled_band_is_refused_before_stepping(tmp_path, capsys,
 
 def test_huge_gaussian_width_runs_to_a_verdict(tmp_path, capsys):
     """A Gaussian of width 1e300 has a cross term of about 2.5e-300: its
-    closed form is evaluated without overflow and agrees with the
-    quadrature. QUADPACK warns on a piece; the run leaves the verdict to
-    cross_term_integral's own certification and shows no warning."""
+    closed form is evaluated without overflow, but the quadrature's error
+    estimate of 7e-305 misses max(rtol |I|, atol) = 2.5e-306. QUADPACK
+    warns on a piece; the run leaves the verdict to cross_term_integral's
+    own certification, which refuses it, and shows no warning."""
     path = write_variant(tmp_path, "pulse_cross_terms",
                          _set_path("parameters", "shapes", 1, "tau", 1e300))
-    assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_OK
-    assert "PASS cross_term_gaussian" in capsys.readouterr().out
+    assert main(["validate", path]) == EXIT_OK
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == (
+        EXIT_NUMERICAL)
+    assert ("cross-term quadrature only certified to 7.04e-305 for an "
+            "estimate of size 2.51e-300") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, omega_i", [("ww_asymmetric_shift", 10.0001),

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from goldenrule import (
     ConstantDOS,
-    ContinuousChannelElement,
     DomainError,
     ExpSuperposition,
     GaussianPulse,
@@ -180,10 +179,8 @@ def test_unsupported_spectra_raise():
 # channel averages
 
 def test_channel_average_equal_elements_is_trivial():
-    model = ContinuousChannelElement(element=lambda E, s: 1.0,
-                                     dos=lambda E, s: 2.0 + s,
-                                     s_range=(0.0, 2.0))
-    avg_sq, total = averaged_sq_matrix_element(model, 0.0)
+    avg_sq, total = averaged_sq_matrix_element(
+        lambda E, s: 1.0, lambda E, s: 2.0 + s, (0.0, 2.0), 0.0)
     assert avg_sq == pytest.approx(1.0, rel=1e-12)
     assert total == pytest.approx(6.0, rel=1e-12)
 
@@ -191,28 +188,24 @@ def test_channel_average_equal_elements_is_trivial():
 def test_channel_average_weights_by_dos():
     # element s with density s on [0, 1]: int s^3 / int s = 1/2, where an
     # unweighted average of s^2 would give 1/3
-    model = ContinuousChannelElement(element=lambda E, s: s,
-                                     dos=lambda E, s: s, s_range=(0.0, 1.0))
-    avg_sq, total = averaged_sq_matrix_element(model, 0.0)
+    avg_sq, total = averaged_sq_matrix_element(
+        lambda E, s: s, lambda E, s: s, (0.0, 1.0), 0.0)
     assert avg_sq == pytest.approx(0.5, rel=1e-12)
     assert total == pytest.approx(0.5, rel=1e-12)
 
 
 def test_channel_average_stays_within_bounds():
-    model = ContinuousChannelElement(element=lambda E, s: 0.2 + 1.2 * s * s,
-                                     dos=lambda E, s: np.exp(-s),
-                                     s_range=(0.0, 1.0))
-    avg_sq, _ = averaged_sq_matrix_element(model, 1.0)
+    avg_sq, _ = averaged_sq_matrix_element(
+        lambda E, s: 0.2 + 1.2 * s * s, lambda E, s: np.exp(-s), (0.0, 1.0),
+        1.0)
     assert 0.2 ** 2 <= avg_sq <= 1.4 ** 2
 
 
 def test_continuous_channels_uniform_phase():
     # matrix element cos(s) with flat channel density: <cos^2> = 1/2
-    model = ContinuousChannelElement(
-        element=lambda E, s: np.cos(s),
-        dos=lambda E, s: 1.0 / (2.0 * np.pi),
-        s_range=(0.0, 2.0 * np.pi))
-    avg_sq, total = averaged_sq_matrix_element(model, 0.0)
+    avg_sq, total = averaged_sq_matrix_element(
+        lambda E, s: np.cos(s), lambda E, s: 1.0 / (2.0 * np.pi),
+        (0.0, 2.0 * np.pi), 0.0)
     assert avg_sq == pytest.approx(0.5, rel=1e-10)
     assert total == pytest.approx(1.0, rel=1e-10)
 
@@ -220,21 +213,24 @@ def test_continuous_channels_uniform_phase():
 def test_channel_average_follows_the_energy():
     # <(1 + 0.1 E s)^2> under density 1 + s^2 / 2 on [0, 2]:
     # 1 + 0.24 E + 0.0176 E^2 over a total density of 10 / 3
-    model = ContinuousChannelElement(
-        element=lambda E, s: 1.0 + 0.1 * E * s,
-        dos=lambda E, s: 1.0 + 0.5 * s * s,
-        s_range=(0.0, 2.0))
     for E in (-2.0, 0.0, 1.5):
-        avg_sq, total = averaged_sq_matrix_element(model, E)
+        avg_sq, total = averaged_sq_matrix_element(
+            lambda E, s: 1.0 + 0.1 * E * s, lambda E, s: 1.0 + 0.5 * s * s,
+            (0.0, 2.0), E)
         assert avg_sq == pytest.approx(1.0 + 0.24 * E + 0.0176 * E * E,
                                        rel=1e-12)
         assert total == pytest.approx(10.0 / 3.0, rel=1e-12)
 
 
 def test_degenerate_channels_raise():
-    model = ContinuousChannelElement(element=lambda E, s: 1.0,
-                                     dos=lambda E, s: 0.0, s_range=(0.0, 1.0))
     with pytest.raises(DomainError, match="total DOS vanishes"):
-        averaged_sq_matrix_element(model, 0.0)
-    with pytest.raises(DomainError):
-        averaged_sq_matrix_element(ConstantDOS(1.0), 0.0)
+        averaged_sq_matrix_element(lambda E, s: 1.0, lambda E, s: 0.0,
+                                   (0.0, 1.0), 0.0)
+
+
+@pytest.mark.parametrize("s_range", [(1.0, 1.0), (1.0, 0.0),
+                                     (0.0, np.nan)])
+def test_empty_channel_range_is_a_domain_error(s_range):
+    with pytest.raises(DomainError, match="nonempty channel parameter"):
+        averaged_sq_matrix_element(lambda E, s: 1.0, lambda E, s: 1.0,
+                                   s_range, 0.0)

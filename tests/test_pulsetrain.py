@@ -96,9 +96,8 @@ def test_kick_route_reads_the_band_couplings():
     tau, tol = 1.0, 1e-9
     V0 = 0.5 * np.sqrt(1e-6 * tau / np.sqrt(2.0 * np.pi))
     unit = discretize(FLAT, 10.0, 30.0, 1201)
-    cont = DiscretizedContinuum.from_grid(
-        unit.energies, unit.weights, unit.center,
-        couplings=np.full(unit.n_levels, 2.0))
+    cont = DiscretizedContinuum(unit.energies, unit.weights, unit.center,
+                                couplings=np.full(unit.energies.size, 2.0))
     train = PulseTrain([Pulse(0.0, GaussianPulse(tau), V0)])
     rep = additivity_defect(
         train, propagate_train(train, cont, tol=tol, t_margin=2.0 * tau))
@@ -280,6 +279,19 @@ def test_cross_term_rectangle_beyond_its_band_limit_is_not_certified():
         except ToleranceFailureError:
             return
     assert abs(got - cross_term_closed_form(env, 1.0, 0.8)) < 1e-2 * scale
+
+
+def test_cross_term_certificate_has_no_absolute_floor():
+    """A Gaussian of width 1e14 has a cross term of about 2.5e-14; an
+    error estimate of 7e-19 against max(rtol |I|, atol) = 2.5e-20 is not
+    certified, however small it is in absolute terms."""
+    env = GaussianPulse(1e14)
+    scale = cross_term_closed_form(env, 1.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        with pytest.raises(ToleranceFailureError, match="only certified"):
+            cross_term_integral(env, flat_band(0.0, 250.0), 0.0, 0.8,
+                                atol=1e-6 * scale)
 
 
 @pytest.mark.parametrize("T", [0.0, 2.0])

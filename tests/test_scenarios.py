@@ -88,6 +88,13 @@ def test_bundled_catalogue():
         assert os.path.isfile(e["path"])
 
 
+def test_every_bundled_file_is_named_after_its_scenario():
+    """load_config finds a bundled scenario by its file stem alone."""
+    for e in bundled_scenarios():
+        assert Path(e["path"]).stem == e["name"]
+        assert load_config(e["name"])[1] == Path(e["path"]).read_bytes()
+
+
 def test_load_config_by_name_suffix_and_path():
     cfg1, raw1 = load_config("isotropic_scattering")
     cfg2, raw2 = load_config("isotropic_scattering.yaml")

@@ -8,7 +8,6 @@ from goldenrule import (
     ConstantDOS,
     DiscretizedContinuum,
     DomainError,
-    INFINITE_SCALE,
     PowerLawDOS,
     discretize,
     lorentzian,
@@ -56,22 +55,18 @@ def test_lorentzian_even_and_below_peak(E, gamma):
 
 
 # ---------------------------------------------------------------------------
-# DOS models and the variation scale
+# DOS models and the log slope |d ln D / dE|
 
 def test_power_law_scale_examples():
-    assert PowerLawDOS(1.0, 1.0, 1.0).log_derivative_scale(5.0) == pytest.approx(5.0)
-    assert PowerLawDOS(2.0, 1.0, 0.5).log_derivative_scale(2.0) == pytest.approx(4.0)
+    # |n| / E, whatever the sign of the exponent
+    assert PowerLawDOS(1.0, 1.0, 1.0).log_slope(5.0) == pytest.approx(0.2)
+    assert PowerLawDOS(2.0, 1.0, 0.5).log_slope(2.0) == pytest.approx(0.25)
+    assert PowerLawDOS(1.0, 1.0, -1.5).log_slope(3.0) == pytest.approx(0.5)
 
 
 def test_flat_spectra_have_no_finite_scale():
-    assert ConstantDOS(1.0).log_derivative_scale(3.0) is INFINITE_SCALE
-    assert PowerLawDOS(1.0, 1.0, 0.0).log_derivative_scale(3.0) is INFINITE_SCALE
-    assert repr(INFINITE_SCALE) == "INFINITE_SCALE"
-
-
-def test_infinite_scale_never_does_arithmetic():
-    with pytest.raises(TypeError):
-        INFINITE_SCALE * 2.0
+    assert ConstantDOS(1.0).log_slope(3.0) == 0.0
+    assert PowerLawDOS(1.0, 1.0, 0.0).log_slope(3.0) == 0.0
 
 
 def test_power_law_positive_energies_only():
@@ -80,8 +75,9 @@ def test_power_law_positive_energies_only():
         dos.density(-1.0)
     with pytest.raises(DomainError):
         dos.validate_window(-0.5, 2.0)
-    with pytest.raises(DomainError):
-        dos.log_derivative_scale(0.0)
+    for E in (0.0, -1.0, np.nan):
+        with pytest.raises(DomainError):
+            dos.log_slope(E)
 
 
 @pytest.mark.parametrize("bad", [{"D0": 0.0}, {"D0": -1.0}, {"E0": 0.0}])
@@ -98,13 +94,12 @@ def test_flat_band_accepts_its_edges_and_guards_outside():
     assert dos.density(0.0) == 2.0 and dos.density(1.5) == 2.0
     assert np.array_equal(dos.density([0.0, 0.7, 1.5]), [2.0, 2.0, 2.0])
     dos.validate_window(0.0, 1.5)       # exact edges are allowed
-    assert dos.log_derivative_scale(0.0) is INFINITE_SCALE
-    assert dos.log_derivative_scale(1.5) is INFINITE_SCALE
+    assert dos.log_slope(0.0) == 0.0 and dos.log_slope(1.5) == 0.0
     for E in (-0.1, 1.6, np.nan):
         with pytest.raises(DomainError, match="outside flat band"):
             dos.density(E)
         with pytest.raises(DomainError, match="outside flat band"):
-            dos.log_derivative_scale(E)
+            dos.log_slope(E)
     with pytest.raises(DomainError, match="outside flat band"):
         dos.density([0.5, 1.6])
     with pytest.raises(DomainError, match="outside flat band"):
@@ -118,7 +113,7 @@ def test_whole_line_flat_band_takes_any_energy():
     assert dos.support == (-np.inf, np.inf)
     assert dos.density(-1e300) == 1.0
     dos.validate_window(-1e300, 1e300)
-    assert dos.log_derivative_scale(1e300) is INFINITE_SCALE
+    assert dos.log_slope(1e300) == 0.0
 
 
 def test_flat_band_constructor_rejections():
@@ -190,42 +185,42 @@ def test_band_at_its_own_halfwidth_stays_on_its_support(half, n):
 def test_continuum_grid_validation():
     with pytest.raises(DomainError):
         DiscretizedContinuum(energies=np.array([0.0, 1.0, 2.5]),
-                             weights=np.ones(3), center=1.0, halfwidth=1.25)
+                             weights=np.ones(3), center=1.0)
     with pytest.raises(DomainError):
         DiscretizedContinuum(energies=np.array([0.0, 1.0, 2.0]),
-                             weights=np.ones(3), center=0.5, halfwidth=1.0)
+                             weights=np.ones(3), center=0.5)
     with pytest.raises(DomainError):
         # the center may not sit on the band edge
         DiscretizedContinuum(energies=np.array([0.0, 1.0, 2.0]),
-                             weights=np.ones(3), center=0.0, halfwidth=1.0)
+                             weights=np.ones(3), center=0.0)
     with pytest.raises(DomainError):
         DiscretizedContinuum(energies=np.array([0.0, 1.0]),
                              weights=np.array([1.0, -1.0]),
-                             center=0.0, halfwidth=0.5)
+                             center=0.0)
 
 
 def test_single_level_continuum_is_allowed():
     cont = DiscretizedContinuum(energies=np.array([5.0]),
                                 weights=np.array([1.0]),
-                                center=5.0, halfwidth=0.0)
-    assert cont.n_levels == 1
+                                center=5.0)
+    assert cont.energies.size == 1
     with pytest.raises(DomainError):
         cont.delta_e
 
 
-def test_from_grid_asymmetric_band():
+def test_asymmetric_band_keeps_its_center():
     E = np.linspace(0.0, 3.0, 7)
-    cont = DiscretizedContinuum.from_grid(E, np.ones(7), center=1.0)
-    assert cont.halfwidth == pytest.approx(1.5)
+    cont = DiscretizedContinuum(E, np.ones(7), center=1.0)
     assert cont.center == 1.0
+    assert np.array_equal(cont.omegas, np.arange(-2, 5) * 0.5)
 
 
 def test_couplings_default_to_ones_and_are_read_only():
     cont = discretize(ConstantDOS(1.0), 0.0, 1.0, 5)
     assert np.array_equal(cont.couplings, np.ones(5))
     given = np.linspace(0.5, 2.5, 5)
-    band = DiscretizedContinuum.from_grid(cont.energies, cont.weights, 0.0,
-                                          couplings=given)
+    band = DiscretizedContinuum(cont.energies, cont.weights, 0.0,
+                                couplings=given)
     assert np.array_equal(band.couplings, given)
     for arr in (cont.couplings, band.couplings):
         with pytest.raises(ValueError):
@@ -241,8 +236,7 @@ def test_couplings_default_to_ones_and_are_read_only():
 def test_couplings_must_match_the_levels_and_be_finite(couplings):
     E = np.linspace(-1.0, 1.0, 5)
     with pytest.raises(DomainError, match="couplings"):
-        DiscretizedContinuum.from_grid(E, np.ones(5), 0.0,
-                                       couplings=couplings)
+        DiscretizedContinuum(E, np.ones(5), 0.0, couplings=couplings)
 
 
 def test_jittered_levels_snap_to_uniform_detunings():
@@ -252,8 +246,8 @@ def test_jittered_levels_snap_to_uniform_detunings():
     grid = np.linspace(-2.0, 6.0, 202)
     step = grid[1] - grid[0]
     jitter = np.random.default_rng(5).uniform(-1.0, 1.0, grid.size) * step
-    cont = DiscretizedContinuum.from_grid(grid + 1e-10 * jitter,
-                                          np.ones(grid.size), grid[50])
+    cont = DiscretizedContinuum(grid + 1e-10 * jitter,
+                                np.ones(grid.size), grid[50])
     assert np.array_equal(cont.energies, grid + 1e-10 * jitter)
     omegas = cont.omegas
     assert omegas[50] == 0.0
@@ -262,11 +256,10 @@ def test_jittered_levels_snap_to_uniform_detunings():
     assert np.max(np.abs(omegas - (cont.energies - cont.center))) <= (
         1e-9 * step)
     with pytest.raises(DomainError, match="uniform"):
-        DiscretizedContinuum.from_grid(grid + 1e-8 * jitter,
-                                       np.ones(grid.size), grid[50])
+        DiscretizedContinuum(grid + 1e-8 * jitter, np.ones(grid.size),
+                             grid[50])
     one = DiscretizedContinuum(energies=np.array([5.0]),
-                               weights=np.array([1.0]), center=5.0,
-                               halfwidth=0.0)
+                               weights=np.array([1.0]), center=5.0)
     assert np.array_equal(one.omegas, [0.0])
 
 
