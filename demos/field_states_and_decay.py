@@ -18,7 +18,7 @@ asymmetrically, its phase winds at the principal-value level shift.
 import numpy as np
 
 from goldenrule import (
-    CouplingFunction,
+    ConstantDOS,
     FieldState,
     airy,
     airy_prime,
@@ -71,9 +71,9 @@ def ionization():
 def band_decay():
     print("=== abrupt coupling to a flat band")
     r = 0.01
-    f = CouplingFunction.flat(r / (2.0 * np.pi), 9.0, 11.0, 10.0)
+    f = ConstantDOS(r / (2.0 * np.pi), (9.0, 11.0))
     kw = dict(horizon_rates=4.0, fit_window_rates=(2.0, 4.0))
-    problem = ww_problem(f, 4001, **kw)
+    problem = ww_problem(f, 10.0, 4001, **kw)
     val = nonperturbative_validate(problem, tol=1e-8)
     print(f"symmetric band: fitted rate {val.rate_fitted:.6f} vs analytic "
           f"{val.rate_analytic:.6f} "
@@ -81,9 +81,10 @@ def band_decay():
     print(f"revival time {problem.revival_time:.0f} vs horizon "
           f"{val.times[-1]:.0f}: the discrete band never feeds back")
 
-    g = CouplingFunction.flat(r / (2.0 * np.pi), 9.5, 12.0, 10.0)
-    val2 = nonperturbative_validate(ww_problem(g, 5001, **kw), tol=1e-8)
-    closed = principal_value_shift(g)
+    g = ConstantDOS(r / (2.0 * np.pi), (9.5, 12.0))
+    val2 = nonperturbative_validate(ww_problem(g, 10.0, 5001, **kw),
+                                    tol=1e-8)
+    closed = principal_value_shift(g, 10.0)
     print(f"asymmetric band: fitted phase slope {val2.shift_fitted:.3e} vs "
           f"closed form {closed:.3e} "
           f"({abs(val2.shift_fitted / closed - 1.0):.2%} off)")

@@ -61,7 +61,6 @@ from .pulsetrain import (
     propagate_train,
 )
 from .wignerweisskopf import (
-    CouplingFunction,
     WWValidation,
     nonperturbative_validate,
     principal_value_shift,

@@ -706,10 +706,15 @@ def integrate(continuum, env, V0, t0=None, t1=0.0, *,
     cf0 = seed_amplitudes(continuum, env, V0, t0)
 
     if mode == "first_order":
-        s, wv, interval, evaluations = _panel_rule(
-            lambda s: evaluate(env, V0, s), t_eval, max_omega, tol)
-        cf_all = _first_order_amplitudes(omegas, v, cf0, t_eval, s, wv,
-                                         interval)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                s, wv, interval, evaluations = _panel_rule(
+                    lambda s: evaluate(env, V0, s), t_eval, max_omega, tol)
+                cf_all = _first_order_amplitudes(omegas, v, cf0, t_eval, s,
+                                                 wv, interval)
+        except FloatingPointError:
+            raise ToleranceFailureError("first_order propagation produced "
+                                        "a non-finite amplitude") from None
         ci_all = np.ones(t_eval.size, dtype=complex)
         steps = rejected = 0
     else:

@@ -80,8 +80,8 @@ from .pulsetrain import (
 )
 from .spectrum import REVIVAL_SHARE, ConstantDOS, PowerLawDOS, discretize
 from .tables import fmt, format_table
-from .wignerweisskopf import (CouplingFunction, nonperturbative_validate,
-                              window_samples, ww_problem)
+from .wignerweisskopf import (nonperturbative_validate, window_samples,
+                              ww_problem)
 
 
 def atomic_write_text(path, text):
@@ -536,14 +536,13 @@ def _build_pulse_shape(blk):
     return cls(*(blk[k] for k in keys))
 
 
-def _build_coupling(blk, omega_i):
-    lo, hi = blk["support"]
+def _build_coupling(blk):
     if blk["type"] == "flat":
-        return CouplingFunction.flat(blk["c"], lo, hi, omega_i)
+        return ConstantDOS(blk["c"], blk["support"])
     if "omega0" not in blk:
         raise ConfigError(["coupling.omega0: required for power type"])
-    return CouplingFunction.power_window(
-        blk["c"], blk["exponent"], blk["omega0"], lo, hi, omega_i)
+    return PowerLawDOS(blk["c"], blk["omega0"], blk["exponent"],
+                       blk["support"])
 
 
 # a run's float rules: an overflow, a division by zero or an invalid
@@ -1029,7 +1028,7 @@ def _ww(p, checks):
     if problems:
         raise ConfigError(problems)
     problem = ww_problem(
-        _build_coupling(p["coupling"], p["omega_i"]), p["n_levels"],
+        _build_coupling(p["coupling"]), p["omega_i"], p["n_levels"],
         horizon_rates=horizon, fit_window_rates=tuple(p["fit_window_rates"]),
         n_samples=p["n_samples"])
     decay_mask = None

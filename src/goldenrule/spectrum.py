@@ -45,47 +45,11 @@ def lorentzian(E, Gamma):
     return out if out.ndim else float(out)
 
 
-class PowerLawDOS:
-    """D(E) = D0 * (E/E0)**exponent on E > 0."""
+class _BandModel:
+    """What both DOS models share: D0 > 0 and a support (lo, hi), lo < hi.
 
-    def __init__(self, D0, E0, exponent):
-        if not D0 > 0.0:
-            raise DomainError(f"D0 must be positive, got {D0}")
-        if not E0 > 0.0:
-            raise DomainError(f"E0 must be positive, got {E0}")
-        self.D0 = float(D0)
-        self.E0 = float(E0)
-        self.exponent = float(exponent)
-
-    @property
-    def support(self):
-        return (0.0, np.inf)
-
-    def density(self, E):
-        E = np.asarray(E, dtype=float)
-        if np.any(E <= 0.0):
-            raise DomainError("power-law DOS defined for E > 0 only")
-        out = self.D0 * (E / self.E0) ** self.exponent
-        return out if out.ndim else float(out)
-
-    def validate_window(self, lo, hi):
-        if not 0.0 < lo <= hi:
-            raise DomainError(
-                f"window [{lo}, {hi}] extends outside power-law support E > 0")
-
-    def log_slope(self, E):
-        # |D' / D| = |n| / E
-        if not E > 0.0:
-            raise DomainError("power-law DOS defined for E > 0 only")
-        return abs(self.exponent) / float(E)
-
-
-class ConstantDOS:
-    """Flat density of states D0 on support, the whole line by default.
-
-    A finite support (lo, hi) models a flat band with edges: density,
-    validate_window and log_slope refuse energies outside it,
-    and accept the edges themselves.
+    density, validate_window and log_slope refuse energies outside the
+    support with DomainError and accept its edges.
     """
 
     def __init__(self, D0, support=(-np.inf, np.inf)):
@@ -97,28 +61,70 @@ class ConstantDOS:
         self.D0 = float(D0)
         self.support = (lo, hi)
 
-    def _check(self, E):
+    def _inside(self, E):
         lo, hi = self.support
-        if not np.all((E >= lo) & (E <= hi)):  # NaN is outside too
-            raise DomainError(f"energy outside flat band [{lo}, {hi}]")
+        return (E >= lo) & (E <= hi)  # NaN is outside too
 
-    def density(self, E):
+    def _check(self, E, what="energy"):
         E = np.asarray(E, dtype=float)
-        self._check(E)
-        out = np.full(E.shape, self.D0)
-        return out if out.ndim else self.D0
+        if not np.all(self._inside(E)):
+            lo, hi = self.support
+            raise DomainError(f"{what} outside {self._name} [{lo}, {hi}]")
+        return E
 
     def validate_window(self, lo, hi):
         if not lo <= hi:
             raise DomainError(f"window [{lo}, {hi}] is empty")
-        slo, shi = self.support
-        if lo < slo or hi > shi:
+        self._check([lo, hi], f"window [{lo}, {hi}] extends")
+
+
+class PowerLawDOS(_BandModel):
+    """D(E) = D0 * (E/E0)**exponent on support, E > 0 by default.
+
+    A support (lo, hi) with lo >= 0 cuts the power law to a band; E = 0,
+    where it vanishes or diverges, is never inside.
+    """
+
+    _name = "power-law support E > 0 in"
+
+    def __init__(self, D0, E0, exponent, support=(0.0, np.inf)):
+        super().__init__(D0, support)
+        if not E0 > 0.0:
+            raise DomainError(f"E0 must be positive, got {E0}")
+        if not self.support[0] >= 0.0:
             raise DomainError(
-                f"window [{lo}, {hi}] extends outside flat band "
-                f"[{slo}, {shi}]")
+                f"power-law support {self.support} reaches below E = 0")
+        self.E0 = float(E0)
+        self.exponent = float(exponent)
+
+    def _inside(self, E):
+        return super()._inside(E) & (E > 0.0)
+
+    def density(self, E):
+        E = self._check(E)
+        out = self.D0 * (E / self.E0) ** self.exponent
+        return out if out.ndim else float(out)
 
     def log_slope(self, E):
-        self._check(np.asarray(E, dtype=float))
+        # |D' / D| = |n| / E
+        return abs(self.exponent) / float(self._check(E))
+
+
+class ConstantDOS(_BandModel):
+    """Flat density of states D0 on support, the whole line by default.
+
+    A finite support (lo, hi) models a flat band with edges.
+    """
+
+    _name = "flat band"
+
+    def density(self, E):
+        E = self._check(E)
+        out = np.full(E.shape, self.D0)
+        return out if out.ndim else self.D0
+
+    def log_slope(self, E):
+        self._check(E)
         return 0.0
 
 

@@ -1,8 +1,11 @@
 """Long-time decay of a level coupled to a band: rate and level shift.
 
-The band enters only through f(omega) = |v(omega)|^2 D(omega) >= 0 on a
-compact support containing the initial frequency omega_i. To leading
-order the survival amplitude is c_i(t) = e^{-(r/2 + i dE) t} with
+The band enters only through the coupling density f(omega) =
+|v(omega)|^2 D(omega) > 0, the density the golden rule uses. It is a DOS
+model from spectrum (ConstantDOS or PowerLawDOS): f.density(omega) on
+f.support, which must be finite and hold the initial frequency omega_i
+off its edges. To leading order the survival amplitude is
+c_i(t) = e^{-(r/2 + i dE) t} with
 
     r  = 2 pi f(omega_i),
     dE = -P int f(omega) / (omega - omega_i) d omega,
@@ -26,62 +29,18 @@ from .spectrum import REVIVAL_SHARE, DiscretizedContinuum
 from .dynamics import integrate, integration_grid
 
 
-class CouplingFunction:
-    """Coupling density f(omega) >= 0 on [lo, hi] with omega_i inside.
-
-    fn must be vectorized.
-    """
-
-    def __init__(self, fn, support, omega_i):
-        lo, hi = float(support[0]), float(support[1])
-        if not hi > lo:
-            raise DomainError("support must be a nonempty interval")
-        if not lo < omega_i < hi:
-            raise DomainError(
-                f"omega_i = {omega_i} must lie strictly inside [{lo}, {hi}]")
-        self.fn = fn
-        self.support = (lo, hi)
-        self.omega_i = float(omega_i)
-        probe = self(np.linspace(lo, hi, 101))
-        if np.any(probe < 0.0):
-            raise DomainError("coupling density must be non-negative")
-
-    def __call__(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        lo, hi = self.support
-        if np.any(omega < lo) or np.any(omega > hi):
-            raise DomainError("frequency outside the coupling support")
-        out = np.asarray(self.fn(omega), dtype=float)
-        return out if out.ndim else float(out)
-
-    @classmethod
-    def flat(cls, c, lo, hi, omega_i):
-        if not c >= 0.0:
-            raise DomainError("coupling level must be non-negative")
-        return cls(lambda w: np.full(np.shape(w), float(c)), (lo, hi), omega_i)
-
-    @classmethod
-    def power_window(cls, c, exponent, omega0, lo, hi, omega_i):
-        """f(omega) = c (omega/omega0)^exponent restricted to [lo, hi]."""
-        if not omega0 > 0.0:
-            raise DomainError("omega0 must be positive")
-        if lo <= 0.0 and exponent != int(exponent):
-            raise DomainError("fractional powers need a positive support")
-        return cls(lambda w: c * (np.asarray(w) / omega0) ** exponent,
-                   (lo, hi), omega_i)
-
-
-def ww_rate(f):
-    """Decay rate 2 pi f(omega_i)."""
+def ww_rate(f, omega_i):
+    """Decay rate 2 pi f(omega_i), omega_i inside the finite support."""
     lo, hi = f.support
-    span = hi - lo
-    if min(f.omega_i - lo, hi - f.omega_i) <= 1e-9 * span:
-        raise DomainError("omega_i sits on the support edge; rate undefined "
-                        "(half the band is missing)")
-    return 2.0 * np.pi * float(f(f.omega_i))
+    # on an edge half the band is missing; an infinite support fails
+    # too, since nothing exceeds 1e-9 * inf
+    if not min(omega_i - lo, hi - omega_i) > 1e-9 * (hi - lo):
+        raise DomainError(f"omega_i = {omega_i} must lie inside a finite "
+                          f"support [{lo}, {hi}], off its support edge")
+    return 2.0 * np.pi * float(f.density(omega_i))
 
 
-def principal_value_shift(f, *, rel_tol=1e-8):
+def principal_value_shift(f, omega_i, *, rel_tol=1e-8):
     """Level shift -P int f(omega)/(omega - omega_i) d omega.
 
     The symmetric window around omega_i is integrated with f(omega_i)
@@ -89,9 +48,10 @@ def principal_value_shift(f, *, rel_tol=1e-8):
     remainder of the band directly. Certified against the quadrature
     error estimate at rel_tol.
     """
+    ww_rate(f, omega_i)  # refuses an infinite support, omega_i off its inside
     lo, hi = f.support
-    wi = f.omega_i
-    fci = float(f(wi))
+    wi = float(omega_i)
+    fci = float(f.density(wi))
     delta = min(wi - lo, hi - wi)
     scale = max(abs(fci), 1e-300)
 
@@ -99,11 +59,12 @@ def principal_value_shift(f, *, rel_tol=1e-8):
         u = w - wi
         if abs(u) < 1e-14 * delta:
             h = 1e-7 * delta
-            return (float(f(wi + h)) - float(f(wi - h))) / (2.0 * h)
-        return (float(f(w)) - fci) / u
+            return (float(f.density(wi + h))
+                    - float(f.density(wi - h))) / (2.0 * h)
+        return (float(f.density(w)) - fci) / u
 
     def plain(w):
-        return float(f(w)) / (w - wi)
+        return float(f.density(w)) / (w - wi)
 
     total = 0.0
     err = 0.0
@@ -169,7 +130,7 @@ def window_samples(name, window_rates, horizon_rates, n_samples, *, least):
 class WWProblem:
     """The nonperturbative check up to its integration (see ww_problem)."""
 
-    coupling: CouplingFunction
+    coupling: object          # the coupling density, a DOS model
     rate: float               # r = 2 pi f(omega_i)
     continuum: DiscretizedContinuum
     samples: np.ndarray       # linspace(0, horizon_rates / r, n_samples)
@@ -179,15 +140,16 @@ class WWProblem:
     revival_time: float
 
 
-def ww_problem(f, n_levels, *, horizon_rates=6.0, fit_window_rates=(2.0, 6.0),
-               n_samples=481):
+def ww_problem(f, omega_i, n_levels, *, horizon_rates=6.0,
+               fit_window_rates=(2.0, 6.0), n_samples=481):
     """Everything nonperturbative_validate needs before it integrates.
 
-    The band support [lo, hi] is rebuilt as uniformly spaced levels,
-    delta = (hi - lo) / (n_levels - 1) apart, with the initial frequency
-    exactly on the grid and every level inside the support (so one fewer
-    than n_levels when omega_i is not a whole number of spacings from the
-    edges), couplings sqrt(f(omega_k)) with trapezoid weights.
+    f is the coupling density, a DOS model. Its support [lo, hi] is
+    rebuilt as uniformly spaced levels, delta = (hi - lo) / (n_levels - 1)
+    apart, with omega_i exactly on the grid and every level inside the
+    support (so one fewer than n_levels when omega_i is not a whole number
+    of spacings from the edges), couplings sqrt(f.density(omega_k)) with
+    trapezoid weights.
 
     Preconditions: omega_i off the support edges (ww_rate), hi - lo >= 200
     r, n_levels >= 4001, a fit window ending by the horizon and holding at
@@ -197,9 +159,7 @@ def ww_problem(f, n_levels, *, horizon_rates=6.0, fit_window_rates=(2.0, 6.0),
     """
     lo, hi = f.support
     width = hi - lo
-    r = ww_rate(f)
-    if r <= 0.0:
-        raise DomainError("coupling vanishes at omega_i; nothing decays")
+    r = ww_rate(f, omega_i)
     if width < 200.0 * r:
         raise PreconditionError(
             f"support width {width:.6g} must be >= 200 r = {200 * r:.6g}")
@@ -225,14 +185,14 @@ def ww_problem(f, n_levels, *, horizon_rates=6.0, fit_window_rates=(2.0, 6.0),
 
     # place omega_i exactly on the grid, inside the support; the guard
     # keeps whole ratios whole
-    k_lo = int(np.floor((f.omega_i - lo) / delta + 1e-9))
-    k_hi = int(np.floor((hi - f.omega_i) / delta + 1e-9))
-    grid = f.omega_i + np.arange(-k_lo, k_hi + 1) * delta
+    k_lo = int(np.floor((omega_i - lo) / delta + 1e-9))
+    k_hi = int(np.floor((hi - omega_i) / delta + 1e-9))
+    grid = omega_i + np.arange(-k_lo, k_hi + 1) * delta
     weights = np.full(grid.size, delta)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    continuum = DiscretizedContinuum(
-        grid, weights, f.omega_i, couplings=np.sqrt(np.maximum(f(grid), 0.0)))
+    continuum = DiscretizedContinuum(grid, weights, omega_i,
+                                     couplings=np.sqrt(f.density(grid)))
     samples = np.linspace(0.0, t_end, n_samples)
     integration_grid(continuum, 0.0, t_end, mode="coupled",
                      sample_times=samples)
@@ -276,7 +236,7 @@ def nonperturbative_validate(problem, *, tol=1e-9):
     res_ph = float(np.sqrt(np.mean(
         (phase - (slope_ph * t_fit + icpt_ph)) ** 2)))
 
-    shift = principal_value_shift(problem.coupling)
+    shift = principal_value_shift(problem.coupling, problem.continuum.center)
     return WWValidation(rate_analytic=problem.rate, shift_analytic=shift,
                         rate_fitted=-2.0 * float(slope_log),
                         shift_fitted=-float(slope_ph),

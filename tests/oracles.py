@@ -156,10 +156,11 @@ def cross_term_direct_oracle(env, dos, omega_i, T, epsabs=1e-13,
     return total, err
 
 
-def pv_shift_smeared_oracle(f, eps):
+def pv_shift_smeared_oracle(f, omega_i, eps):
     """Lorentzian-smeared shift -int f(w) (w-wi) / ((w-wi)^2 + eps^2) dw.
 
-    A second principal-value route for a CouplingFunction f: first-order
+    A second principal-value route for a coupling density f (any object
+    with support and density) around wi = omega_i: first-order
     accurate in eps, so Richardson extrapolation of eps, eps/2 and eps/4
     reproduces principal_value_shift, which subtracts f(omega_i) on a
     symmetric window instead.
@@ -169,11 +170,11 @@ def pv_shift_smeared_oracle(f, eps):
     if eps == 0.0:
         raise DomainError("eps must be nonzero")
     lo, hi = f.support
-    wi = f.omega_i
+    wi = omega_i
 
     def integrand(w):
         u = w - wi
-        return float(f(w)) * u / (u * u + eps * eps)
+        return float(f.density(w)) * u / (u * u + eps * eps)
 
     val, _ = quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-11,
                   limit=800, points=[wi])

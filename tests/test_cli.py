@@ -389,6 +389,27 @@ def test_ww_level_grid_stays_inside_the_support(tmp_path, capsys, name,
     assert f"PASS {name}" in capsys.readouterr().out
 
 
+def _power_coupling(support):
+    return _set_path("parameters", "coupling",
+                     {"type": "power", "c": 1.5915494309189535e-3,
+                      "exponent": 1.0, "omega0": 10.0, "support": support})
+
+
+def test_ww_power_coupling_needs_a_positive_support(tmp_path, capsys):
+    """A power-law coupling density is a PowerLawDOS: on ww_flat_decay's
+    band it validates and passes, and a support reaching below E = 0 is
+    refused."""
+    path = write_variant(tmp_path, "ww_flat_decay",
+                         _power_coupling([9.0, 11.0]))
+    assert main(["validate", path]) == EXIT_OK
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    path = write_variant(tmp_path, "ww_flat_decay",
+                         _power_coupling([-1.0, 3.0]))
+    assert main(["validate", path]) == EXIT_CONFIG
+    assert ("power-law support (-1.0, 3.0) reaches below E = 0"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("window, rates, message", [
     ("fit_window_rates", [2.001, 2.002], "holds 0 of the 481 samples"),
     ("fit_window_rates", [2.0, 2.0001], "holds 1 of the 481 samples"),

@@ -7,7 +7,6 @@ import yaml
 
 from goldenrule import (
     ConstantDOS,
-    CouplingFunction,
     DiscretizedContinuum,
     DomainError,
     ExpSuperposition,
@@ -424,9 +423,15 @@ def _power_law_band():
     power-law coupling density f = (omega / 3)^1.5."""
     band = _asymmetric_band()
     grid = band.energies + 3.0
-    f = CouplingFunction.power_window(1.0, 1.5, 3.0, grid[0], grid[-1], 3.0)
+    f = PowerLawDOS(1.0, 3.0, 1.5, (grid[0], grid[-1]))
     return DiscretizedContinuum(grid, band.weights, 3.0,
-                                couplings=np.sqrt(f(grid)))
+                                couplings=np.sqrt(f.density(grid)))
+
+
+def test_power_law_band_couplings_are_the_closed_form():
+    band = _power_law_band()
+    assert np.array_equal(band.couplings,
+                          np.sqrt(1.0 * (band.energies / 3.0) ** 1.5))
 
 
 _T_REF = 0.3137  # off every sample and rate time below
@@ -504,6 +509,18 @@ def test_first_order_overflow_is_a_tolerance_failure():
     with pytest.raises(ToleranceFailureError, match="non-finite amplitude"):
         integrate(cont, RisingExp(1.0), 1e200, t0=-3.0, t1=0.0,
                   mode="first_order")
+
+
+def test_first_order_envelope_overflow_ends_typed_without_a_warning():
+    """An envelope that overflows in the panel sums (e^{1000 t} up to t =
+    1) ends typed, with every warning an error, as a coupled step does."""
+    cont = discretize(FLAT, 0.0, 2.0, 21)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ToleranceFailureError,
+                           match="first_order propagation produced a "
+                                 "non-finite amplitude"):
+            integrate(cont, RisingExp(1e3), 1.0, t0=-0.01, t1=1.0)
 
 
 @pytest.mark.parametrize("V0", [1e100, 1e200, 1e300])

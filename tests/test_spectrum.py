@@ -80,6 +80,44 @@ def test_power_law_positive_energies_only():
             dos.log_slope(E)
 
 
+def test_power_law_band_accepts_its_edges_and_guards_outside():
+    dos = PowerLawDOS(2.0, 1.0, 1.0, (0.5, 3.0))
+    assert dos.support == (0.5, 3.0)
+    assert dos.density(0.5) == 1.0 and dos.density(3.0) == 6.0
+    assert np.array_equal(dos.density([0.5, 1.0, 3.0]), [1.0, 2.0, 6.0])
+    dos.validate_window(0.5, 3.0)       # exact edges are allowed
+    assert dos.log_slope(0.5) == 2.0 and dos.log_slope(3.0) == 1.0 / 3.0
+    for E in (0.4, 3.1, np.nan):
+        with pytest.raises(DomainError, match="outside power-law support"):
+            dos.density(E)
+        with pytest.raises(DomainError, match="outside power-law support"):
+            dos.log_slope(E)
+    with pytest.raises(DomainError, match="outside power-law support"):
+        dos.density([1.0, 3.1])
+    with pytest.raises(DomainError, match="extends outside power-law"):
+        dos.validate_window(0.4, 1.0)
+    with pytest.raises(DomainError, match="extends outside power-law"):
+        dos.validate_window(1.0, 3.1)
+
+
+def test_power_law_support_stays_above_zero():
+    assert PowerLawDOS(1.0, 1.0, 1.0).support == (0.0, np.inf)
+    for support in ((-1.0, 3.0), (-1e-300, 1.0), (-np.inf, 1.0)):
+        with pytest.raises(DomainError, match="reaches below E = 0"):
+            PowerLawDOS(1.0, 1.0, 1.0, support)
+    for support in ((1.0, 1.0), (3.0, 0.5), (np.nan, 1.0)):
+        with pytest.raises(DomainError, match="is empty"):
+            PowerLawDOS(1.0, 1.0, 1.0, support)
+    # a support from 0 holds every E > 0 up to its top, never E = 0
+    dos = PowerLawDOS(1.0, 1.0, -0.5, (0.0, 2.0))
+    assert dos.density(2.0) == 2.0 ** -0.5
+    for call in (dos.density, dos.log_slope):
+        with pytest.raises(DomainError, match="E > 0"):
+            call(0.0)
+    with pytest.raises(DomainError, match="E > 0"):
+        dos.validate_window(0.0, 1.0)
+
+
 @pytest.mark.parametrize("bad", [{"D0": 0.0}, {"D0": -1.0}, {"E0": 0.0}])
 def test_power_law_rejects_bad_scales(bad):
     kw = {"D0": 1.0, "E0": 1.0, "exponent": 1.0}
