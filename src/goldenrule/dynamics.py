@@ -61,8 +61,7 @@ from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.optimize import least_squares
 
 from .errors import DomainError, PreconditionError, ToleranceFailureError
-from .perturbation import (ExpSuperposition, HarmonicRisingExp, RisingExp,
-                           TwoSidedExp, evaluate)
+from .perturbation import evaluate
 
 _RTOL_SAFETY = 20.0  # solver runs tighter than the user tolerance contract
 _PANEL_PHASE = 4.0   # most max|omega| phase, in rad, one quadrature panel spans
@@ -97,52 +96,25 @@ def analytic_cf_rising_exp(V_fi, omega_fi, gamma, t):
     return out if out.ndim else complex(out)
 
 
-def _seed_rising_terms(env, V0):
-    """Decompose a turn-on envelope into (amplitude, gamma, omega_shift) terms.
-
-    Each term contributes an analytic_cf_rising_exp piece at detuning
-    omega + omega_shift; returns None for pulse shapes that start from
-    zero instead.
-    """
-    if isinstance(env, RisingExp):
-        return [(V0 * np.exp(-env.gamma * env.t_ref), env.gamma, 0.0)]
-    if isinstance(env, TwoSidedExp):
-        return [(V0 * np.exp(-env.gamma_minus * env.t_ref), env.gamma_minus,
-                 0.0)]
-    if isinstance(env, ExpSuperposition):
-        return [(V0 * w * np.exp(-g * env.t_ref), g, 0.0)
-                for g, w in env.terms]
-    if isinstance(env, HarmonicRisingExp):
-        amp = V0 * np.exp(-env.gamma * env.t_ref)
-        # e^{i omega_c t_ref} phases from the carrier referenced to t_ref
-        up = amp * np.exp(1j * env.omega_carrier * env.t_ref)
-        dn = amp * np.exp(-1j * env.omega_carrier * env.t_ref)
-        return [(up, env.gamma, -env.omega_carrier),
-                (dn, env.gamma, +env.omega_carrier)]
-    # pulses (and pulse trains) start from nothing
-    return None
-
-
 def seed_amplitudes(continuum, env, V0, t0):
     """Final-level amplitudes at t0 from the analytic turn-on solution,
     each scaled by its level's coupling.
 
-    Pulse envelopes seed to zero; t0 should then precede the pulse support.
+    A turn-on's seed_terms give (amplitude, gamma, omega_shift) terms, each
+    an analytic_cf_rising_exp piece at detuning omega + omega_shift.
+    Pulses and pulse trains, which have none, seed to zero; t0 should then
+    precede the pulse support.
     """
     omegas = continuum.omegas
-    terms = _seed_rising_terms(env, V0)
-    if terms is None:
+    if not hasattr(env, "seed_terms"):
         left, _ = env.support_radius()
         if t0 > env.t_ref - left:
             warnings.warn(
                 "zero seed inside the pulse support; treating the start as "
                 "an abrupt switch-on", stacklevel=2)
         return np.zeros(omegas.size, dtype=complex)
-    if isinstance(env, TwoSidedExp) and t0 >= env.t_ref:
-        raise PreconditionError(
-            "two-sided envelope must be seeded on the rising branch")
     cf0 = np.zeros(omegas.size, dtype=complex)
-    for amp, gamma, shift in terms:
+    for amp, gamma, shift in env.seed_terms(V0, t0):
         cf0 += analytic_cf_rising_exp(1.0, omegas + shift, gamma, t0) * amp
     return cf0 * continuum.couplings
 
@@ -774,7 +746,7 @@ def transition_rate(traj, t):
 
 def golden_rule_rate(Vm_sq, D):
     """r = 2 pi |V_m|^2 D, the transition rate per unit time (hbar = 1)."""
-    if Vm_sq < 0.0 or D < 0.0:
+    if not (Vm_sq >= 0.0 and D >= 0.0):  # NaN fails too
         raise DomainError("|V_m|^2 and D must be non-negative")
     return 2.0 * np.pi * Vm_sq * D
 

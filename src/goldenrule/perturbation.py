@@ -7,6 +7,22 @@ labelled by a continuous parameter enters the golden rule only through its
 DOS-weighted average of |V|^2 (averaged_sq_matrix_element). Fourier
 conventions follow s~(omega) = integral s(t) e^{+i omega t} dt, so a pulse
 centered at t_ref picks up the phase e^{i omega t_ref}.
+
+Every envelope offers shape(t), t_ref and support_radius() (the left and
+right reach at 1e-6 of the amplitude, inf without a falling edge), and
+carries its own closed forms:
+
+- a turn-on (ExpSuperposition, and TwoSidedExp on its rising branch) has
+  seed_terms(V0, t0), the (amplitude, gamma, omega_shift) terms of its
+  analytic first-order amplitude, which dynamics.seed_amplitudes sums;
+- a pulse (TwoSidedExp, GaussianPulse, RectangularPulse) has spectrum
+  (s~ about t_ref), spectrum_sq (|s~|^2, overflow-safe) and cross_term
+  (the flat-band cross term, see pulsetrain.cross_term_closed_form).
+
+The public functions spectral_amplitude and spectral_shape_sq, and
+dynamics.seed_amplitudes and pulsetrain.cross_term_closed_form, read
+these methods; an envelope without one is refused (a turn-on has no
+spectrum) or, for the seed, starts from an empty band.
 """
 
 from __future__ import annotations
@@ -16,28 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError
+from .errors import DomainError, PreconditionError
 
 _LN_FLOOR = np.log(1e6)  # support radius measured at 1e-6 relative amplitude
-
-
-@dataclass(frozen=True)
-class RisingExp:
-    """Exponential turn-on e^{gamma (t - t_ref)}, no falling edge."""
-
-    gamma: float
-    t_ref: float = 0.0
-
-    def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
-
-    def shape(self, t):
-        return np.exp(self.gamma * (np.asarray(t, dtype=float) - self.t_ref))
-
-    def support_radius(self):
-        # grows without bound to the right; only usable as a lone turn-on
-        return (_LN_FLOOR / self.gamma, np.inf)
+_DEGENERATE_REL = 1e-6  # TwoSidedExp rates this close take the confluent form
+_PULSES = "TwoSidedExp, GaussianPulse, RectangularPulse"
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,41 @@ class TwoSidedExp:
     def support_radius(self):
         return (_LN_FLOOR / self.gamma_minus, _LN_FLOOR / self.gamma_plus)
 
+    def seed_terms(self, V0, t0):
+        if t0 >= self.t_ref:
+            raise PreconditionError(
+                "two-sided envelope must be seeded on the rising branch")
+        return [(V0 * np.exp(-self.gamma_minus * self.t_ref),
+                 self.gamma_minus, 0.0)]
+
+    def spectrum(self, omega):
+        return (1.0 / (self.gamma_minus + 1j * omega)
+                + 1.0 / (self.gamma_plus - 1j * omega))
+
+    def spectrum_sq(self, omega):
+        """(g- + g+)^2 / ((omega^2 + g-^2)(omega^2 + g+^2))."""
+        gm, gp = self.gamma_minus, self.gamma_plus
+        try:
+            peak = (gm + gp) ** 2
+        except OverflowError:
+            raise DomainError(
+                f"(gamma_minus + gamma_plus)^2 overflows a float at rates "
+                f"{gm:g}, {gp:g}") from None
+        # no omega^2, which overflows past |omega| ~ 1e154; dividing by the
+        # larger rate's factor first, no quotient overflows unless out does
+        hi, lo = (np.hypot(omega, g) for g in (max(gm, gp), min(gm, gp)))
+        return peak / hi / hi / lo / lo
+
+    def cross_term(self, D, T):
+        """The two-pole form, or for rates degenerate within 1e-6 relative
+        the confluent limit 2 pi D e^{-g T} (1 + g T) / g."""
+        gm, gp = self.gamma_minus, self.gamma_plus
+        if abs(gp - gm) <= _DEGENERATE_REL * max(gp, gm):
+            g = 0.5 * (gm + gp)
+            return 2.0 * np.pi * D * np.exp(-g * T) * (1.0 + g * T) / g
+        return (np.pi * D * (gm + gp) / (gp - gm)
+                * (np.exp(-gm * T) / gm - np.exp(-gp * T) / gp))
+
 
 @dataclass(frozen=True)
 class GaussianPulse:
@@ -88,6 +122,18 @@ class GaussianPulse:
         r = self.tau * np.sqrt(_LN_FLOOR)
         return (r, r)
 
+    def spectrum(self, omega):
+        with np.errstate(over="ignore"):  # exp(-inf) = 0 is the exact limit
+            return np.exp(-0.25 * (omega * self.tau) ** 2) + 0j
+
+    def spectrum_sq(self, omega):
+        with np.errstate(over="ignore"):  # exp(-inf) = 0 is the exact limit
+            return np.exp(-0.5 * (omega * self.tau) ** 2)
+
+    def cross_term(self, D, T):
+        lag = T / self.tau  # (T / tau)^2, unlike T^2 / tau^2, cannot overflow
+        return D * np.sqrt(2.0 * np.pi) / self.tau * np.exp(-0.5 * lag * lag)
+
 
 @dataclass(frozen=True)
 class RectangularPulse:
@@ -108,12 +154,26 @@ class RectangularPulse:
     def support_radius(self):
         return (0.5 * self.width, 0.5 * self.width)
 
+    def spectrum(self, omega):
+        return self.width * np.sinc(omega * self.width / (2.0 * np.pi)) + 0j
+
+    def spectrum_sq(self, omega):
+        """4 sin^2(omega T / 2) / omega^2, with the omega -> 0 limit T^2."""
+        s = self.width * np.sinc(omega * self.width / (2.0 * np.pi))
+        return s * s
+
+    def cross_term(self, D, T):
+        return 2.0 * np.pi * D * max(0.0, self.width - T)
+
 
 @dataclass(frozen=True)
 class ExpSuperposition:
-    """Sum of rising exponentials sum_k w_k e^{gamma_k (t - t_ref)}.
+    """Turn-on sum_k w_k e^{gamma_k dt} [2 cos(omega_k dt)], dt = t - t_ref.
 
-    Weights are signed reals and must sum to one, so the superposition has
+    Each term is (gamma, weight), or (gamma, weight, omega) with a carrier
+    2 cos(omega dt) = e^{i omega dt} + e^{-i omega dt}, whose counter-
+    rotating components have unit amplitude each. Weights are signed
+    reals and must sum to one, so without carriers the superposition has
     unit amplitude at t_ref.
     """
 
@@ -121,62 +181,66 @@ class ExpSuperposition:
     t_ref: float = 0.0
 
     def __post_init__(self):
-        terms = tuple((float(g), float(w)) for g, w in self.terms)
+        terms = tuple(tuple(map(float, term)) for term in self.terms)
         if not terms:
             raise DomainError("need at least one term")
-        if not all(g > 0.0 for g, _ in terms):
-            raise DomainError("rate constants must be positive")
-        total = sum(w for _, w in terms)
+        for term in terms:
+            if len(term) not in (2, 3):
+                raise DomainError("a term is (gamma, weight) or (gamma, "
+                                  f"weight, omega), got {term}")
+            if not term[0] > 0.0:
+                raise DomainError(f"gamma must be positive, got {term[0]}")
+            if len(term) == 3 and not term[2] > 0.0:
+                raise DomainError("carrier frequency must be positive")
+        total = sum(term[1] for term in terms)
         if not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise DomainError(f"superposition weights must sum to 1, got {total}")
         object.__setattr__(self, "terms", terms)
 
     def shape(self, t):
         dt = np.asarray(t, dtype=float) - self.t_ref
-        out = np.zeros_like(dt)
-        for g, w in self.terms:
-            out = out + w * np.exp(g * dt)
+        parts = []
+        for g, w, *carrier in self.terms:
+            rise = np.exp(g * dt)
+            if carrier:
+                rise = rise * 2.0 * np.cos(carrier[0] * dt)
+            parts.append(w * rise)
+        out = sum(parts[1:], parts[0])  # not from zeros: keeps a signed 0
         return out if out.ndim else float(out)
 
     def support_radius(self):
-        gmin = min(g for g, _ in self.terms)
-        return (_LN_FLOOR / gmin, np.inf)
+        # grows without bound to the right; only usable as a lone turn-on
+        return (_LN_FLOOR / min(term[0] for term in self.terms), np.inf)
+
+    def seed_terms(self, V0, t0):
+        out = []
+        for g, w, *carrier in self.terms:
+            amp = V0 * w * np.exp(-g * self.t_ref)
+            if carrier:
+                # e^{i omega t_ref} phases from the carrier referenced to t_ref
+                om = carrier[0]
+                out += [(amp * np.exp(1j * om * self.t_ref), g, -om),
+                        (amp * np.exp(-1j * om * self.t_ref), g, +om)]
+            else:
+                out.append((amp, g, 0.0))
+        return out
 
 
-@dataclass(frozen=True)
-class HarmonicRisingExp:
-    """Turn-on with a harmonic carrier: e^{gamma dt} * 2 cos(omega_carrier dt).
+def RisingExp(gamma, t_ref=0.0):
+    """Exponential turn-on e^{gamma (t - t_ref)}: a one-term
+    ExpSuperposition."""
+    return ExpSuperposition(((gamma, 1.0),), t_ref)
 
-    The factor 2 cos splits into counter-rotating components of unit
-    amplitude each, both under the envelope e^{gamma dt}.
-    """
 
-    gamma: float
-    omega_carrier: float
-    t_ref: float = 0.0
-
-    def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
-        if not self.omega_carrier > 0.0:
-            raise DomainError("carrier frequency must be positive")
-
-    def shape(self, t):
-        dt = np.asarray(t, dtype=float) - self.t_ref
-        out = np.exp(self.gamma * dt) * 2.0 * np.cos(self.omega_carrier * dt)
-        return out if out.ndim else float(out)
-
-    def support_radius(self):
-        return (_LN_FLOOR / self.gamma, np.inf)
+def HarmonicRisingExp(gamma, omega_carrier, t_ref=0.0):
+    """Turn-on with a harmonic carrier, e^{gamma dt} * 2 cos(omega_carrier
+    dt): a one-term ExpSuperposition."""
+    return ExpSuperposition(((gamma, 1.0, omega_carrier),), t_ref)
 
 
 def evaluate(env, V0, t):
     """Physical coupling value V0 * s(t) for any envelope kind."""
     return V0 * env.shape(t)
-
-
-def _kinds(*classes):
-    return ", ".join(c.__name__ for c in classes)
 
 
 def spectral_amplitude(env, omega):
@@ -185,53 +249,20 @@ def spectral_amplitude(env, omega):
     Complex valued; includes the e^{i omega t_ref} phase of a shifted
     pulse. Only integrable pulse shapes have one.
     """
+    if not hasattr(env, "spectrum"):
+        raise DomainError(f"{type(env).__name__} has no Fourier transform; "
+                          f"supported: {_PULSES}")
     omega = np.asarray(omega, dtype=float)
-    phase = np.exp(1j * omega * env.t_ref)
-    if isinstance(env, TwoSidedExp):
-        st = (1.0 / (env.gamma_minus + 1j * omega)
-              + 1.0 / (env.gamma_plus - 1j * omega))
-    elif isinstance(env, GaussianPulse):
-        st = np.exp(-0.25 * (omega * env.tau) ** 2) + 0j
-    elif isinstance(env, RectangularPulse):
-        st = env.width * np.sinc(omega * env.width / (2.0 * np.pi)) + 0j
-    else:
-        raise DomainError(
-            f"{type(env).__name__} has no Fourier transform; supported: "
-            + _kinds(TwoSidedExp, GaussianPulse, RectangularPulse))
-    out = phase * st
+    out = np.exp(1j * omega * env.t_ref) * env.spectrum(omega)
     return out if out.ndim else complex(out)
 
 
 def spectral_shape_sq(env, omega):
-    """|s~(omega)|^2 in closed form for the pulse shapes that have one.
-
-    TwoSidedExp gives (g- + g+)^2 / ((omega^2 + g-^2)(omega^2 + g+^2));
-    Gaussian gives exp(-(omega tau / sqrt 2)^2); Rectangular gives
-    4 sin^2(omega T / 2) / omega^2 with the omega -> 0 limit T^2.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if isinstance(env, TwoSidedExp):
-        gm, gp = env.gamma_minus, env.gamma_plus
-        try:
-            peak = (gm + gp) ** 2
-        except OverflowError:
-            raise DomainError(
-                f"(gamma_minus + gamma_plus)^2 overflows a float at rates "
-                f"{gm:g}, {gp:g}") from None
-        # no omega^2, which overflows past |omega| ~ 1e154; dividing by the
-        # larger rate's factor first, no quotient overflows unless out does
-        hi, lo = (np.hypot(omega, g) for g in (max(gm, gp), min(gm, gp)))
-        out = peak / hi / hi / lo / lo
-    elif isinstance(env, GaussianPulse):
-        with np.errstate(over="ignore"):  # exp(-inf) = 0 is the exact limit
-            out = np.exp(-0.5 * (omega * env.tau) ** 2)
-    elif isinstance(env, RectangularPulse):
-        s = env.width * np.sinc(omega * env.width / (2.0 * np.pi))
-        out = s * s
-    else:
-        raise DomainError(
-            f"no closed-form spectrum for {type(env).__name__}; supported: "
-            + _kinds(TwoSidedExp, GaussianPulse, RectangularPulse))
+    """|s~(omega)|^2 in closed form for the pulse shapes that have one."""
+    if not hasattr(env, "spectrum_sq"):
+        raise DomainError(f"no closed-form spectrum for {type(env).__name__}; "
+                          f"supported: {_PULSES}")
+    out = env.spectrum_sq(np.asarray(omega, dtype=float))
     return out if out.ndim else float(out)
 
 

@@ -26,8 +26,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, PreconditionError, ToleranceFailureError
-from .perturbation import (GaussianPulse, RectangularPulse, TwoSidedExp,
-                           evaluate, spectral_amplitude, spectral_shape_sq)
+from .perturbation import (RectangularPulse, evaluate, spectral_amplitude,
+                           spectral_shape_sq)
 from .dynamics import _panel_rule, integrate
 from .spectrum import ConstantDOS
 
@@ -298,7 +298,6 @@ def _decade_edges(scale, a, b):
     return edges[(edges >= a) & (edges <= b)]
 
 
-_DEGENERATE_REL = 1e-6
 _DECAY_TOL = 1e-10  # panel acceptance for the decay law's rate integral
 
 
@@ -306,29 +305,18 @@ def cross_term_closed_form(env, D, T):
     """Flat-band limit of cross_term_integral: 2 pi D (s * s)(T).
 
     Exact for a constant DOS D over an unbounded band, where the integral
-    collapses to the envelope autocorrelation at lag T. TwoSidedExp with
-    rates degenerate within 1e-6 relative switches to the confluent limit
-    2 pi D e^{-g T} (1 + g T) / g instead of the generic two-pole form.
+    collapses to the envelope autocorrelation at lag T; each pulse shape
+    carries its own (cross_term).
     """
     if not (np.isfinite(T) and T >= 0.0):
         raise DomainError(f"delay T must be finite and non-negative, got {T}")
-    if D < 0.0:
+    if not D >= 0.0:  # NaN fails too
         raise DomainError("DOS must be non-negative")
-    if isinstance(env, TwoSidedExp):
-        gm, gp = env.gamma_minus, env.gamma_plus
-        if abs(gp - gm) <= _DEGENERATE_REL * max(gp, gm):
-            g = 0.5 * (gm + gp)
-            return 2.0 * np.pi * D * np.exp(-g * T) * (1.0 + g * T) / g
-        return (np.pi * D * (gm + gp) / (gp - gm)
-                * (np.exp(-gm * T) / gm - np.exp(-gp * T) / gp))
-    if isinstance(env, GaussianPulse):
-        lag = T / env.tau  # (T / tau)^2, unlike T^2 / tau^2, cannot overflow
-        return D * np.sqrt(2.0 * np.pi) / env.tau * np.exp(-0.5 * lag * lag)
-    if isinstance(env, RectangularPulse):
-        return 2.0 * np.pi * D * max(0.0, env.width - T)
-    raise DomainError(
-        f"no closed-form cross term for {type(env).__name__}; supported: "
-        "TwoSidedExp, GaussianPulse, RectangularPulse")
+    if not hasattr(env, "cross_term"):
+        raise DomainError(
+            f"no closed-form cross term for {type(env).__name__}; supported: "
+            "TwoSidedExp, GaussianPulse, RectangularPulse")
+    return env.cross_term(D, T)
 
 
 @dataclass(frozen=True, eq=False)

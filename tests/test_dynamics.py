@@ -72,8 +72,9 @@ def test_analytic_amplitude_broadcasts_and_guards():
 
 def test_golden_rule_rate_value():
     assert golden_rule_rate(0.01, 1.0) == pytest.approx(0.06283185307, rel=1e-9)
-    with pytest.raises(DomainError):
-        golden_rule_rate(-1.0, 1.0)
+    for Vm_sq, D in ((-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(DomainError, match="non-negative"):
+            golden_rule_rate(Vm_sq, D)
 
 
 def test_following_law_tracks_envelope():
@@ -108,6 +109,39 @@ def test_seed_superposition_is_term_sum():
     want = (0.6 * analytic_cf_rising_exp(1.0, cont.omegas, 0.5, -4.0)
             + 0.4 * analytic_cf_rising_exp(1.0, cont.omegas, 1.5, -4.0))
     assert np.allclose(cf, want, rtol=1e-14, atol=0.0)
+    # a plain term beside a carrier term, referenced away from 0
+    wc, tr = 3.0, -0.5
+    env = ExpSuperposition(((0.5, 0.7), (0.8, 0.3, wc)), t_ref=tr)
+    cf = seed_amplitudes(cont, env, 2.0, -6.0)
+    carrier = 0.3 * 2.0 * np.exp(-0.8 * tr)
+    want = (0.7 * 2.0 * np.exp(-0.5 * tr)
+            * analytic_cf_rising_exp(1.0, cont.omegas, 0.5, -6.0)
+            + carrier * np.exp(1j * wc * tr)
+            * analytic_cf_rising_exp(1.0, cont.omegas - wc, 0.8, -6.0)
+            + carrier * np.exp(-1j * wc * tr)
+            * analytic_cf_rising_exp(1.0, cont.omegas + wc, 0.8, -6.0))
+    assert np.allclose(cf, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("env, g, wc", [
+    (RisingExp(0.7, t_ref=-0.4), 0.7, None),
+    (HarmonicRisingExp(0.4, 3.0, t_ref=-1.0), 0.4, 3.0),
+])
+def test_constructor_seeds_are_bitwise_closed_forms(env, g, wc):
+    """RisingExp and HarmonicRisingExp seed exactly as their own closed
+    forms did: V0 e^{-g t_ref}, for a carrier split into the counter-
+    rotating pair with phases e^{+-i omega t_ref}, summed in that order."""
+    cont = _coupled(discretize(FLAT, 0.0, 8.0, 81), 1.5)
+    V0, t0 = 2.0, -6.0
+    amp = V0 * np.exp(-g * env.t_ref)
+    pieces = ([(amp, 0.0)] if wc is None else
+              [(amp * np.exp(1j * wc * env.t_ref), -wc),
+               (amp * np.exp(-1j * wc * env.t_ref), +wc)])
+    want = np.zeros(cont.omegas.size, dtype=complex)
+    for a, shift in pieces:
+        want += analytic_cf_rising_exp(1.0, cont.omegas + shift, g, t0) * a
+    assert np.array_equal(seed_amplitudes(cont, env, V0, t0),
+                          want * cont.couplings)
 
 
 def test_seed_harmonic_counter_rotating_pair():
@@ -435,12 +469,15 @@ def test_power_law_band_couplings_are_the_closed_form():
 
 
 _T_REF = 0.3137  # off every sample and rate time below
+# a plain turn-on beside a carrier term
+_MIXED = ExpSuperposition(((0.5, 0.7), (0.8, 0.3, 3.0)))
 FIRST_ORDER_CASES = {
     "rising_exp": (RisingExp(0.5), 1e-3, -np.log(1e6) / 0.5, 0.3, None),
     "exp_superposition": (ExpSuperposition(((0.5, 1.5), (1.0, -0.5))), 1e-3,
                           -np.log(1e6) / 0.5, 0.3, None),
     "harmonic_rising_exp": (HarmonicRisingExp(0.5, 3.0), 1e-3,
                             -np.log(1e6) / 0.5, 0.3, None),
+    "mixed_superposition": (_MIXED, 1e-3, -np.log(1e6) / 0.5, 0.3, None),
     "gaussian_pulse": (GaussianPulse(1.0, t_ref=_T_REF), 0.05,
                        _T_REF - np.sqrt(np.log(1e6)), 3.0, None),
     "two_sided_exp": (TwoSidedExp(0.5, 1.0, t_ref=_T_REF), 1e-3,
@@ -611,6 +648,7 @@ COUPLED_CASES = {
     "abrupt_power_law_band": (_ABRUPT, 0.1, 0.0, 19.0, _power_law_band),
     "harmonic_rising_exp": (HarmonicRisingExp(0.5, 3.0), 0.05,
                             -np.log(1e6) / 0.5, 0.3, None),
+    "mixed_superposition": (_MIXED, 0.08, -np.log(1e6) / 0.5, 0.3, None),
     # a kink at t_ref inside a sample interval
     "two_sided_exp": (TwoSidedExp(0.5, 1.0, t_ref=_T_REF), 0.08,
                       -np.log(1e6) / 0.5, 4.0, None),

@@ -61,6 +61,21 @@ def test_harmonic_carrier_profile():
     assert env.shape(0.0) == pytest.approx(2.0)
 
 
+def test_constructors_are_bitwise_closed_forms():
+    """RisingExp and HarmonicRisingExp are one-term ExpSuperpositions whose
+    shapes keep their own expressions bit for bit, down the far tail
+    where e^{gamma dt} underflows."""
+    t = np.concatenate([np.linspace(-3000.0, 2.0, 301), [0.3, -0.4]])
+    g, wc, tr = 0.7, 3.0, -0.4
+    dt = t - tr
+    rise, harm = RisingExp(g, tr), HarmonicRisingExp(g, wc, tr)
+    assert isinstance(rise, ExpSuperposition)
+    assert isinstance(harm, ExpSuperposition)
+    assert np.array_equal(rise.shape(t), np.exp(g * dt))
+    assert np.array_equal(harm.shape(t), np.exp(g * dt) * 2.0 * np.cos(wc * dt))
+    assert rise.shape(0.3) == np.exp(g * (0.3 - tr))
+
+
 def test_shapes_broadcast_over_time_arrays():
     t = np.linspace(-2.0, 2.0, 9)
     for env in (RisingExp(1.0), TwoSidedExp(1.0, 2.0), GaussianPulse(0.7),
@@ -156,6 +171,10 @@ def test_spectral_shape_sq_consistent_with_amplitude():
         w = np.linspace(-8.0, 8.0, 33)
         assert np.allclose(np.abs(spectral_amplitude(env, w)) ** 2,
                            spectral_shape_sq(env, w), rtol=1e-12, atol=1e-300)
+    # (omega tau)^2 overflows; exp(-inf) = 0 is the exact limit, unwarned
+    env = GaussianPulse(1.0)
+    assert spectral_amplitude(env, 1e200) == 0.0
+    assert spectral_shape_sq(env, 1e200) == 0.0
 
 
 @given(st.floats(min_value=-30.0, max_value=30.0))

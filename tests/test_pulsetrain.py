@@ -206,6 +206,8 @@ def test_cross_term_rectangle_triangle_overlap():
 def test_cross_term_closed_form_guards():
     with pytest.raises(DomainError):
         cross_term_closed_form(GaussianPulse(1.0), 1.0, -0.1)
+    with pytest.raises(DomainError, match="non-negative"):
+        cross_term_closed_form(GaussianPulse(1.0), np.nan, 0.0)
     with pytest.raises(DomainError, match="no closed-form cross term"):
         cross_term_closed_form(RisingExp(1.0), 1.0, 0.0)
 
