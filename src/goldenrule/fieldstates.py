@@ -4,13 +4,16 @@ A particle of mass m in potential -F x has one continuum state per
 energy, Psi(x, E) = Ai(xi) / (a sqrt(F)) with xi = -(x + E/F)/a and a =
 (2 m F)^(-1/3); the prefactor makes the set delta-normalized in energy,
 <Psi_E|Psi_E'> = delta(E - E'). Ai and Ai' come from one evaluator,
-scipy.special.airy, behind an accuracy guard |xi| <= 200.
+scipy.special.airy, behind an accuracy guard |xi| <= 200. A float xi
+gives floats, checked by float comparisons, so the quadrature integrands
+here run in Python floats and math.
 
 hbar = 1 throughout.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,19 +27,24 @@ _GUARD = 200.0
 
 
 def _guarded(xi):
-    """xi as a float array; DomainError where |xi| passes the guard."""
-    xi = np.asarray(xi, dtype=float)
-    if np.any(np.abs(xi) > _GUARD):
+    """xi as a float, or else as a float array; DomainError unless every
+    |xi| is within the guard (NaN is not)."""
+    if isinstance(xi, float):
+        worst = abs(xi)
+    else:
+        xi = np.asarray(xi, dtype=float)
+        worst = float(np.max(np.abs(xi), initial=0.0))
+    if not worst <= _GUARD:
         raise DomainError(
-            f"|xi| exceeds the accuracy guard {_GUARD:g}; got "
-            f"{float(np.max(np.abs(xi))):g}")
+            f"|xi| must lie within the accuracy guard {_GUARD:g}; got "
+            f"{worst:g}")
     return xi
 
 
 def _airy_both(xi):
     xi = _guarded(xi)
     ai, aip, _, _ = _scipy_airy(xi)
-    if xi.ndim == 0:
+    if isinstance(xi, float) or xi.ndim == 0:
         return float(ai), float(aip)
     return ai, aip
 
@@ -102,7 +110,8 @@ class FieldState:
         object.__setattr__(self, "a", (2.0 * self.m * self.F) ** (-1.0 / 3.0))
 
     def xi(self, x):
-        return -(np.asarray(x, dtype=float) + self.E / self.F) / self.a
+        """Airy argument at x: a float for a float, an array for an array."""
+        return -(x + self.E / self.F) / self.a
 
     def turning_point(self):
         return -self.E / self.F
@@ -111,7 +120,8 @@ class FieldState:
 def field_wavefunction(x, E, F, m):
     """Energy-normalized uniform-field eigenfunction at position(s) x."""
     state = FieldState(F=F, m=m, E=E)
-    return airy(state.xi(x)) / (state.a * np.sqrt(F))
+    return (airy(state.xi(np.asarray(x, dtype=float)))
+            / (state.a * np.sqrt(F)))
 
 
 def energy_normalize_planewave(D):
@@ -223,7 +233,7 @@ def ionization_window(kappa, F, m, window=None):
     if window is None:
         window = (-40.0 / kappa, state.turning_point() + 40.0 / kappa)
     x_lo, x_hi = float(window[0]), float(window[1])
-    _guarded(state.xi([x_lo, x_hi]))
+    _guarded(state.xi(np.array([x_lo, x_hi])))
     return E_bound, state, (x_lo, x_hi)
 
 
@@ -243,18 +253,18 @@ def toy_ionization_rate(kappa, F, m, *, window=None):
         warnings.warn("field is not weak against the binding energy; the "
                       "golden-rule rate is unreliable here", stacklevel=2)
     x_t = state.turning_point()
-    pre = 1.0 / (state.a * np.sqrt(F))
+    pre = 1.0 / (state.a * math.sqrt(F))
 
     def psi_b(x):
-        return np.sqrt(kappa) * np.exp(-kappa * abs(x))
+        return math.sqrt(kappa) * math.exp(-kappa * abs(x))
 
     def integrand(x):
-        return pre * float(airy(state.xi(x))) * (-F * x) * psi_b(x)
+        return pre * airy(state.xi(x)) * (-F * x) * psi_b(x)
 
     pts = [p for p in (0.0, x_t) if x_lo < p < x_hi]
     M, _ = quad(integrand, x_lo, x_hi, points=pts or None,
                 epsabs=1e-13, epsrel=1e-10, limit=800)
-    ov, _ = quad(lambda x: pre * float(airy(state.xi(x))) * psi_b(x),
+    ov, _ = quad(lambda x: pre * airy(state.xi(x)) * psi_b(x),
                  x_lo, x_hi, points=pts or None,
                  epsabs=1e-13, epsrel=1e-10, limit=800)
     return IonizationResult(rate=2.0 * np.pi * M * M, matrix_element=float(M),
@@ -300,13 +310,13 @@ def box_quantized_rate(kappa, F, m, *, xi_wall=185.0):
     # neighbor spacing: E_k = -F (wall + a z_k), increasing with k
     dE = -F * a * (z_next - z_prev)
     dos = 2.0 / dE
-    C = 1.0 / (np.sqrt(a) * abs(airy_prime(z_n)))
+    C = 1.0 / (math.sqrt(a) * abs(airy_prime(z_n)))
 
     x_hi = min(x_hi, wall)
 
     def integrand(x):
-        return (C * float(airy(state.xi(x))) * (-F * x)
-                * np.sqrt(kappa) * np.exp(-kappa * abs(x)))
+        return (C * airy(state.xi(x)) * (-F * x)
+                * math.sqrt(kappa) * math.exp(-kappa * abs(x)))
 
     pts = [p for p in (0.0, x_t) if x_lo < p < x_hi]
     M, _ = quad(integrand, x_lo, x_hi, points=pts or None,

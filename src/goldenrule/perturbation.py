@@ -16,17 +16,20 @@ carries its own closed forms:
   seed_terms(V0, t0), the (amplitude, gamma, omega_shift) terms of its
   analytic first-order amplitude, which dynamics.seed_amplitudes sums;
 - a pulse (TwoSidedExp, GaussianPulse, RectangularPulse) has spectrum
-  (s~ about t_ref), spectrum_sq (|s~|^2, overflow-safe) and cross_term
-  (the flat-band cross term, see pulsetrain.cross_term_closed_form).
+  (s~ about t_ref), spectrum_sq (|s~|^2 at one float frequency, in
+  Python floats and math, overflow-safe) and cross_term (the flat-band
+  cross term, see pulsetrain.cross_term_closed_form).
 
 The public functions spectral_amplitude and spectral_shape_sq, and
 dynamics.seed_amplitudes and pulsetrain.cross_term_closed_form, read
 these methods; an envelope without one is refused (a turn-on has no
-spectrum) or, for the seed, starts from an empty band.
+spectrum) or, for the seed, starts from an empty band. Every rate,
+carrier, tau, width and t_ref must be finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +40,20 @@ from .errors import DomainError, PreconditionError
 _LN_FLOOR = np.log(1e6)  # support radius measured at 1e-6 relative amplitude
 _DEGENERATE_REL = 1e-6  # TwoSidedExp rates this close take the confluent form
 _PULSES = "TwoSidedExp, GaussianPulse, RectangularPulse"
+
+
+def _check_finite(**values):
+    """DomainError naming the first value that is NaN or infinite."""
+    for name, value in values.items():
+        if not -math.inf < value < math.inf:
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
+def _no_overflow(sq, env):
+    """sq, or DomainError when |s~|^2 of env overflowed to inf."""
+    if sq == math.inf:
+        raise DomainError(f"|s~|^2 of {env} overflows a float")
+    return sq
 
 
 @dataclass(frozen=True)
@@ -53,6 +70,8 @@ class TwoSidedExp:
     def __post_init__(self):
         if not (self.gamma_minus > 0.0 and self.gamma_plus > 0.0):
             raise DomainError("rate constants must be positive")
+        _check_finite(gamma_minus=self.gamma_minus,
+                      gamma_plus=self.gamma_plus, t_ref=self.t_ref)
 
     def shape(self, t):
         dt = np.asarray(t, dtype=float) - self.t_ref
@@ -86,8 +105,9 @@ class TwoSidedExp:
                 f"{gm:g}, {gp:g}") from None
         # no omega^2, which overflows past |omega| ~ 1e154; dividing by the
         # larger rate's factor first, no quotient overflows unless out does
-        hi, lo = (np.hypot(omega, g) for g in (max(gm, gp), min(gm, gp)))
-        return peak / hi / hi / lo / lo
+        hi = math.hypot(omega, max(gm, gp))
+        lo = math.hypot(omega, min(gm, gp))
+        return _no_overflow(peak / hi / hi / lo / lo, self)
 
     def cross_term(self, D, T):
         """The two-pole form, or for rates degenerate within 1e-6 relative
@@ -110,6 +130,7 @@ class GaussianPulse:
     def __post_init__(self):
         if not self.tau > 0.0:
             raise DomainError(f"tau must be positive, got {self.tau}")
+        _check_finite(tau=self.tau, t_ref=self.t_ref)
 
     def shape(self, t):
         dt = (np.asarray(t, dtype=float) - self.t_ref) / self.tau
@@ -127,8 +148,8 @@ class GaussianPulse:
             return np.exp(-0.25 * (omega * self.tau) ** 2) + 0j
 
     def spectrum_sq(self, omega):
-        with np.errstate(over="ignore"):  # exp(-inf) = 0 is the exact limit
-            return np.exp(-0.5 * (omega * self.tau) ** 2)
+        x = omega * self.tau
+        return math.exp(-0.5 * (x * x))  # exp(-inf) = 0 is the exact limit
 
     def cross_term(self, D, T):
         lag = T / self.tau  # (T / tau)^2, unlike T^2 / tau^2, cannot overflow
@@ -145,6 +166,7 @@ class RectangularPulse:
     def __post_init__(self):
         if not self.width > 0.0:
             raise DomainError(f"width must be positive, got {self.width}")
+        _check_finite(width=self.width, t_ref=self.t_ref)
 
     def shape(self, t):
         dt = np.abs(np.asarray(t, dtype=float) - self.t_ref)
@@ -158,9 +180,16 @@ class RectangularPulse:
         return self.width * np.sinc(omega * self.width / (2.0 * np.pi)) + 0j
 
     def spectrum_sq(self, omega):
-        """4 sin^2(omega T / 2) / omega^2, with the omega -> 0 limit T^2."""
-        s = self.width * np.sinc(omega * self.width / (2.0 * np.pi))
-        return s * s
+        """4 sin^2(omega w / 2) / omega^2 for width w, with the omega -> 0
+        limit w^2; np.sinc's arithmetic in np.sinc's order."""
+        w = self.width
+        y = math.pi * (omega * w / (2.0 * math.pi))
+        if abs(y) == math.inf:  # math.sin refuses it
+            raise DomainError(
+                f"omega * width overflows a float at omega {omega:g}, "
+                f"width {w:g}")
+        s = w * (math.sin(y) / y) if y else w
+        return _no_overflow(s * s, self)
 
     def cross_term(self, D, T):
         return 2.0 * np.pi * D * max(0.0, self.width - T)
@@ -192,9 +221,11 @@ class ExpSuperposition:
                 raise DomainError(f"gamma must be positive, got {term[0]}")
             if len(term) == 3 and not term[2] > 0.0:
                 raise DomainError("carrier frequency must be positive")
+            _check_finite(**dict(zip(("gamma", "weight", "omega"), term)))
         total = sum(term[1] for term in terms)
         if not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise DomainError(f"superposition weights must sum to 1, got {total}")
+        _check_finite(t_ref=self.t_ref)
         object.__setattr__(self, "terms", terms)
 
     def shape(self, t):
@@ -258,12 +289,16 @@ def spectral_amplitude(env, omega):
 
 
 def spectral_shape_sq(env, omega):
-    """|s~(omega)|^2 in closed form for the pulse shapes that have one."""
+    """|s~(omega)|^2 in closed form for the pulse shapes that have one, at
+    one real frequency, as a float; DomainError for an array or where the
+    value overflows a float."""
     if not hasattr(env, "spectrum_sq"):
         raise DomainError(f"no closed-form spectrum for {type(env).__name__}; "
                           f"supported: {_PULSES}")
-    out = env.spectrum_sq(np.asarray(omega, dtype=float))
-    return out if out.ndim else float(out)
+    if np.ndim(omega):
+        raise DomainError("spectral_shape_sq takes one frequency, got an "
+                          f"array of shape {np.shape(omega)}")
+    return env.spectrum_sq(float(omega))
 
 
 def averaged_sq_matrix_element(element, dos, s_range, E):

@@ -26,8 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError, PreconditionError, ToleranceFailureError
-from .perturbation import (RectangularPulse, evaluate, spectral_amplitude,
-                           spectral_shape_sq)
+from .perturbation import RectangularPulse, evaluate, spectral_amplitude
 from .dynamics import _panel_rule, integrate
 from .spectrum import ConstantDOS
 
@@ -189,7 +188,8 @@ def cross_term_integral(env, dos, omega_i, T, *, rtol=1e-6, atol=1e-12):
     runs over the support of a ConstantDOS with finite edges, split at
     zero detuning and at decades +-s 10^k of the narrowest spectral scale
     s = 1 / (longest support radius), so any band width resolves the
-    peak; the integrand is D0 |s~|^2. Every piece takes QUADPACK's
+    peak; the integrand is D0 |s~|^2, the float function D0 *
+    env.spectrum_sq(x) (see perturbation). Every piece takes QUADPACK's
     cos-weighted rule at frequency T (plain Gauss-Kronrod at T = 0) and,
     for T > 0, the sin-weighted one; each estimate is asked for atol and
     rtol over the number of estimates, and the error estimates add up
@@ -211,8 +211,10 @@ def cross_term_integral(env, dos, omega_i, T, *, rtol=1e-6, atol=1e-12):
     where it returns NaN on an integrand that has underflowed to zero.
 
     Raises:
-        DomainError: a T, rtol or atol that is NaN or out of range, or a
-            DOS that is not a ConstantDOS with a finite support.
+        DomainError: a T, rtol or atol that is NaN or out of range, an
+            envelope without a closed-form spectrum, a |s~|^2 that
+            overflows, or a DOS that is not a ConstantDOS with a finite
+            support.
         ToleranceFailureError: if a piece's estimate is not finite, or
             the summed error estimate exceeds max(rtol * |I|, atol).
     """
@@ -226,12 +228,16 @@ def cross_term_integral(env, dos, omega_i, T, *, rtol=1e-6, atol=1e-12):
         raise DomainError(
             "cross-term integral needs a ConstantDOS with a finite support, "
             f"got {type(dos).__name__}")
+    if not hasattr(env, "spectrum_sq"):
+        raise DomainError(
+            f"no closed-form spectrum for {type(env).__name__}")
     lo, hi = dos.support
     d = dos.D0
     s = 1.0 / max(env.support_radius())
     edges = _decade_edges(s, lo - omega_i, hi - omega_i).tolist()
+    spectrum_sq = env.spectrum_sq
     split_fn = lambda x: 2.0 * d / (x * x)
-    shape_fn = lambda x: d * float(spectral_shape_sq(env, x))
+    shape_fn = lambda x: d * spectrum_sq(x)
 
     # (x0, x1, split-weight?, [(coefficient, frequency, weight)]) per piece
     pieces = []
@@ -248,8 +254,7 @@ def cross_term_integral(env, dos, omega_i, T, *, rtol=1e-6, atol=1e-12):
     for x0, x1, split, terms in pieces:
         inner = min(abs(x0), abs(x1))
         if inner > 0.0:
-            f = (2.0 / inner / inner if split
-                 else float(spectral_shape_sq(env, inner)))
+            f = 2.0 / inner / inner if split else spectrum_sq(inner)
             bound = sum(abs(c) for c, _, _ in terms) * d * f * (x1 - x0)
             if bound <= atol / n_est:
                 err += bound

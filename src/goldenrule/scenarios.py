@@ -19,6 +19,7 @@ import functools
 import glob
 import hashlib
 import json
+import math
 import numbers
 import os
 import sys
@@ -1095,8 +1096,8 @@ def _airy_check(p, checks):
 
         # smear closed form against direct kernel quadrature at a probe
         xi_probe, sig_probe = -3.0, 0.7
-        direct = quad(lambda s: np.exp(-0.5 * (s / sig_probe) ** 2)
-                      / (sig_probe * np.sqrt(2 * np.pi))
+        direct = quad(lambda s: math.exp(-0.5 * (s / sig_probe) ** 2)
+                      / (sig_probe * math.sqrt(2 * math.pi))
                       * airy(xi_probe - s),
                       -8 * sig_probe, 8 * sig_probe,
                       epsabs=1e-14, epsrel=1e-12, limit=400)[0]

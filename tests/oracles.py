@@ -5,8 +5,8 @@ scipy.integrate.quad, on a contour or window chosen for numerical health,
 or on composite Gauss-Legendre panels, or from an asymptotic expansion,
 or as the limit of a smeared integral, or from its defining equation with
 scipy.integrate.solve_ivp, or with one cos/sin pair per level and time,
-so the routes under test are checked against something they do not share
-code with.
+or by the numpy expressions that a float route replaced, so the routes
+under test are checked against something they do not share code with.
 """
 
 import warnings
@@ -102,6 +102,28 @@ def spectral_sq_oracle(env, omega, t_lo, t_hi):
     im, _ = quad(lambda t: env.shape(t) * np.sin(omega * t), t_lo, t_hi,
                  epsabs=1e-13, epsrel=1e-11, limit=800)
     return re * re + im * im
+
+
+def spectrum_sq_numpy_oracle(env, omega):
+    """|s~(omega)|^2 of a pulse by the numpy expressions its spectrum_sq
+    used before it took one float: omega may be an array, and the
+    Gaussian's exp(-inf) = 0 is taken unwarned.
+    """
+    from goldenrule import GaussianPulse, RectangularPulse, TwoSidedExp
+
+    omega = np.asarray(omega, dtype=float)
+    if isinstance(env, TwoSidedExp):
+        gm, gp = env.gamma_minus, env.gamma_plus
+        peak = (gm + gp) ** 2
+        hi, lo = (np.hypot(omega, g) for g in (max(gm, gp), min(gm, gp)))
+        return peak / hi / hi / lo / lo
+    if isinstance(env, GaussianPulse):
+        with np.errstate(over="ignore"):
+            return np.exp(-0.5 * (omega * env.tau) ** 2)
+    if isinstance(env, RectangularPulse):
+        s = env.width * np.sinc(omega * env.width / (2.0 * np.pi))
+        return s * s
+    raise TypeError(f"no numpy spectrum for {type(env).__name__}")
 
 
 def spectral_amp_oracle(env, omega, t_lo, t_hi):

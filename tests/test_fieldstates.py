@@ -96,6 +96,26 @@ def test_airy_range_guard():
         airy_prime(-200.5)
 
 
+@pytest.mark.parametrize("xi", [np.nan, np.array([0.0, np.nan]),
+                                np.array(np.nan), -np.inf, [1.0, np.inf]],
+                         ids=["nan", "array-with-nan", "0d-nan", "-inf",
+                              "list-with-inf"])
+def test_airy_guard_refuses_nan_and_inf(xi):
+    """|NaN| <= 200 is False, so the guard refuses NaN, in a float or an
+    array, also under the run's float rules."""
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for fn in (airy, airy_prime):
+            with pytest.raises(DomainError, match="accuracy guard"):
+                fn(xi)
+
+
+def test_airy_of_a_float_is_a_float():
+    for xi in (0.5, np.float64(-3.0), 2):
+        assert type(airy(xi)) is float and type(airy_prime(xi)) is float
+    assert airy(np.array([0.5, -3.0])).shape == (2,)
+
+
 @pytest.mark.parametrize("n, a_n", [
     (1, -2.33810741045977),
     (2, -4.08794944413097),

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,8 @@ from goldenrule import (
     spectral_shape_sq,
 )
 
-from oracles import spectral_amp_oracle, spectral_sq_oracle
+from oracles import (spectral_amp_oracle, spectral_sq_oracle,
+                     spectrum_sq_numpy_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +108,32 @@ def test_envelope_constructor_rejections(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: RisingExp(np.inf),
+    lambda: HarmonicRisingExp(1.0, np.inf),
+    lambda: TwoSidedExp(np.inf, 1.0),
+    lambda: TwoSidedExp(1.0, np.inf),
+    lambda: GaussianPulse(np.inf),
+    lambda: RectangularPulse(np.inf),
+    lambda: ExpSuperposition(((np.inf, 0.5), (1.0, 0.5))),
+    lambda: RisingExp(1.0, t_ref=np.nan),
+    lambda: TwoSidedExp(1.0, 2.0, t_ref=np.inf),
+    lambda: GaussianPulse(1.0, t_ref=np.nan),
+    lambda: RectangularPulse(1.0, t_ref=-np.inf),
+    lambda: HarmonicRisingExp(1.0, 2.0, t_ref=np.inf),
+], ids=["rising-gamma", "harmonic-carrier", "two_sided-gamma_minus",
+        "two_sided-gamma_plus", "gaussian-tau", "rect-width",
+        "superposition-gamma", "rising-t_ref", "two_sided-t_ref",
+        "gaussian-t_ref", "rect-t_ref", "harmonic-t_ref"])
+def test_non_finite_envelope_parameters_are_refused(make):
+    """A rate, carrier, tau, width or t_ref that is NaN or infinite is
+    refused at construction, before shape(0.0) could make inf * 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="must be finite"):
+            make()
+
+
 def test_support_radius_conventions():
     left, right = RisingExp(2.0).support_radius()
     assert np.isinf(right) and left > 0.0
@@ -170,7 +200,8 @@ def test_spectral_shape_sq_consistent_with_amplitude():
                 TwoSidedExp(0.7, 1.9)):
         w = np.linspace(-8.0, 8.0, 33)
         assert np.allclose(np.abs(spectral_amplitude(env, w)) ** 2,
-                           spectral_shape_sq(env, w), rtol=1e-12, atol=1e-300)
+                           [spectral_shape_sq(env, x) for x in w],
+                           rtol=1e-12, atol=1e-300)
     # (omega tau)^2 overflows; exp(-inf) = 0 is the exact limit, unwarned
     env = GaussianPulse(1.0)
     assert spectral_amplitude(env, 1e200) == 0.0
@@ -183,6 +214,65 @@ def test_spectral_shape_sq_is_even(w):
     env = TwoSidedExp(0.8, 2.2)
     assert spectral_shape_sq(env, w) == pytest.approx(
         spectral_shape_sq(env, -w), rel=1e-12)
+
+
+# the scalar forms take one float; at each of these frequencies the
+# numpy forms they replaced are the reference
+_OMEGAS = np.concatenate([[0.0], np.logspace(-300.0, 200.0, 2001)])
+_OMEGAS = np.concatenate([-_OMEGAS[:0:-1], _OMEGAS])
+_ULPS = 12
+
+
+@pytest.mark.parametrize("env", [
+    TwoSidedExp(0.7, 1.9), TwoSidedExp(1.0, 1.0), TwoSidedExp(1e-3, 1e3),
+    GaussianPulse(1.3), GaussianPulse(1e-3), RectangularPulse(0.9),
+    RectangularPulse(1e3)], ids=repr)
+def test_scalar_spectrum_sq_matches_numpy_forms(env):
+    """Float spectrum_sq against the numpy expressions it replaced, at 0
+    and +-1e-300 ... 1e200, within _ULPS units in the last place.
+
+    Both sides do the same arithmetic in the same order; they differ only
+    where math and numpy evaluate an elementary function (hypot, exp,
+    sin), each faithfully rounded, so the two results of one call differ
+    by at most 2 ulp. TwoSidedExp divides peak by four hypot factors:
+    4 x 2 ulp, plus up to 1 ulp for each of the four divisions, which
+    round different inputs, is 12 ulp. GaussianPulse has one exp: 2 ulp.
+    RectangularPulse's s = w sin(y) / y differs by 2 + 2 ulp and s * s by
+    twice that plus one rounding: 9 ulp. Where a result is subnormal,
+    each rounding is instead off by at most half the least subnormal
+    2^-1074, which no later step amplifies (for these pulses that only
+    happens at |omega| >= 1, where every factor divided by is at least
+    1), hence the absolute term.
+    """
+    want = spectrum_sq_numpy_oracle(env, _OMEGAS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.array([spectral_shape_sq(env, w) for w in _OMEGAS])
+    bound = _ULPS * (np.finfo(float).eps * np.abs(want) + math.ulp(0.0))
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_spectral_shape_sq_takes_one_frequency():
+    env = GaussianPulse(1.0)
+    assert type(spectral_shape_sq(env, np.float64(0.5))) is float
+    for omega in (np.zeros(3), np.zeros((2, 2)), [0.0, 1.0]):
+        with pytest.raises(DomainError, match="one frequency"):
+            spectral_shape_sq(env, omega)
+
+
+def test_spectral_shape_sq_overflow_is_a_domain_error():
+    """omega * width past the float range, or a |s~|^2 past it, raise
+    DomainError, not a raw ValueError from math.sin or an inf."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="omega \\* width overflows"):
+            spectral_shape_sq(RectangularPulse(1e300), 1e10)
+        with pytest.raises(DomainError, match="overflows a float"):
+            spectral_shape_sq(RectangularPulse(1e300), 0.0)
+        with pytest.raises(DomainError, match="overflows a float"):
+            spectral_shape_sq(TwoSidedExp(1e-160, 1e-160), 0.0)
+        with pytest.raises(DomainError, match="overflows a float"):
+            spectral_shape_sq(TwoSidedExp(1e300, 1.0), 0.0)
 
 
 def test_unsupported_spectra_raise():

@@ -384,6 +384,8 @@ def test_cross_term_integral_guards():
         cross_term_integral(env, FLAT, 0.0, 0.0)
     with pytest.raises(DomainError, match="got PowerLawDOS"):
         cross_term_integral(env, PowerLawDOS(1.0, 1.0, 0.0), 0.0, 0.0)
+    with pytest.raises(DomainError, match="no closed-form spectrum"):
+        cross_term_integral(RisingExp(1.0), flat_band(0.0, 10.0), 0.0, 0.0)
     for T in (np.nan, np.inf):
         with pytest.raises(DomainError):
             cross_term_integral(env, flat_band(0.0, 10.0), 0.0, T)
