@@ -30,9 +30,10 @@ Both paths read the envelope only through evaluate(env, V0, t).
 
 Every level phase e^{i omega_f t} comes from _level_phases: on the
 uniform levels of a DiscretizedContinuum, two tables about sqrt(N) wide
-per time. First-order sums contract those tables per interval and never
-form one phase per node and level; the coupled rules, the step phases
-and the rate mix take products or contractions of them too.
+per time. First-order sums multiply those tables per interval, as
+batched matrix products that run on BLAS, and never form one phase per
+node and level; the coupled rules, the step phases and the rate mix
+take products or contractions of them too.
 
 Rates are the probability current into the band,
 
@@ -312,11 +313,12 @@ def _first_order_amplitudes(omegas, v, cf0, t_eval, s, wv, interval):
 
     The increment of interval k is sum_{s in k} wv_s e^{i omega_f s}. With
     the node phases factored by _level_phases, it is the ceil(N/m) x m
-    matrix sum_s (wv_s coarse_s) outer fine_s, read row by row as the N
-    levels. Intervals with equal node counts are contracted together by
-    one einsum in blocks of about _BLOCK_BYTES, and no node x level phase
-    block is ever formed. The increments are scaled by -i m_f and
-    accumulated in place.
+    matrix sum_s (wv_s coarse_s) outer fine_s = (wv coarse)^T fine, read
+    row by row as the N levels. Intervals with equal node counts are
+    multiplied together by one batched matrix product (np.matmul, a BLAS
+    gemm per interval) in blocks of about _BLOCK_BYTES, and no node x
+    level phase block is ever formed. The increments are scaled by -i m_f
+    and accumulated in place.
     """
     n = omegas.size
     starts = np.flatnonzero(np.r_[True, interval[1:] != interval[:-1]])
@@ -325,16 +327,20 @@ def _first_order_amplitudes(omegas, v, cf0, t_eval, s, wv, interval):
     width = 2 * math.isqrt(n) + 2  # columns of both tables, at most
     for c in np.unique(counts):
         group = starts[counts == c]
-        # bytes per interval: its c x width tables with their build
-        # temporaries, and its increment of N levels
-        rows = max(1, _BLOCK_BYTES // (16 * (3 * c * width + n)))
+        # complex values per interval, at most: building either table
+        # holds its arguments and exponentials beside the other table
+        # (2 c width), and the product holds both tables (c width) and
+        # its ceil(N/m) x m output (under N + width); the output is
+        # copied into out, and no other temporary is made
+        rows = max(1, _BLOCK_BYTES // (16 * ((2 * c + 1) * width + n)))
         for g0 in range(0, group.size, rows):
             first = group[g0:g0 + rows]
             nodes = first[:, None] + np.arange(c)
             coarse, fine = _level_phases(omegas, s[nodes])
             coarse *= wv[nodes, None]
-            out[interval[first] + 1] = np.einsum(
-                "isb,isa->iba", coarse, fine).reshape(first.size, -1)[:, :n]
+            out[interval[first] + 1] = np.matmul(
+                coarse.transpose(0, 2, 1), fine).reshape(
+                    first.size, -1)[:, :n]
     out[1:] *= -1j * v
     out[0] = cf0
     np.cumsum(out, axis=0, out=out)

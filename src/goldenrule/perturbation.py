@@ -278,27 +278,34 @@ def spectral_amplitude(env, omega):
     """Fourier transform s~(omega) = int s(t) e^{+i omega t} dt of the shape.
 
     Complex valued; includes the e^{i omega t_ref} phase of a shifted
-    pulse. Only integrable pulse shapes have one.
+    pulse. Only integrable pulse shapes have one. DomainError for a NaN
+    or infinite frequency, whose phase e^{i omega t_ref} has no value.
     """
     if not hasattr(env, "spectrum"):
         raise DomainError(f"{type(env).__name__} has no Fourier transform; "
                           f"supported: {_PULSES}")
     omega = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(omega)):
+        raise DomainError("spectral_amplitude needs finite frequencies, got "
+                          f"{omega[~np.isfinite(omega)].flat[0]}")
     out = np.exp(1j * omega * env.t_ref) * env.spectrum(omega)
     return out if out.ndim else complex(out)
 
 
 def spectral_shape_sq(env, omega):
     """|s~(omega)|^2 in closed form for the pulse shapes that have one, at
-    one real frequency, as a float; DomainError for an array or where the
-    value overflows a float."""
+    one real frequency, as a float; DomainError for an array, a NaN, or
+    where the value overflows a float."""
     if not hasattr(env, "spectrum_sq"):
         raise DomainError(f"no closed-form spectrum for {type(env).__name__}; "
                           f"supported: {_PULSES}")
     if np.ndim(omega):
         raise DomainError("spectral_shape_sq takes one frequency, got an "
                           f"array of shape {np.shape(omega)}")
-    return env.spectrum_sq(float(omega))
+    omega = float(omega)
+    if math.isnan(omega):
+        raise DomainError("spectral_shape_sq needs a real frequency, got nan")
+    return env.spectrum_sq(omega)
 
 
 def averaged_sq_matrix_element(element, dos, s_range, E):

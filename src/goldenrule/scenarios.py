@@ -136,7 +136,8 @@ class MetricResult:
 
     def to_dict(self):
         return {"value": self.value, "target": self.target,
-                "tolerance": self.tolerance, "pass": bool(self.passed)}
+                "tolerance": self.tolerance, "mode": self.mode,
+                "pass": bool(self.passed)}
 
 
 @dataclass
@@ -1246,7 +1247,8 @@ def _openblas_thread_calls():
 def _one_blas_thread():
     """Hold each bundled OpenBLAS to one thread, then give back its count.
 
-    A run's BLAS products are small (the coupled steps' N x 8 by 8): helper
+    A run's BLAS products are small (the coupled steps' N x 8 by 8, the
+    first-order sums' sqrt(N) x c by c x sqrt(N) per interval): helper
     threads would spin beside them and save no wall time, so a run would
     cost two CPUs on two cores, and k sweep workers would ask for 2k. The
     count is per process, so runs in several threads at once would hand

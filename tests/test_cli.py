@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import subprocess
@@ -18,7 +19,7 @@ from goldenrule.cli import (
     EXIT_OK,
     main,
 )
-from goldenrule.scenarios import bundled_scenarios, load_config
+from goldenrule.scenarios import bundled_scenarios, fmt, load_config
 
 
 def write_variant(tmp_path, name, mutate):
@@ -51,6 +52,13 @@ def test_run_reports_metrics_and_verdict(tmp_path, capsys):
     assert "normalization_equivalence: value=" in metric_lines[0]
     assert "target=0 tolerance=" in metric_lines[0]
     assert metric_lines[0].endswith("[abs]")
+    # the line is summary.json's entry, in the form perfbench parses
+    m = json.loads((tmp_path / "summary.json").read_text())["metrics"][
+        "normalization_equivalence"]
+    assert m["mode"] == "abs" and m["pass"] is True
+    assert metric_lines[0] == (
+        f"  PASS normalization_equivalence: value={fmt(m['value'])} "
+        f"target={fmt(m['target'])} tolerance={fmt(m['tolerance'])} [abs]")
     assert out[-1].startswith("PASS isotropic_scattering in ")
     assert f"artifacts in {tmp_path}" in out[-1]
 

@@ -322,6 +322,39 @@ FIRST_ORDER_SCENARIOS = {
 }
 
 
+def _first_order_calls(name, tmp_path, monkeypatch):
+    """(tol, calls): the scenario run at 301 levels, and the arguments and
+    result of each first-order sum it made."""
+    cfg, _ = load_config(name)
+    *path, leaf = FIRST_ORDER_SCENARIOS[name]
+    node = cfg
+    for key in path:
+        node = node[key]
+    node[leaf] = 301
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    route = dynamics._first_order_amplitudes
+    calls = []
+
+    def record(*args):
+        calls.append((args, route(*args)))
+        return calls[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_first_order_amplitudes", record)
+        run_scenario(str(config), out_dir=str(tmp_path / "out"))
+    assert calls
+    return cfg["integrator"]["tol"], calls
+
+
+def _oracle_gap(tol, got, omegas, v, cf0, t_eval, s, wv, interval):
+    """Largest distance of got from first_order_direct_oracle on the same
+    nodes, as a share of the allowance the panel test leaves a sum."""
+    want = first_order_direct_oracle(omegas, v, cf0, t_eval, s, wv, interval)
+    allowance = tol / 20.0 * np.sum(np.abs(wv)) * np.max(np.abs(v))
+    return float(np.max(np.abs(got - want))) / allowance
+
+
 @pytest.mark.parametrize("name", sorted(FIRST_ORDER_SCENARIOS))
 def test_first_order_sums_match_direct_oracle_on_scenarios(name, tmp_path,
                                                            monkeypatch):
@@ -333,30 +366,50 @@ def test_first_order_sums_match_direct_oracle_on_scenarios(name, tmp_path,
     (the integrand mass), times max|m_f| on an amplitude; a phase route
     may not use more than that allowance.
     """
-    cfg, _ = load_config(name)
-    *path, leaf = FIRST_ORDER_SCENARIOS[name]
-    node = cfg
-    for key in path:
-        node = node[key]
-    node[leaf] = 301
-    tol = cfg["integrator"]["tol"]
-    config = tmp_path / "config.yaml"
-    config.write_text(yaml.safe_dump(cfg))
+    tol, calls = _first_order_calls(name, tmp_path, monkeypatch)
+    gaps = [_oracle_gap(tol, got, *args) for args, got in calls]
+    assert max(gaps) <= 1.0
 
-    route = dynamics._first_order_amplitudes
-    gaps = []
 
-    def both(omegas, v, cf0, t_eval, s, wv, interval):
-        got = route(omegas, v, cf0, t_eval, s, wv, interval)
-        want = first_order_direct_oracle(omegas, v, cf0, t_eval, s, wv,
-                                         interval)
-        allowance = tol / 20.0 * np.sum(np.abs(wv)) * np.max(np.abs(v))
-        gaps.append(float(np.max(np.abs(got - want))) / allowance)
-        return got
+@pytest.mark.parametrize("budget", [1, 64 << 10])
+@pytest.mark.parametrize("name", ["harmonic_sidebands", "two_sided_edges"])
+def test_first_order_block_split_is_bitwise_equal(name, budget, tmp_path,
+                                                  monkeypatch):
+    """Splitting each group of equal-count intervals into several blocks
+    changes no bit of the sums.
 
-    monkeypatch.setattr(dynamics, "_first_order_amplitudes", both)
-    run_scenario(str(config), out_dir=str(tmp_path / "out"))
-    assert gaps and max(gaps) <= 1.0
+    At 301 levels, two_sided_edges mixes intervals of 4 and 8 nodes with
+    one of 44, and harmonic_sidebands holds intervals of 4 nodes and one
+    of 232; each run has a lone interval beside larger groups. A budget
+    of 1 byte puts each interval in a block of its own; 64 KiB gives
+    blocks of a few intervals and a shorter last one. The split sums stay
+    within the direct oracle's allowance too.
+    """
+    tol, calls = _first_order_calls(name, tmp_path, monkeypatch)
+    phases = dynamics._level_phases
+    for args, _ in calls:
+        interval = args[-1]
+        counts = np.unique(interval, return_counts=True)[1]
+        sizes, groups = np.unique(counts, return_counts=True)
+        assert min(groups) == 1 and max(groups) > 1
+        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", 1 << 40)
+        whole = dynamics._first_order_amplitudes(*args)
+        blocks = []
+
+        def spy(omegas, times):
+            blocks.append(times.shape)
+            return phases(omegas, times)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_level_phases", spy)
+            patch.setattr(dynamics, "_BLOCK_BYTES", budget)
+            split = dynamics._first_order_amplitudes(*args)
+        for c, group in zip(sizes, groups):
+            held = [rows for rows, nodes in blocks if nodes == c]
+            assert sum(held) == group
+            assert len(held) > 1 or group == 1
+        assert np.array_equal(split, whole)
+        assert _oracle_gap(tol, split, *args) <= 1.0
 
 
 # ---------------------------------------------------------------------------

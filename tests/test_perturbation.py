@@ -275,6 +275,29 @@ def test_spectral_shape_sq_overflow_is_a_domain_error():
             spectral_shape_sq(TwoSidedExp(1e300, 1.0), 0.0)
 
 
+_PULSE_SHAPES = [TwoSidedExp(1.0, 2.0), GaussianPulse(1.0),
+                 RectangularPulse(1.0), GaussianPulse(1.0, t_ref=0.5)]
+
+
+@pytest.mark.parametrize("env", _PULSE_SHAPES,
+                         ids=["two_sided", "gaussian", "rect", "shifted"])
+def test_nan_frequency_is_a_domain_error(env):
+    """A NaN frequency is refused, not passed through as a NaN spectrum
+    (nor, for TwoSidedExp, after an invalid-value warning); an infinite
+    one leaves e^{i omega t_ref} without a value, so spectral_amplitude
+    refuses it too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="real frequency, got nan"):
+            spectral_shape_sq(env, math.nan)
+        with pytest.raises(DomainError, match="real frequency, got nan"):
+            spectral_shape_sq(env, np.float64(np.nan))
+        for omega in (math.nan, np.array([0.0, np.nan]), math.inf,
+                      np.array([[1.0, -np.inf]])):
+            with pytest.raises(DomainError, match="finite frequencies"):
+                spectral_amplitude(env, omega)
+
+
 def test_unsupported_spectra_raise():
     with pytest.raises(DomainError, match="no Fourier transform"):
         spectral_amplitude(RisingExp(1.0), 0.0)

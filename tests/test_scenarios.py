@@ -70,6 +70,10 @@ def test_metric_modes():
         MetricResult(0.0, 0.0, 0.1, "sideways").passed
     d = MetricResult(1.0, 1.0, 0.1).to_dict()
     assert d["pass"] is True
+    # a value above its tolerance reads as a pass only beside its mode
+    assert MetricResult(0.394, 0.0, 0.1, "above").to_dict() == {
+        "value": 0.394, "target": 0.0, "tolerance": 0.1, "mode": "above",
+        "pass": True}
 
 
 def test_config_digest_is_plain_sha256():
