@@ -26,7 +26,11 @@ Iserles & Norsett, Proc. R. Soc. A 2005), an exponential integrator in
 the sense of Hochbruck & Ostermann (Acta Numerica 2010), so steps follow
 the envelope and c_i, not 1 / max|omega|. Each step is held to tol / 20
 by a defect estimate from its own nodes; tol also bounds the norm drift.
-Both paths read the envelope only through evaluate(env, V0, t).
+For a fixed width and envelope a step is a linear map of c_i and the
+levels' projection onto its nodes, so the maps of many steps are built
+together, one envelope call and one batched solve per block, and each
+step then costs O(N) work. Both paths read the envelope only through
+evaluate(env, V0, t).
 
 Every level phase e^{i omega_f t} comes from _level_phases: on the
 uniform levels of a DiscretizedContinuum, two tables about sqrt(N) wide
@@ -69,7 +73,8 @@ _PANEL_PHASE = 4.0   # most max|omega| phase, in rad, one quadrature panel spans
 _SHORT_PANEL = 0.5   # panels spanning at most this phase take 4 nodes, not 8
 _MAX_BISECTIONS = 60
 _MAX_PANELS = 1 << 16  # panels one test round may hold beyond the first
-_BLOCK_BYTES = 4 << 20  # budget of one block of level phases e^{i omega t}
+# budget of one block of level phases e^{i omega t} or of coupled step maps
+_BLOCK_BYTES = 4 << 20
 _ROUND_BYTES = 1 << 30  # budget of the first panels' arrays and node tables
 # bytes one first panel holds: k, j, lo and hi, then per node of the
 # 8-point Gauss and 9-point Lobatto rules s, f(s), its weight and a phase
@@ -77,6 +82,11 @@ _PANEL_BYTES = 4 * 8 + 17 * (3 * 8 + 16)
 _STEP_NODES = 8      # collocation nodes of one coupled step
 _STEP_PHASE = 64.0   # most max|omega| phase, in rad, one coupled step spans
 _RULE_CACHE = 8      # step widths whose rules one coupled run keeps
+# bytes one coupled step holds, at most, while its block's maps are built:
+# 3 p x p, 6 p x (p + 1) and 2 (2p + 2) x (p + 1) complex arrays; over
+# twice what its kept map, node times and envelope values hold
+_MAP_BYTES = 16 * (3 * _STEP_NODES ** 2 + 6 * _STEP_NODES * (_STEP_NODES + 1)
+                   + 2 * (2 * _STEP_NODES + 2) * (_STEP_NODES + 1))
 # most steps a coupled run's grid may ask for beyond one per sample
 # interval, and most step attempts it may take beyond its least
 _MAX_STEPS = 1 << 16
@@ -347,6 +357,12 @@ def _first_order_amplitudes(omegas, v, cf0, t_eval, s, wv, interval):
     return out.T
 
 
+def _rule_key(h):
+    """Key of a coupled step width in the rule cache: widths equal to 12
+    digits share one rule."""
+    return float(f"{h:.12e}")
+
+
 def _lagrange(x, u):
     """Lagrange basis on the nodes x at the points u: shape u.shape + (p,)."""
     diff = np.asarray(u, dtype=float)[..., None] - x
@@ -359,7 +375,8 @@ def _lagrange(x, u):
 
 
 class _FilonStepper:
-    """One Filon-collocation step of the coupled equations, rules cached.
+    """Filon-collocation steps of the coupled equations as linear maps,
+    rules cached.
 
     On [t, t + h], g = a c_i is collocated on p Gauss nodes s_l = t + h x_l.
     Every final level advances exactly against the interpolant of g,
@@ -378,7 +395,7 @@ class _FilonStepper:
     = c_i(t) 1 - i h A (a F), and c_i(t + h) = c_i(t) + h sum_k b_k
     dc_i/dt(s_k). D, Q and the node phases depend on h alone; the moments
     are Gauss sums with enough nodes for the step's max|omega| h phase,
-    which _STEP_PHASE caps. A step costs one p x p solve and O(N p) work.
+    which _STEP_PHASE caps.
 
     The error estimate is the defect delta_m = a C - P g at the p + 1
     Gauss-Lobatto nodes z_m of [0, 1]: the drive along the collocation
@@ -387,6 +404,13 @@ class _FilonStepper:
     anywhere in the step shows. With |delta| = sum_m w_m |delta_m| and
     |v|^2 = sum_f w_f v_f^2, it is max(h |v|, h^2 max|a| |v|^2) |delta|:
     the c_f error, and the c_i error through the memory term.
+
+    For a fixed h and fixed envelope values a, everything a step computes
+    from the state is linear in z = [c_i(t), F]: c_i(t + h), g and delta
+    are T z for one (2p + 2) x (p + 1) map T (maps). maps builds T for a
+    block of steps that share a rule with one stacked p x p solve, and
+    advance applies one of them with O(N p) work: F, T z, and c_f + rot
+    (D g) (Hochbruck & Ostermann, Acta Numerica 2010, for the structure).
     """
 
     def __init__(self, omegas, weights, v):
@@ -400,6 +424,7 @@ class _FilonStepper:
         A = self.u[:, None] * np.einsum(
             "m,lmk->lk", self.b, _lagrange(self.x, np.outer(self.u, self.x)))
         self.A, self.A_z = A[:p], A[p:]
+        self.b_A_z = np.vstack([self.b, self.A_z])
         self.L_z = _lagrange(self.x, self.u[p:])
         self.v_mass = float(np.sum(self.wv2))
         self.rules = {}
@@ -408,12 +433,14 @@ class _FilonStepper:
         """(-i v_f D_fj, w_f v_f e^{-i omega_f h x_l}, Q, e^{i omega_f h}).
 
         The phases e^{i omega_f tau} at the moment nodes, the collocation
-        nodes and h are products of the _level_phases tables, formed in
-        blocks of whole coarse rows (m levels each) of at most
-        _BLOCK_BYTES. Widths equal to 12 digits share one entry; the least
-        recently used entry goes once _RULE_CACHE are held.
+        nodes and h are products of the _level_phases tables. D, the node
+        phases and e^{i omega_f h} are formed in blocks of whole coarse
+        rows (m levels each) of at most _BLOCK_BYTES, level by level, so
+        the blocks change no bit; Q's level sums take the tables whole.
+        Widths with one _rule_key share one entry; the least recently used
+        entry goes once _RULE_CACHE are held.
         """
-        key = float(f"{h:.12e}")
+        key = _rule_key(h)
         if key in self.rules:
             self.rules[key] = self.rules.pop(key)
             return self.rules[key]
@@ -427,25 +454,28 @@ class _FilonStepper:
         basis_d = h * om[:, None] * _lagrange(x, tau)
         basis_q = (h * x[:, None, None] * om[:, None]
                    * _lagrange(x, np.outer(x, tau)))
-        times = np.concatenate([h * tau, -h * np.outer(x, 1.0 - tau).ravel(),
-                                -h * x, [h]])
-        n = self.omegas.size
+        # sum_f w_f v_f^2 e^{i omega_f tau} at Q's nodes, coarse row by
+        # coarse row: sum_b coarse_b sum_a fine_a (w v^2)_{b m + a}
+        coarse, fine = _level_phases(self.omegas,
+                                     -h * np.outer(x, 1.0 - tau).ravel())
+        n, m = self.omegas.size, fine.shape[1]
+        wv2 = np.zeros(coarse.shape[1] * m)
+        wv2[:n] = self.wv2
+        kernel = np.sum(coarse * (fine @ wv2.reshape(-1, m).T), axis=1)
+        Q = np.einsum("lq,lqj->lj", kernel.reshape(p, n_q), basis_q)
+        times = np.concatenate([h * tau, -h * x, [h]])
         D = np.empty((n, p), dtype=complex)
         phases = np.empty((n, p), dtype=complex)
         shift = np.empty(n, dtype=complex)
-        kernel = np.zeros(p * n_q, dtype=complex)
         coarse, fine = _level_phases(self.omegas, times)
-        m = fine.shape[1]
         rows = max(1, _BLOCK_BYTES // (16 * times.size * m))
         for b0 in range(0, coarse.shape[1], rows):
             part = slice(b0 * m, min(n, (b0 + rows) * m))
             e = (coarse[:, b0:b0 + rows, None] * fine[:, None, :]).reshape(
                 times.size, -1)[:, :part.stop - part.start]
             D[part] = e[:n_q].T @ basis_d
-            kernel += e[n_q:-p - 1] @ self.wv2[part]
-            phases[part] = e[-p - 1:-1].T
+            phases[part] = e[n_q:-1].T
             shift[part] = e[-1]
-        Q = np.einsum("lq,lqj->lj", kernel.reshape(p, n_q), basis_q)
         D *= -1j * self.v[:, None]
         phases *= self.wv[:, None]
         if len(self.rules) == _RULE_CACHE:
@@ -453,26 +483,81 @@ class _FilonStepper:
         self.rules[key] = (D, phases, Q, shift)
         return self.rules[key]
 
-    def step(self, ci, cf, rot, h, a):
+    def maps(self, h, a):
+        """(rule, T, scale) of K steps of widths h (shape (K,)) that share
+        one _rule_key, from the envelope a (K, 2p + 1) at t + h u (Gauss
+        nodes, then Lobatto nodes).
+
+        rule is (D, node phases, e^{i omega_f h}) for advance. T[k] maps
+        z = [c_i(t), F_1..F_p] to [c_i(t + h); g; delta] (class
+        docstring), and scale[k] = max(h |v|, h^2 max|a| |v|^2) is a
+        float. M = I + h A diag(a) Q diag(a) is solved once per step, for
+        all p + 1 columns [1 | -i h A diag(a)] and all K steps at once.
+        The maps are built with every float error ignored: a step whose T
+        or scale is not finite, or whose M is singular, gets scale inf,
+        and advance gives it an infinite err without touching the state.
+        """
+        D, phases, Q, shift = self.rule(float(h[0]))
+        p = self.x.size
+
+        def left(C, X):
+            # C @ X[:, :, k] for every k as one matrix product, with the
+            # steps along its rows: those do not change each other's bits
+            return (X.reshape(X.shape[0], -1).T @ C.T).T.reshape(
+                -1, *X.shape[1:])
+
+        # complex, contiguous and steps last, so each array operation runs
+        # over whole blocks
+        ag, az = np.split(np.ascontiguousarray(a.T, dtype=complex), [p])
+        with np.errstate(all="ignore"):
+            M = h * left(self.A, ag[:, None] * Q[:, :, None] * ag)
+            M[np.arange(p), np.arange(p)] += 1.0
+            rhs = np.empty((p, p + 1, h.size), dtype=complex)
+            rhs[:, 0] = 1.0
+            rhs[:, 1:] = -1j * h * (self.A[:, :, None] * ag)
+            M, rhs = np.moveaxis(M, 2, 0), np.moveaxis(rhs, 2, 0)
+            try:
+                y = np.linalg.solve(M, rhs)
+            except np.linalg.LinAlgError:  # a singular M: solve one by one
+                y = np.full(rhs.shape, np.nan, dtype=complex)
+                for k in range(h.size):
+                    try:
+                        y[k] = np.linalg.solve(M[k], rhs[k])
+                    except np.linalg.LinAlgError:
+                        pass
+            g = ag[:, None] * np.ascontiguousarray(np.moveaxis(y, 0, 2))
+            # dc_i/dt at the Gauss nodes: -i a F - a Q g
+            dci = -ag[:, None] * left(Q, g)
+            dci[np.arange(p), np.arange(1, p + 1)] -= 1j * ag
+            T = np.empty((2 * p + 2, p + 1, h.size), dtype=complex)
+            # c_i(t + h) and the collocation polynomial at the Lobatto nodes
+            C = h * left(self.b_A_z, dci)
+            C[:, 0] += 1.0
+            T[0] = C[0]
+            T[1:p + 1] = g
+            T[p + 1:] = az[:, None] * C[1:] - left(self.L_z, g)
+            scale = np.maximum(h * math.sqrt(self.v_mass),
+                               h * h * np.max(np.abs(a), axis=1)
+                               * self.v_mass)
+            bad = ~(np.isfinite(T).all(axis=(0, 1)) & np.isfinite(scale))
+        scale[bad] = math.inf
+        return ((D, phases, shift), np.ascontiguousarray(np.moveaxis(T, 2, 0)),
+                scale.tolist())
+
+    def advance(self, ci, cf, rot, rule, T, scale):
         """(c_i, c_f, rot, err) at t + h from (ci, cf, rot) at t, where rot
-        = e^{i omega_f t} and a holds the envelope at t + h u (Gauss nodes,
-        then Lobatto nodes); err is the step's defect estimate, inf where
-        the step's arithmetic overflows or turns invalid."""
-        D, phases, Q, shift = self.rule(h)
-        reach = h * h * float(np.max(np.abs(a))) * self.v_mass
-        a, az = a[:self.x.size], a[self.x.size:]
+        = e^{i omega_f t}, by one map of maps; err is the step's defect
+        estimate, inf for a bad map or where the step's arithmetic
+        overflows or turns invalid (under the caller's float rules)."""
+        if scale == math.inf:
+            return ci, cf, rot, math.inf
+        D, phases, shift = rule
+        p = self.x.size
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                F = (np.conj(rot) * cf) @ phases
-                M = np.eye(a.size) + h * self.A @ (a[:, None] * Q * a)
-                y = np.linalg.solve(M, ci - 1j * h * (self.A @ (a * F)))
-                g = a * y
-                dci = -1j * a * F - a * (Q @ g)
-                defect = self.wz @ np.abs(az * (ci + h * (self.A_z @ dci))
-                                          - self.L_z @ g)
-                return (ci + h * (self.b @ dci), cf + rot * (D @ g),
-                        rot * shift,
-                        max(h * math.sqrt(self.v_mass), reach) * defect)
+            F = (np.conj(rot) * cf) @ phases
+            w = T @ np.concatenate(([ci], F))
+            err = scale * float(self.wz @ np.abs(w[p + 1:]))
+            return w[0], cf + rot * (D @ w[1:p + 1]), rot * shift, err
         except FloatingPointError:
             return ci, cf, rot, math.inf
 
@@ -509,6 +594,13 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
     e^{i omega_f t} are exact at each t_k and advanced by the rules' step
     phases within an interval.
 
+    The steps of the least depths do not depend on the state, so their
+    maps come in blocks: the steps of one _rule_key among the next
+    _BLOCK_BYTES / _MAP_BYTES of them, across intervals, take one
+    envelope call and one maps call. A halved or regrown step is a block
+    of one. Every step attempt counts its 2p + 1 envelope values, as if
+    it had evaluated them alone.
+
     Returns:
         (c_i, c_f, steps, rejected, evaluations): c_i per t_eval point,
         c_f as an N x len(t_eval) view, accepted and rejected steps, and
@@ -520,8 +612,8 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
             a grid whose least steps pass one per sample interval by more
             than _MAX_STEPS, a step that still fails after _MAX_BISECTIONS
             halvings or once its width no longer halves in floating point,
-            or a run that takes _MAX_STEPS attempts beyond the least its
-            grid allows.
+            a run that takes _MAX_STEPS attempts beyond the least its grid
+            allows, or a step whose map or arithmetic is not finite.
     """
     limit = tol / _RTOL_SAFETY
     if limit < np.finfo(float).eps:
@@ -538,44 +630,88 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
     tops, least = least_coupled_steps(stepper.max_omega, t_eval)
     budget = _MAX_STEPS + least
     coarse, fine = _level_phases(omegas, t_eval[:-1])
-    for k, top in enumerate(tops):
-        lo, hi = t_eval[k], t_eval[k + 1]
-        width = hi - lo
-        depth, j = top, 0
-        rot = np.outer(coarse[k], fine[k]).ravel()[:omegas.size]
 
-        def at(i, d):
-            return hi if i == 1 << d else lo + width * i / (1 << d)
+    def maps_on(ta, tb, h):  # the maps of steps [ta, tb] of widths h
+        with np.errstate(all="ignore"):
+            times = ta[:, None] + (tb - ta)[:, None] * stepper.u
+            a = np.asarray(amp(times.ravel()), dtype=float)
+        return stepper.maps(h, a.reshape(times.shape))
 
-        while j < 1 << depth:
-            if steps + rejected == budget:
-                raise ToleranceFailureError(
-                    f"coupled steps stalled near t = {at(j, depth):.6g} "
-                    f"after {budget} step attempts")
-            ta, tb = at(j, depth), at(j + 1, depth)
-            a = np.asarray(amp(ta + (tb - ta) * stepper.u), dtype=float)
-            evaluations += a.size
-            *state, err = stepper.step(ci, cf, rot, width / (1 << depth), a)
-            if err <= limit:
-                ci, cf, rot = state
-                steps += 1
-                j += 1
-                if j % 2 == 0 and depth > top:
-                    depth, j = depth - 1, j // 2
-                continue
-            rejected += 1
-            if not np.isfinite(err):
-                raise ToleranceFailureError(
-                    f"coupled step at t = {ta:.6g} produced a non-finite "
-                    "amplitude")
-            if (depth - top == _MAX_BISECTIONS
-                    or not ta < at(2 * j + 1, depth + 1) < tb):
-                raise ToleranceFailureError(
-                    f"coupled step at t = {ta:.6g} missed tol / "
-                    f"{_RTOL_SAFETY:g} by {err:.3g} after {depth - top} "
-                    "halvings", achieved=err)
-            depth, j = depth + 1, 2 * j
-        out[k + 1], ci_all[k + 1] = cf, ci
+    # the steps of the least depths in order: their ends and widths, as
+    # at() below gives them, and their rule keys, numbered. A block is
+    # every step of one key among the next `ahead` ones: its maps take at
+    # most _BLOCK_BYTES to build, and the blocks alive, at most 2 ahead
+    # steps, keep at most that
+    counts = np.array([1 << top for top in tops])
+    first = np.r_[0, np.cumsum(counts)]
+    kk = np.repeat(np.arange(counts.size), counts)
+    jj, parts = np.arange(least) - first[kk], counts[kk]
+    start, span = t_eval[kk], t_eval[kk + 1] - t_eval[kk]
+    ta_top = start + span * jj / parts
+    tb_top = np.where(jj + 1 == parts, t_eval[kk + 1],
+                      start + span * (jj + 1) / parts)
+    h_top = span / parts
+    ids = {}
+    kid = [ids.setdefault(_rule_key(h), len(ids)) for h in h_top]
+    ahead = max(1, _BLOCK_BYTES // _MAP_BYTES)
+    blocks, slot = {}, np.empty(least, dtype=int)
+    with np.errstate(over="raise", invalid="raise"):
+        for k, top in enumerate(tops):
+            lo, hi = t_eval[k], t_eval[k + 1]
+            width = hi - lo
+            depth, j = top, 0
+            rot = np.outer(coarse[k], fine[k]).ravel()[:omegas.size]
+
+            def at(i, d):
+                return hi if i == 1 << d else lo + width * i / (1 << d)
+
+            while j < 1 << depth:
+                if steps + rejected == budget:
+                    raise ToleranceFailureError(
+                        f"coupled steps stalled near t = {at(j, depth):.6g} "
+                        f"after {budget} step attempts")
+                ta, tb = at(j, depth), at(j + 1, depth)
+                if depth == top:
+                    s = first[k] + j
+                    block = blocks.get(kid[s])
+                    if block is None or s >= block[0]:  # past its steps
+                        blocks = {key: b for key, b in blocks.items()
+                                  if b[0] > s}
+                        mine = s + np.flatnonzero(
+                            np.equal(kid[s:s + ahead], kid[s]))
+                        slot[mine] = np.arange(mine.size)
+                        block = blocks[kid[s]] = (s + ahead, *maps_on(
+                            ta_top[mine], tb_top[mine], h_top[mine]))
+                    _, rule, T, scale = block
+                    i = slot[s]
+                else:
+                    rule, T, scale = maps_on(
+                        np.array([ta]), np.array([tb]),
+                        np.array([width / (1 << depth)]))
+                    i = 0
+                evaluations += stepper.u.size
+                *state, err = stepper.advance(ci, cf, rot, rule, T[i],
+                                               scale[i])
+                if err <= limit:
+                    ci, cf, rot = state
+                    steps += 1
+                    j += 1
+                    if j % 2 == 0 and depth > top:
+                        depth, j = depth - 1, j // 2
+                    continue
+                rejected += 1
+                if not np.isfinite(err):
+                    raise ToleranceFailureError(
+                        f"coupled step at t = {ta:.6g} produced a non-finite "
+                        "amplitude")
+                if (depth - top == _MAX_BISECTIONS
+                        or not ta < at(2 * j + 1, depth + 1) < tb):
+                    raise ToleranceFailureError(
+                        f"coupled step at t = {ta:.6g} missed tol / "
+                        f"{_RTOL_SAFETY:g} by {err:.3g} after {depth - top} "
+                        "halvings", achieved=err)
+                depth, j = depth + 1, 2 * j
+            out[k + 1], ci_all[k + 1] = cf, ci
     return ci_all, out.T, steps, rejected, evaluations
 
 

@@ -181,10 +181,13 @@ class RectangularPulse:
 
     def spectrum_sq(self, omega):
         """4 sin^2(omega w / 2) / omega^2 for width w, with the omega -> 0
-        limit w^2; np.sinc's arithmetic in np.sinc's order."""
+        limit w^2 and the omega -> +-inf limit 0; np.sinc's arithmetic in
+        np.sinc's order."""
         w = self.width
         y = math.pi * (omega * w / (2.0 * math.pi))
         if abs(y) == math.inf:  # math.sin refuses it
+            if abs(omega) == math.inf:
+                return 0.0
             raise DomainError(
                 f"omega * width overflows a float at omega {omega:g}, "
                 f"width {w:g}")

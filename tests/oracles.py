@@ -5,10 +5,13 @@ scipy.integrate.quad, on a contour or window chosen for numerical health,
 or on composite Gauss-Legendre panels, or from an asymptotic expansion,
 or as the limit of a smeared integral, or from its defining equation with
 scipy.integrate.solve_ivp, or with one cos/sin pair per level and time,
-or by the numpy expressions that a float route replaced, so the routes
-under test are checked against something they do not share code with.
+or by the numpy expressions that a float route replaced, or one step at a
+time as the coupled stepper went before its steps became maps, so the
+routes under test are checked against something they do not share code
+with.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -355,3 +358,32 @@ def first_order_direct_oracle(omegas, v, cf0, t_eval, s, wv, interval):
     out[1:] *= -1j * np.asarray(v)
     out[0] = cf0
     return np.cumsum(out, axis=0).T
+
+
+def filon_step_oracle(stepper, ci, cf, rot, h, a):
+    """One coupled Filon step from the state, as the stepper once took it:
+    one p x p solve for the node values of c_i, then the drive, the
+    defect and both amplitudes from them.
+
+    (c_i, c_f, rot, err) at t + h from (ci, cf, rot) at t, where rot
+    = e^{i omega_f t} and a holds the envelope at t + h u (Gauss nodes,
+    then Lobatto nodes); err is the step's defect estimate, inf where
+    the step's arithmetic overflows or turns invalid.
+    """
+    D, phases, Q, shift = stepper.rule(h)
+    reach = h * h * float(np.max(np.abs(a))) * stepper.v_mass
+    a, az = a[:stepper.x.size], a[stepper.x.size:]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            F = (np.conj(rot) * cf) @ phases
+            M = np.eye(a.size) + h * stepper.A @ (a[:, None] * Q * a)
+            y = np.linalg.solve(M, ci - 1j * h * (stepper.A @ (a * F)))
+            g = a * y
+            dci = -1j * a * F - a * (Q @ g)
+            defect = stepper.wz @ np.abs(az * (ci + h * (stepper.A_z @ dci))
+                                         - stepper.L_z @ g)
+            return (ci + h * (stepper.b @ dci), cf + rot * (D @ g),
+                    rot * shift,
+                    max(h * math.sqrt(stepper.v_mass), reach) * defect)
+    except FloatingPointError:
+        return ci, cf, rot, math.inf

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import yaml
 
 from goldenrule import (
@@ -33,7 +34,7 @@ from goldenrule import (
 )
 from goldenrule import dynamics
 from goldenrule.scenarios import load_config, run_scenario
-from oracles import (coupled_rk_oracle, fd_rate_oracle,
+from oracles import (coupled_rk_oracle, fd_rate_oracle, filon_step_oracle,
                      first_order_direct_oracle, first_order_rk_oracle,
                      level_phases_direct_oracle)
 
@@ -825,6 +826,248 @@ def test_coupled_steps_past_a_cap_name_their_time(monkeypatch, cap, value,
         integrate(cont, RectangularPulse(2.0, t_ref=_T_REF), 0.2,
                   t0=-1.5, t1=3.0, mode="coupled",
                   sample_times=np.linspace(-1.5, 3.0, 41))
+
+
+def _maps_allowance(stepper, ci, cf, rot, h, a):
+    """(c_i, c_f, err) allowances of test_step_maps_match_the_one_step_oracle,
+    from eps, ||M^-1|| and the magnitudes of the step's terms."""
+    eps = np.finfo(float).eps
+
+    def gam(n):
+        return n * eps / (1.0 - n * eps)
+
+    def norm(X):  # infinity norm
+        X = np.abs(X)
+        return float(np.max(X.sum(axis=-1) if X.ndim == 2 else X))
+
+    D, phases, Q, _ = stepper.rule(h)
+    p = stepper.x.size
+    ag, az = np.abs(a[:p]), np.abs(a[p:])
+    F = (np.conj(rot) * cf) @ phases
+    M = np.eye(p) + h * stepper.A @ (a[:p, None] * Q * a[:p])
+    R = np.hstack([np.ones((p, 1)), -1j * h * stepper.A * a[:p]])
+    z = np.r_[ci, F]
+    Y = np.linalg.solve(M, R)
+    _, L, U = scipy.linalg.lu(M)
+    dM = (gam(6 * p) * norm(np.abs(L) @ np.abs(U))
+          + gam(2 * p + 8) * (1.0 + norm(h * np.abs(stepper.A)
+                                          @ (ag[:, None] * np.abs(Q) * ag))))
+    y_mag = float(np.max(np.abs(Y), axis=0) @ np.abs(z))
+    Rz = np.abs(R) @ np.abs(z)
+    e_y = (2.0 * norm(np.linalg.inv(M)) * (dM * y_mag + gam(2 * p + 8)
+                                            * norm(Rz))
+           + gam(2 * p + 12) * y_mag)
+    g_mag = ag * (np.abs(Y) @ np.abs(z))
+    dg = ag * e_y + 2.0 * gam(2 * p + 12) * g_mag
+    aQ = ag[:, None] * np.abs(Q)
+    big = gam(4 * p + 16)
+    dci_mag = ag * np.abs(F) + aQ @ g_mag
+    d_ci = (h * stepper.b @ (aQ @ dg)
+            + 2.0 * big * (abs(ci) + h * stepper.b @ dci_mag))
+    d_cf = (np.abs(D) @ dg
+            + 2.0 * big * (np.abs(cf) + np.abs(D) @ g_mag))
+    d_delta = (az * (h * np.abs(stepper.A_z) @ (aQ @ dg))
+               + np.abs(stepper.L_z) @ dg
+               + 2.0 * big * (az * (abs(ci) + h * np.abs(stepper.A_z)
+                                    @ dci_mag)
+                              + np.abs(stepper.L_z) @ g_mag))
+    scale = max(h * np.sqrt(stepper.v_mass),
+                h * h * float(np.max(np.abs(a))) * stepper.v_mass)
+    return d_ci, d_cf, scale * float(stepper.wz @ d_delta)
+
+
+@pytest.mark.parametrize("n", [1, 41, 201])
+def test_step_maps_match_the_one_step_oracle(n):
+    """A map of maps, applied by advance, gives the state and defect
+    estimate the one-solve step of filon_step_oracle gives, on random
+    states, couplings and envelope values, at a cached width and at a
+    halved one.
+
+    Both routes take F = (conj(rot) c_f) @ phases from the same code and
+    differ only in rounding. Write M = I + h A diag(a) Q diag(a), R = [1 |
+    -i h A diag(a)] and z = [c_i, F], so that y = M^-1 R z. LU with
+    partial pivoting returns the solution of (M + dM) y = r with |dM| <=
+    gamma_3p |L||U| (Higham, Accuracy and Stability, Thm 9.4); complex
+    arithmetic at most doubles the real counts, hence gamma_6p. Forming
+    M adds gamma_{2p+8} (1 + ||h |A| |a||Q||a| ||), and forming r, or R z,
+    gamma_{2p+8} |R||z|. So each route's y is within ||M^-1|| (dM y_mag
+    + gamma_{2p+8} ||R||z| ||) of M^-1 R z, with y_mag = sum_c |z_c|
+    max_l |Y_lc| bounding |y| and each column's error, plus gamma_{2p+12}
+    y_mag for the map's product T z; twice that bounds the gap e_y.
+    Every output is the state plus a linear map of g = a y: c_f' = c_f +
+    rot (D g), c_i' = c_i + h b . (-i a F - a Q g), delta = a_z (c_i + h
+    A_z dc_i/dt) - L_z g. Each gap is that map's absolute value applied
+    to |a| e_y, plus each route's own rounding, gamma_{4p+16} times the
+    absolute terms (g bounded by |a| |Y||z|); err is scale sum_m w_m
+    |delta_m|, so its gap is scale times w_z . (the delta gaps).
+    """
+    rng = np.random.default_rng(n)
+    omegas = np.linspace(-8.0, 8.0, n)
+    weights = np.full(n, 16.0 / n)
+    v = rng.uniform(0.5, 2.0, n)
+    stepper = dynamics._FilonStepper(omegas, weights, v)
+    worst = 0.0
+    for h in (0.5, 0.5, 0.25):  # built, cached, then halved
+        k = 6
+        a = rng.uniform(-3.0, 3.0, (k, 17))
+        rule, T, scale = stepper.maps(np.full(k, h), a)
+        assert dynamics._rule_key(h) in stepper.rules
+        for i in range(k):
+            ci = complex(*rng.uniform(-0.7, 0.7, 2))
+            cf = [1.0, 1j] @ rng.normal(0.0, 0.3, (2, n))
+            rot = np.exp(1j * omegas * rng.uniform(-5.0, 5.0))
+            with np.errstate(over="raise", invalid="raise"):
+                got = stepper.advance(ci, cf, rot, rule, T[i], scale[i])
+            want = filon_step_oracle(stepper, ci, cf, rot, h, a[i])
+            d_ci, d_cf, d_err = _maps_allowance(stepper, ci, cf, rot, h,
+                                                a[i])
+            assert abs(got[0] - want[0]) <= d_ci
+            assert np.all(np.abs(got[1] - want[1]) <= d_cf)
+            assert np.array_equal(got[2], want[2])
+            assert abs(got[3] - want[3]) <= d_err
+            worst = max(worst, abs(got[0] - want[0]) / d_ci,
+                        float(np.max(np.abs(got[1] - want[1]) / d_cf)),
+                        abs(got[3] - want[3]) / d_err)
+    assert worst > 0.0  # the routes differ in rounding, so this compares
+
+
+def test_coupled_nan_in_the_last_interval_names_its_time(monkeypatch):
+    """Envelope values that turn NaN only in the last sample interval spoil
+    only the maps of its steps: the steps before it, in the same block,
+    are taken, and the run ends typed at that interval's start, with no
+    warning."""
+    class LateNaN:
+        t_ref = 0.0
+
+        def shape(self, t):
+            return np.where(np.asarray(t) > 0.75, np.nan, 1.0)
+
+        def support_radius(self):
+            return 1.0, 1.0
+
+    cont = discretize(FLAT, 0.0, 2.0, 21)
+    blocks = []
+    maps = dynamics._FilonStepper.maps
+
+    def spy(self, h, a):
+        blocks.append(h.size)
+        return maps(self, h, a)
+
+    monkeypatch.setattr(dynamics._FilonStepper, "maps", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ToleranceFailureError,
+                           match=r"coupled step at t = 0\.75 produced a "
+                                 "non-finite amplitude"):
+            integrate(cont, LateNaN(), 0.1, t0=-1.0, t1=1.0,
+                      mode="coupled", sample_times=np.linspace(-1.0, 1.0, 9))
+    assert blocks == [8]
+
+
+def test_a_singular_step_solve_fails_only_its_own_step(monkeypatch):
+    """A LinAlgError from the stacked solve of a block sends its steps to
+    one solve each, which changes no bit of the run; where every solve
+    fails, the first step ends typed at its own time, with no warning."""
+    cont = discretize(FLAT, 0.0, 8.0, 201)
+    env, V0, t0, t1, _ = COUPLED_CASES["gaussian_train"]
+
+    def run():
+        return integrate(cont, env, V0, t0, t1, tol=1e-9, mode="coupled",
+                         sample_times=np.linspace(t0, t1, 41))
+
+    whole = run()
+    solve = np.linalg.solve
+    stacks = []
+
+    def no_stacks(M, b):
+        if M.ndim > 2 and M.shape[0] > 1:
+            stacks.append(M.shape[0])
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(M, b)
+
+    monkeypatch.setattr(np.linalg, "solve", no_stacks)
+    split = run()
+    assert stacks
+    assert np.array_equal(split.c_i, whole.c_i)
+    assert np.array_equal(split.c_f_end, whole.c_f_end)
+    assert (split.steps, split.rejected) == (whole.steps, whole.rejected)
+
+    def singular(M, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ToleranceFailureError,
+                           match=r"coupled step at t = -4 produced a "
+                                 "non-finite amplitude"):
+            run()
+
+
+COUPLED_SCENARIOS = {
+    # the workload sizes of the benchmark's coupled runs
+    "gaussian_train_decay": {"n_pulses": 5, "target_survival": 0.75,
+                             "dos_halfwidth": 20.0, "n_levels": 401},
+    "validity_margins": {"n_levels": 1001,
+                         "window_halfwidth_over_gamma": 250.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUPLED_SCENARIOS))
+def test_coupled_block_split_is_bitwise_equal(name, tmp_path, monkeypatch):
+    """Taking every step's map in a block of its own changes no bit of any
+    coupled integration of a scenario: c_i, the occupied sum, c_f at the
+    end, the rates, the norm drift and the counts.
+
+    gaussian_train_decay interleaves steps of two rule keys (widths that
+    differ in their last bits), and validity_margins has lone steps of
+    their own keys beside one long run. A _BLOCK_BYTES of 1 gives every
+    step a block of one. The maps of each block of the default run equal
+    those its steps get one at a time, bit for bit, too: a map's last bits
+    need not reach the amplitudes.
+    """
+    cfg, _ = load_config(name)
+    cfg["parameters"].update(COUPLED_SCENARIOS[name])
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    record = dynamics.AmplitudeTrajectory
+    maps = dynamics._FilonStepper.maps
+
+    def runs(budget):
+        trajs, blocks = [], []
+
+        def spy(self, h, a):
+            blocks.append((self, h, a, maps(self, h, a)))
+            return blocks[-1][-1]
+
+        def keep(**fields):
+            trajs.append(fields)
+            return record(**fields)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_BLOCK_BYTES", budget)
+            patch.setattr(dynamics, "AmplitudeTrajectory", keep)
+            patch.setattr(dynamics._FilonStepper, "maps", spy)
+            run_scenario(str(config), out_dir=str(tmp_path / str(budget)))
+        return trajs, blocks
+
+    whole, big = runs(dynamics._BLOCK_BYTES)
+    split, one = runs(1)
+    sizes = [h.size for _, h, _, _ in big]
+    assert {h.size for _, h, _, _ in one} == {1}
+    assert len(one) > 2 * len(big) and max(sizes) > 1
+    for stepper, h, a, (_, T, scale) in big:
+        for k in range(h.size):
+            _, T_k, scale_k = maps(stepper, h[k:k + 1], a[k:k + 1])
+            assert np.array_equal(T_k[0], T[k]) and scale_k[0] == scale[k]
+    assert len(split) == len(whole) > 0
+    for got, want in zip(split, whole):
+        assert got["mode"] == "coupled"
+        for key in ("c_i", "occupied", "c_f_end"):
+            assert np.array_equal(got[key], want[key])
+        for key in ("rate_table", "norm_drift", "evaluations", "steps",
+                    "rejected"):
+            assert got[key] == want[key]
 
 
 # ---------------------------------------------------------------------------

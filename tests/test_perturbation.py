@@ -298,6 +298,22 @@ def test_nan_frequency_is_a_domain_error(env):
                 spectral_amplitude(env, omega)
 
 
+@pytest.mark.parametrize("env", [TwoSidedExp(1.0, 2.0), GaussianPulse(1.0),
+                                 RectangularPulse(1.0)],
+                         ids=["two_sided", "gaussian", "rect"])
+def test_infinite_frequency_gives_the_zero_limit(env):
+    """|s~(omega)|^2 tends to 0 as omega -> +-inf for every pulse, and each
+    returns that limit, without a warning; a finite omega whose omega *
+    width overflows still raises for the rectangle."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for omega in (math.inf, -math.inf, np.float64(np.inf)):
+            assert spectral_shape_sq(env, omega) == 0.0
+        if isinstance(env, RectangularPulse):
+            with pytest.raises(DomainError, match="omega \\* width overflows"):
+                spectral_shape_sq(RectangularPulse(1e300), -1e10)
+
+
 def test_unsupported_spectra_raise():
     with pytest.raises(DomainError, match="no Fourier transform"):
         spectral_amplitude(RisingExp(1.0), 0.0)
