@@ -24,10 +24,12 @@ Filon-collocation steps (see _FilonStepper): each level is integrated
 exactly against a polynomial in the drive a(t) c_i(t) (Filon weights,
 Iserles & Norsett, Proc. R. Soc. A 2005), an exponential integrator in
 the sense of Hochbruck & Ostermann (Acta Numerica 2010), so steps follow
-the envelope and c_i, not 1 / max|omega|. Each step is held to tol / 20
-by a defect estimate from its own nodes; tol also bounds the norm drift.
-For a fixed width and envelope a step is a linear map of c_i and the
-levels' projection onto its nodes, so the maps of many steps are built
+the envelope and c_i, not 1 / max|omega|. The steps carry the levels in
+their own frame, d_f = e^{-i omega_f t} c_f, where the free rotation is
+the exact linear part. Each step is held to tol / 20 by a defect
+estimate from its own nodes; tol also bounds the norm drift. For a
+fixed width and envelope a step is a linear map of c_i and the levels'
+projection onto its nodes, so the maps of many steps are built
 together, one envelope call and one batched solve per block, and each
 step then costs O(N) work. Both paths read the envelope only through
 evaluate(env, V0, t).
@@ -36,8 +38,9 @@ Every level phase e^{i omega_f t} comes from _level_phases: on the
 uniform levels of a DiscretizedContinuum, two tables about sqrt(N) wide
 per time. First-order sums multiply those tables per interval, as
 batched matrix products that run on BLAS, and never form one phase per
-node and level; the coupled rules, the step phases and the rate mix
-take products or contractions of them too.
+node and level; the coupled rules and the first-order rate mix take
+products or contractions of them too, and the coupled c_f at the last
+sample is e^{i omega_f t} d_f, one product of them.
 
 Rates are the probability current into the band,
 
@@ -49,8 +52,10 @@ couplings.
 It is built from the integrated amplitudes and the equation of motion
 alone, so it stays independent of every analytic rate formula it is
 compared against: no golden-rule density, matrix-element average or
-envelope closed form enters it. The current needs c_f at the rate time
-itself, so rate times must be registered when integrating (rate_times).
+envelope closed form enters it. In coupled mode e^{+i omega_f t}
+conj(c_f) is conj(d_f), so the current takes no phase. The current needs
+c_f at the rate time itself, so rate times must be registered when
+integrating (rate_times).
 """
 
 from __future__ import annotations
@@ -82,6 +87,7 @@ _PANEL_BYTES = 4 * 8 + 17 * (3 * 8 + 16)
 _STEP_NODES = 8      # collocation nodes of one coupled step
 _STEP_PHASE = 64.0   # most max|omega| phase, in rad, one coupled step spans
 _RULE_CACHE = 8      # step widths whose rules one coupled run keeps
+_WIDTH_RTOL = 1e-12  # widths this close, relative, share one step rule
 # bytes one coupled step holds, at most, while its block's maps are built:
 # 3 p x p, 6 p x (p + 1) and 2 (2p + 2) x (p + 1) complex arrays; over
 # twice what its kept map, node times and envelope values hold
@@ -357,10 +363,19 @@ def _first_order_amplitudes(omegas, v, cf0, t_eval, s, wv, interval):
     return out.T
 
 
-def _rule_key(h):
-    """Key of a coupled step width in the rule cache: widths equal to 12
-    digits share one rule."""
-    return float(f"{h:.12e}")
+def _width_ids(h):
+    """Rule key ids of coupled step widths h: each width within
+    _WIDTH_RTOL, relative, of the least width of its group shares that
+    width's id, as rule shares a held rule, so no rounding boundary splits
+    equal widths."""
+    widths, inverse = np.unique(h, return_inverse=True)
+    new, i = np.zeros(widths.size, dtype=int), 0
+    while True:
+        i = int(np.searchsorted(widths, widths[i] * (1.0 + _WIDTH_RTOL),
+                                side="right"))
+        if i == widths.size:
+            return np.cumsum(new)[inverse]
+        new[i] = 1
 
 
 def _lagrange(x, u):
@@ -408,9 +423,18 @@ class _FilonStepper:
     For a fixed h and fixed envelope values a, everything a step computes
     from the state is linear in z = [c_i(t), F]: c_i(t + h), g and delta
     are T z for one (2p + 2) x (p + 1) map T (maps). maps builds T for a
-    block of steps that share a rule with one stacked p x p solve, and
-    advance applies one of them with O(N p) work: F, T z, and c_f + rot
-    (D g) (Hochbruck & Ostermann, Acta Numerica 2010, for the structure).
+    block of steps that share a rule with one stacked p x p solve.
+
+    Steps carry the levels in their own frame, d_f = e^{-i omega_f t}
+    c_f, where the free rotation is the exact linear part of the step
+    (Hochbruck & Ostermann, Acta Numerica 2010):
+
+        F = d(t) @ (node phases),
+        d(t + h) = e^{-i omega_f h} d(t) + (e^{-i omega_f h} D) g,
+
+    so advance applies one map with O(N p) work, two N x p products, one
+    elementwise product and one add, and no phase e^{i omega_f t} is
+    carried from step to step.
     """
 
     def __init__(self, omegas, weights, v):
@@ -437,11 +461,18 @@ class _FilonStepper:
         phases and e^{i omega_f h} are formed in blocks of whole coarse
         rows (m levels each) of at most _BLOCK_BYTES, level by level, so
         the blocks change no bit; Q's level sums take the tables whole.
-        Widths with one _rule_key share one entry; the least recently used
-        entry goes once _RULE_CACHE are held.
+        Rules are cached by _held.
         """
-        key = _rule_key(h)
-        if key in self.rules:
+        return self._held(h)[0]
+
+    def _held(self, h):
+        """(rule, frame) of width h, frame = (e^{-i omega_f h} D, node
+        phases, e^{-i omega_f h}) for advance. A width within _WIDTH_RTOL,
+        relative, of a held width takes its entry; the least recently
+        used entry goes once _RULE_CACHE are held."""
+        key = next((w for w in self.rules if abs(h - w) <= _WIDTH_RTOL * w),
+                   None)
+        if key is not None:
             self.rules[key] = self.rules.pop(key)
             return self.rules[key]
         x, p = self.x, self.x.size
@@ -478,17 +509,20 @@ class _FilonStepper:
             shift[part] = e[-1]
         D *= -1j * self.v[:, None]
         phases *= self.wv[:, None]
+        back = np.conj(shift)
         if len(self.rules) == _RULE_CACHE:
             del self.rules[next(iter(self.rules))]
-        self.rules[key] = (D, phases, Q, shift)
-        return self.rules[key]
+        self.rules[h] = ((D, phases, Q, shift),
+                         (back[:, None] * D, phases, back))
+        return self.rules[h]
 
     def maps(self, h, a):
-        """(rule, T, scale) of K steps of widths h (shape (K,)) that share
-        one _rule_key, from the envelope a (K, 2p + 1) at t + h u (Gauss
+        """(frame, T, scale) of K steps of widths h (shape (K,)) that share
+        the rule of h[0], from the envelope a (K, 2p + 1) at t + h u (Gauss
         nodes, then Lobatto nodes).
 
-        rule is (D, node phases, e^{i omega_f h}) for advance. T[k] maps
+        frame is the rule's (e^{-i omega_f h} D, node phases, e^{-i omega_f
+        h}) for advance. T[k] maps
         z = [c_i(t), F_1..F_p] to [c_i(t + h); g; delta] (class
         docstring), and scale[k] = max(h |v|, h^2 max|a| |v|^2) is a
         float. M = I + h A diag(a) Q diag(a) is solved once per step, for
@@ -497,7 +531,7 @@ class _FilonStepper:
         or scale is not finite, or whose M is singular, gets scale inf,
         and advance gives it an infinite err without touching the state.
         """
-        D, phases, Q, shift = self.rule(float(h[0]))
+        (_, _, Q, _), frame = self._held(float(h[0]))
         p = self.x.size
 
         def left(C, X):
@@ -541,25 +575,27 @@ class _FilonStepper:
                                * self.v_mass)
             bad = ~(np.isfinite(T).all(axis=(0, 1)) & np.isfinite(scale))
         scale[bad] = math.inf
-        return ((D, phases, shift), np.ascontiguousarray(np.moveaxis(T, 2, 0)),
+        return (frame, np.ascontiguousarray(np.moveaxis(T, 2, 0)),
                 scale.tolist())
 
-    def advance(self, ci, cf, rot, rule, T, scale):
-        """(c_i, c_f, rot, err) at t + h from (ci, cf, rot) at t, where rot
-        = e^{i omega_f t}, by one map of maps; err is the step's defect
-        estimate, inf for a bad map or where the step's arithmetic
-        overflows or turns invalid (under the caller's float rules)."""
+    def advance(self, ci, d, frame, T, scale):
+        """(c_i, d, err) at t + h from (ci, d) at t, where d = e^{-i
+        omega_f t} c_f, by one map of maps and its frame; err is the step's
+        defect estimate, inf for a bad map or where the step's arithmetic
+        overflows or turns invalid (under the caller's float rules). The d
+        passed in is never changed."""
         if scale == math.inf:
-            return ci, cf, rot, math.inf
-        D, phases, shift = rule
+            return ci, d, math.inf
+        Dt, phases, back = frame
         p = self.x.size
         try:
-            F = (np.conj(rot) * cf) @ phases
-            w = T @ np.concatenate(([ci], F))
+            w = T @ np.concatenate(([ci], d @ phases))
             err = scale * float(self.wz @ np.abs(w[p + 1:]))
-            return w[0], cf + rot * (D @ w[1:p + 1]), rot * shift, err
+            new = back * d
+            new += Dt @ w[1:p + 1]
+            return w[0], new, err
         except FloatingPointError:
-            return ci, cf, rot, math.inf
+            return ci, d, math.inf
 
 
 def least_coupled_steps(max_omega, t_eval):
@@ -582,29 +618,32 @@ def least_coupled_steps(max_omega, t_eval):
     return tops.astype(int).tolist(), int(least)
 
 
-def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
-    """c_i and c_f at every t_eval point by certified Filon steps.
+def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol,
+                        keep):
+    """c_i and the occupied sum at every t_eval point by certified Filon
+    steps, and the levels at the t_eval indices keep.
 
     Each interval [t_k, t_k+1] of width H is walked on the dyadic grid t_k
     + j H / 2^d, whose last point is t_k+1 itself, starting at the least
     depth whose steps span at most _STEP_PHASE rad of max|omega| phase. A
     step of H / 2^d is accepted when its defect estimate (see _FilonStepper)
     is at most tol / 20. A rejected step is halved; an accepted one that
-    lands on the coarser grid is tried at twice the width next. The phases
-    e^{i omega_f t} are exact at each t_k and advanced by the rules' step
-    phases within an interval.
+    lands on the coarser grid is tried at twice the width next. The levels
+    are carried as d = e^{-i omega_f t} c_f (see _FilonStepper), whose
+    occupied sum sum_f w_f |d_f|^2 is S itself; c_f is never formed.
 
     The steps of the least depths do not depend on the state, so their
-    maps come in blocks: the steps of one _rule_key among the next
+    maps come in blocks: the steps of one _width_ids key among the next
     _BLOCK_BYTES / _MAP_BYTES of them, across intervals, take one
     envelope call and one maps call. A halved or regrown step is a block
     of one. Every step attempt counts its 2p + 1 envelope values, as if
     it had evaluated them alone.
 
     Returns:
-        (c_i, c_f, steps, rejected, evaluations): c_i per t_eval point,
-        c_f as an N x len(t_eval) view, accepted and rejected steps, and
-        the envelope values used.
+        (c_i, S, d, steps, rejected, evaluations): c_i and S per t_eval
+        point (S inf where it overflows), a dict from each index in keep
+        to d there, accepted and rejected steps, and the envelope values
+        used.
 
     Raises:
         ToleranceFailureError: tol / 20 below double-precision resolution,
@@ -622,14 +661,23 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
             "below the double-precision resolution of an amplitude of 1",
             achieved=np.finfo(float).eps * _RTOL_SAFETY)
     stepper = _FilonStepper(omegas, weights, v)
-    out = np.empty((t_eval.size, omegas.size), dtype=complex)
     ci_all = np.empty(t_eval.size, dtype=complex)
-    ci, cf = complex(ci0), np.array(cf0, dtype=complex)
-    out[0], ci_all[0] = cf, ci
+    S_all = np.empty(t_eval.size)
+    coarse, fine = _level_phases(omegas, t_eval[0])
+    ci = ci_all[0] = complex(ci0)
+    # a non-finite seed fails the first step
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.conj(np.outer(coarse, fine).ravel()[:omegas.size]) * cf0
+    kept = {0: d} if 0 in keep else {}
     steps = rejected = evaluations = 0
     tops, least = least_coupled_steps(stepper.max_omega, t_eval)
     budget = _MAX_STEPS + least
-    coarse, fine = _level_phases(omegas, t_eval[:-1])
+
+    def occupied(x):
+        try:
+            return float(weights @ np.abs(x) ** 2)
+        except FloatingPointError:
+            return math.inf
 
     def maps_on(ta, tb, h):  # the maps of steps [ta, tb] of widths h
         with np.errstate(all="ignore"):
@@ -651,16 +699,15 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
     tb_top = np.where(jj + 1 == parts, t_eval[kk + 1],
                       start + span * (jj + 1) / parts)
     h_top = span / parts
-    ids = {}
-    kid = [ids.setdefault(_rule_key(h), len(ids)) for h in h_top]
+    kid = _width_ids(h_top).tolist()
     ahead = max(1, _BLOCK_BYTES // _MAP_BYTES)
     blocks, slot = {}, np.empty(least, dtype=int)
     with np.errstate(over="raise", invalid="raise"):
+        S_all[0] = occupied(cf0)
         for k, top in enumerate(tops):
             lo, hi = t_eval[k], t_eval[k + 1]
             width = hi - lo
             depth, j = top, 0
-            rot = np.outer(coarse[k], fine[k]).ravel()[:omegas.size]
 
             def at(i, d):
                 return hi if i == 1 << d else lo + width * i / (1 << d)
@@ -682,18 +729,17 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
                         slot[mine] = np.arange(mine.size)
                         block = blocks[kid[s]] = (s + ahead, *maps_on(
                             ta_top[mine], tb_top[mine], h_top[mine]))
-                    _, rule, T, scale = block
+                    _, frame, T, scale = block
                     i = slot[s]
                 else:
-                    rule, T, scale = maps_on(
+                    frame, T, scale = maps_on(
                         np.array([ta]), np.array([tb]),
                         np.array([width / (1 << depth)]))
                     i = 0
                 evaluations += stepper.u.size
-                *state, err = stepper.advance(ci, cf, rot, rule, T[i],
-                                               scale[i])
+                *state, err = stepper.advance(ci, d, frame, T[i], scale[i])
                 if err <= limit:
-                    ci, cf, rot = state
+                    ci, d = state
                     steps += 1
                     j += 1
                     if j % 2 == 0 and depth > top:
@@ -711,8 +757,10 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol):
                         f"{_RTOL_SAFETY:g} by {err:.3g} after {depth - top} "
                         "halvings", achieved=err)
                 depth, j = depth + 1, 2 * j
-            out[k + 1], ci_all[k + 1] = cf, ci
-    return ci_all, out.T, steps, rejected, evaluations
+            ci_all[k + 1], S_all[k + 1] = ci, occupied(d)
+            if k + 1 in keep:
+                kept[k + 1] = d
+    return ci_all, S_all, kept, steps, rejected, evaluations
 
 
 def integration_grid(continuum, t0, t1, *, mode="first_order",
@@ -819,6 +867,8 @@ def integrate(continuum, env, V0, t0=None, t1=0.0, *,
 
     cf0 = seed_amplitudes(continuum, env, V0, t0)
 
+    sample_idx = np.searchsorted(t_eval, samples)
+    rate_idx, last = np.searchsorted(t_eval, rates), int(sample_idx[-1])
     if mode == "first_order":
         try:
             with np.errstate(over="raise", invalid="raise"):
@@ -831,15 +881,16 @@ def integrate(continuum, env, V0, t0=None, t1=0.0, *,
                                         "a non-finite amplitude") from None
         ci_all = np.ones(t_eval.size, dtype=complex)
         steps = rejected = 0
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            S_all = np.einsum("f,ft->t", weights, np.abs(cf_all) ** 2)
     else:
         with np.errstate(over="ignore"):  # an inf seed mass leaves c_i 0
             mass = float(np.sum(weights * np.abs(cf0) ** 2))
         ci0 = np.sqrt(max(0.0, 1.0 - mass))
-        ci_all, cf_all, steps, rejected, evaluations = _coupled_amplitudes(
-            lambda s: evaluate(env, V0, s), omegas, weights, v, ci0, cf0,
-            t_eval, tol)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked next
-        S_all = np.einsum("f,ft->t", weights, np.abs(cf_all) ** 2)
+        ci_all, S_all, d_at, steps, rejected, evaluations = (
+            _coupled_amplitudes(lambda s: evaluate(env, V0, s), omegas,
+                                weights, v, ci0, cf0, t_eval, tol,
+                                {*rate_idx.tolist(), last}))
     if not np.all(np.isfinite(S_all)):
         raise ToleranceFailureError(
             f"{mode} propagation produced a non-finite amplitude")
@@ -852,20 +903,24 @@ def integrate(continuum, env, V0, t0=None, t1=0.0, *,
                 f"norm drifted by {norm_drift:.3g}, beyond 10 * tol",
                 achieved=norm_drift)
 
-    sample_idx = np.searchsorted(t_eval, samples)
-    rate_table = {}
     wv = weights * v
-    coarse, fine = _level_phases(omegas, rates)
-    for t, j, b, a in zip(map(float, rates), np.searchsorted(t_eval, rates),
-                          coarse, fine):
-        phase = np.outer(b, a).ravel()[:omegas.size]
-        mix = np.sum(wv * phase * np.conj(cf_all[:, j]))
-        rate_table[t] = 2.0 * float(evaluate(env, V0, t)) * float(
-            np.imag(ci_all[j] * mix))
+    if mode == "first_order":
+        coarse, fine = _level_phases(omegas, rates)
+        mixes = [np.sum(wv * np.outer(b, a).ravel()[:omegas.size]
+                        * np.conj(cf_all[:, j]))
+                 for j, b, a in zip(rate_idx, coarse, fine)]
+        c_f_end = cf_all[:, last].copy()
+    else:  # e^{i omega_f t} conj(c_f) is conj(d): the phases cancel
+        mixes = [np.sum(wv * np.conj(d_at[j])) for j in rate_idx.tolist()]
+        coarse, fine = _level_phases(omegas, t_eval[last])
+        c_f_end = np.outer(coarse, fine).ravel()[:omegas.size] * d_at[last]
+    rate_table = {
+        t: 2.0 * float(evaluate(env, V0, t)) * float(np.imag(ci_all[j] * mix))
+        for t, j, mix in zip(map(float, rates), rate_idx, mixes)}
 
     return AmplitudeTrajectory(
         times=samples, c_i=ci_all[sample_idx], occupied=S_all[sample_idx],
-        c_f_end=cf_all[:, sample_idx[-1]].copy(), rate_table=rate_table,
+        c_f_end=c_f_end, rate_table=rate_table,
         continuum=continuum, mode=mode, tol=tol, norm_drift=norm_drift,
         evaluations=evaluations, steps=steps, rejected=rejected)
 

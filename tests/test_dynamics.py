@@ -1,3 +1,4 @@
+import math
 import time
 import warnings
 
@@ -31,6 +32,7 @@ from goldenrule import (
     seed_amplitudes,
     transition_rate,
     validity_report,
+    ww_problem,
 )
 from goldenrule import dynamics
 from goldenrule.scenarios import load_config, run_scenario
@@ -829,7 +831,7 @@ def test_coupled_steps_past_a_cap_name_their_time(monkeypatch, cap, value,
 
 
 def _maps_allowance(stepper, ci, cf, rot, h, a):
-    """(c_i, c_f, err) allowances of test_step_maps_match_the_one_step_oracle,
+    """(c_i, d, err) allowances of test_step_maps_match_the_one_step_oracle,
     from eps, ||M^-1|| and the magnitudes of the step's terms."""
     eps = np.finfo(float).eps
 
@@ -873,19 +875,28 @@ def _maps_allowance(stepper, ci, cf, rot, h, a):
                               + np.abs(stepper.L_z) @ g_mag))
     scale = max(h * np.sqrt(stepper.v_mass),
                 h * h * float(np.max(np.abs(a))) * stepper.v_mass)
-    return d_ci, d_cf, scale * float(stepper.wz @ d_delta)
+    # the frame change: advance rounds e^{-i omega h} d and e^{-i omega h}
+    # D, and the oracle's c_f' turns into d' by one more product; each
+    # complex product errs by at most sqrt(2) gamma_2 |x||y| (Higham, Lemma
+    # 3.5), |e^{-i omega h}| is 1 to within 6 eps, and |c_f'| <= |c_f| +
+    # |D| g_mag to first order, so 2 sqrt(2) < 3 covers the three
+    d_frame = 3.0 * gam(2) * (np.abs(cf) + np.abs(D) @ g_mag)
+    return d_ci, d_cf + d_frame, scale * float(stepper.wz @ d_delta)
 
 
 @pytest.mark.parametrize("n", [1, 41, 201])
 def test_step_maps_match_the_one_step_oracle(n):
-    """A map of maps, applied by advance, gives the state and defect
-    estimate the one-solve step of filon_step_oracle gives, on random
-    states, couplings and envelope values, at a cached width and at a
-    halved one.
+    """A map of maps, applied by advance in the levels' own frame d = e^{-i
+    omega t} c_f, gives the state and defect estimate the one-solve step
+    of filon_step_oracle gives in c_f, on random states, couplings and
+    envelope values, at a cached width and at a halved one.
 
-    Both routes take F = (conj(rot) c_f) @ phases from the same code and
-    differ only in rounding. Write M = I + h A diag(a) Q diag(a), R = [1 |
-    -i h A diag(a)] and z = [c_i, F], so that y = M^-1 R z. LU with
+    rot = e^{i omega t} is a power of i per level, so c_f = rot d and
+    conj(rot) c_f are exact: both routes take F = d @ phases with the same
+    bits and differ only in rounding, and the oracle's c_f' becomes d' by
+    one product with conj(rot e^{i omega h}). Write M = I + h A diag(a) Q
+    diag(a), R = [1 | -i h A diag(a)] and z = [c_i, F], so that y = M^-1
+    R z. LU with
     partial pivoting returns the solution of (M + dM) y = r with |dM| <=
     gamma_3p |L||U| (Higham, Accuracy and Stability, Thm 9.4); complex
     arithmetic at most doubles the real counts, hence gamma_6p. Forming
@@ -894,12 +905,14 @@ def test_step_maps_match_the_one_step_oracle(n):
     + gamma_{2p+8} ||R||z| ||) of M^-1 R z, with y_mag = sum_c |z_c|
     max_l |Y_lc| bounding |y| and each column's error, plus gamma_{2p+12}
     y_mag for the map's product T z; twice that bounds the gap e_y.
-    Every output is the state plus a linear map of g = a y: c_f' = c_f +
-    rot (D g), c_i' = c_i + h b . (-i a F - a Q g), delta = a_z (c_i + h
-    A_z dc_i/dt) - L_z g. Each gap is that map's absolute value applied
-    to |a| e_y, plus each route's own rounding, gamma_{4p+16} times the
-    absolute terms (g bounded by |a| |Y||z|); err is scale sum_m w_m
-    |delta_m|, so its gap is scale times w_z . (the delta gaps).
+    Every output is the state plus a linear map of g = a y: d' = e^{-i
+    omega h} (d + D g), c_i' = c_i + h b . (-i a F - a Q g), delta = a_z
+    (c_i + h A_z dc_i/dt) - L_z g. Each gap is that map's absolute value
+    applied to |a| e_y, plus each route's own rounding, gamma_{4p+16}
+    times the absolute terms (g bounded by |a| |Y||z|), plus for d' the
+    three complex products of the frame change (_maps_allowance); err is
+    scale sum_m w_m |delta_m|, so its gap is scale times w_z . (the delta
+    gaps).
     """
     rng = np.random.default_rng(n)
     omegas = np.linspace(-8.0, 8.0, n)
@@ -910,24 +923,25 @@ def test_step_maps_match_the_one_step_oracle(n):
     for h in (0.5, 0.5, 0.25):  # built, cached, then halved
         k = 6
         a = rng.uniform(-3.0, 3.0, (k, 17))
-        rule, T, scale = stepper.maps(np.full(k, h), a)
-        assert dynamics._rule_key(h) in stepper.rules
+        frame, T, scale = stepper.maps(np.full(k, h), a)
+        assert h in stepper.rules
         for i in range(k):
             ci = complex(*rng.uniform(-0.7, 0.7, 2))
-            cf = [1.0, 1j] @ rng.normal(0.0, 0.3, (2, n))
-            rot = np.exp(1j * omegas * rng.uniform(-5.0, 5.0))
+            d = [1.0, 1j] @ rng.normal(0.0, 0.3, (2, n))
+            rot = 1j ** rng.integers(0, 4, n)
             with np.errstate(over="raise", invalid="raise"):
-                got = stepper.advance(ci, cf, rot, rule, T[i], scale[i])
-            want = filon_step_oracle(stepper, ci, cf, rot, h, a[i])
-            d_ci, d_cf, d_err = _maps_allowance(stepper, ci, cf, rot, h,
-                                                a[i])
-            assert abs(got[0] - want[0]) <= d_ci
-            assert np.all(np.abs(got[1] - want[1]) <= d_cf)
-            assert np.array_equal(got[2], want[2])
-            assert abs(got[3] - want[3]) <= d_err
-            worst = max(worst, abs(got[0] - want[0]) / d_ci,
-                        float(np.max(np.abs(got[1] - want[1]) / d_cf)),
-                        abs(got[3] - want[3]) / d_err)
+                got = stepper.advance(ci, d, frame, T[i], scale[i])
+            ci_want, cf_want, rot_want, err_want = filon_step_oracle(
+                stepper, ci, rot * d, rot, h, a[i])
+            d_want = np.conj(rot_want) * cf_want
+            d_ci, d_d, d_err = _maps_allowance(stepper, ci, rot * d, rot, h,
+                                               a[i])
+            assert abs(got[0] - ci_want) <= d_ci
+            assert np.all(np.abs(got[1] - d_want) <= d_d)
+            assert abs(got[2] - err_want) <= d_err
+            worst = max(worst, abs(got[0] - ci_want) / d_ci,
+                        float(np.max(np.abs(got[1] - d_want) / d_d)),
+                        abs(got[2] - err_want) / d_err)
     assert worst > 0.0  # the routes differ in rounding, so this compares
 
 
@@ -1019,12 +1033,12 @@ def test_coupled_block_split_is_bitwise_equal(name, tmp_path, monkeypatch):
     coupled integration of a scenario: c_i, the occupied sum, c_f at the
     end, the rates, the norm drift and the counts.
 
-    gaussian_train_decay interleaves steps of two rule keys (widths that
-    differ in their last bits), and validity_margins has lone steps of
-    their own keys beside one long run. A _BLOCK_BYTES of 1 gives every
-    step a block of one. The maps of each block of the default run equal
-    those its steps get one at a time, bit for bit, too: a map's last bits
-    need not reach the amplitudes.
+    gaussian_train_decay's blocks run across intervals of one width up to
+    its last bits, and validity_margins has lone steps of their own keys
+    beside one long run. A _BLOCK_BYTES of 1 gives every step a block of
+    one. The maps of each block of the default run equal those its steps
+    get one at a time, bit for bit, too: a map's last bits need not reach
+    the amplitudes.
     """
     cfg, _ = load_config(name)
     cfg["parameters"].update(COUPLED_SCENARIOS[name])
@@ -1068,6 +1082,97 @@ def test_coupled_block_split_is_bitwise_equal(name, tmp_path, monkeypatch):
         for key in ("rate_table", "norm_drift", "evaluations", "steps",
                     "rejected"):
             assert got[key] == want[key]
+
+
+def test_equal_widths_share_one_rule_and_one_key(tmp_path, monkeypatch):
+    """Widths within 1e-12 of each other, relative, share one rule key
+    however they round: gaussian_train_decay's sample intervals, one width
+    up to its last bits, give every top step of each coupled run one key,
+    and each run builds one rule."""
+    edge = 1.0000000000005  # 12 significant digits round up just above
+    near = np.array([np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)])
+    assert dynamics._width_ids(near).tolist() == [0, 0, 0]
+    assert dynamics._width_ids(np.array([1.0 + 3e-12, 1.0, 1.0])).tolist() \
+        == [1, 0, 0]
+    cfg, _ = load_config("gaussian_train_decay")
+    cfg["parameters"].update(COUPLED_SCENARIOS["gaussian_train_decay"])
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    width_ids, maps = dynamics._width_ids, dynamics._FilonStepper.maps
+    keyed, steppers = [], set()
+
+    def ids_spy(h):
+        keyed.append((h, width_ids(h)))
+        return keyed[-1][1]
+
+    def maps_spy(self, h, a):
+        steppers.add(self)
+        return maps(self, h, a)
+
+    monkeypatch.setattr(dynamics, "_width_ids", ids_spy)
+    monkeypatch.setattr(dynamics._FilonStepper, "maps", maps_spy)
+    run_scenario(str(config), out_dir=str(tmp_path / "out"))
+    assert keyed and len(steppers) == len(keyed)
+    for h, ids in keyed:
+        assert np.unique(h).size > 1 and not np.any(ids)
+    assert all(len(stepper.rules) == 1 for stepper in steppers)
+
+
+def test_coupled_run_keeps_no_level_by_time_table():
+    """A coupled run at N = 4001 levels and 481 samples, the ww_flat_decay
+    size, keeps no table of c_f over the samples, and its rate is the
+    current with explicit phases.
+
+    Such a table alone holds len(t_eval) N complex values of 16 bytes, so
+    a run that keeps it, or any half of it, peaks at half that or more
+    under tracemalloc, which counts numpy's buffers; the run must peak
+    below.
+
+    The current at the last sample, taken from c_f_end with the phases
+    e^{i omega_f t} of one cos/sin pair each (level_phases_direct_oracle),
+    differs from the stored one only in rounding. c_f_end = rot d with rot
+    the _level_phases product, within 8 eps (1 + R) of the direct phase P,
+    R = max|omega t| (test_level_phases_match_direct_oracle), so P
+    conj(rot) is 1 to within 8 eps (1 + R) (1 + eps) + 2 eps. The
+    products rot d and P conj(c_f) add sqrt(2) gamma_2 each (Higham,
+    Lemma 3.5), the real weights eps, and either sum gamma_N, all relative
+    to mass = sum_f w_f |v_f| |c_f|. The rate 2 a Im(c_i m) then differs
+    by 2 |a| |c_i| times that gap, plus 2 gamma_3 |a| |c_i| |m| for the
+    two routes' products of c_i, m and 2 a.
+    """
+    import tracemalloc
+
+    f = ConstantDOS(1.5915494309189535e-3, support=(9.0, 11.0))
+    problem = ww_problem(f, 10.0, 4001)
+    cont, samples = problem.continuum, problem.samples
+    t_end = float(samples[-1])
+    env = RectangularPulse(1.02 * t_end, t_ref=0.51 * t_end)
+    tracemalloc.start()
+    try:
+        traj = integrate(cont, env, 1.0, 0.0, t_end, tol=1e-9,
+                         mode="coupled", sample_times=samples,
+                         rate_times=[t_end])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * samples.size * cont.omegas.size * 16
+    eps = np.finfo(float).eps
+
+    def gam(n):
+        return n * eps / (1.0 - n * eps)
+
+    wv = cont.weights * cont.couplings
+    phase = level_phases_direct_oracle(cont.omegas, t_end)
+    mix = np.sum(wv * phase * np.conj(traj.c_f_end))
+    a, ci = float(env.shape(t_end)), traj.c_i[-1]
+    want = 2.0 * a * float(np.imag(ci * mix))
+    reach = float(np.max(np.abs(cont.omegas))) * t_end
+    mass = float(np.sum(np.abs(wv) * np.abs(traj.c_f_end)))
+    gap = ((8.0 * eps * (1.0 + reach) * (1.0 + eps) + 3.0 * eps
+            + 2.0 * math.sqrt(2.0) * gam(2) + 2.0 * gam(cont.omegas.size))
+           * mass)
+    bound = 2.0 * abs(a) * abs(ci) * (gap + gam(3) * 2.0 * abs(mix))
+    assert abs(traj.rate_table[t_end] - want) <= bound <= 1e-9 * abs(want)
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,7 @@ def test_runs_are_deterministic(scattering_runs):
 def test_artifact_csv_carries_provenance_header(scattering_runs):
     summary = scattering_runs[0]
     path = os.path.join(summary.out_dir, "routes.csv")
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "# scenario=isotropic_scattering"
     assert lines[1] == f"# config_sha256={summary.config_sha256}"
     assert lines[2] == "route,rate"
@@ -249,7 +249,7 @@ def test_output_dir_priority(tmp_path):
     cfg_dir = tmp_path / "cfg"
     cfg_dir.mkdir()
     target = tmp_path / "from_config"
-    text = open(src).read() + f"\noutput_dir: {target}\n"
+    text = Path(src).read_text() + f"\noutput_dir: {target}\n"
     mine = cfg_dir / "scat.yaml"
     mine.write_text(text)
 
