@@ -14,6 +14,7 @@ refusal before integrating, 3 the numerics failed propagating or checking.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import ConfigError, GoldenRuleError
@@ -100,7 +101,10 @@ def _cmd_list(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and sweeps, tests and benchmarks call main many times."""
     parser = argparse.ArgumentParser(
         prog="goldenrule",
         description="Run and sweep transition-rate validation scenarios.")

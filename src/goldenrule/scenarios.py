@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import errno
 import functools
 import glob
 import hashlib
@@ -32,6 +33,9 @@ import numpy as np
 import scipy
 import yaml
 from scipy.integrate import IntegrationWarning, quad
+from yaml.composer import Composer
+from yaml.constructor import SafeConstructor
+from yaml.resolver import Resolver
 
 from .dynamics import (
     fit_lorentzian_profile,
@@ -86,9 +90,23 @@ from .wignerweisskopf import (nonperturbative_validate, window_samples,
 
 
 def atomic_write_text(path, text):
-    """Write through a temp file in the same directory, then rename."""
+    """Write through a temp file in the same directory, then rename.
+
+    The temp file is created as open() creates a file, mode 0o666 less
+    the umask (mkstemp's 0o600 would outlive the rename), under a fresh
+    random name until one is free.
+    """
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    for _ in range(tempfile.TMP_MAX):
+        tmp = os.path.join(d, f"tmp{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(errno.EEXIST,
+                              "no free temporary file name", d)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -1165,6 +1183,37 @@ def _bundled_dir():
     return resources.files("goldenrule") / "configs"
 
 
+if yaml.__with_libyaml__:
+    class _ConfigLoader(Composer, yaml.cyaml.CParser, SafeConstructor,
+                        Resolver):
+        """yaml.SafeLoader with libyaml reading, scanning and parsing.
+
+        Composer, resolver and constructor are yaml.SafeLoader's, so it
+        builds the same objects. yaml.CSafeLoader's C composer is not
+        used: it recurses on the C stack, and 100,000 nested brackets
+        kill the process; this composer ends in RecursionError at
+        yaml.SafeLoader's depth.
+        """
+
+        def __init__(self, stream):
+            yaml.cyaml.CParser.__init__(self, stream)
+            Composer.__init__(self)
+            SafeConstructor.__init__(self)
+            Resolver.__init__(self)
+else:
+    _ConfigLoader = yaml.SafeLoader
+
+
+def _parse_config(raw):
+    """The YAML document in raw, or ConfigError."""
+    try:
+        return yaml.load(raw, Loader=_ConfigLoader)
+    except yaml.YAMLError as exc:
+        raise ConfigError([f"config: YAML parse failure: {exc}"]) from exc
+    except RecursionError:
+        raise ConfigError(["config: YAML nesting too deep"]) from None
+
+
 def bundled_scenarios():
     """Name, kind, description and path for every shipped config."""
     entries = []
@@ -1173,8 +1222,8 @@ def bundled_scenarios():
         if not item.name.endswith(".yaml"):
             continue
         try:
-            doc = yaml.safe_load(item.read_text())
-        except yaml.YAMLError:
+            doc = _parse_config(item.read_bytes())
+        except ConfigError:
             continue
         if isinstance(doc, dict):
             entries.append({
@@ -1204,11 +1253,7 @@ def load_config(source):
                 [f"config: {source!r} is neither a file nor a bundled "
                  "scenario name (see list-scenarios)"])
         raw = hit.read_bytes()
-    try:
-        cfg = yaml.safe_load(raw)
-    except yaml.YAMLError as exc:
-        raise ConfigError([f"config: YAML parse failure: {exc}"]) from exc
-    return cfg, raw
+    return _parse_config(raw), raw
 
 
 @functools.cache

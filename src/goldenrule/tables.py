@@ -12,6 +12,8 @@ import numbers
 
 def fmt(x):
     """17-significant-digit text form used in every artifact."""
+    if isinstance(x, float):
+        return "%.17g" % x
     if isinstance(x, bool):
         return "1" if x else "0"
     if isinstance(x, numbers.Integral):
@@ -22,10 +24,15 @@ def fmt(x):
 def format_table(columns, rows, meta=None):
     """Text of a table: comment lines from meta, the header, the rows.
 
-    String cells are written as they are, every other cell through fmt.
+    String cells are written as they are, every other cell through fmt;
+    a row of floats only is formatted in one operation, to the same text.
     """
     lines = [f"# {key}={val}" for key, val in (meta or {}).items()]
     lines.append(",".join(columns))
-    lines.extend(",".join(v if isinstance(v, str) else fmt(v) for v in row)
-                 for row in rows)
+    for row in rows:
+        if all(isinstance(v, float) for v in row):
+            lines.append(",".join(["%.17g"] * len(row)) % tuple(row))
+        else:
+            lines.append(",".join(v if isinstance(v, str) else fmt(v)
+                                  for v in row))
     return "\n".join(lines) + "\n"

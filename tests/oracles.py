@@ -6,12 +6,13 @@ or on composite Gauss-Legendre panels, or from an asymptotic expansion,
 or as the limit of a smeared integral, or from its defining equation with
 scipy.integrate.solve_ivp, or with one cos/sin pair per level and time,
 or by the numpy expressions that a float route replaced, or one step at a
-time as the coupled stepper went before its steps became maps, so the
-routes under test are checked against something they do not share code
-with.
+time as the coupled stepper went before its steps became maps, or one
+table cell at a time as CSV rows were once written, so the routes under
+test are checked against something they do not share code with.
 """
 
 import math
+import numbers
 import warnings
 
 import numpy as np
@@ -387,3 +388,21 @@ def filon_step_oracle(stepper, ci, cf, rot, h, a):
                     max(h * math.sqrt(stepper.v_mass), reach) * defect)
     except FloatingPointError:
         return ci, cf, rot, math.inf
+
+
+def format_table_cellwise_oracle(columns, rows, meta=None):
+    """tables.format_table as it went before float rows took one format
+    operation: every non-string cell alone through fmt, which checked
+    bool, then Integral, then formatted float(x)."""
+    def fmt(x):
+        if isinstance(x, bool):
+            return "1" if x else "0"
+        if isinstance(x, numbers.Integral):
+            return str(int(x))
+        return f"{float(x):.17g}"
+
+    lines = [f"# {key}={val}" for key, val in (meta or {}).items()]
+    lines.append(",".join(columns))
+    lines.extend(",".join(v if isinstance(v, str) else fmt(v) for v in row)
+                 for row in rows)
+    return "\n".join(lines) + "\n"

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goldenrule
+import goldenrule.scenarios
 from goldenrule.cli import (
     EXIT_CONFIG,
     EXIT_METRIC_FAIL,
@@ -161,6 +162,46 @@ def test_bad_path_exits_two(tmp_path, monkeypatch, capsys, case):
     monkeypatch.chdir(tmp_path)  # where a run without --out writes
     assert main(BAD_PATHS[case](tmp_path)) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("loader", ["in_use", "SafeLoader"])
+@pytest.mark.parametrize("depth", [10_000, 100_000])
+@pytest.mark.parametrize("verb", ["run", "validate"])
+def test_deep_nesting_exits_two(tmp_path, monkeypatch, capsys, verb, depth,
+                                loader):
+    """Nesting past what the composer can recurse through is a config
+    problem under either loader, never a raw RecursionError (or, with
+    libyaml's C composer, a crash of the process)."""
+    if loader == "SafeLoader":
+        monkeypatch.setattr(goldenrule.scenarios, "_ConfigLoader",
+                            yaml.SafeLoader)
+    path = tmp_path / "deep.yaml"
+    path.write_text("name: " + "[" * depth + "]" * depth + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert main([verb, str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "configuration error:\n  - config: YAML nesting too deep\n"
+
+
+def test_parse_error_names_line_and_column(tmp_path, capsys):
+    path = tmp_path / "open.yaml"
+    path.write_text("name: x\nkind: [a, b\n")
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config: YAML parse failure: while parsing a flow sequence" in err
+    assert "line 2, column 7" in err
+
+
+def test_main_calls_share_no_arguments(tmp_path, monkeypatch, capsys):
+    """One parser serves every main call of a process: a --out given to
+    one run is not the next run's output directory."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "isotropic_scattering", "--out", "given"]) == EXIT_OK
+    assert main(["run", "isotropic_scattering"]) == EXIT_OK
+    assert (tmp_path / "given" / "summary.json").is_file()
+    assert (tmp_path / "runs" / "isotropic_scattering"
+            / "summary.json").is_file()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["given", "runs"]
 
 
 def test_invalid_config_lists_violations(tmp_path, capsys):

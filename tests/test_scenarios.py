@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import shutil
+import stat
 from pathlib import Path
 
 import numpy
@@ -20,6 +21,7 @@ from goldenrule.cli import EXIT_OK, main
 from goldenrule.scenarios import (
     MetricResult,
     _leaf_ref,
+    atomic_write_text,
     bundled_scenarios,
     config_sha256,
     fmt,
@@ -116,6 +118,101 @@ def test_load_config_unknown_name(tmp_path):
     bad.write_text("a: [unclosed\n")
     with pytest.raises(ConfigError, match="parse"):
         load_config(str(bad))
+
+
+def same_tree(a, b):
+    """a and b are equal with equal types all the way down, floats by
+    repr (NaN equals NaN, -0.0 differs from 0.0), dict keys in order."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return (same_tree(list(a), list(b))
+                and all(same_tree(a[k], b[k]) for k in a))
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same_tree, a, b))
+    if isinstance(a, float):
+        return repr(a) == repr(b)
+    return a == b
+
+
+YAML_CORNERS = """\
+anchored: &a {x: .nan, y: -.inf, z: -0.0}
+merged: {<<: *a, w: 1}
+alias: *a
+numbers: [0o17, 0x1F, 1_000, 123456789012345678901234567890, 1e3, .5, +1]
+words: [yes, No, ~, null, '1', "2", 2001-12-14, 2001-12-14t21:59:43.10-05:00]
+blob: !!binary aGVsbG8=
+unique: !!set {a, b}
+pairs: !!omap [{one: 1}, {two: 2}]
+twice: 1
+twice: 2
+"""
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_BUNDLE) + ["corners"])
+def test_config_loader_builds_what_safe_loader_builds(name):
+    raw = (YAML_CORNERS.encode() if name == "corners"
+           else load_config(name)[1])
+    assert same_tree(
+        goldenrule.scenarios._parse_config(raw),
+        yaml.load(raw, Loader=yaml.SafeLoader))
+
+
+def test_run_with_the_pure_loader_writes_the_same_files(tmp_path,
+                                                        monkeypatch):
+    """Where PyYAML has no libyaml, yaml.SafeLoader parses configs: a run
+    then writes the same summary and tables."""
+    dirs = [tmp_path / "libyaml", tmp_path / "pure"]
+    run_scenario("isotropic_scattering", out_dir=str(dirs[0]))
+    monkeypatch.setattr(goldenrule.scenarios, "_ConfigLoader",
+                        yaml.SafeLoader)
+    run_scenario("isotropic_scattering", out_dir=str(dirs[1]))
+    summaries = [json.loads((d / "summary.json").read_text()) for d in dirs]
+    for blob in summaries:
+        del blob["wall_time_s"]
+    assert summaries[0] == summaries[1]
+    for art in summaries[0]["artifacts"]:
+        assert ((dirs[0] / art).read_bytes()
+                == (dirs[1] / art).read_bytes())
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_take_the_umask(tmp_path, umask, mode):
+    """Every file a run writes gets the mode open() would give it."""
+    old = os.umask(umask)
+    try:
+        summary = run_scenario("isotropic_scattering", out_dir=str(tmp_path))
+    finally:
+        os.umask(old)
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(summary.artifacts + ["summary.json"])
+    for p in tmp_path.iterdir():
+        assert stat.S_IMODE(p.stat().st_mode) == mode, p.name
+
+
+def test_atomic_write_takes_a_free_name_and_cleans_up(tmp_path,
+                                                      monkeypatch):
+    """A temp name already taken is skipped; a failed write leaves
+    neither the target nor a temp file behind."""
+    names = iter([bytes(6), bytes(6), b"\1" * 6])
+    monkeypatch.setattr(os, "urandom", lambda n: next(names))
+    taken = tmp_path / f"tmp{bytes(6).hex()}.tmp"
+    taken.write_text("kept")
+    atomic_write_text(str(tmp_path / "a.txt"), "text\n")
+    assert (tmp_path / "a.txt").read_text() == "text\n"
+    assert taken.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", taken.name]
+
+    monkeypatch.undo()
+    taken.unlink()
+
+    def refuse(src, dst):
+        raise OSError("refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="refused"):
+        atomic_write_text(str(tmp_path / "b.txt"), "text\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
 
 
 # ---------------------------------------------------------------------------
