@@ -36,11 +36,15 @@ evaluate(env, V0, t).
 
 Every level phase e^{i omega_f t} comes from _level_phases: on the
 uniform levels of a DiscretizedContinuum, two tables about sqrt(N) wide
-per time. First-order sums multiply those tables per interval, as
+per time, built from three exponentials per time and their powers by
+doubling. First-order sums multiply those tables per interval, as
 batched matrix products that run on BLAS, and never form one phase per
-node and level; the coupled rules and the first-order rate mix take
-products or contractions of them too, and the coupled c_f at the last
-sample is e^{i omega_f t} d_f, one product of them.
+node and level; they walk the sample grid in time blocks of about
+_TIME_BLOCK_BYTES and keep no table of c_f over it. The coupled rules
+take products or contractions of the tables too. Both modes keep the
+levels in their own frame, d_f = e^{-i omega_f t} c_f, only at the rate
+times and the last sample, and c_f there is e^{i omega_f t} d_f, one
+product of the tables.
 
 Rates are the probability current into the band,
 
@@ -52,10 +56,10 @@ couplings.
 It is built from the integrated amplitudes and the equation of motion
 alone, so it stays independent of every analytic rate formula it is
 compared against: no golden-rule density, matrix-element average or
-envelope closed form enters it. In coupled mode e^{+i omega_f t}
-conj(c_f) is conj(d_f), so the current takes no phase. The current needs
-c_f at the rate time itself, so rate times must be registered when
-integrating (rate_times).
+envelope closed form enters it. e^{+i omega_f t} conj(c_f) is conj(d_f),
+so the current is 2 a(t) Im(c_i sum_f w_f v_f conj(d_f)) and takes no
+phase. The current needs d at the rate time itself, so rate times must
+be registered when integrating (rate_times).
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ _MAX_BISECTIONS = 60
 _MAX_PANELS = 1 << 16  # panels one test round may hold beyond the first
 # budget of one block of level phases e^{i omega t} or of coupled step maps
 _BLOCK_BYTES = 4 << 20
+_TIME_BLOCK_BYTES = 1 << 21  # budget of one first-order time block
 _ROUND_BYTES = 1 << 30  # budget of the first panels' arrays and node tables
 # bytes one first panel holds: k, j, lo and hi, then per node of the
 # 8-point Gauss and 9-point Lobatto rules s, f(s), its weight and a phase
@@ -296,6 +301,22 @@ def _panel_rule(f, t_eval, max_omega, tol):
     return s[order], wv[order], interval[order], evaluations
 
 
+def _powers(first, z, k):
+    """first z^j for j < k along a new last axis, by doubling: z^j for j in
+    [n, 2n) is z^{j - n} times z^n, so k terms take log2 k vectorised
+    products, each over whole contiguous rows (the powers are built along
+    the first axis and returned as a view)."""
+    out = np.empty((k,) + z.shape, dtype=complex)
+    out[0] = first
+    n = 1
+    while n < k:
+        np.multiply(out[:min(n, k - n)], z, out=out[n:2 * n])
+        n *= 2
+        if n < k:
+            z = z * z
+    return out.transpose(*range(1, out.ndim), 0)
+
+
 def _level_phases(omegas, times):
     """Level phases e^{i omega_f t} as two tables about sqrt(N) wide.
 
@@ -304,11 +325,15 @@ def _level_phases(omegas, times):
     and f = b m + a,
 
         e^{i omega_f t} = coarse[..., b] * fine[..., a],
-        coarse = e^{i (omega_0 + b m delta) t},   fine = e^{i a delta t},
+        coarse = e^{i omega_0 t} (e^{i m delta t})^b,
+        fine = (e^{i delta t})^a,
 
-    so a T x N phase table costs T (m + ceil(N / m)) exponentials and at
-    most T N complex products, each phase rounded to about eps (1 +
-    max|omega t|). Indices b m + a >= N are padding past the last level.
+    so a T x N phase table costs 3 T exponentials, the powers by doubling
+    (_powers: T (m + ceil(N / m)) complex products in log2 m rounds) and
+    at most T N complex products for the table itself. A power z^j carries
+    j times the rounding of z and a few eps per product, so each phase is
+    good to a few eps (1 + max|omega t| + sqrt N). Indices b m + a >= N
+    are padding past the last level.
 
     Returns:
         (coarse, fine), of shapes times.shape + (ceil(N / m),) and
@@ -317,50 +342,83 @@ def _level_phases(omegas, times):
     n = omegas.size
     m = math.isqrt(n - 1) + 1
     delta = (omegas[-1] - omegas[0]) / (n - 1) if n > 1 else 0.0
-    t = np.asarray(times, dtype=float)[..., None]
-    b = np.arange(-(-n // m))
-    coarse = np.exp(1j * (t * (omegas[0] + m * delta * b)))
-    fine = np.exp(1j * (t * (delta * np.arange(m))))
-    return coarse, fine
+    t = np.asarray(times, dtype=float)
+    first, step, unit = (np.exp(1j * (t * w))
+                         for w in (omegas[0], m * delta, delta))
+    return _powers(first, step, -(-n // m)), _powers(1.0, unit, m)
 
 
-def _first_order_amplitudes(omegas, v, cf0, t_eval, s, wv, interval):
-    """c_f at every t_eval point from accepted nodes, as an N x n_eval view.
+def _phase_rows(omegas, times):
+    """e^{i omega_f t} for each of the 1-d times, shape (times.size, N):
+    the products of the _level_phases tables."""
+    coarse, fine = _level_phases(omegas, times)
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(
+        times.size, coarse.shape[1] * fine.shape[1])[:, :omegas.size]
 
-    The increment of interval k is sum_{s in k} wv_s e^{i omega_f s}. With
-    the node phases factored by _level_phases, it is the ceil(N/m) x m
-    matrix sum_s (wv_s coarse_s) outer fine_s = (wv coarse)^T fine, read
-    row by row as the N levels. Intervals with equal node counts are
-    multiplied together by one batched matrix product (np.matmul, a BLAS
-    gemm per interval) in blocks of about _BLOCK_BYTES, and no node x
-    level phase block is ever formed. The increments are scaled by -i m_f
-    and accumulated in place.
+
+def _first_order_amplitudes(omegas, weights, v, cf0, t_eval, s, wv, interval,
+                            keep):
+    """The occupied sum at every t_eval point from accepted nodes, and the
+    levels in their own frame, d = e^{-i omega_f t} c_f, at the t_eval
+    indices keep (sorted, unique).
+
+    c_f at t_eval[r] is cf0 - i v_f times the increments of the intervals
+    before r, where interval k's increment is sum_{s in k} wv_s e^{i
+    omega_f s}. With the node phases factored by _level_phases, it is the
+    ceil(N/m) x m matrix sum_s (wv_s coarse_s) outer fine_s = (wv
+    coarse)^T fine, read row by row as the N levels; every interval holds
+    nodes (_panel_rule keeps at least one panel of each).
+
+    t_eval is walked in time blocks of consecutive intervals of about
+    _TIME_BLOCK_BYTES, each with one _level_phases call for its nodes and
+    one batched matrix product (np.matmul, a BLAS gemm per interval) per
+    node count. Its increments are scaled by -i v_f and added up row by
+    row from the last block's last row, the sums np.cumsum gives; S (one
+    einsum over the squared real and imaginary parts) and the kept c_f
+    are read off before the next block, and the kept rows take their
+    phases e^{-i omega_f t} at the end. No len(t_eval) x N table of c_f
+    and no node x level phase block is formed, and no bit of S or d
+    depends on where the blocks fall.
+
+    Returns:
+        (S, d): S per t_eval point and d at keep, shape (keep.size, N).
     """
     n = omegas.size
-    starts = np.flatnonzero(np.r_[True, interval[1:] != interval[:-1]])
-    counts = np.diff(np.r_[starts, s.size])
-    out = np.zeros((t_eval.size, n), dtype=complex)
     width = 2 * math.isqrt(n) + 2  # columns of both tables, at most
-    for c in np.unique(counts):
-        group = starts[counts == c]
-        # complex values per interval, at most: building either table
-        # holds its arguments and exponentials beside the other table
-        # (2 c width), and the product holds both tables (c width) and
-        # its ceil(N/m) x m output (under N + width); the output is
-        # copied into out, and no other temporary is made
-        rows = max(1, _BLOCK_BYTES // (16 * ((2 * c + 1) * width + n)))
-        for g0 in range(0, group.size, rows):
-            first = group[g0:g0 + rows]
-            nodes = first[:, None] + np.arange(c)
-            coarse, fine = _level_phases(omegas, s[nodes])
-            coarse *= wv[nodes, None]
-            out[interval[first] + 1] = np.matmul(
-                coarse.transpose(0, 2, 1), fine).reshape(
-                    first.size, -1)[:, :n]
-    out[1:] *= -1j * v
-    out[0] = cf0
-    np.cumsum(out, axis=0, out=out)
-    return out.T
+    bounds = np.r_[np.flatnonzero(np.r_[True, interval[1:] != interval[:-1]]),
+                   s.size]
+    counts = np.diff(bounds)
+    w2 = np.repeat(weights, 2)  # w_f for the real and imaginary parts
+    S = np.empty(t_eval.size)
+    d = np.empty((keep.size, n), dtype=complex)
+    # bytes per interval of c nodes, about: its tables with their
+    # exponentials and powers, and their copies for the product (c (2
+    # width + 4)), the product (under N + width), its c_f row and its d
+    edges = np.r_[0, np.cumsum(16 * (counts * (2 * width + 4) + 3 * n))]
+    row, i = cf0, 0
+    while i < counts.size:
+        j = max(i + 1, int(np.searchsorted(
+            edges, edges[i] + _TIME_BLOCK_BYTES, side="right")) - 1)
+        coarse, fine = _level_phases(omegas, s[bounds[i]:bounds[j]])
+        coarse *= wv[bounds[i]:bounds[j], None]
+        block = np.empty((j - i + 1, n), dtype=complex)  # c_f at i..j
+        block[0] = row
+        for c in np.unique(counts[i:j]):
+            mine = np.flatnonzero(counts[i:j] == c)
+            nodes = (bounds[i + mine] - bounds[i])[:, None] + np.arange(c)
+            block[1 + mine] = np.matmul(
+                coarse[nodes].transpose(0, 2, 1), fine[nodes]).reshape(
+                    mine.size, -1)[:, :n]
+        block[1:] *= -1j * v
+        for r in range(1, j - i + 1):  # np.cumsum's sums, in fewer passes
+            block[r] += block[r - 1]
+        x = block.view(float)
+        S[i:j + 1] = np.einsum("rf,rf,f->r", x, x, w2)
+        lo, hi = np.searchsorted(keep, [i, j + 1])
+        d[lo:hi] = block[keep[lo:hi] - i]
+        row, i = block[-1], j
+    d *= _phase_rows(omegas, -t_eval[keep])
+    return S, d
 
 
 def _width_ids(h):
@@ -621,7 +679,8 @@ def least_coupled_steps(max_omega, t_eval):
 def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol,
                         keep):
     """c_i and the occupied sum at every t_eval point by certified Filon
-    steps, and the levels at the t_eval indices keep.
+    steps, and the levels in their own frame, d = e^{-i omega_f t} c_f, at
+    the t_eval indices keep (sorted, unique).
 
     Each interval [t_k, t_k+1] of width H is walked on the dyadic grid t_k
     + j H / 2^d, whose last point is t_k+1 itself, starting at the least
@@ -629,8 +688,9 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol,
     step of H / 2^d is accepted when its defect estimate (see _FilonStepper)
     is at most tol / 20. A rejected step is halved; an accepted one that
     lands on the coarser grid is tried at twice the width next. The levels
-    are carried as d = e^{-i omega_f t} c_f (see _FilonStepper), whose
-    occupied sum sum_f w_f |d_f|^2 is S itself; c_f is never formed.
+    are carried as d (see _FilonStepper), whose occupied sum sum_f w_f
+    |d_f|^2 is S itself, one dot of the squared real and imaginary parts
+    of d; c_f is never formed.
 
     The steps of the least depths do not depend on the state, so their
     maps come in blocks: the steps of one _width_ids key among the next
@@ -641,9 +701,8 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol,
 
     Returns:
         (c_i, S, d, steps, rejected, evaluations): c_i and S per t_eval
-        point (S inf where it overflows), a dict from each index in keep
-        to d there, accepted and rejected steps, and the envelope values
-        used.
+        point (S inf where it overflows), d at keep, shape (keep.size, N),
+        accepted and rejected steps, and the envelope values used.
 
     Raises:
         ToleranceFailureError: tol / 20 below double-precision resolution,
@@ -663,19 +722,23 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol,
     stepper = _FilonStepper(omegas, weights, v)
     ci_all = np.empty(t_eval.size, dtype=complex)
     S_all = np.empty(t_eval.size)
-    coarse, fine = _level_phases(omegas, t_eval[0])
     ci = ci_all[0] = complex(ci0)
     # a non-finite seed fails the first step
     with np.errstate(over="ignore", invalid="ignore"):
-        d = np.conj(np.outer(coarse, fine).ravel()[:omegas.size]) * cf0
-    kept = {0: d} if 0 in keep else {}
+        d = _phase_rows(omegas, -t_eval[:1])[0] * cf0
+    kept = np.empty((keep.size, omegas.size), dtype=complex)
+    row_of = dict(zip(keep.tolist(), range(keep.size)))
+    if 0 in row_of:
+        kept[row_of[0]] = d
     steps = rejected = evaluations = 0
     tops, least = least_coupled_steps(stepper.max_omega, t_eval)
     budget = _MAX_STEPS + least
 
+    w2 = np.repeat(weights, 2)  # w_f for the real and imaginary parts
+
     def occupied(x):
         try:
-            return float(weights @ np.abs(x) ** 2)
+            return float(np.square(x.view(float)) @ w2)
         except FloatingPointError:
             return math.inf
 
@@ -758,8 +821,8 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol,
                         "halvings", achieved=err)
                 depth, j = depth + 1, 2 * j
             ci_all[k + 1], S_all[k + 1] = ci, occupied(d)
-            if k + 1 in keep:
-                kept[k + 1] = d
+            if k + 1 in row_of:
+                kept[row_of[k + 1]] = d
     return ci_all, S_all, kept, steps, rejected, evaluations
 
 
@@ -869,28 +932,26 @@ def integrate(continuum, env, V0, t0=None, t1=0.0, *,
 
     sample_idx = np.searchsorted(t_eval, samples)
     rate_idx, last = np.searchsorted(t_eval, rates), int(sample_idx[-1])
+    keep = np.unique(np.r_[rate_idx, last])
     if mode == "first_order":
         try:
             with np.errstate(over="raise", invalid="raise"):
                 s, wv, interval, evaluations = _panel_rule(
                     lambda s: evaluate(env, V0, s), t_eval, max_omega, tol)
-                cf_all = _first_order_amplitudes(omegas, v, cf0, t_eval, s,
-                                                 wv, interval)
+                S_all, d = _first_order_amplitudes(
+                    omegas, weights, v, cf0, t_eval, s, wv, interval, keep)
         except FloatingPointError:
             raise ToleranceFailureError("first_order propagation produced "
                                         "a non-finite amplitude") from None
         ci_all = np.ones(t_eval.size, dtype=complex)
         steps = rejected = 0
-        with np.errstate(over="ignore", invalid="ignore"):  # checked next
-            S_all = np.einsum("f,ft->t", weights, np.abs(cf_all) ** 2)
     else:
         with np.errstate(over="ignore"):  # an inf seed mass leaves c_i 0
             mass = float(np.sum(weights * np.abs(cf0) ** 2))
         ci0 = np.sqrt(max(0.0, 1.0 - mass))
-        ci_all, S_all, d_at, steps, rejected, evaluations = (
+        ci_all, S_all, d, steps, rejected, evaluations = (
             _coupled_amplitudes(lambda s: evaluate(env, V0, s), omegas,
-                                weights, v, ci0, cf0, t_eval, tol,
-                                {*rate_idx.tolist(), last}))
+                                weights, v, ci0, cf0, t_eval, tol, keep))
     if not np.all(np.isfinite(S_all)):
         raise ToleranceFailureError(
             f"{mode} propagation produced a non-finite amplitude")
@@ -903,20 +964,13 @@ def integrate(continuum, env, V0, t0=None, t1=0.0, *,
                 f"norm drifted by {norm_drift:.3g}, beyond 10 * tol",
                 achieved=norm_drift)
 
-    wv = weights * v
-    if mode == "first_order":
-        coarse, fine = _level_phases(omegas, rates)
-        mixes = [np.sum(wv * np.outer(b, a).ravel()[:omegas.size]
-                        * np.conj(cf_all[:, j]))
-                 for j, b, a in zip(rate_idx, coarse, fine)]
-        c_f_end = cf_all[:, last].copy()
-    else:  # e^{i omega_f t} conj(c_f) is conj(d): the phases cancel
-        mixes = [np.sum(wv * np.conj(d_at[j])) for j in rate_idx.tolist()]
-        coarse, fine = _level_phases(omegas, t_eval[last])
-        c_f_end = np.outer(coarse, fine).ravel()[:omegas.size] * d_at[last]
-    rate_table = {
-        t: 2.0 * float(evaluate(env, V0, t)) * float(np.imag(ci_all[j] * mix))
-        for t, j, mix in zip(map(float, rates), rate_idx, mixes)}
+    # e^{i omega_f t} conj(c_f) is conj(d): the current takes no phase
+    mixes = np.conj(d @ (weights * v))[np.searchsorted(keep, rate_idx)]
+    c_f_end = (_phase_rows(omegas, t_eval[last:last + 1])[0]
+               * d[np.searchsorted(keep, last)])
+    current = (2.0 * np.asarray(evaluate(env, V0, rates), dtype=float)
+               * np.imag(ci_all[rate_idx] * mixes))
+    rate_table = dict(zip(rates.tolist(), current.tolist()))
 
     return AmplitudeTrajectory(
         times=samples, c_i=ci_all[sample_idx], occupied=S_all[sample_idx],
@@ -927,10 +981,12 @@ def integrate(continuum, env, V0, t0=None, t1=0.0, *,
 
 def transition_rate(traj, t):
     """dS/dt at a registered rate time: the probability current integrate
-    stored there (see the module docstring). The stored time nearest t is
-    found by bisection and must lie within 1e-9 of t, relative to the
-    run's span.
+    stored there (see the module docstring). A stored time equal to t is
+    found by dict lookup; otherwise the stored time nearest t is found by
+    bisection and must lie within 1e-9 of t, relative to the run's span.
     """
+    if isinstance(t, float) and t in traj.rate_table:
+        return traj.rate_table[t]
     keys, span = traj._rate_keys, traj.times[-1] - traj.times[0]
     i = int(np.searchsorted(keys, t))
     near = keys[max(i - 1, 0):i + 1]

@@ -1183,16 +1183,42 @@ def _bundled_dir():
     return resources.files("goldenrule") / "configs"
 
 
+_MAX_NESTING = 100  # deepest YAML nesting a config may have
+
+
+class _NestingLimit:
+    """Composer mixin: a node nested deeper than _MAX_NESTING ends the
+    parse in a ConfigError. The composer recurses once per level, three
+    frames with this one, so the limit holds for any caller more than 3
+    _MAX_NESTING frames below the recursion limit."""
+
+    _depth = 0
+
+    def compose_node(self, parent, index):
+        if self._depth == _MAX_NESTING:
+            raise ConfigError(["config: YAML nesting too deep"])
+        self._depth += 1
+        try:
+            return super().compose_node(parent, index)
+        finally:
+            self._depth -= 1
+
+
+class _SafeConfigLoader(_NestingLimit, yaml.SafeLoader):
+    """yaml.SafeLoader with the nesting limit, where PyYAML has no
+    libyaml."""
+
+
 if yaml.__with_libyaml__:
-    class _ConfigLoader(Composer, yaml.cyaml.CParser, SafeConstructor,
-                        Resolver):
-        """yaml.SafeLoader with libyaml reading, scanning and parsing.
+    class _ConfigLoader(_NestingLimit, Composer, yaml.cyaml.CParser,
+                        SafeConstructor, Resolver):
+        """yaml.SafeLoader with libyaml reading, scanning and parsing, and
+        the nesting limit.
 
         Composer, resolver and constructor are yaml.SafeLoader's, so it
         builds the same objects. yaml.CSafeLoader's C composer is not
         used: it recurses on the C stack, and 100,000 nested brackets
-        kill the process; this composer ends in RecursionError at
-        yaml.SafeLoader's depth.
+        kill the process.
         """
 
         def __init__(self, stream):
@@ -1201,7 +1227,7 @@ if yaml.__with_libyaml__:
             SafeConstructor.__init__(self)
             Resolver.__init__(self)
 else:
-    _ConfigLoader = yaml.SafeLoader
+    _ConfigLoader = _SafeConfigLoader
 
 
 def _parse_config(raw):
@@ -1210,7 +1236,7 @@ def _parse_config(raw):
         return yaml.load(raw, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError([f"config: YAML parse failure: {exc}"]) from exc
-    except RecursionError:
+    except RecursionError:  # a caller near the recursion limit
         raise ConfigError(["config: YAML nesting too deep"]) from None
 
 

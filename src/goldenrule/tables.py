@@ -25,13 +25,18 @@ def format_table(columns, rows, meta=None):
     """Text of a table: comment lines from meta, the header, the rows.
 
     String cells are written as they are, every other cell through fmt;
-    a row of floats only is formatted in one operation, to the same text.
+    a row of floats only is formatted in one operation, to the same text,
+    by one format string per row width.
     """
     lines = [f"# {key}={val}" for key, val in (meta or {}).items()]
     lines.append(",".join(columns))
+    formats = {}
     for row in rows:
-        if all(isinstance(v, float) for v in row):
-            lines.append(",".join(["%.17g"] * len(row)) % tuple(row))
+        if all(map(float.__instancecheck__, row)):
+            form = formats.get(len(row))
+            if form is None:
+                form = formats[len(row)] = ",".join(["%.17g"] * len(row))
+            lines.append(form % tuple(row))
         else:
             lines.append(",".join(v if isinstance(v, str) else fmt(v)
                                   for v in row))

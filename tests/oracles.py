@@ -347,10 +347,11 @@ def level_phases_direct_oracle(omegas, times):
 def first_order_direct_oracle(omegas, v, cf0, t_eval, s, wv, interval):
     """c_f at every t_eval point from the accepted panel nodes, as N x n_eval.
 
-    The sums of dynamics._first_order_amplitudes on the same nodes s,
-    weighted values wv and interval labels, with every node phase from
-    level_phases_direct_oracle and the increments summed per interval by
-    np.add.reduceat.
+    The amplitudes behind dynamics._first_order_amplitudes' occupied sum
+    and kept levels, on the same nodes s, weighted values wv and interval
+    labels, with every node phase from level_phases_direct_oracle, the
+    increments summed per interval by np.add.reduceat and the whole
+    table held at once.
     """
     out = np.zeros((len(t_eval), np.size(omegas)), dtype=complex)
     starts = np.flatnonzero(np.r_[True, interval[1:] != interval[:-1]])

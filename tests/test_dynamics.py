@@ -265,6 +265,25 @@ def test_stored_times_are_found_within_the_span_tolerance():
             transition_rate(traj, far)
 
 
+def test_exact_rate_times_are_found_without_bisection():
+    """A registered time, as a float or np.float64, is found by dict
+    lookup, before the sorted keys are ever built; a time within 1e-9 of
+    the span of a key finds it by bisection; one further off is a
+    PreconditionError."""
+    cont = discretize(FLAT, 0.0, 2.0, 21)
+    rates = [-2.0, -1.0, -0.5]
+    traj = integrate(cont, RisingExp(1.0), 1e-3, t0=-3.0, t1=0.0,
+                     rate_times=rates)
+    for t in rates:
+        assert transition_rate(traj, t) == traj.rate_table[t]
+        assert transition_rate(traj, np.float64(t)) == traj.rate_table[t]
+    assert "_rate_keys" not in vars(traj)
+    assert transition_rate(traj, -1.0 + 0.9e-9 * 3.0) == traj.rate_table[-1.0]
+    assert "_rate_keys" in vars(traj)
+    with pytest.raises(PreconditionError):
+        transition_rate(traj, -1.0 + 1.1e-9 * 3.0)
+
+
 # ---------------------------------------------------------------------------
 # level phases from two tables against one cos/sin pair per level
 
@@ -327,7 +346,8 @@ FIRST_ORDER_SCENARIOS = {
 
 def _first_order_calls(name, tmp_path, monkeypatch):
     """(tol, calls): the scenario run at 301 levels, and the arguments and
-    result of each first-order sum it made."""
+    result of each first-order sum it made, with the fields of the
+    trajectory its integrate call returned."""
     cfg, _ = load_config(name)
     *path, leaf = FIRST_ORDER_SCENARIOS[name]
     node = cfg
@@ -337,25 +357,51 @@ def _first_order_calls(name, tmp_path, monkeypatch):
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump(cfg))
     route = dynamics._first_order_amplitudes
-    calls = []
+    record = dynamics.AmplitudeTrajectory
+    calls, trajs = [], []
 
-    def record(*args):
+    def sums(*args):
         calls.append((args, route(*args)))
         return calls[-1][1]
 
+    def keep(**fields):
+        trajs.append(fields)
+        return record(**fields)
+
     with monkeypatch.context() as patch:
-        patch.setattr(dynamics, "_first_order_amplitudes", record)
+        patch.setattr(dynamics, "_first_order_amplitudes", sums)
+        patch.setattr(dynamics, "AmplitudeTrajectory", keep)
         run_scenario(str(config), out_dir=str(tmp_path / "out"))
-    assert calls
-    return cfg["integrator"]["tol"], calls
+    assert calls and len(trajs) == len(calls)
+    return cfg["integrator"]["tol"], [
+        (args, got, fields) for (args, got), fields in zip(calls, trajs)]
 
 
-def _oracle_gap(tol, got, omegas, v, cf0, t_eval, s, wv, interval):
-    """Largest distance of got from first_order_direct_oracle on the same
-    nodes, as a share of the allowance the panel test leaves a sum."""
+def _oracle_gap(tol, S, d, c_f_end, omegas, weights, v, cf0, t_eval, s, wv,
+                interval, keep, end):
+    """Largest distance of S, d and c_f_end from the values
+    first_order_direct_oracle gives on the same nodes, each as a share of
+    its allowance (test_first_order_sums_match_direct_oracle_on_scenarios
+    derives them); end is the t_eval index of c_f_end."""
+    eps = np.finfo(float).eps
     want = first_order_direct_oracle(omegas, v, cf0, t_eval, s, wv, interval)
     allowance = tol / 20.0 * np.sum(np.abs(wv)) * np.max(np.abs(v))
-    return float(np.max(np.abs(got - want))) / allowance
+    d_want = (level_phases_direct_oracle(omegas, -t_eval[keep])
+              * want[:, keep].T)
+    n = omegas.size
+    gamma = (2 * n + 2) * eps / (1.0 - (2 * n + 2) * eps)
+    S_want = weights @ np.abs(want) ** 2
+    S_bound = (allowance * (weights @ (2.0 * np.abs(want) + allowance))
+               + 2.0 * gamma * S_want)
+    return max(float(np.max(np.abs(d - d_want))) / allowance,
+               float(np.max(np.abs(c_f_end - want[:, end]))) / allowance,
+               float(np.max(np.abs(S - S_want) / S_bound)))
+
+
+def _gaps(tol, calls):
+    return [_oracle_gap(tol, *got, fields["c_f_end"], *args,
+                        int(np.searchsorted(args[4], fields["times"][-1])))
+            for args, got, fields in calls]
 
 
 @pytest.mark.parametrize("name", sorted(FIRST_ORDER_SCENARIOS))
@@ -363,56 +409,94 @@ def test_first_order_sums_match_direct_oracle_on_scenarios(name, tmp_path,
                                                            monkeypatch):
     """Every first-order integration of a scenario, at 301 levels, agrees
     with the same accepted nodes summed with one cos/sin pair per node and
-    level.
+    level: the occupied sum at every t_eval point, the kept levels d =
+    e^{-i omega_f t} c_f and c_f at the last sample.
 
     The panel test lets the run's sums be off by tol / 20 of sum |wv|
-    (the integrand mass), times max|m_f| on an amplitude; a phase route
-    may not use more than that allowance.
+    (the integrand mass), times max|m_f|, on an amplitude: an allowance A
+    that a phase route may not pass. d and c_f_end are c_f times phases
+    of modulus 1, so A holds for them too; both routes round those phases
+    to a few eps (1 + max|omega t| + sqrt N) (test_level_phases_match_
+    direct_oracle), under 1e-6 of A here, and no slack is added for it.
+    For S, write c_f = c + delta_f with c the oracle's amplitude and
+    |delta_f| <= A: then ||c_f|^2 - |c|^2| <= A (2 |c| + A), so S is
+    off by at most A sum_f w_f (2 |c_f| + A), plus the rounding of the
+    two weighted sums of 2N squares, gamma_{2N+2} S each.
     """
     tol, calls = _first_order_calls(name, tmp_path, monkeypatch)
-    gaps = [_oracle_gap(tol, got, *args) for args, got in calls]
-    assert max(gaps) <= 1.0
+    assert max(_gaps(tol, calls)) <= 1.0
 
 
 @pytest.mark.parametrize("budget", [1, 64 << 10])
 @pytest.mark.parametrize("name", ["harmonic_sidebands", "two_sided_edges"])
 def test_first_order_block_split_is_bitwise_equal(name, budget, tmp_path,
                                                   monkeypatch):
-    """Splitting each group of equal-count intervals into several blocks
-    changes no bit of the sums.
+    """Splitting t_eval into several time blocks changes no bit of the
+    occupied sum or of the kept levels.
 
     At 301 levels, two_sided_edges mixes intervals of 4 and 8 nodes with
     one of 44, and harmonic_sidebands holds intervals of 4 nodes and one
-    of 232; each run has a lone interval beside larger groups. A budget
-    of 1 byte puts each interval in a block of its own; 64 KiB gives
-    blocks of a few intervals and a shorter last one. The split sums stay
-    within the direct oracle's allowance too.
+    of 232. Unsplit, each run takes one block. A budget of 1 byte puts
+    each interval in a block of its own; 64 KiB gives blocks of several
+    intervals (in two_sided_edges, some of them of two node counts) and a
+    shorter last one.
+    The split sums stay within the direct oracle's allowance too.
     """
     tol, calls = _first_order_calls(name, tmp_path, monkeypatch)
     phases = dynamics._level_phases
-    for args, _ in calls:
-        interval = args[-1]
+    for args, _, fields in calls:
+        s, interval = args[5], args[7]
         counts = np.unique(interval, return_counts=True)[1]
-        sizes, groups = np.unique(counts, return_counts=True)
-        assert min(groups) == 1 and max(groups) > 1
-        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", 1 << 40)
-        whole = dynamics._first_order_amplitudes(*args)
-        blocks = []
+        assert np.unique(counts).size > 1
 
-        def spy(omegas, times):
-            blocks.append(times.shape)
-            return phases(omegas, times)
+        def blocks_at(budget):
+            sizes = []
 
-        with monkeypatch.context() as patch:
-            patch.setattr(dynamics, "_level_phases", spy)
-            patch.setattr(dynamics, "_BLOCK_BYTES", budget)
-            split = dynamics._first_order_amplitudes(*args)
-        for c, group in zip(sizes, groups):
-            held = [rows for rows, nodes in blocks if nodes == c]
-            assert sum(held) == group
-            assert len(held) > 1 or group == 1
-        assert np.array_equal(split, whole)
-        assert _oracle_gap(tol, split, *args) <= 1.0
+            def spy(omegas, times):
+                if times.size and np.isin(times, s).all():
+                    sizes.append(times.size)
+                return phases(omegas, times)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "_level_phases", spy)
+                patch.setattr(dynamics, "_TIME_BLOCK_BYTES", budget)
+                got = dynamics._first_order_amplitudes(*args)
+            return sizes, got
+
+        (one, whole), (sizes, split) = blocks_at(1 << 40), blocks_at(budget)
+        assert one == [s.size]
+        ends, edges = np.cumsum(sizes), np.cumsum(counts)
+        assert ends[-1] == s.size and np.isin(ends, edges).all()
+        if budget == 1:
+            assert sizes == counts.tolist()
+        else:
+            held = np.split(counts, np.searchsorted(edges, ends[:-1]) + 1)
+            assert 1 < len(held) < counts.size
+            assert name != "two_sided_edges" or any(
+                np.unique(h).size > 1 for h in held)
+        for got, want in zip(split, whole):
+            assert np.array_equal(got, want)
+        assert _gaps(tol, [(args, split, fields)])[0] <= 1.0
+
+
+def test_first_order_run_keeps_no_level_by_time_table():
+    """A first-order run at N = 4001 levels and 481 samples keeps no table
+    of c_f over the samples: such a table alone holds len(t_eval) N
+    complex values of 16 bytes, so a run that keeps it, or any half of
+    it, peaks at half that or more under tracemalloc, which counts
+    numpy's buffers; the run must peak below."""
+    import tracemalloc
+
+    cont = discretize(FLAT, 0.0, 4.0, 4001)
+    samples = np.linspace(-20.0, 0.0, 481)
+    tracemalloc.start()
+    try:
+        integrate(cont, RisingExp(0.5), 1e-3, t0=-20.0, t1=0.0, tol=1e-7,
+                  sample_times=samples, rate_times=[-1.0, 0.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * samples.size * cont.omegas.size * 16
 
 
 # ---------------------------------------------------------------------------

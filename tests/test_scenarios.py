@@ -160,12 +160,13 @@ def test_config_loader_builds_what_safe_loader_builds(name):
 
 def test_run_with_the_pure_loader_writes_the_same_files(tmp_path,
                                                         monkeypatch):
-    """Where PyYAML has no libyaml, yaml.SafeLoader parses configs: a run
-    then writes the same summary and tables."""
+    """Where PyYAML has no libyaml, yaml.SafeLoader under the nesting
+    limit parses configs: a run then writes the same summary and
+    tables."""
     dirs = [tmp_path / "libyaml", tmp_path / "pure"]
     run_scenario("isotropic_scattering", out_dir=str(dirs[0]))
     monkeypatch.setattr(goldenrule.scenarios, "_ConfigLoader",
-                        yaml.SafeLoader)
+                        goldenrule.scenarios._SafeConfigLoader)
     run_scenario("isotropic_scattering", out_dir=str(dirs[1]))
     summaries = [json.loads((d / "summary.json").read_text()) for d in dirs]
     for blob in summaries:
@@ -174,6 +175,37 @@ def test_run_with_the_pure_loader_writes_the_same_files(tmp_path,
     for art in summaries[0]["artifacts"]:
         assert ((dirs[0] / art).read_bytes()
                 == (dirs[1] / art).read_bytes())
+
+
+def _nested(depth):
+    return ("[" * depth + "]" * depth).encode()
+
+
+@pytest.mark.parametrize("frames", [0, 200])
+@pytest.mark.parametrize("loader", ["_ConfigLoader", "_SafeConfigLoader"])
+def test_nesting_limit_does_not_depend_on_the_stack(monkeypatch, loader,
+                                                    frames):
+    """A config may nest _MAX_NESTING levels, and one more is a
+    ConfigError, under either loader and whether it is parsed where the
+    test runs or under 200 more frames."""
+    monkeypatch.setattr(goldenrule.scenarios, "_ConfigLoader",
+                        getattr(goldenrule.scenarios, loader))
+    limit = goldenrule.scenarios._MAX_NESTING
+    assert limit <= 100
+
+    def under(k, depth):
+        if k:
+            return under(k - 1, depth)
+        return goldenrule.scenarios._parse_config(_nested(depth))
+
+    tree = under(frames, limit)
+    for _ in range(limit - 1):
+        assert isinstance(tree, list) and len(tree) == 1
+        tree = tree[0]
+    assert tree == []
+    with pytest.raises(ConfigError) as info:
+        under(frames, limit + 1)
+    assert info.value.violations == ["config: YAML nesting too deep"]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
