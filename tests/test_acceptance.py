@@ -6,11 +6,14 @@ and prints a single PASS/FAIL line for the harness log. Run with -s (or
 read the captured output on failure) to see the lines.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 from goldenrule import airy
 from goldenrule.scenarios import bundled_scenarios, load_config, run_scenario
+from bundled_reference import REFERENCE, outputs
 from oracles import airy_oracle
 
 
@@ -206,3 +209,82 @@ def test_every_bundled_scenario_passes(runs):
     failing = [name for name, s in runs.items() if not s.passed]
     report("all bundled scenarios green end to end",
            [(name, name not in failing) for name in runs])
+
+
+# pinned outputs: the share of its scale an output may move by
+PINNED_SHARE = 1e-10
+# columns that are relative errors, ratios or phases in rad: measured
+# against 1, whatever their own size
+UNIT_COLUMNS = {"ratio", "rel_error", "scaled_error", "phase", "model_phase"}
+
+
+def _column_scales(columns):
+    """Scale of each CSV column: its largest magnitude, at least 1 for a
+    UNIT_COLUMNS name, and for a re_X / im_X pair the larger of the
+    two."""
+    top = {c: max(map(abs, v), default=0.0) for c, v in columns.items()}
+    scales = {}
+    for c in columns:
+        pair = c[3:] if c[:3] in ("re_", "im_") else None
+        mates = [f"{p}{pair}" for p in ("re_", "im_")] if pair else [c]
+        scales[c] = max(max(top.get(m, 0.0) for m in mates),
+                        1.0 if c in UNIT_COLUMNS else 0.0)
+    return scales
+
+
+def test_bundled_outputs_match_the_reference(runs):
+    """Every metric value and numeric CSV cell of the bundle sits within
+    PINNED_SHARE of its scale of bundled_reference.json.
+
+    The reference is what tests/bundled_reference.py wrote on the same
+    code. Run again on another BLAS build or CPU, the code rounds its
+    sums in another order and its exponentials by up to an ulp more, so
+    each output moves by a few eps per operation, relative to the scale
+    of its operands, as errors that wander rather than add: about eps
+    sqrt(K N) for K coupled steps over N levels. The longest chain,
+    validity_margins' 1,809 steps at 12,001 levels, gives 1e-12, and
+    reordering every first-order sum and coupled phase moved the bundle
+    by at most 1.1e-12 of a scale (decay.csv phase). PINNED_SHARE is
+    about a hundred times that, and a tenth of the 1e-9 of its scale by
+    which a change of the method, not of its rounding, moves one output.
+    A panel or step acceptance that changes sides may still move outputs
+    by up to about tol of their scale: those are moves of the method.
+
+    The scale is the physical size an output is measured against:
+    - a CSV column's largest magnitude (_column_scales), so a rate far
+      down a trailing edge is held to the peak's rounding, not its own;
+    - 1 for a relative error, ratio or phase column: on a symmetric band
+      ww_flat_decay's phase is rounding noise around 0 and is held to
+      PINNED_SHARE rad;
+    - each part of a complex value, re_X and im_X, the larger of their
+      columns (an imaginary part that is 0 or noise takes the real part's
+      size);
+    - for a metric, |target| in rel mode, where it is a physical value
+      beside its prediction, and 1 otherwise: every abs, below and above
+      metric of the bundle is a ratio, a relative deviation or a
+      difference of survivals, so its operands are of order 1 (a
+      difference of nearby values such as additivity_defect is held to
+      its operands' rounding, not its own size).
+    """
+    reference = json.loads(REFERENCE.read_text())
+    assert sorted(reference) == sorted(runs)
+    moved = []
+    for name, ctx in sorted(runs.items()):
+        got, want = outputs(ctx), reference[name]
+        assert got["metrics"].keys() == want["metrics"].keys(), name
+        for metric, value in want["metrics"].items():
+            m = ctx.metrics[metric]
+            scale = abs(m.target) if m.mode == "rel" else 1.0
+            if not abs(got["metrics"][metric] - value) <= PINNED_SHARE * scale:
+                moved.append((name, metric, value, got["metrics"][metric]))
+        assert got["csv"].keys() == want["csv"].keys(), name
+        for table, columns in want["csv"].items():
+            assert got["csv"][table].keys() == columns.keys(), table
+            for column, scale in _column_scales(columns).items():
+                a = np.array(got["csv"][table][column])
+                b = np.array(columns[column])
+                assert a.shape == b.shape, (name, table, column)
+                bad = ~(np.abs(a - b) <= PINNED_SHARE * scale)
+                moved += [(name, f"{table}:{column}[{i}]", b[i], a[i])
+                          for i in np.flatnonzero(bad)[:3]]
+    assert not moved, moved
