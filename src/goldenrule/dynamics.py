@@ -41,10 +41,11 @@ doubling. First-order sums multiply those tables per interval, as
 batched matrix products that run on BLAS, and never form one phase per
 node and level; they walk the sample grid in time blocks of about
 _TIME_BLOCK_BYTES and keep no table of c_f over it. The coupled rules
-take products or contractions of the tables too. Both modes keep the
-levels in their own frame, d_f = e^{-i omega_f t} c_f, only at the rate
-times and the last sample, and c_f there is e^{i omega_f t} d_f, one
-product of the tables.
+take products or contractions of the tables too, except a step's free
+rotation e^{i omega_f h}, one exponential per level. Both modes return
+the same three things: S at every sample-grid point, the rate mix (below)
+at each rate time, and c_f at the last sample; neither keeps a rate
+time x level table.
 
 Rates are the probability current into the band,
 
@@ -56,10 +57,12 @@ couplings.
 It is built from the integrated amplitudes and the equation of motion
 alone, so it stays independent of every analytic rate formula it is
 compared against: no golden-rule density, matrix-element average or
-envelope closed form enters it. e^{+i omega_f t} conj(c_f) is conj(d_f),
-so the current is 2 a(t) Im(c_i sum_f w_f v_f conj(d_f)) and takes no
-phase. The current needs d at the rate time itself, so rate times must
-be registered when integrating (rate_times).
+envelope closed form enters it. The current is 2 a(t) Im(c_i mix), with
+the rate mix sum_f w_f v_f e^{+i omega_f t} conj(c_f) taken inside each
+mode's walk: in first order as a bilinear form of the level phase tables
+at the rate time, in coupled mode as conj(d @ (w v)), since e^{+i omega_f
+t} conj(c_f) is conj(d_f). The mix needs c_f at the rate time itself, so
+rate times must be registered when integrating (rate_times).
 """
 
 from __future__ import annotations
@@ -357,10 +360,10 @@ def _phase_rows(omegas, times):
 
 
 def _first_order_amplitudes(omegas, weights, v, cf0, t_eval, s, wv, interval,
-                            keep):
-    """The occupied sum at every t_eval point from accepted nodes, and the
-    levels in their own frame, d = e^{-i omega_f t} c_f, at the t_eval
-    indices keep (sorted, unique).
+                            keep, last):
+    """The occupied sum at every t_eval point from accepted nodes, the rate
+    mix sum_f w_f v_f e^{i omega_f t} conj(c_f) at the t_eval indices keep
+    (sorted, unique), and c_f at the t_eval index last.
 
     c_f at t_eval[r] is cf0 - i v_f times the increments of the intervals
     before r, where interval k's increment is sum_{s in k} wv_s e^{i
@@ -374,14 +377,17 @@ def _first_order_amplitudes(omegas, weights, v, cf0, t_eval, s, wv, interval,
     one batched matrix product (np.matmul, a BLAS gemm per interval) per
     node count. Its increments are scaled by -i v_f and added up row by
     row from the last block's last row, the sums np.cumsum gives; S (one
-    einsum over the squared real and imaginary parts) and the kept c_f
-    are read off before the next block, and the kept rows take their
-    phases e^{-i omega_f t} at the end. No len(t_eval) x N table of c_f
-    and no node x level phase block is formed, and no bit of S or d
-    depends on where the blocks fall.
+    einsum over the squared real and imaginary parts), the kept rows'
+    mixes and c_f at last are read off before the next block. A mix is
+    the conjugate of the bilinear form coarse^T (w v c_f) fine of its row,
+    reshaped as above, with the tables of e^{-i omega_f t} at its time, so
+    no phase is formed per level. No len(t_eval) x N table of c_f, no
+    keep x N table and no node x level phase block is formed, and no bit
+    of the results depends on where the blocks fall.
 
     Returns:
-        (S, d): S per t_eval point and d at keep, shape (keep.size, N).
+        (S, mixes, c_f_end): S per t_eval point, the mixes at keep and
+        c_f at last.
     """
     n = omegas.size
     width = 2 * math.isqrt(n) + 2  # columns of both tables, at most
@@ -390,10 +396,17 @@ def _first_order_amplitudes(omegas, weights, v, cf0, t_eval, s, wv, interval,
     counts = np.diff(bounds)
     w2 = np.repeat(weights, 2)  # w_f for the real and imaginary parts
     S = np.empty(t_eval.size)
-    d = np.empty((keep.size, n), dtype=complex)
+    # tables of the kept times, contiguous so each row's products are the
+    # same whichever block holds it
+    back_c, back_f = (np.ascontiguousarray(x[:, :, None])
+                      for x in _level_phases(omegas, -t_eval[keep]))
+    table = back_c.shape[1], back_f.shape[1]
+    wv_levels = weights * v
+    mixes = np.empty(keep.size, dtype=complex)
     # bytes per interval of c nodes, about: its tables with their
     # exponentials and powers, and their copies for the product (c (2
-    # width + 4)), the product (under N + width), its c_f row and its d
+    # width + 4)), the product (under N + width), its c_f row and its row
+    # mix
     edges = np.r_[0, np.cumsum(16 * (counts * (2 * width + 4) + 3 * n))]
     row, i = cf0, 0
     while i < counts.size:
@@ -415,10 +428,15 @@ def _first_order_amplitudes(omegas, weights, v, cf0, t_eval, s, wv, interval,
         x = block.view(float)
         S[i:j + 1] = np.einsum("rf,rf,f->r", x, x, w2)
         lo, hi = np.searchsorted(keep, [i, j + 1])
-        d[lo:hi] = block[keep[lo:hi] - i]
+        y = np.zeros((hi - lo, table[0] * table[1]), dtype=complex)
+        np.multiply(block[keep[lo:hi] - i], wv_levels, out=y[:, :n])
+        y = y.reshape(hi - lo, *table)
+        mixes[lo:hi] = np.conj(np.matmul(
+            back_c[lo:hi].transpose(0, 2, 1), y @ back_f[lo:hi]))[:, 0, 0]
+        if i <= last <= j:
+            c_f_end = block[last - i].copy()
         row, i = block[-1], j
-    d *= _phase_rows(omegas, -t_eval[keep])
-    return S, d
+    return S, mixes, c_f_end
 
 
 def _width_ids(h):
@@ -514,12 +532,15 @@ class _FilonStepper:
     def rule(self, h):
         """(-i v_f D_fj, w_f v_f e^{-i omega_f h x_l}, Q, e^{i omega_f h}).
 
-        The phases e^{i omega_f tau} at the moment nodes, the collocation
-        nodes and h are products of the _level_phases tables. D, the node
-        phases and e^{i omega_f h} are formed in blocks of whole coarse
-        rows (m levels each) of at most _BLOCK_BYTES, level by level, so
-        the blocks change no bit; Q's level sums take the tables whole.
-        Rules are cached by _held.
+        The phases e^{i omega_f tau} at the moment nodes and the
+        collocation nodes are products of the _level_phases tables. D and
+        the node phases are formed in blocks of whole coarse rows (m
+        levels each) of at most _BLOCK_BYTES, level by level, so the
+        blocks change no bit; Q's level sums take the tables whole.
+        e^{i omega_f h} takes one exponential per level: every step of
+        width h rotates by it, so its rounding adds up over a run, and the
+        tables' few eps sqrt N would add up with it. Rules are cached by
+        _held.
         """
         return self._held(h)[0]
 
@@ -552,10 +573,9 @@ class _FilonStepper:
         wv2[:n] = self.wv2
         kernel = np.sum(coarse * (fine @ wv2.reshape(-1, m).T), axis=1)
         Q = np.einsum("lq,lqj->lj", kernel.reshape(p, n_q), basis_q)
-        times = np.concatenate([h * tau, -h * x, [h]])
+        times = np.concatenate([h * tau, -h * x])
         D = np.empty((n, p), dtype=complex)
         phases = np.empty((n, p), dtype=complex)
-        shift = np.empty(n, dtype=complex)
         coarse, fine = _level_phases(self.omegas, times)
         rows = max(1, _BLOCK_BYTES // (16 * times.size * m))
         for b0 in range(0, coarse.shape[1], rows):
@@ -563,9 +583,9 @@ class _FilonStepper:
             e = (coarse[:, b0:b0 + rows, None] * fine[:, None, :]).reshape(
                 times.size, -1)[:, :part.stop - part.start]
             D[part] = e[:n_q].T @ basis_d
-            phases[part] = e[n_q:-1].T
-            shift[part] = e[-1]
+            phases[part] = e[n_q:].T
         D *= -1j * self.v[:, None]
+        shift = np.exp(1j * (h * self.omegas))
         phases *= self.wv[:, None]
         back = np.conj(shift)
         if len(self.rules) == _RULE_CACHE:
@@ -677,10 +697,10 @@ def least_coupled_steps(max_omega, t_eval):
 
 
 def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol,
-                        keep):
+                        keep, last):
     """c_i and the occupied sum at every t_eval point by certified Filon
-    steps, and the levels in their own frame, d = e^{-i omega_f t} c_f, at
-    the t_eval indices keep (sorted, unique).
+    steps, the rate mix sum_f w_f v_f e^{i omega_f t} conj(c_f) at the
+    t_eval indices keep (sorted, unique), and c_f at the t_eval index last.
 
     Each interval [t_k, t_k+1] of width H is walked on the dyadic grid t_k
     + j H / 2^d, whose last point is t_k+1 itself, starting at the least
@@ -690,7 +710,8 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol,
     lands on the coarser grid is tried at twice the width next. The levels
     are carried as d (see _FilonStepper), whose occupied sum sum_f w_f
     |d_f|^2 is S itself, one dot of the squared real and imaginary parts
-    of d; c_f is never formed.
+    of d, and whose mix is conj(d @ (w v)), with no phase; c_f is formed
+    once, at last, as one _phase_rows product with d there.
 
     The steps of the least depths do not depend on the state, so their
     maps come in blocks: the steps of one _width_ids key among the next
@@ -700,9 +721,9 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol,
     it had evaluated them alone.
 
     Returns:
-        (c_i, S, d, steps, rejected, evaluations): c_i and S per t_eval
-        point (S inf where it overflows), d at keep, shape (keep.size, N),
-        accepted and rejected steps, and the envelope values used.
+        (c_i, S, mixes, c_f_end, steps, rejected, evaluations): c_i and S
+        per t_eval point (S inf where it overflows), the mixes at keep, c_f
+        at last, accepted and rejected steps, and the envelope values used.
 
     Raises:
         ToleranceFailureError: tol / 20 below double-precision resolution,
@@ -726,10 +747,19 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol,
     # a non-finite seed fails the first step
     with np.errstate(over="ignore", invalid="ignore"):
         d = _phase_rows(omegas, -t_eval[:1])[0] * cf0
-    kept = np.empty((keep.size, omegas.size), dtype=complex)
+    wv = weights * v
+    mixes = np.empty(keep.size, dtype=complex)
     row_of = dict(zip(keep.tolist(), range(keep.size)))
-    if 0 in row_of:
-        kept[row_of[0]] = d
+
+    def read_off(k, d):  # what the run keeps of t_eval[k]
+        nonlocal d_end
+        if k in row_of:
+            mixes[row_of[k]] = np.conj(d @ wv)
+        if k == last:
+            d_end = d
+
+    d_end = None
+    read_off(0, d)
     steps = rejected = evaluations = 0
     tops, least = least_coupled_steps(stepper.max_omega, t_eval)
     budget = _MAX_STEPS + least
@@ -821,9 +851,9 @@ def _coupled_amplitudes(amp, omegas, weights, v, ci0, cf0, t_eval, tol,
                         "halvings", achieved=err)
                 depth, j = depth + 1, 2 * j
             ci_all[k + 1], S_all[k + 1] = ci, occupied(d)
-            if k + 1 in row_of:
-                kept[row_of[k + 1]] = d
-    return ci_all, S_all, kept, steps, rejected, evaluations
+            read_off(k + 1, d)
+    c_f_end = _phase_rows(omegas, t_eval[last:last + 1])[0] * d_end
+    return ci_all, S_all, mixes, c_f_end, steps, rejected, evaluations
 
 
 def integration_grid(continuum, t0, t1, *, mode="first_order",
@@ -888,9 +918,12 @@ def integrate(continuum, env, V0, t0=None, t1=0.0, *,
         mode: "first_order" (c_i frozen at 1; panel quadrature, no time
             stepping) or "coupled" (Filon-collocation steps).
         sample_times: report grid in [t0, t1] (default 201 uniform
-            points).
+            points). Each sample is a t_eval point, and each t_eval
+            interval takes at least one quadrature panel or coupled step,
+            so a caller that reads only rates and c_f_end passes [t0, t1].
         rate_times: times in [t0, t1] where transition_rate() will be
-            queried; the probability current is stored at each.
+            queried; the probability current is stored at each, from the
+            rate mix the propagation route returns there.
 
     The final levels start from seed_amplitudes(continuum, env, V0, t0):
     the analytic amplitudes of a turn-on that has been rising since
@@ -932,14 +965,15 @@ def integrate(continuum, env, V0, t0=None, t1=0.0, *,
 
     sample_idx = np.searchsorted(t_eval, samples)
     rate_idx, last = np.searchsorted(t_eval, rates), int(sample_idx[-1])
-    keep = np.unique(np.r_[rate_idx, last])
+    keep = np.unique(rate_idx)
     if mode == "first_order":
         try:
             with np.errstate(over="raise", invalid="raise"):
                 s, wv, interval, evaluations = _panel_rule(
                     lambda s: evaluate(env, V0, s), t_eval, max_omega, tol)
-                S_all, d = _first_order_amplitudes(
-                    omegas, weights, v, cf0, t_eval, s, wv, interval, keep)
+                S_all, mixes, c_f_end = _first_order_amplitudes(
+                    omegas, weights, v, cf0, t_eval, s, wv, interval, keep,
+                    last)
         except FloatingPointError:
             raise ToleranceFailureError("first_order propagation produced "
                                         "a non-finite amplitude") from None
@@ -949,9 +983,10 @@ def integrate(continuum, env, V0, t0=None, t1=0.0, *,
         with np.errstate(over="ignore"):  # an inf seed mass leaves c_i 0
             mass = float(np.sum(weights * np.abs(cf0) ** 2))
         ci0 = np.sqrt(max(0.0, 1.0 - mass))
-        ci_all, S_all, d, steps, rejected, evaluations = (
+        ci_all, S_all, mixes, c_f_end, steps, rejected, evaluations = (
             _coupled_amplitudes(lambda s: evaluate(env, V0, s), omegas,
-                                weights, v, ci0, cf0, t_eval, tol, keep))
+                                weights, v, ci0, cf0, t_eval, tol, keep,
+                                last))
     if not np.all(np.isfinite(S_all)):
         raise ToleranceFailureError(
             f"{mode} propagation produced a non-finite amplitude")
@@ -964,12 +999,9 @@ def integrate(continuum, env, V0, t0=None, t1=0.0, *,
                 f"norm drifted by {norm_drift:.3g}, beyond 10 * tol",
                 achieved=norm_drift)
 
-    # e^{i omega_f t} conj(c_f) is conj(d): the current takes no phase
-    mixes = np.conj(d @ (weights * v))[np.searchsorted(keep, rate_idx)]
-    c_f_end = (_phase_rows(omegas, t_eval[last:last + 1])[0]
-               * d[np.searchsorted(keep, last)])
     current = (2.0 * np.asarray(evaluate(env, V0, rates), dtype=float)
-               * np.imag(ci_all[rate_idx] * mixes))
+               * np.imag(ci_all[rate_idx]
+                         * mixes[np.searchsorted(keep, rate_idx)]))
     rate_table = dict(zip(rates.tolist(), current.tolist()))
 
     return AmplitudeTrajectory(

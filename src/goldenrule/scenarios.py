@@ -634,13 +634,12 @@ def _integration(cont, t0, t1, **grid):
 
 def _write_following_rates(ctx, traj, env, V0, dos, E_i, rate_times):
     """rates.csv: the integrated current against the following golden
-    rule at each rate time. Returns its rows (t, r_numeric, r_following,
-    ratio)."""
-    rows = []
-    for t in rate_times:
-        r_num = transition_rate(traj, t)
-        r_pred = golden_rule_following(env, V0, dos, E_i, t)
-        rows.append((t, r_num, r_pred, r_num / r_pred))
+    rule at each rate time, the rule in one call on the array of times.
+    Returns its rows (t, r_numeric, r_following, ratio)."""
+    r_num = np.array([transition_rate(traj, t) for t in rate_times])
+    r_pred = golden_rule_following(env, V0, dos, E_i, rate_times)
+    rows = list(zip(rate_times.tolist(), r_num.tolist(), r_pred.tolist(),
+                    (r_num / r_pred).tolist()))
     ctx.write_csv("rates.csv", ["t", "r_numeric", "r_following", "ratio"],
                   rows)
     return rows
@@ -811,9 +810,11 @@ def _two_sided_pulse(p, checks):
     trail = np.linspace(lo_g / gp, hi_g / gp, p["n_rate_times"])
     curve = np.linspace(t_ref, hi_g / gp, 3 * p["n_rate_times"])
     rate_times = np.unique(np.concatenate([[t_ref], curve, trail]))
-    # analytic seeding on the rising branch makes a long pre-roll moot
-    span = _integration(cont, -0.2 / gp, hi_g / gp + 0.2 / gp,
-                        mode="first_order", rate_times=rate_times)
+    # analytic seeding on the rising branch makes a long pre-roll moot;
+    # only the rates are read, so the ends are the only samples
+    t0, t1 = -0.2 / gp, hi_g / gp + 0.2 / gp
+    span = _integration(cont, t0, t1, mode="first_order",
+                        sample_times=[t0, t1], rate_times=rate_times)
 
     def run(ctx):
         results = {}
@@ -896,9 +897,10 @@ def _superposition(p, checks):
         raise ConfigError(["parameters.t_hi: must exceed t_lo"])
     slow = min(g for g, _ in terms)
     rate_times = np.linspace(p["t_lo"], p["t_hi"], p["n_rate_times"])
-    span = _integration(cont, p["t_lo"] - 0.5 / slow,
-                        p["t_hi"] + 0.02 / slow, mode="first_order",
-                        rate_times=rate_times)
+    # the rates and c_f at t1 are read, so the ends are the only samples
+    t0, t1 = p["t_lo"] - 0.5 / slow, p["t_hi"] + 0.02 / slow
+    span = _integration(cont, t0, t1, mode="first_order",
+                        sample_times=[t0, t1], rate_times=rate_times)
 
     def run(ctx):
         traj = integrate(cont, env, V0, tol=ctx.tol, **span)

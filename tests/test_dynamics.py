@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 import yaml
 
@@ -34,7 +35,9 @@ from goldenrule import (
     validity_report,
     ww_problem,
 )
+import goldenrule.scenarios
 from goldenrule import dynamics
+from goldenrule.perturbation import evaluate
 from goldenrule.scenarios import load_config, run_scenario
 from oracles import (coupled_rk_oracle, fd_rate_oracle, filon_step_oracle,
                      first_order_direct_oracle, first_order_rk_oracle,
@@ -377,30 +380,38 @@ def _first_order_calls(name, tmp_path, monkeypatch):
         (args, got, fields) for (args, got), fields in zip(calls, trajs)]
 
 
-def _oracle_gap(tol, S, d, c_f_end, omegas, weights, v, cf0, t_eval, s, wv,
-                interval, keep, end):
-    """Largest distance of S, d and c_f_end from the values
-    first_order_direct_oracle gives on the same nodes, each as a share of
-    its allowance (test_first_order_sums_match_direct_oracle_on_scenarios
-    derives them); end is the t_eval index of c_f_end."""
+def _oracle_gap(tol, S, mixes, c_f_end, traj_end, omegas, weights, v, cf0,
+                t_eval, s, wv, interval, keep, last):
+    """Largest distance of S, the rate mixes and c_f_end (the route's, and
+    traj_end, the trajectory's) from the values first_order_direct_oracle
+    gives on the same nodes, each as a share of its allowance
+    (test_first_order_sums_match_direct_oracle_on_scenarios derives
+    them)."""
     eps = np.finfo(float).eps
     want = first_order_direct_oracle(omegas, v, cf0, t_eval, s, wv, interval)
     allowance = tol / 20.0 * np.sum(np.abs(wv)) * np.max(np.abs(v))
-    d_want = (level_phases_direct_oracle(omegas, -t_eval[keep])
-              * want[:, keep].T)
     n = omegas.size
     gamma = (2 * n + 2) * eps / (1.0 - (2 * n + 2) * eps)
     S_want = weights @ np.abs(want) ** 2
     S_bound = (allowance * (weights @ (2.0 * np.abs(want) + allowance))
                + 2.0 * gamma * S_want)
-    return max(float(np.max(np.abs(d - d_want))) / allowance,
-               float(np.max(np.abs(c_f_end - want[:, end]))) / allowance,
-               float(np.max(np.abs(S - S_want) / S_bound)))
+    wvf = weights * np.abs(v)
+    mix_want = (level_phases_direct_oracle(omegas, t_eval[keep])
+                * np.conj(want[:, keep].T)) @ (weights * v)
+    reach = np.max(np.abs(np.multiply.outer(t_eval[keep], omegas)),
+                   initial=0.0)
+    mix_bound = allowance * np.sum(wvf) + (
+        16.0 * eps * (1.0 + reach + np.sqrt(n)) + 2.0 * gamma) * (
+            wvf @ np.abs(want[:, keep]))
+    return max(
+        float(np.max(np.abs(mixes - mix_want) / mix_bound, initial=0.0)),
+        *(float(np.max(np.abs(end - want[:, last]))) / allowance
+          for end in (c_f_end, traj_end)),
+        float(np.max(np.abs(S - S_want) / S_bound)))
 
 
 def _gaps(tol, calls):
-    return [_oracle_gap(tol, *got, fields["c_f_end"], *args,
-                        int(np.searchsorted(args[4], fields["times"][-1])))
+    return [_oracle_gap(tol, *got, fields["c_f_end"], *args)
             for args, got, fields in calls]
 
 
@@ -409,19 +420,25 @@ def test_first_order_sums_match_direct_oracle_on_scenarios(name, tmp_path,
                                                            monkeypatch):
     """Every first-order integration of a scenario, at 301 levels, agrees
     with the same accepted nodes summed with one cos/sin pair per node and
-    level: the occupied sum at every t_eval point, the kept levels d =
-    e^{-i omega_f t} c_f and c_f at the last sample.
+    level: the occupied sum at every t_eval point, the rate mix sum_f w_f
+    v_f e^{i omega_f t} conj(c_f) at every rate time and c_f at the last
+    sample.
 
     The panel test lets the run's sums be off by tol / 20 of sum |wv|
     (the integrand mass), times max|m_f|, on an amplitude: an allowance A
-    that a phase route may not pass. d and c_f_end are c_f times phases
-    of modulus 1, so A holds for them too; both routes round those phases
-    to a few eps (1 + max|omega t| + sqrt N) (test_level_phases_match_
-    direct_oracle), under 1e-6 of A here, and no slack is added for it.
+    that a phase route may not pass. c_f_end is read off the summed rows
+    with no phase, so A holds for it as it stands.
     For S, write c_f = c + delta_f with c the oracle's amplitude and
     |delta_f| <= A: then ||c_f|^2 - |c|^2| <= A (2 |c| + A), so S is
     off by at most A sum_f w_f (2 |c_f| + A), plus the rounding of the
     two weighted sums of 2N squares, gamma_{2N+2} S each.
+    A mix weights each conj(delta_f) by w_f v_f and a phase of modulus 1,
+    so it is off by at most A sum_f w_f |v_f|, plus its rounding: each
+    route rounds a phase of level f to a few eps (1 + max|omega t| +
+    sqrt N) (8 of them beside the other route, test_level_phases_match_
+    direct_oracle, and as many again for the product of the tables), and
+    its sum of N complex terms by gamma_{2N+2}, each relative to sum_f
+    w_f |v_f| |c_f|.
     """
     tol, calls = _first_order_calls(name, tmp_path, monkeypatch)
     assert max(_gaps(tol, calls)) <= 1.0
@@ -432,7 +449,7 @@ def test_first_order_sums_match_direct_oracle_on_scenarios(name, tmp_path,
 def test_first_order_block_split_is_bitwise_equal(name, budget, tmp_path,
                                                   monkeypatch):
     """Splitting t_eval into several time blocks changes no bit of the
-    occupied sum or of the kept levels.
+    occupied sum, the rate mixes or c_f at the last sample.
 
     At 301 levels, two_sided_edges mixes intervals of 4 and 8 nodes with
     one of 44, and harmonic_sidebands holds intervals of 4 nodes and one
@@ -477,6 +494,51 @@ def test_first_order_block_split_is_bitwise_equal(name, budget, tmp_path,
         for got, want in zip(split, whole):
             assert np.array_equal(got, want)
         assert _gaps(tol, [(args, split, fields)])[0] <= 1.0
+
+
+@pytest.mark.parametrize("name", ["superposed_turnons", "two_sided_edges"])
+def test_rates_on_the_end_samples_match_the_default_grid(name, tmp_path,
+                                                         monkeypatch):
+    """A kind that reads only rates (and c_f at t1) samples only t0 and t1;
+    at 301 levels its rates agree with the same integration on the
+    default 201-sample grid.
+
+    Each run holds every amplitude to the panel contract's allowance A =
+    (tol / 20) integral |V| dt max|v_f|
+    (test_first_order_sums_match_direct_oracle_on_scenarios), so its
+    current 2 a(t) Im(sum_f w_f v_f e^{i omega_f t} conj(c_f)) to 2 |a(t)|
+    A sum_f w_f |v_f|, and two runs differ by at most twice that.
+    integral |V| dt is summed on a grid of 20,001 points, and the bound
+    takes it 1% larger.
+    """
+    cfg, _ = load_config(name)
+    cfg["parameters"]["n_levels"] = 301
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(cfg))
+    tol = cfg["integrator"]["tol"]
+    real, pairs = goldenrule.scenarios.integrate, []
+
+    def both(cont, env, V0, **kw):
+        traj = real(cont, env, V0, **kw)
+        pairs.append((cont, env, V0, kw, traj,
+                      real(cont, env, V0, **{**kw, "sample_times": None})))
+        return traj
+
+    monkeypatch.setattr(goldenrule.scenarios, "integrate", both)
+    run_scenario(str(config), out_dir=str(tmp_path / "out"))
+    assert pairs
+    for cont, env, V0, kw, traj, wide in pairs:
+        assert traj.times.tolist() == [kw["t0"], kw["t1"]]
+        assert wide.times.size == 201
+        t = np.linspace(kw["t0"], kw["t1"], 20001)
+        mass = 1.01 * scipy.integrate.trapezoid(np.abs(evaluate(env, V0, t)), t)
+        allowance = tol / 20.0 * mass * np.max(np.abs(cont.couplings))
+        times = np.array(sorted(traj.rate_table))
+        bound = (4.0 * np.abs(evaluate(env, V0, times)) * allowance
+                 * np.sum(cont.weights * np.abs(cont.couplings)))
+        gap = np.abs(np.array([traj.rate_table[x] - wide.rate_table[x]
+                               for x in times.tolist()]))
+        assert np.all(gap <= bound)
 
 
 def test_first_order_run_keeps_no_level_by_time_table():
@@ -1257,6 +1319,28 @@ def test_coupled_run_keeps_no_level_by_time_table():
            * mass)
     bound = 2.0 * abs(a) * abs(ci) * (gap + gam(3) * 2.0 * abs(mix))
     assert abs(traj.rate_table[t_end] - want) <= bound <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("phase", [0.37, dynamics._STEP_PHASE])
+def test_step_rotation_is_one_exponential_per_level(phase):
+    """A coupled rule's e^{i omega_f h} is as good as one cos/sin pair per
+    level, at N = 12,001 levels (the validity_margins size).
+
+    Every step of width h rotates the levels by it, so its error adds up
+    over the steps of a run. Both routes round omega_f h once, the same
+    way, and the exponential or the cos/sin pair to an ulp or two: a few
+    eps (1 + |omega_f h|), with no sqrt N term such as powers of a
+    doubled table would carry. h spans up to _STEP_PHASE rad of max|omega|
+    phase, as the widest step does.
+    """
+    cont = discretize(FLAT, 0.0, 2.0, 12001)
+    stepper = dynamics._FilonStepper(cont.omegas, cont.weights,
+                                     cont.couplings)
+    h = phase / stepper.max_omega
+    want = level_phases_direct_oracle(cont.omegas, h)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(stepper.rule(h)[3] - want)
+                  <= 4.0 * eps * (1.0 + np.abs(cont.omegas * h)))
 
 
 # ---------------------------------------------------------------------------

@@ -489,6 +489,32 @@ def test_a_nan_rate_fails_the_run(tmp_path, monkeypatch, name):
     assert not summary.passed
 
 
+@pytest.mark.parametrize("name", ["golden_rule_basic", "superposed_turnons"])
+def test_following_rates_take_one_call_on_the_rate_times(tmp_path,
+                                                         monkeypatch, name):
+    """rates.csv's r_following comes from one golden_rule_following call on
+    the array of rate times, within 1 ulp of the rule at each time alone
+    (an array and a scalar exponential may round an ulp apart)."""
+    law = goldenrule.scenarios.golden_rule_following
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return law(*args)
+
+    monkeypatch.setattr(goldenrule.scenarios, "golden_rule_following", spy)
+    run_scenario(name, out_dir=str(tmp_path))
+    assert len(calls) == 1
+    *fixed, times = calls[0]
+    lines = (tmp_path / "rates.csv").read_text().splitlines()
+    head, *rows = [line.split(",") for line in lines if line[0] != "#"]
+    table = dict(zip(head, numpy.array(rows, dtype=float).T))
+    assert numpy.array_equal(table["t"], times)
+    alone = numpy.array([law(*fixed, t) for t in times.tolist()])
+    assert numpy.all(numpy.abs(table["r_following"] - alone)
+                     <= numpy.spacing(numpy.abs(alone)))
+
+
 # ---------------------------------------------------------------------------
 # one BLAS thread per run
 
